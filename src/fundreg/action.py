@@ -188,6 +188,27 @@ class GroupBall:
             if not g.is_identity():
                 yield g
 
+    def in_iteration_order(
+        self, elements: Iterable[ActionElement]
+    ) -> list[ActionElement]:
+        """The ball members among ``elements``, in the order iteration
+        yields them.
+
+        Only the layers that hold a member are walked, and only as keys,
+        so ranking a few witnesses costs no decoding of the ball.
+        """
+        wanted: dict[int, dict[bytes, ActionElement]] = {}
+        for g in elements:
+            key = _encode(g.spine.letters, g.parity)
+            k = self._depth_of.get(key)
+            if k is not None:
+                wanted.setdefault(k, {})[key] = g
+        out: list[ActionElement] = []
+        for k in sorted(wanted):
+            picks = wanted[k]
+            out.extend(picks[key] for key in self._layers[k] if key in picks)
+        return out
+
     def spine_length_histogram(self) -> dict[int, int]:
         """Realized elements per spine length (no converse claim intended)."""
         hist: dict[int, int] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .action import (
     ActionElement,
@@ -31,9 +31,12 @@ from .action import (
 )
 from .freegroup import (
     ReducedWord,
+    concat_reduced,
     enumerate_ball,
+    invert_letters,
     r_power,
     spine_exponent,
+    swap_letters,
     u_power,
 )
 from .regions import (
@@ -153,14 +156,37 @@ def stabilized(counts: Sequence[int]) -> bool:
     return len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
 
 
+def _monotone(counts: Sequence[int]) -> bool:
+    return all(b >= a for a, b in zip(counts, counts[1:]))
+
+
 def profile_verdict(counts: Sequence[int]) -> str:
-    if any(b < a for a, b in zip(counts, counts[1:])):
-        raise AssertionError("profile counts must be monotone")
+    """Stable tail verifies, strict growth refutes, anything else is
+    inconclusive.  A count that falls as the horizon grows fits neither
+    rule (a short schedule can shrink a metric window faster than the
+    enumeration grows), so it is inconclusive too."""
+    if not _monotone(counts):
+        return INCONCLUSIVE
     if stabilized(counts):
         return VERIFIED
     if all(b > a for a, b in zip(counts, counts[1:])):
         return REFUTED
     return INCONCLUSIVE
+
+
+def _profile_report(
+    prop: str, truncation: dict, counts: list[int], witnesses: list[str]
+) -> VerificationReport:
+    """Report judged by ``profile_verdict``; a non-monotone profile says
+    so in its last witness."""
+    if not _monotone(counts):
+        witnesses = witnesses + [
+            f"counts {counts} are not monotone in the horizon: "
+            "neither the stable nor the growth rule applies"
+        ]
+    return VerificationReport(
+        prop, profile_verdict(counts), truncation, counts, witnesses
+    )
 
 
 def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
@@ -174,6 +200,14 @@ def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
 
 
 # ------------------------------------------------------------------ systems
+
+# Largest scan ball a run may build.  Depth 5 (604,850 elements, about
+# 250 MiB) fits; depth 6 (about 8 million) does not.
+SCAN_BALL_BUDGET = 2_000_000
+
+
+class BudgetExceeded(ValueError):
+    """A run would enumerate more group elements than the budget allows."""
 
 
 class Free2HouseSystem:
@@ -201,10 +235,37 @@ class Free2HouseSystem:
     # -- enumeration -------------------------------------------------
 
     def scan_ball(self, depth: int) -> GroupBall:
+        """The scan ball; raises BudgetExceeded before building one whose
+        estimated size is over SCAN_BALL_BUDGET."""
         if depth not in self._scan_balls:
+            estimate = self.scan_ball_estimate(depth)
+            if estimate > SCAN_BALL_BUDGET:
+                raise BudgetExceeded(
+                    f"depth {depth} needs a scan ball of about {estimate:,} "
+                    f"elements; the budget is {SCAN_BALL_BUDGET:,}"
+                )
             roots = enumerate_ball(self.scan_root_len)
             self._scan_balls[depth] = group_ball(roots, depth)
         return self._scan_balls[depth]
+
+    def scan_ball_estimate(self, depth: int) -> int:
+        """Size of ``scan_ball(depth)`` from the layers of the depth-2 ball.
+
+        Exact up to depth 2.  Deeper layers are extrapolated with the
+        layer-2/layer-1 growth ratio 232/17 = 13.65.  The true ratio falls
+        to 13.41 from layer 3 on, so this overestimates: 636,478 against
+        604,850 at depth 5.
+        """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        roots = enumerate_ball(self.scan_root_len)
+        sizes = GroupBall(roots, min(depth, 2)).layer_sizes()
+        total = sum(sizes)
+        layer = sizes[-1]
+        for _ in range(2, depth):
+            layer = -(-layer * sizes[2] // sizes[1])  # rounded up
+            total += layer
+        return total
 
     def half_ball(self) -> GroupBall:
         if self._half is None:
@@ -297,20 +358,50 @@ class Free2HouseSystem:
     def neighbourhood(self, center: ReducedWord, radius: int) -> RoomSet:
         return neighborhood_roomset(center, radius)
 
+    def room_pair_candidates(self, s: RoomSet) -> Iterator[ActionElement]:
+        """Every element that moves some room of ``s`` onto a room of ``s``,
+        each once.
+
+        (spine, p) sends room a to spine * swap^p(a), so sending a to b
+        pins spine = b * swap^p(a)^-1.  A translate g.s meets s only if g
+        puts a room of s onto a room of s, so these at most
+        2 * |rooms(s)|^2 candidates include every g with g.s and s meeting.
+        """
+        rooms = [room.letters for room in s.rooms]
+        seen: set[tuple[tuple[int, ...], int]] = set()
+        for parity in (0, 1):
+            for a in rooms:
+                a_inv = invert_letters(swap_letters(a) if parity else a)
+                for b in rooms:
+                    key = (concat_reduced(b, a_inv), parity)
+                    if key not in seen:
+                        seen.add(key)
+                        yield ActionElement(ReducedWord._trusted(key[0]), parity)
+
     def overlapping_generators(
         self, horizon: int, radius: int
     ) -> list[tuple[Optional[ReducedWord], ActionElement]]:
         """Identity plus every room reflection rooted within ``horizon``
-        whose closure translate meets the closure, tagged by root."""
+        whose closure translate meets the closure, tagged by root, roots
+        in ``enumerate_ball`` order.
+
+        The reflection rooted at w has spine w * swap(w)^-1, of length
+        2|w| with w as its first half, so a room-pair candidate is such a
+        reflection exactly when its spine rebuilds from its first half.
+        """
         closure = self.closure(radius)
-        hits: list[tuple[Optional[ReducedWord], ActionElement]] = [
-            (None, identity())
-        ]
-        for root in enumerate_ball(horizon):
-            g = room_reflection(root)
+        hits: list[tuple[Optional[ReducedWord], ActionElement]] = []
+        for g in self.room_pair_candidates(closure):
+            half, odd = divmod(len(g.spine), 2)
+            if not g.parity or odd or half > horizon:
+                continue
+            root = ReducedWord._trusted(g.spine.letters[:half])
+            if room_reflection(root) != g:
+                continue
             if not closure.intersect(closure.translate(g)).is_empty():
                 hits.append((root, g))
-        return hits
+        hits.sort(key=lambda hit: hit[0].sort_key())
+        return [(None, identity())] + hits
 
 
 class LineSystem:
@@ -405,23 +496,42 @@ def make_system(
 # ------------------------------------------------------------- disjointness
 
 
+def _ball_overlaps(
+    system: Free2HouseSystem, s: RoomSet, depth: int
+) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
+    """The scan ball, and each nonidentity ball element g with g.s meeting
+    s, paired with g.s ∩ s, in ball iteration order."""
+    ball = system.scan_ball(depth)
+    meets: dict[ActionElement, RoomSet] = {}
+    for g in system.room_pair_candidates(s):
+        if g.is_identity() or g not in ball:
+            continue
+        meet = s.translate(g).intersect(s)
+        if not meet.is_empty():
+            meets[g] = meet
+    return ball, [(g, meets[g]) for g in ball.in_iteration_order(meets)]
+
+
 def check_disjointness(system: AnySystem, cfg: RunConfig) -> VerificationReport:
-    """No nonidentity enumerated translate of the open region meets it."""
+    """No nonidentity enumerated translate of the open region meets it.
+
+    For free2house only the scan-ball elements among
+    ``Free2HouseSystem.room_pair_candidates`` of the region are
+    translated: any other element moves every region room off the
+    region.  ``counts[0]`` is still the number of nonidentity ball
+    elements the scan covers, not the number of translates computed.
+    """
     if isinstance(system, Free2HouseSystem):
-        region = system.region(cfg.radius)
-        ball = system.scan_ball(cfg.depth)
-        checked = 0
-        bad: list[str] = []
-        for g in ball.nonidentity():
-            checked += 1
-            meet = region.translate(g).intersect(region)
-            if not meet.is_empty():
-                bad.append(f"{g.text()} overlaps: {'; '.join(meet.describe())}")
+        ball, overlaps = _ball_overlaps(system, system.region(cfg.radius), cfg.depth)
+        bad = [
+            f"{g.text()} overlaps: {'; '.join(meet.describe())}"
+            for g, meet in overlaps
+        ]
         return VerificationReport(
             PROP_DISJOINTNESS,
             REFUTED if bad else VERIFIED,
             {"depth": cfg.depth, "radius": cfg.radius},
-            [checked, len(bad)],
+            [len(ball) - 1, len(bad)],
             _cap(bad),
         )
 
@@ -617,20 +727,18 @@ def _coverage_free2house(
 
 def boundary_containment(system: AnySystem, cfg: RunConfig) -> VerificationReport:
     """Closure overlaps with nonidentity translates stay inside the
-    topological boundary of the region."""
+    topological boundary of the region.
+
+    For free2house only the scan-ball elements among the closure's
+    ``room_pair_candidates`` are translated, as in
+    ``check_disjointness``; ``counts[0]`` is still the number of
+    nonidentity ball elements covered.
+    """
     if isinstance(system, Free2HouseSystem):
-        closure = system.closure(cfg.radius)
         boundary = system.boundary(cfg.radius)
-        ball = system.scan_ball(cfg.depth)
-        checked = 0
-        nonempty = 0
-        bad: list[str] = []
-        for g in ball.nonidentity():
-            checked += 1
-            meet = closure.translate(g).intersect(closure)
-            if meet.is_empty():
-                continue
-            nonempty += 1
+        ball, overlaps = _ball_overlaps(system, system.closure(cfg.radius), cfg.depth)
+        bad = []
+        for g, meet in overlaps:
             spill = meet.difference(boundary)
             if not spill.is_empty():
                 bad.append(
@@ -641,7 +749,7 @@ def boundary_containment(system: AnySystem, cfg: RunConfig) -> VerificationRepor
             PROP_BOUNDARY,
             REFUTED if bad else VERIFIED,
             {"depth": cfg.depth, "radius": cfg.radius},
-            [checked, nonempty, len(bad)],
+            [len(ball) - 1, len(overlaps), len(bad)],
             _cap(bad),
         )
 
@@ -772,9 +880,8 @@ def local_finiteness_profile(
             else "total still growing"
         )
         witnesses.append(f"{len(profiles)} centers, {tail}")
-        report = VerificationReport(
+        report = _profile_report(
             PROP_LOCAL_FINITENESS,
-            profile_verdict(totals),
             {"depth": bound, "radius": cfg.radius},
             totals,
             witnesses,
@@ -804,9 +911,8 @@ def local_finiteness_profile(
             "meeting shifts at the last horizon: "
             + ", ".join(str(m) for m in _cap(map(str, last_hits), 10)),
         ]
-        report = VerificationReport(
+        report = _profile_report(
             PROP_LOCAL_FINITENESS,
-            profile_verdict(counts),
             {"depth": cfg.schedule[-1], "radius": None},
             counts,
             witnesses,
@@ -833,9 +939,8 @@ def local_finiteness_profile(
             "meeting shifts at the last horizon: "
             + ", ".join(str(p) for p in _cap(map(str, last_pairs), 8)),
         ]
-        report = VerificationReport(
+        report = _profile_report(
             PROP_LOCAL_FINITENESS,
-            profile_verdict(counts),
             {"depth": cfg.schedule[-1], "radius": None},
             counts,
             witnesses,
@@ -854,9 +959,8 @@ def local_finiteness_profile(
         ]
         counts.append(len(hits))
         last_hits = hits
-    report = VerificationReport(
+    report = _profile_report(
         PROP_LOCAL_FINITENESS,
-        profile_verdict(counts),
         {"depth": cfg.schedule[-1], "radius": cfg.m_range},
         counts,
         ["band point 0", f"meeting shifts: {last_hits}"],
@@ -895,9 +999,8 @@ def fsa_check(
             "closure translates under reflections at every spine power overlap",
             "overlapping elements: " + ", ".join(_cap(names, 12)),
         ]
-        report = VerificationReport(
+        report = _profile_report(
             PROP_SELF_ADJACENCY,
-            profile_verdict(counts),
             {"depth": cfg.schedule[-1], "radius": cfg.radius},
             counts,
             witnesses,
@@ -922,9 +1025,8 @@ def fsa_check(
             ]
             counts.append(len(hits))
             last_hits = hits
-        report = VerificationReport(
+        report = _profile_report(
             PROP_SELF_ADJACENCY,
-            profile_verdict(counts),
             {"depth": cfg.schedule[-1], "radius": cfg.m_range},
             counts,
             [
@@ -960,9 +1062,8 @@ def fsa_check(
     overlap = [m for m in range(-cfg.m_range, cfg.m_range + 1) if abs(m) * c < hi - lo]
     for k in cfg.schedule:
         counts.append(sum(1 for m in overlap if abs(m) <= k))
-    report = VerificationReport(
+    report = _profile_report(
         PROP_SELF_ADJACENCY,
-        profile_verdict(counts),
         {"depth": cfg.schedule[-1], "radius": cfg.m_range},
         counts,
         [

@@ -8,11 +8,11 @@ Four subcommands:
     conformal  build the smooth rescaling fields and report diagnostics
 
 Exit codes: 0 verified / as expected, 1 refuted or out of tolerance,
-2 inconclusive, 64 usage or configuration error.  All output is
-deterministic; repeated runs with equal arguments produce equal bytes.
-
-FUNDREG_THREADS is parsed for forward compatibility but every scan runs
-serially; results never depend on it.
+2 inconclusive, 64 usage or configuration error (including a run over
+the scan-ball budget, refused before any enumeration), 70 internal
+error (a fault in fundreg itself, never a verdict; the traceback goes to
+stderr).  All output is deterministic; repeated runs with equal
+arguments produce equal bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +63,7 @@ from .tilespace import (
 )
 
 USAGE_EXIT = 64
+INTERNAL_EXIT = 70
 
 
 class UsageError(Exception):
@@ -404,11 +404,6 @@ def quotient_strip_svg(desc: QuotientDescription) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    raw_threads = os.environ.get("FUNDREG_THREADS", "1")
-    try:
-        max(1, int(raw_threads))  # reserved; scans are serial
-    except ValueError:
-        pass
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -425,6 +420,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, TruncationError) as exc:
         print(f"fundreg: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except Exception as exc:
+        # exits 1 and 2 are verdicts; a fault must not read as one
+        import traceback  # only on this path: it costs start-up time
+
+        traceback.print_exc()
+        print(f"fundreg: internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

@@ -12,8 +12,11 @@ from fractions import Fraction
 import pytest
 
 from fundreg.action import GroupBall, identity, room_reflection
+from fundreg import checker
 from fundreg.checker import (
     EXIT_CODES,
+    SCAN_BALL_BUDGET,
+    BudgetExceeded,
     INCONCLUSIVE,
     REFUTED,
     VERIFIED,
@@ -77,8 +80,9 @@ def test_profile_verdict_rules():
     assert profile_verdict([4, 6, 6, 6, 6]) == VERIFIED
     assert profile_verdict([4, 6, 8, 10]) == REFUTED
     assert profile_verdict([4, 6, 6, 8, 9]) == INCONCLUSIVE
-    with pytest.raises(AssertionError):
-        profile_verdict([4, 3, 3])
+    # a falling count fits neither rule, even with a stable tail
+    assert profile_verdict([4, 3, 3]) == INCONCLUSIVE
+    assert profile_verdict([4, 3, 3, 3]) == INCONCLUSIVE
 
 
 def test_report_shape_and_exit_codes():
@@ -209,6 +213,27 @@ def test_coverage_free2house_certificates(f2):
     assert rep.counts[0] == len(enumerate_ball(4))
     assert rep.counts[1] == 0
     assert any("certified" in w for w in rep.witnesses)
+
+
+def test_scan_ball_estimate_is_exact_then_over(f2):
+    for depth in range(3):
+        assert f2.scan_ball_estimate(depth) == len(f2.scan_ball(depth))
+    for depth in (3, 4):
+        assert f2.scan_ball_estimate(depth) >= len(f2.scan_ball(depth))
+
+
+def test_scan_ball_budget_admits_depth_5_only(f2):
+    # estimates only: the depth-6 ball is never built
+    assert f2.scan_ball_estimate(5) <= SCAN_BALL_BUDGET < f2.scan_ball_estimate(6)
+
+
+def test_scan_ball_over_budget_is_refused_before_building(monkeypatch):
+    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", 1000)
+    system = Free2HouseSystem()
+    with pytest.raises(BudgetExceeded, match="depth 3"):
+        system.scan_ball(3)
+    assert system._scan_balls == {}
+    assert len(system.scan_ball(2)) == 250
 
 
 def test_boundary_containment_free2house(f2, small_cfg):

@@ -5,7 +5,8 @@ import xml.dom.minidom
 
 import pytest
 
-from fundreg.cli import USAGE_EXIT, main, quotient_strip_svg
+from fundreg import checker, cli
+from fundreg.cli import INTERNAL_EXIT, USAGE_EXIT, main, quotient_strip_svg
 from fundreg.checker import Free2HouseSystem, RunConfig, quotient_build
 
 
@@ -193,3 +194,37 @@ def test_threads_env_is_tolerated(capsys, monkeypatch):
     monkeypatch.setenv("FUNDREG_THREADS", "not-a-number")
     code, _, _ = run_cli(capsys, ["verify", "line-standard"])
     assert code == 0
+
+
+def test_non_monotone_profile_is_inconclusive_not_a_crash(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "plane-pathological", "--schedule", "1,2,3", "--format", "json"],
+    )
+    assert code == 2
+    assert err == ""
+    results = {r["property"]: r for r in json.loads(out)["results"]}
+    lf = results["local-finiteness"]
+    assert lf["verdict"] == "inconclusive"
+    assert lf["witnesses"][-1].startswith(f"counts {lf['counts']} are not monotone")
+
+
+def test_internal_error_exits_70(capsys, monkeypatch):
+    def broken(system, cfg):
+        raise RuntimeError("broken battery")
+
+    monkeypatch.setattr(cli, "run_battery", broken)
+    code, out, err = run_cli(capsys, ["verify", "line-standard"])
+    assert code == INTERNAL_EXIT == 70
+    assert out == ""
+    assert "fundreg: internal error: RuntimeError('broken battery')" in err
+
+
+def test_over_budget_depth_exits_64_before_enumerating(capsys, monkeypatch):
+    # a small budget stands in for depth 6: a broken guard builds a
+    # depth-3 ball here, never the 8-million-element one
+    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", 1000)
+    code, out, err = run_cli(capsys, ["verify", "free2house", "--depth", "3"])
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert "budget is 1,000" in err

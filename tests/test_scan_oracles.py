@@ -1,0 +1,166 @@
+"""Room-pair candidate scans against the whole-ball brute force.
+
+``check_disjointness``, ``boundary_containment`` and
+``Free2HouseSystem.overlapping_generators`` translate only the elements
+that move a room of the set onto a room of the set.  The oracles below
+are the loops those scans replaced: they translate the set by every
+element of the ball (or by the reflection at every root), so agreement
+covers completeness of the candidates, the counts, and the order and
+cap of the witnesses.
+"""
+
+import pytest
+
+from fundreg.action import room_reflection
+from fundreg.checker import (
+    PROP_BOUNDARY,
+    PROP_DISJOINTNESS,
+    REFUTED,
+    VERIFIED,
+    Free2HouseSystem,
+    RunConfig,
+    VerificationReport,
+    boundary_containment,
+    check_disjointness,
+)
+from fundreg.freegroup import enumerate_ball
+from fundreg.tilespace import ALL_ATOMS, RoomSet
+
+
+def capped(items, limit=8):
+    return items[:limit] + ["..."] if len(items) > limit else items
+
+
+def oracle_disjointness(system, cfg):
+    region = system.region(cfg.radius)
+    ball = system.scan_ball(cfg.depth)
+    checked = 0
+    bad = []
+    for g in ball.nonidentity():
+        checked += 1
+        meet = region.translate(g).intersect(region)
+        if not meet.is_empty():
+            bad.append(f"{g.text()} overlaps: {'; '.join(meet.describe())}")
+    return VerificationReport(
+        PROP_DISJOINTNESS,
+        REFUTED if bad else VERIFIED,
+        {"depth": cfg.depth, "radius": cfg.radius},
+        [checked, len(bad)],
+        capped(bad),
+    )
+
+
+def oracle_boundary(system, cfg):
+    closure = system.closure(cfg.radius)
+    boundary = system.boundary(cfg.radius)
+    ball = system.scan_ball(cfg.depth)
+    checked = 0
+    nonempty = 0
+    bad = []
+    for g in ball.nonidentity():
+        checked += 1
+        meet = closure.translate(g).intersect(closure)
+        if meet.is_empty():
+            continue
+        nonempty += 1
+        spill = meet.difference(boundary)
+        if not spill.is_empty():
+            bad.append(
+                f"{g.text()} meets the closure off the boundary: "
+                f"{'; '.join(spill.describe())}"
+            )
+    return VerificationReport(
+        PROP_BOUNDARY,
+        REFUTED if bad else VERIFIED,
+        {"depth": cfg.depth, "radius": cfg.radius},
+        [checked, nonempty, len(bad)],
+        capped(bad),
+    )
+
+
+def oracle_overlapping_generators(system, horizon, radius):
+    closure = system.closure(radius)
+    hits = []
+    for root in enumerate_ball(horizon):
+        g = room_reflection(root)
+        if not closure.intersect(closure.translate(g)).is_empty():
+            hits.append((root, g))
+    return hits
+
+
+class ClosureAsRegion(Free2HouseSystem):
+    """The closure stands in for the open region: its translates touch
+    along walls and diagonals, so disjointness must refute."""
+
+    def region(self, radius):
+        return self.closure(radius)
+
+
+class Blob(Free2HouseSystem):
+    """Whole rooms of the radius-2 word ball as region and closure, with
+    no boundary: dozens of translates overlap and every overlap spills,
+    so both scans refute past the witness cap."""
+
+    def region(self, radius):
+        return RoomSet({w: ALL_ATOMS for w in enumerate_ball(min(radius, 2))})
+
+    closure = region
+
+    def boundary(self, radius):
+        return RoomSet()
+
+
+@pytest.fixture(scope="module")
+def f2():
+    return Free2HouseSystem()
+
+
+GRID = [(depth, radius) for depth in range(4) for radius in range(6)]
+
+
+@pytest.mark.parametrize("depth,radius", GRID)
+def test_disjointness_matches_whole_ball_scan(f2, depth, radius):
+    cfg = RunConfig(depth=depth, radius=radius)
+    assert check_disjointness(f2, cfg).to_dict() == oracle_disjointness(f2, cfg).to_dict()
+
+
+@pytest.mark.parametrize("depth,radius", GRID)
+def test_boundary_containment_matches_whole_ball_scan(f2, depth, radius):
+    cfg = RunConfig(depth=depth, radius=radius)
+    assert boundary_containment(f2, cfg).to_dict() == oracle_boundary(f2, cfg).to_dict()
+
+
+@pytest.mark.parametrize("depth,radius", [(1, 1), (2, 3), (3, 5)])
+def test_refuting_disjointness_keeps_witness_order(depth, radius):
+    system = ClosureAsRegion()
+    cfg = RunConfig(depth=depth, radius=radius)
+    got = check_disjointness(system, cfg).to_dict()
+    assert got["verdict"] == REFUTED
+    assert got == oracle_disjointness(system, cfg).to_dict()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_refuting_scans_keep_witness_order_and_cap(depth):
+    system = Blob()
+    cfg = RunConfig(depth=depth, radius=2)
+    disjoint = check_disjointness(system, cfg).to_dict()
+    assert disjoint == oracle_disjointness(system, cfg).to_dict()
+    boundary = boundary_containment(system, cfg).to_dict()
+    assert boundary == oracle_boundary(system, cfg).to_dict()
+    assert disjoint["verdict"] == boundary["verdict"] == REFUTED
+    assert disjoint["witnesses"][-1] == boundary["witnesses"][-1] == "..."
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_overlapping_generators_match_per_root_scan(f2, radius):
+    for horizon in range(5):
+        got = f2.overlapping_generators(horizon, radius)
+        assert got[0][0] is None and got[0][1].is_identity()
+        assert got[1:] == oracle_overlapping_generators(f2, horizon, radius)
+
+
+def test_room_pair_candidates_are_distinct_and_bounded(f2):
+    closure = f2.closure(8)
+    cands = list(f2.room_pair_candidates(closure))
+    assert len(cands) == len(set(cands))
+    assert len(cands) <= 2 * closure.room_count() ** 2
