@@ -206,8 +206,14 @@ def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
 SCAN_BALL_BUDGET = 2_000_000
 
 
+# Largest line scan a run may make, in estimated bytes of interval
+# endpoints (``LineSystem.scan_estimate``).  The pathological family with
+# 200 intervals needs about 25 MiB; about 395 intervals fit.
+LINE_SCAN_BUDGET = 128 * 2**20
+
+
 class BudgetExceeded(ValueError):
-    """A run would enumerate more group elements than the budget allows."""
+    """A run would enumerate more than its budget allows."""
 
 
 class Free2HouseSystem:
@@ -415,11 +421,49 @@ class LineSystem:
         self.name = kind
 
     def region(self, n_intervals: int) -> IntervalSet:
+        """The region; raises BudgetExceeded before building one whose
+        scans are estimated over LINE_SCAN_BUDGET."""
+        self._refuse_over_budget(n_intervals, f"{n_intervals} intervals")
         if self.name == "line-standard":
             return standard_interval()
         if self.name == "line-corrupted":
             return corrupted_interval()
         return pathological_1d(n_intervals)
+
+    def profile_tiles(self, k: int, n_intervals: int) -> int:
+        """Intervals of the region the local-finiteness scan builds at
+        horizon ``k``."""
+        return 4 * k if self.name == "line-pathological" else n_intervals
+
+    def scan_estimate(self, n_intervals: int) -> int:
+        """Upper estimate, in bytes, of the endpoints one scan over
+        ``region(n_intervals)`` makes: its 2n + 5 integer translates, all
+        held at once by the coverage union.  Each interval costs about 224
+        bytes of objects plus a third of a byte per bit of its integers.
+        The family's denominator lcm(1, ..., n + 1) has under 1.5 (n + 1)
+        bits, since log lcm(1, ..., x) < 1.03883 x (Rosser and
+        Schoenfeld); the other regions have denominator 1 or 2."""
+        family = self.name == "line-pathological"
+        shifts = 2 * n_intervals + 5
+        den_bits = -(-3 * (n_intervals + 1) // 2) if family else 2
+        bits = den_bits + shifts.bit_length()
+        return shifts * (n_intervals if family else 1) * (224 + bits // 3)
+
+    def check_budget(self, cfg: RunConfig) -> None:
+        """Refuse, before anything is built, a run whose regions would be
+        over budget: ``n_intervals`` and the last schedule horizon."""
+        self._refuse_over_budget(cfg.n_intervals, f"{cfg.n_intervals} intervals")
+        k = cfg.schedule[-1]
+        n = self.profile_tiles(k, cfg.n_intervals)
+        self._refuse_over_budget(n, f"schedule horizon {k} ({n} intervals)")
+
+    def _refuse_over_budget(self, n_intervals: int, what: str) -> None:
+        estimate = self.scan_estimate(n_intervals)
+        if estimate > LINE_SCAN_BUDGET:
+            raise BudgetExceeded(
+                f"{self.name} at {what} needs about {estimate / 2**20:,.0f} MiB of "
+                f"interval endpoints; the budget is {LINE_SCAN_BUDGET / 2**20:,.0f} MiB"
+            )
 
     def cluster_point(self) -> Fraction:
         # integer translates of the unbounded family pile up at 1
@@ -633,10 +677,8 @@ def check_coverage(
             lo, hi = Fraction(0), 1 - Fraction(1, cfg.schedule[-1])
         region = system.region(cfg.n_intervals)
         reach = cfg.n_intervals + 2
-        pairs = []
-        for m in range(-reach, reach + 1):
-            pairs.extend(region.translate(m).pairs)
-        union = IntervalSet(pairs)
+        translates = [region.translate(m) for m in range(-reach, reach + 1)]
+        union = translates[0].union(*translates[1:])
         gap = union.coverage_gap(lo, hi)
         witnesses = (
             [f"uncovered point {format_fraction(gap)}"]
@@ -669,10 +711,9 @@ def check_coverage(
     else:
         lo, hi = Fraction(window[0]), Fraction(window[1])
     reach = max(2, int(abs(lo) / c) + 2, int(abs(hi) / c) + 2)
-    pairs = []
-    for m in range(-reach, reach + 1):
-        pairs.extend(system.band().translate(m * c).pairs)
-    union = IntervalSet(pairs)
+    band = system.band()
+    translates = [band.translate(m * c) for m in range(-reach, reach + 1)]
+    union = translates[0].union(*translates[1:])
     gap = union.coverage_gap(lo, hi)
     return VerificationReport(
         PROP_COVERAGE,
@@ -892,10 +933,9 @@ def local_finiteness_profile(
         point = system.cluster_point()
         counts = []
         last_hits: list[int] = []
+        system.check_budget(cfg)
         for k in cfg.schedule:
-            n_tiles = (
-                4 * k if system.name == "line-pathological" else cfg.n_intervals
-            )
+            n_tiles = system.profile_tiles(k, cfg.n_intervals)
             region = system.region(n_tiles)
             reach = n_tiles + 2
             lo, hi = point - Fraction(1, k), point + Fraction(1, k)
@@ -948,6 +988,7 @@ def local_finiteness_profile(
         return report, {"(0, 1/2)": counts}
 
     c = system.shift
+    band = system.band()
     counts = []
     last_hits = []
     for k in cfg.schedule:
@@ -955,7 +996,7 @@ def local_finiteness_profile(
         hits = [
             m
             for m in range(-cfg.m_range, cfg.m_range + 1)
-            if system.band().translate(m * c).closure_meets_open_window(lo, hi)
+            if band.translate(m * c).closure_meets_open_window(lo, hi)
         ]
         counts.append(len(hits))
         last_hits = hits
@@ -1011,10 +1052,7 @@ def fsa_check(
         eps = Fraction(margin) if margin is not None else _default_margin(system)
         if eps <= 0:
             raise ValueError("margin must be positive")
-        region = system.region(cfg.n_intervals)
-        inflated = IntervalSet(
-            [(lo - eps, hi + eps) for lo, hi in region.pairs]
-        )
+        inflated = system.region(cfg.n_intervals).inflate(eps)
         counts = []
         last_hits = []
         for k in cfg.schedule:
@@ -1038,6 +1076,14 @@ def fsa_check(
 
     if isinstance(system, PlanePathologicalSystem):
         lf_report, _ = local_finiteness_profile(system, cfg)
+        if lf_report.verdict == REFUTED:
+            trend = "grows instead"
+        elif lf_report.verdict == VERIFIED:
+            trend = "is stable, which does not decide the bound"
+        elif not _monotone(lf_report.counts):
+            trend = "is not monotone, so neither rule applies"
+        else:
+            trend = "neither stabilises nor grows strictly"
         report = VerificationReport(
             PROP_SELF_ADJACENCY,
             REFUTED if lf_report.verdict == REFUTED else INCONCLUSIVE,
@@ -1045,7 +1091,7 @@ def fsa_check(
             lf_report.counts,
             [
                 "a finite self-adjacency bound forces a stable local",
-                "translate count; the local profile grows instead:",
+                f"translate count; the local profile {trend}:",
                 f"counts {lf_report.counts}",
             ],
         )
@@ -1244,22 +1290,31 @@ def quotient_build(
 
     if isinstance(system, LineSystem):
         if system.name == "line-standard":
+            ends = system.region(cfg.n_intervals).endpoints()
+            lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
             desc = QuotientDescription(
                 system.name,
-                ["[0, 1]"],
-                [{"from": "point 0", "to": "point 1", "via": "m = 1"}],
+                [f"[{lo}, {hi}]"],
+                [{"from": f"point {lo}", "to": f"point {hi}", "via": "m = 1"}],
                 [],
                 True,
                 ["endpoints glued: a circle"],
             )
-            ok = Fraction(0) + 1 == Fraction(1)
+            # the generator must carry the left end onto the right end
+            image = ends[0] + 1
+            ok = image == ends[-1]
             return (
                 VerificationReport(
                     PROP_QUOTIENT,
                     VERIFIED if ok else REFUTED,
                     {"depth": None, "radius": 1},
                     [1, 1, 1],
-                    ["gluing m = 1 maps 0 to 1; sample re-validated"],
+                    [f"gluing m = 1 maps {lo} to {hi}; sample re-validated"]
+                    if ok
+                    else [
+                        f"gluing m = 1 maps {lo} to {format_fraction(image)}, "
+                        f"not to the right end {hi}"
+                    ],
                 ),
                 desc,
             )
@@ -1333,13 +1388,15 @@ def quotient_build(
         )
 
     c = system.shift
+    ends = system.band().endpoints()
+    lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
     desc = QuotientDescription(
         system.name,
-        [f"X x [0, {format_fraction(c)}]"],
+        [f"X x [{lo}, {hi}]"],
         [
             {
-                "from": "X x {0}",
-                "to": f"X x {{{format_fraction(c)}}}",
+                "from": f"X x {{{lo}}}",
+                "to": f"X x {{{hi}}}",
                 "via": "m = 1",
             }
         ],
@@ -1347,16 +1404,20 @@ def quotient_build(
         system.x_compact,
         ["band with glued edges; compact exactly when X is"],
     )
-    ok = Fraction(0) + c == c
+    # the generator (shift by c) must carry the lower edge onto the upper
+    image = ends[0] + c
+    ok = image == ends[-1]
     return (
         VerificationReport(
             PROP_QUOTIENT,
             VERIFIED if ok else REFUTED,
             {"depth": None, "radius": 1},
             [1, 1, 1],
-            [
-                "gluing m = 1 maps the 0 section to the "
-                f"{format_fraction(c)} section"
+            [f"gluing m = 1 maps the {lo} section to the {hi} section"]
+            if ok
+            else [
+                f"gluing m = 1 maps the {lo} section to the "
+                f"{format_fraction(image)} section, not to the upper edge {hi}"
             ],
         ),
         desc,
@@ -1641,6 +1702,8 @@ def run_battery(
     if system.name not in _EXPECTED:
         raise ValueError(f"no battery defined for {system.name!r}")
     expected = _EXPECTED[system.name]
+    if isinstance(system, LineSystem):
+        system.check_budget(cfg)
     results: list[tuple[VerificationReport, str]] = []
 
     def add(report: VerificationReport) -> None:

@@ -18,8 +18,12 @@ Everything here is exact rational arithmetic; no floats.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import le, lt
 from typing import Iterable, Optional, Union
 
 from .freegroup import ReducedWord, r_power
@@ -56,28 +60,61 @@ class IntervalSet:
 
     Open intervals may share endpoints (their closures then touch);
     overlapping interiors are rejected.
+
+    The endpoints are held as plain integers over one shared positive
+    denominator ``den``: the set is the intervals
+    ``(ends[2i] / den, ends[2i + 1] / den)``, and ``ends`` is a flat,
+    nondecreasing tuple.  A set built from rationals takes ``den`` as the
+    lcm of their reduced denominators; a translate by ``p/q`` rescales to
+    ``lcm(den, q)`` (so ``den`` need not stay minimal).  Every scan then
+    compares and adds ints, and two sets over different denominators meet
+    over the lcm of both.  ``Fraction``s are built only where a value
+    leaves the set: witnesses, ``pairs``, ``endpoints``, ``serialize`` and
+    ``merged_closure``.  Equality and hashing are those of ``pairs``.
     """
 
-    __slots__ = ("pairs",)
+    __slots__ = ("den", "ends")
 
     def __init__(self, pairs: Iterable[tuple[Rational, Rational]]) -> None:
-        norm = sorted((_frac(lo), _frac(hi)) for lo, hi in pairs)
-        for lo, hi in norm:
-            if not lo < hi:
-                raise ValueError(f"empty or inverted interval ({lo}, {hi})")
-        for (_, hi), (lo, _) in zip(norm, norm[1:]):
-            if lo < hi:
-                raise ValueError("intervals overlap")
-        self.pairs: tuple[tuple[Fraction, Fraction], ...] = tuple(norm)
+        fracs = [(_frac(lo), _frac(hi)) for lo, hi in pairs]
+        den = lcm(*(v.denominator for pair in fracs for v in pair))
+        scaled = sorted(
+            (v.numerator * (den // v.denominator), w.numerator * (den // w.denominator))
+            for v, w in fracs
+        )
+        self.den = den
+        self.ends = _checked(den, tuple(chain.from_iterable(scaled)))
+
+    @classmethod
+    def _over(cls, den: int, ends: tuple[int, ...]) -> "IntervalSet":
+        """Set from ordered integer endpoints over ``den``, validated."""
+        out = cls.__new__(cls)
+        out.den = den
+        out.ends = _checked(den, ends)
+        return out
+
+    @property
+    def pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        den, ends = self.den, self.ends
+        return tuple(
+            (Fraction(lo, den), Fraction(hi, den))
+            for lo, hi in zip(ends[::2], ends[1::2])
+        )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalSet) and self.pairs == other.pairs
+        if not isinstance(other, IntervalSet):
+            return False
+        if self.den == other.den:
+            return self.ends == other.ends
+        return len(self.ends) == len(other.ends) and all(
+            a * other.den == b * self.den for a, b in zip(self.ends, other.ends)
+        )
 
     def __hash__(self) -> int:
         return hash(self.pairs)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ends) // 2
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -85,22 +122,40 @@ class IntervalSet:
         )
         return f"IntervalSet[{inner}]"
 
+    def _with(self, value: Rational) -> tuple[int, tuple[int, ...], int]:
+        """The endpoints and ``value`` as integers over one denominator."""
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        den = lcm(self.den, value.denominator)
+        step = value.numerator * (den // value.denominator)
+        return den, _rescaled(self.ends, den // self.den), step
+
     def translate(self, shift: Rational) -> "IntervalSet":
-        shift = _frac(shift)
-        return IntervalSet((lo + shift, hi + shift) for lo, hi in self.pairs)
+        den, ends, step = self._with(shift)
+        return IntervalSet._over(den, tuple(map(step.__add__, ends)))
+
+    def inflate(self, margin: Rational) -> "IntervalSet":
+        """Every interval widened by ``margin`` on both sides."""
+        den, ends, step = self._with(margin)
+        widened = ((lo - step, hi + step) for lo, hi in zip(ends[::2], ends[1::2]))
+        return IntervalSet._over(den, tuple(chain.from_iterable(widened)))
 
     def contains(self, point: Rational) -> bool:
         point = _frac(point)
-        return any(lo < point < hi for lo, hi in self.pairs)
+        p, q = point.numerator * self.den, point.denominator
+        ends = self.ends
+        return any(lo * q < p < hi * q for lo, hi in zip(ends[::2], ends[1::2]))
 
     def closure_contains(self, point: Rational) -> bool:
         point = _frac(point)
-        return any(lo <= point <= hi for lo, hi in self.pairs)
+        p, q = point.numerator * self.den, point.denominator
+        ends = self.ends
+        return any(lo * q <= p <= hi * q for lo, hi in zip(ends[::2], ends[1::2]))
 
     def endpoints(self) -> tuple[Fraction, ...]:
         """Boundary of the set: every interval endpoint, deduplicated."""
-        seen = sorted({value for pair in self.pairs for value in pair})
-        return tuple(seen)
+        den = self.den
+        return tuple(Fraction(e, den) for e in sorted(set(self.ends)))
 
     def intersects(self, other: "IntervalSet") -> bool:
         return self.first_overlap(other) is not None
@@ -109,83 +164,136 @@ class IntervalSet:
         self, other: "IntervalSet"
     ) -> Optional[tuple[Fraction, Fraction]]:
         """Leftmost open overlap between the two interiors, if any."""
-        i = j = 0
-        while i < len(self.pairs) and j < len(other.pairs):
-            alo, ahi = self.pairs[i]
-            blo, bhi = other.pairs[j]
-            lo, hi = max(alo, blo), min(ahi, bhi)
+        den, a, b = _common(self, other)
+        if not a or not b:
+            return None
+        # Intervals ending at or before the other set starts meet nothing.
+        i, j = bisect_right(a, b[0]) & ~1, bisect_right(b, a[0]) & ~1
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            alo, ahi, blo, bhi = a[i], a[i + 1], b[j], b[j + 1]
+            lo = alo if alo > blo else blo
+            hi = ahi if ahi < bhi else bhi
             if lo < hi:
-                return (lo, hi)
+                return (Fraction(lo, den), Fraction(hi, den))
             if ahi <= bhi:
-                i += 1
+                i += 2
             else:
-                j += 1
+                j += 2
         return None
 
     def closed_intersection(
         self, other: "IntervalSet"
     ) -> list[tuple[Fraction, Fraction]]:
         """Pieces of closure(self) & closure(other); lo == hi marks a point."""
+        den, a, b = _common(self, other)
         pieces: list[tuple[Fraction, Fraction]] = []
-        i = j = 0
-        while i < len(self.pairs) and j < len(other.pairs):
-            alo, ahi = self.pairs[i]
-            blo, bhi = other.pairs[j]
-            lo, hi = max(alo, blo), min(ahi, bhi)
+        if not a or not b:
+            return pieces
+        # Intervals ending before the other set starts meet nothing.
+        i, j = bisect_left(a, b[0]) & ~1, bisect_left(b, a[0]) & ~1
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            alo, ahi, blo, bhi = a[i], a[i + 1], b[j], b[j + 1]
+            lo = alo if alo > blo else blo
+            hi = ahi if ahi < bhi else bhi
             if lo <= hi:
-                pieces.append((lo, hi))
+                pieces.append((Fraction(lo, den), Fraction(hi, den)))
             if ahi <= bhi:
-                i += 1
+                i += 2
             else:
-                j += 1
+                j += 2
         return pieces
 
     def closure_meets_open_window(self, lo: Rational, hi: Rational) -> bool:
+        """Whether some closed interval [a, b] has a < hi and b > lo."""
         lo, hi = _frac(lo), _frac(hi)
-        return any(a < hi and b > lo for a, b in self.pairs)
+        den, ends = self.den, self.ends
+        # For an integer e: e / den > lo iff e > floor(lo * den), and
+        # e / den < hi iff e < ceil(hi * den).
+        floor_lo = lo.numerator * den // lo.denominator
+        ceil_hi = -(-hi.numerator * den // hi.denominator)
+        # ends is nondecreasing, so every interval from the one holding
+        # index k on has b > lo, and the first of them has the least a.
+        k = bisect_right(ends, floor_lo)
+        return k < len(ends) and ends[k & ~1] < ceil_hi
 
     def merged_closure(self) -> list[tuple[Fraction, Fraction]]:
         """Union of the closed intervals, with touching pieces fused."""
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in self.pairs:
+        merged: list[list[int]] = []
+        ends = self.ends
+        for lo, hi in zip(ends[::2], ends[1::2]):
             if merged and lo <= merged[-1][1]:
-                last_lo, last_hi = merged[-1]
-                merged[-1] = (last_lo, max(last_hi, hi))
+                merged[-1][1] = hi
             else:
-                merged.append((lo, hi))
-        return merged
-
-    def closure_covers(self, lo: Rational, hi: Rational) -> bool:
-        """Whether the closed union contains the whole window [lo, hi]."""
-        lo, hi = _frac(lo), _frac(hi)
-        for a, b in self.merged_closure():
-            if a <= lo and hi <= b:
-                return True
-        return False
+                merged.append([lo, hi])
+        den = self.den
+        return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in merged]
 
     def coverage_gap(self, lo: Rational, hi: Rational) -> Optional[Fraction]:
-        """A witness point of [lo, hi] missed by the closed union, if any."""
-        lo, hi = _frac(lo), _frac(hi)
-        cursor = lo
-        for a, b in self.merged_closure():
-            if b < cursor:
-                continue
-            if a > cursor:
-                break
-            cursor = b
-            if cursor >= hi:
-                return None
-        if cursor >= hi:
-            return None
-        remaining_starts = [a for a, _ in self.merged_closure() if a > cursor]
-        next_start = min(remaining_starts + [hi])
-        return cursor + (min(next_start, hi) - cursor) / 2 if cursor < hi else None
+        """A witness point of [lo, hi] missed by the closed union, if any.
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.pairs + other.pairs)
+        The witness is the midpoint between the end of the covered run
+        that starts at ``lo`` and the next interval start (or ``hi``).
+        """
+        lo, hi = _frac(lo), _frac(hi)
+        den = lcm(self.den, lo.denominator, hi.denominator)
+        ends = _rescaled(self.ends, den // self.den)
+        cursor = lo.numerator * (den // lo.denominator)
+        top = hi.numerator * (den // hi.denominator)
+        # Skip the intervals that end before lo; touching closures chain.
+        k = bisect_left(ends, cursor) & ~1
+        while k < len(ends) and ends[k] <= cursor:
+            cursor = ends[k + 1]
+            if cursor >= top:
+                return None
+            k += 2
+        if cursor >= top:
+            return None
+        next_start = ends[k] if k < len(ends) else top
+        return Fraction(cursor + min(next_start, top), 2 * den)
+
+    def union(self, *others: "IntervalSet") -> "IntervalSet":
+        """Union of this set and ``others``, which must not overlap it or
+        each other; one sort over their common denominator."""
+        sets = (self,) + others
+        den = lcm(*(s.den for s in sets))
+        pairs: list[tuple[int, int]] = []
+        for s in sets:
+            ends = _rescaled(s.ends, den // s.den)
+            pairs.extend(zip(ends[::2], ends[1::2]))
+        pairs.sort()
+        return IntervalSet._over(den, tuple(chain.from_iterable(pairs)))
 
     def serialize(self) -> list[list[str]]:
         return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self.pairs]
+
+
+def _rescaled(ends: tuple[int, ...], factor: int) -> tuple[int, ...]:
+    return ends if factor == 1 else tuple(map(factor.__mul__, ends))
+
+
+def _common(
+    a: IntervalSet, b: IntervalSet
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Both endpoint tuples over the lcm of the two denominators."""
+    if a.den == b.den:
+        return a.den, a.ends, b.ends
+    den = lcm(a.den, b.den)
+    return den, _rescaled(a.ends, den // a.den), _rescaled(b.ends, den // b.den)
+
+
+def _checked(den: int, ends: tuple[int, ...]) -> tuple[int, ...]:
+    """``ends`` if its pairs, in order, are nonempty and do not overlap."""
+    los, his = ends[::2], ends[1::2]
+    if not all(map(lt, los, his)):
+        lo, hi = next((lo, hi) for lo, hi in zip(los, his) if not lo < hi)
+        raise ValueError(
+            f"empty or inverted interval ({Fraction(lo, den)}, {Fraction(hi, den)})"
+        )
+    if not all(map(le, his, los[1:])):
+        raise ValueError("intervals overlap")
+    return ends
 
 
 def standard_interval() -> IntervalSet:

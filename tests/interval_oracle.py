@@ -1,0 +1,151 @@
+"""Fraction-pair interval sets: the reference for ``fundreg.regions.IntervalSet``.
+
+``IntervalSet`` below is the straightforward implementation the integer
+kernel replaced: it keeps every endpoint as a ``Fraction`` and re-sorts and
+re-validates on every construction.  It also carries the two methods the
+checker calls that it never had, ``inflate`` and a many-way ``union``,
+written the obvious way, so the checks can run on it unchanged.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Optional
+
+from fundreg.regions import Rational, format_fraction
+
+
+def _frac(value: Rational) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def closure_covers(s, lo: Rational, hi: Rational) -> bool:
+    """Whether the closed union of ``s`` contains the whole window [lo, hi]."""
+    lo, hi = _frac(lo), _frac(hi)
+    return any(a <= lo and hi <= b for a, b in s.merged_closure())
+
+
+class IntervalSet:
+    """Finite ordered union of disjoint open rational intervals."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[tuple[Rational, Rational]]) -> None:
+        norm = sorted((_frac(lo), _frac(hi)) for lo, hi in pairs)
+        for lo, hi in norm:
+            if not lo < hi:
+                raise ValueError(f"empty or inverted interval ({lo}, {hi})")
+        for (_, hi), (lo, _) in zip(norm, norm[1:]):
+            if lo < hi:
+                raise ValueError("intervals overlap")
+        self.pairs: tuple[tuple[Fraction, Fraction], ...] = tuple(norm)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IntervalSet) and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(
+            f"({format_fraction(lo)}, {format_fraction(hi)})" for lo, hi in self.pairs
+        )
+        return f"IntervalSet[{inner}]"
+
+    def translate(self, shift: Rational) -> "IntervalSet":
+        shift = _frac(shift)
+        return IntervalSet((lo + shift, hi + shift) for lo, hi in self.pairs)
+
+    def inflate(self, margin: Rational) -> "IntervalSet":
+        margin = _frac(margin)
+        return IntervalSet((lo - margin, hi + margin) for lo, hi in self.pairs)
+
+    def contains(self, point: Rational) -> bool:
+        point = _frac(point)
+        return any(lo < point < hi for lo, hi in self.pairs)
+
+    def closure_contains(self, point: Rational) -> bool:
+        point = _frac(point)
+        return any(lo <= point <= hi for lo, hi in self.pairs)
+
+    def endpoints(self) -> tuple[Fraction, ...]:
+        return tuple(sorted({value for pair in self.pairs for value in pair}))
+
+    def intersects(self, other: "IntervalSet") -> bool:
+        return self.first_overlap(other) is not None
+
+    def first_overlap(
+        self, other: "IntervalSet"
+    ) -> Optional[tuple[Fraction, Fraction]]:
+        i = j = 0
+        while i < len(self.pairs) and j < len(other.pairs):
+            alo, ahi = self.pairs[i]
+            blo, bhi = other.pairs[j]
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if lo < hi:
+                return (lo, hi)
+            if ahi <= bhi:
+                i += 1
+            else:
+                j += 1
+        return None
+
+    def closed_intersection(
+        self, other: "IntervalSet"
+    ) -> list[tuple[Fraction, Fraction]]:
+        pieces: list[tuple[Fraction, Fraction]] = []
+        i = j = 0
+        while i < len(self.pairs) and j < len(other.pairs):
+            alo, ahi = self.pairs[i]
+            blo, bhi = other.pairs[j]
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if lo <= hi:
+                pieces.append((lo, hi))
+            if ahi <= bhi:
+                i += 1
+            else:
+                j += 1
+        return pieces
+
+    def closure_meets_open_window(self, lo: Rational, hi: Rational) -> bool:
+        lo, hi = _frac(lo), _frac(hi)
+        return any(a < hi and b > lo for a, b in self.pairs)
+
+    def merged_closure(self) -> list[tuple[Fraction, Fraction]]:
+        merged: list[tuple[Fraction, Fraction]] = []
+        for lo, hi in self.pairs:
+            if merged and lo <= merged[-1][1]:
+                last_lo, last_hi = merged[-1]
+                merged[-1] = (last_lo, max(last_hi, hi))
+            else:
+                merged.append((lo, hi))
+        return merged
+
+    def coverage_gap(self, lo: Rational, hi: Rational) -> Optional[Fraction]:
+        lo, hi = _frac(lo), _frac(hi)
+        cursor = lo
+        for a, b in self.merged_closure():
+            if b < cursor:
+                continue
+            if a > cursor:
+                break
+            cursor = b
+            if cursor >= hi:
+                return None
+        if cursor >= hi:
+            return None
+        remaining_starts = [a for a, _ in self.merged_closure() if a > cursor]
+        next_start = min(remaining_starts + [hi])
+        return cursor + (min(next_start, hi) - cursor) / 2 if cursor < hi else None
+
+    def union(self, *others: "IntervalSet") -> "IntervalSet":
+        pairs = list(self.pairs)
+        for other in others:
+            pairs.extend(other.pairs)
+        return IntervalSet(pairs)
+
+    def serialize(self) -> list[list[str]]:
+        return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self.pairs]

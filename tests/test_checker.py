@@ -15,6 +15,7 @@ from fundreg.action import GroupBall, identity, room_reflection
 from fundreg import checker
 from fundreg.checker import (
     EXIT_CODES,
+    LINE_SCAN_BUDGET,
     SCAN_BALL_BUDGET,
     BudgetExceeded,
     INCONCLUSIVE,
@@ -47,7 +48,11 @@ from fundreg.checker import (
     stabilized,
 )
 from fundreg.freegroup import enumerate_ball, r_power, spine_exponent, u_power, word
-from fundreg.regions import plane2d_closure_membership, plane2d_translate_meets_box
+from fundreg.regions import (
+    IntervalSet,
+    plane2d_closure_membership,
+    plane2d_translate_meets_box,
+)
 from fundreg.tilespace import canonical_point, neighborhood_roomset
 
 
@@ -225,6 +230,46 @@ def test_scan_ball_estimate_is_exact_then_over(f2):
 def test_scan_ball_budget_admits_depth_5_only(f2):
     # estimates only: the depth-6 ball is never built
     assert f2.scan_ball_estimate(5) <= SCAN_BALL_BUDGET < f2.scan_ball_estimate(6)
+
+
+def test_line_scan_budget_admits_the_defaults():
+    # estimates only: nothing over the budget is built
+    family = LineSystem("line-pathological")
+    for n in (48, 200, 4 * 6):
+        assert family.scan_estimate(n) <= LINE_SCAN_BUDGET
+    assert family.scan_estimate(1000) > LINE_SCAN_BUDGET
+    assert LineSystem("line-standard").scan_estimate(200) < family.scan_estimate(200)
+
+
+def test_line_scan_estimate_bounds_the_coverage_union():
+    import tracemalloc
+
+    family = LineSystem("line-pathological")
+    cfg = RunConfig(n_intervals=40)
+    tracemalloc.start()
+    try:
+        check_coverage(family, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= family.scan_estimate(40)
+
+
+def test_line_scan_over_budget_is_refused_before_building(monkeypatch):
+    family = LineSystem("line-pathological")
+    monkeypatch.setattr(checker, "LINE_SCAN_BUDGET", family.scan_estimate(8))
+
+    def never(count):
+        raise AssertionError("built a region over the budget")
+
+    with pytest.raises(BudgetExceeded, match="9 intervals"):
+        family.region(9)
+    assert len(family.region(8)) == 8
+    monkeypatch.setattr(checker, "pathological_1d", never)
+    with pytest.raises(BudgetExceeded, match="schedule horizon 3 \\(12 intervals\\)"):
+        run_battery(family, RunConfig(n_intervals=8, schedule=(1, 2, 3)))
+    with pytest.raises(BudgetExceeded, match="9 intervals"):
+        run_battery(family, RunConfig(n_intervals=9))
 
 
 def test_scan_ball_over_budget_is_refused_before_building(monkeypatch):
@@ -410,6 +455,24 @@ def test_line_quotients():
     assert rep.counts[0] == 12
 
 
+def test_quotient_gluing_is_computed_from_the_region(monkeypatch):
+    # the generator carries 0 to 1, not onto the right end 3/2
+    line = make_system("line-standard")
+    monkeypatch.setattr(line, "region", lambda n: IntervalSet([(0, Fraction(3, 2))]))
+    rep, desc = quotient_build(line, RunConfig())
+    assert rep.verdict == REFUTED
+    assert rep.witnesses == ["gluing m = 1 maps 0 to 1, not to the right end 3/2"]
+    assert desc.pieces == ["[0, 3/2]"]
+
+    band = make_system("cylinder", shift=Fraction(3, 2))
+    monkeypatch.setattr(band, "band", lambda: IntervalSet([(0, 2)]))
+    rep, _ = quotient_build(band, RunConfig())
+    assert rep.verdict == REFUTED
+    assert rep.witnesses == [
+        "gluing m = 1 maps the 0 section to the 3/2 section, not to the upper edge 2"
+    ]
+
+
 # ----------------------------------------------------------------- plane ops
 
 
@@ -456,6 +519,17 @@ def test_plane_fsa_refuted_via_local_profile():
     rep, _ = fsa_check(PlanePathologicalSystem(), RunConfig())
     assert rep.verdict == REFUTED
     assert any("grows" in w for w in rep.witnesses)
+
+
+def test_plane_fsa_witness_follows_the_local_verdict():
+    # counts [10, 9, 12] fall, then rise: the witness must not say "grows"
+    rep, _ = fsa_check(PlanePathologicalSystem(), RunConfig(schedule=(1, 2, 3)))
+    assert rep.counts == [10, 9, 12]
+    assert rep.verdict == INCONCLUSIVE
+    assert not any("grows" in w for w in rep.witnesses)
+    assert rep.witnesses[1] == (
+        "translate count; the local profile is not monotone, so neither rule applies:"
+    )
 
 
 # -------------------------------------------------------------- cylinder ops

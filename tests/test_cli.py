@@ -228,3 +228,18 @@ def test_over_budget_depth_exits_64_before_enumerating(capsys, monkeypatch):
     assert code == USAGE_EXIT
     assert out == ""
     assert "budget is 1,000" in err
+
+
+def test_over_budget_line_scans_exit_64_before_building(capsys, monkeypatch):
+    # a budget lowered to N = 8 stands in for a huge --N or --schedule; a
+    # broken guard builds a 9-interval region here, never a huge one
+    family = checker.LineSystem("line-pathological")
+    monkeypatch.setattr(checker, "LINE_SCAN_BUDGET", family.scan_estimate(8))
+    for argv, what in (
+        (["--N", "9"], "9 intervals"),
+        (["--N", "8", "--schedule", "1,2,3"], "schedule horizon 3 (12 intervals)"),
+    ):
+        code, out, err = run_cli(capsys, ["verify", "line-pathological", *argv])
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert f"line-pathological at {what} needs about" in err

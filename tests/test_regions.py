@@ -24,6 +24,7 @@ from fundreg.regions import (
     standard_interval,
 )
 from fundreg.tilespace import Cell
+from interval_oracle import closure_covers
 
 
 # --------------------------------------------------------------- oracles
@@ -107,9 +108,9 @@ def test_first_overlap_witness():
 
 def test_coverage_of_window():
     s = IntervalSet([(0, 1), (1, 2), (2, 3)])
-    assert s.closure_covers(0, 3)
-    assert s.closure_covers(Fraction(1, 2), Fraction(5, 2))
-    assert not s.closure_covers(0, Fraction(7, 2))
+    assert closure_covers(s, 0, 3)
+    assert closure_covers(s, Fraction(1, 2), Fraction(5, 2))
+    assert not closure_covers(s, 0, Fraction(7, 2))
 
 
 @given(interval_sets(), fractions_st, fractions_st)
@@ -118,7 +119,7 @@ def test_coverage_gap_is_a_true_witness(s, lo, hi):
         return
     gap = s.coverage_gap(lo, hi)
     if gap is None:
-        assert s.closure_covers(lo, hi)
+        assert closure_covers(s, lo, hi)
     else:
         assert lo <= gap <= hi
         assert not s.closure_contains(gap)
@@ -183,7 +184,7 @@ def test_pathological_closure_coverage_threshold():
                 )
             ]
         )
-        covered = tiles.closure_covers(0, window_hi)
+        covered = closure_covers(tiles, 0, window_hi)
         assert covered == (count - 1 >= k - 2)
 
 
