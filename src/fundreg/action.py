@@ -167,21 +167,12 @@ class GroupBall:
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self._layers]
 
-    def count_at(self, depth: int) -> int:
-        return sum(len(layer) for layer in self._layers[: depth + 1])
-
     def iter_layer(self, k: int) -> Iterator[ActionElement]:
         return (_decode(key) for key in self._layers[k])
 
     def __iter__(self) -> Iterator[ActionElement]:
         for layer in self._layers:
             yield from (_decode(key) for key in layer)
-
-    def elements(self) -> list[ActionElement]:
-        """All elements in canonical (spine, parity) order."""
-        out = [_decode(key) for key in self._depth_of]
-        out.sort(key=ActionElement.sort_key)
-        return out
 
     def nonidentity(self) -> Iterator[ActionElement]:
         for g in self:
@@ -208,14 +199,6 @@ class GroupBall:
             picks = wanted[k]
             out.extend(picks[key] for key in self._layers[k] if key in picks)
         return out
-
-    def spine_length_histogram(self) -> dict[int, int]:
-        """Realized elements per spine length (no converse claim intended)."""
-        hist: dict[int, int] = {}
-        for key in self._depth_of:
-            n = len(key) - 1
-            hist[n] = hist.get(n, 0) + 1
-        return dict(sorted(hist.items()))
 
 
 def group_ball(roots: Sequence[ReducedWord], depth: int) -> GroupBall:
@@ -247,16 +230,3 @@ def walk_to_spine(v: ReducedWord) -> tuple[ActionElement, int]:
         h = room_reflection(r_power(leading_r_run(w)))
         w = h.apply(w)
         g = h * g
-
-
-def naive_reflection_image(root: ReducedWord, v: ReducedWord) -> ReducedWord:
-    """Defining formula for a reflection, straight off the gluing picture:
-    the room at root*x goes to root*swap(x)."""
-    return root * (root.inverse() * v).swapped()
-
-
-def compose_all(elements: Iterable[ActionElement]) -> ActionElement:
-    out = IDENTITY
-    for g in elements:
-        out = out * g
-    return out

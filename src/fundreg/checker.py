@@ -12,13 +12,19 @@ Counting operations run over a growth schedule and apply one
 stabilization rule everywhere: a count profile is stable when its last
 three entries agree, and refuting when it grows strictly across the
 whole schedule.
+
+Each system class owns its property checks, its expected battery
+verdicts and its compactness facts (see ``System``).  The module-level
+check functions hand each call to the system, and the battery and
+``verify --property`` reach them by name through ``CHECKS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from math import floor
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .action import (
     ActionElement,
@@ -31,6 +37,7 @@ from .action import (
 )
 from .freegroup import (
     ReducedWord,
+    ball_size,
     concat_reduced,
     enumerate_ball,
     invert_letters,
@@ -42,10 +49,7 @@ from .freegroup import (
 from .regions import (
     IntervalSet,
     Rational,
-    corrupted_interval,
     format_fraction,
-    free2house_boundary_cells,
-    free2house_closure_cells,
     free2house_region_cells,
     pathological_1d,
     plane2d_membership,
@@ -64,7 +68,6 @@ from .tilespace import (
     apply_to_point,
     canonical_point,
     materialize_cell,
-    neighborhood_roomset,
 )
 
 # ----------------------------------------------------------------- verdicts
@@ -119,6 +122,28 @@ class VerificationReport:
     @property
     def exit_code(self) -> int:
         return EXIT_CODES[self.verdict]
+
+
+@dataclass
+class QuotientDescription:
+    """Identification structure of the closure modulo the action."""
+
+    system: str
+    pieces: list[str]
+    identifications: list[dict[str, str]]
+    removed_points: list[str]
+    compact: bool
+    notes: list[str] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "system": self.system,
+            "pieces": list(self.pieces),
+            "identifications": [dict(d) for d in self.identifications],
+            "removed_points": list(self.removed_points),
+            "compact": self.compact,
+            "notes": list(self.notes),
+        }
 
 
 @dataclass(frozen=True)
@@ -189,6 +214,12 @@ def _profile_report(
     )
 
 
+def _inconclusive(prop: str, reason: str) -> VerificationReport:
+    return VerificationReport(
+        prop, INCONCLUSIVE, {"depth": None, "radius": None}, [], [reason]
+    )
+
+
 def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
     out = []
     for item in items:
@@ -199,10 +230,10 @@ def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
     return out
 
 
-# ------------------------------------------------------------------ systems
+# ------------------------------------------------------------------ budgets
 
-# Largest scan ball a run may build.  Depth 5 (604,850 elements, about
-# 250 MiB) fits; depth 6 (about 8 million) does not.
+# Largest scan ball (or room ball) a run may build.  Depth 5 (604,850
+# elements, about 250 MiB) fits; depth 6 (about 8 million) does not.
 SCAN_BALL_BUDGET = 2_000_000
 
 
@@ -216,7 +247,106 @@ class BudgetExceeded(ValueError):
     """A run would enumerate more than its budget allows."""
 
 
-class Free2HouseSystem:
+# ------------------------------------------------------------------ systems
+
+
+class System:
+    """One action with a candidate fundamental region.
+
+    A system class supplies its property checks as methods, each taking
+    a ``RunConfig``:
+
+        disjointness, coverage,
+        boundary_containment                   -> VerificationReport
+        local_finiteness                       -> (report, counts per center)
+        finite_self_adjacency                  -> (report, overlap family or None)
+        adjacency_audit, orbit_boundary        -> VerificationReport
+        quotient                               -> (report, description or None)
+        fixed_points(cfg, transform)           -> VerificationReport
+
+    plus ``name``, ``expected`` (property -> expected verdict, in battery
+    order; the battery runs exactly these) and the compactness facts
+    ``cocompact`` and ``closure_bounded``.  This base supplies, once, the
+    inconclusive reports for an audit or orbit count without a
+    certificate, the compactness check (which needs only the facts and
+    finite self-adjacency), fixed points of a translation action, and a
+    per-configuration memo of the two profiles other checks reuse.
+    """
+
+    name: str
+    expected: dict[str, str]
+    cocompact: bool
+    closure_bounded: bool
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple, tuple] = {}
+
+    def check_budget(self, cfg: RunConfig) -> None:
+        """Refuse, before anything is built, a run over budget."""
+
+    def cached_local_finiteness(self, cfg: RunConfig) -> tuple:
+        """``local_finiteness(cfg)``, computed once per configuration."""
+        key = (PROP_LOCAL_FINITENESS, cfg)
+        if key not in self._memo:
+            self._memo[key] = self.local_finiteness(cfg)
+        return self._memo[key]
+
+    def cached_self_adjacency(self, cfg: RunConfig) -> tuple:
+        """``finite_self_adjacency(cfg)``, computed once per configuration."""
+        key = (PROP_SELF_ADJACENCY, cfg)
+        if key not in self._memo:
+            self._memo[key] = self.finite_self_adjacency(cfg)
+        return self._memo[key]
+
+    def adjacency_audit(self, cfg: RunConfig) -> VerificationReport:
+        return _inconclusive(
+            PROP_ADJACENCY_AUDIT, "no finite self-adjacency certificate to audit"
+        )
+
+    def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
+        return _inconclusive(
+            PROP_ORBIT_BOUNDARY,
+            "finiteness needs a self-adjacency certificate absent here",
+        )
+
+    def compactness(self, cfg: RunConfig) -> VerificationReport:
+        """Consistency of one implication instance: a verified finite
+        self-adjacency certificate plus a cocompact action forces a
+        bounded closure.  Never claims the converse."""
+        fsa_report, _ = self.cached_self_adjacency(cfg)
+        premise = fsa_report.verdict == VERIFIED and self.cocompact
+        holds = (not premise) or self.closure_bounded
+        return VerificationReport(
+            PROP_COMPACTNESS,
+            VERIFIED if holds else REFUTED,
+            fsa_report.truncation,
+            [],
+            [
+                f"finite self-adjacency: {fsa_report.verdict}",
+                f"action cocompact: {self.cocompact}",
+                f"closure bounded: {self.closure_bounded}",
+                "implication instance holds"
+                + ("" if premise else " (vacuously)"),
+            ],
+        )
+
+    def fixed_points(
+        self, cfg: RunConfig, transform: Union[int, tuple[int, int]]
+    ) -> VerificationReport:
+        """Integer translations: only the zero shift fixes anything."""
+        shift_is_zero = transform == 0 or transform == (0, 0)
+        return VerificationReport(
+            PROP_FIXED_POINTS,
+            VERIFIED,
+            {"depth": None, "radius": cfg.m_range},
+            [1 if shift_is_zero else 0],
+            ["zero shift fixes everything"]
+            if shift_is_zero
+            else ["nonzero shifts act freely"],
+        )
+
+
+class Free2HouseSystem(System):
     """Reflection action on the glued square-tile space.
 
     Generators are the order-two room reflections; enumeration happens in
@@ -229,13 +359,25 @@ class Free2HouseSystem:
     name = "free2house"
     scan_root_len = 2
     profile_root_len = 3
+    # candidate_min_depth splits over two half balls of depth 3
+    depth_cap = 6
+    expected = {
+        PROP_DISJOINTNESS: VERIFIED,
+        PROP_COVERAGE: VERIFIED,
+        PROP_BOUNDARY: VERIFIED,
+        PROP_LOCAL_FINITENESS: VERIFIED,
+        PROP_SELF_ADJACENCY: REFUTED,
+        PROP_QUOTIENT: VERIFIED,
+        PROP_COMPACTNESS: VERIFIED,
+    }
+    cocompact = False
+    closure_bounded = False
 
     def __init__(self) -> None:
+        super().__init__()
         self._scan_balls: dict[int, GroupBall] = {}
         self._half: Optional[GroupBall] = None
         self._region: dict[int, RoomSet] = {}
-        self._closure: dict[int, RoomSet] = {}
-        self._boundary: dict[int, RoomSet] = {}
         self._depth_cache: dict[tuple, Optional[int]] = {}
 
     # -- enumeration -------------------------------------------------
@@ -273,6 +415,25 @@ class Free2HouseSystem:
             total += layer
         return total
 
+    def rooms(self, radius: int) -> tuple[ReducedWord, ...]:
+        """The room words of length <= ``radius``; raises BudgetExceeded
+        before enumerating more than SCAN_BALL_BUDGET of them."""
+        self._refuse_room_ball(radius)
+        return enumerate_ball(radius)
+
+    def check_budget(self, cfg: RunConfig) -> None:
+        """Refuse an over-budget room ball before a battery builds the
+        scan ball for its first check."""
+        self._refuse_room_ball(cfg.radius)
+
+    def _refuse_room_ball(self, radius: int) -> None:
+        size = ball_size(radius)
+        if size > SCAN_BALL_BUDGET:
+            raise BudgetExceeded(
+                f"radius {radius} needs a ball of {size:,} rooms; "
+                f"the budget is {SCAN_BALL_BUDGET:,}"
+            )
+
     def half_ball(self) -> GroupBall:
         if self._half is None:
             roots = enumerate_ball(self.profile_root_len)
@@ -281,29 +442,22 @@ class Free2HouseSystem:
 
     # -- region pieces -----------------------------------------------
 
-    @staticmethod
-    def _build(cells: dict[ReducedWord, Cell]) -> RoomSet:
-        out = RoomSet({})
-        for room in sorted(cells, key=ReducedWord.sort_key):
-            out = out.union(materialize_cell(room, cells[room]))
-        return out
-
     def region(self, radius: int) -> RoomSet:
         if radius not in self._region:
-            self._region[radius] = self._build(free2house_region_cells(radius))
+            cells = free2house_region_cells(radius)
+            out = RoomSet({})
+            for room in sorted(cells, key=ReducedWord.sort_key):
+                out = out.union(materialize_cell(room, cells[room]))
+            self._region[radius] = out
         return self._region[radius]
 
     def closure(self, radius: int) -> RoomSet:
-        if radius not in self._closure:
-            self._closure[radius] = self._build(free2house_closure_cells(radius))
-        return self._closure[radius]
+        return self.region(radius).closure()
 
     def boundary(self, radius: int) -> RoomSet:
-        if radius not in self._boundary:
-            self._boundary[radius] = self._build(free2house_boundary_cells(radius))
-        return self._boundary[radius]
+        return self.closure(radius).difference(self.region(radius))
 
-    # -- neighbourhood candidates --------------------------------------
+    # -- candidates ----------------------------------------------------
 
     def meeting_candidates(self, center: ReducedWord) -> list[ActionElement]:
         """The six elements whose closed-region translate meets the
@@ -334,12 +488,12 @@ class Free2HouseSystem:
     def candidate_min_depth(self, g: ActionElement, bound: int) -> Optional[int]:
         """Smallest reflection count producing ``g``, or None above ``bound``.
 
-        Exact up to 6: a direct lookup handles depth <= 3, and a
-        two-sided split over the cached half ball handles 4 to 6.  A
+        Exact up to ``depth_cap`` = 6: a direct lookup handles depth <= 3,
+        and a two-sided split over the cached half ball handles 4 to 6.  A
         product of t <= 6 reflections always splits as (t - 3) + 3, and
         the left factor has minimal depth exactly t - 3 whenever t is
         minimal, so scanning ascending t with a layer-exact left factor
-        finds the true minimum.
+        finds the true minimum.  Above the cap it returns None too.
         """
         key = (g.spine.letters, g.parity)
         if key in self._depth_cache:
@@ -348,7 +502,7 @@ class Free2HouseSystem:
         half = self.half_ball()
         found = half.min_depth(g)
         if found is None:
-            for total in range(4, 7):
+            for total in range(4, self.depth_cap + 1):
                 first = total - 3
                 for a in half.iter_layer(first):
                     rest = a.inverse() * g
@@ -360,9 +514,6 @@ class Free2HouseSystem:
                     break
         self._depth_cache[key] = found
         return found if found is not None and found <= bound else None
-
-    def neighbourhood(self, center: ReducedWord, radius: int) -> RoomSet:
-        return neighborhood_roomset(center, radius)
 
     def room_pair_candidates(self, s: RoomSet) -> Iterator[ActionElement]:
         """Every element that moves some room of ``s`` onto a room of ``s``,
@@ -409,16 +560,316 @@ class Free2HouseSystem:
         hits.sort(key=lambda hit: hit[0].sort_key())
         return [(None, identity())] + hits
 
+    def _ball_overlaps(
+        self, s: RoomSet, depth: int
+    ) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
+        """The scan ball, and each nonidentity ball element g with g.s
+        meeting s, paired with g.s ∩ s, in ball iteration order."""
+        ball = self.scan_ball(depth)
+        meets: dict[ActionElement, RoomSet] = {}
+        for g in self.room_pair_candidates(s):
+            if g.is_identity() or g not in ball:
+                continue
+            meet = s.translate(g).intersect(s)
+            if not meet.is_empty():
+                meets[g] = meet
+        return ball, [(g, meets[g]) for g in ball.in_iteration_order(meets)]
 
-class LineSystem:
-    """Interval regions on the line under integer translation."""
+    # -- properties ----------------------------------------------------
 
-    KINDS = ("line-standard", "line-pathological", "line-corrupted")
+    def disjointness(self, cfg: RunConfig) -> VerificationReport:
+        """Only the scan-ball elements among the region's
+        ``room_pair_candidates`` are translated: any other element moves
+        every region room off the region.  ``counts[0]`` is still the
+        number of nonidentity ball elements the scan covers."""
+        ball, overlaps = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
+        bad = [
+            f"{g.text()} overlaps: {'; '.join(meet.describe())}"
+            for g, meet in overlaps
+        ]
+        return VerificationReport(
+            PROP_DISJOINTNESS,
+            REFUTED if bad else VERIFIED,
+            {"depth": cfg.depth, "radius": cfg.radius},
+            [len(ball) - 1, len(bad)],
+            _cap(bad),
+        )
+
+    def coverage(self, cfg: RunConfig) -> VerificationReport:
+        """Walk certificates: each room's closed box lands inside the union
+        of the closure and one spine-power translate of it."""
+        rooms = self.rooms(cfg.radius)
+        ext = self.closure(cfg.radius + 1)
+        union_at: dict[int, RoomSet] = {}
+        certificates: list[str] = []
+        failures: list[str] = []
+        for v in rooms:
+            g, m = walk_to_spine(v)
+            if m not in union_at:
+                mirror = room_reflection(r_power(m))
+                union_at[m] = ext.union(ext.translate(mirror))
+            image = materialize_cell(v, Cell.CLOSED_BOX).translate(g)
+            if union_at[m].contains(image):
+                if len(certificates) < 6:
+                    certificates.append(
+                        f"room {v.text() or 'e'}: walk {g.text()} lands on spine "
+                        f"power {m}"
+                    )
+            else:
+                failures.append(f"room {v.text() or 'e'} escapes its walk cover")
+        verdict = REFUTED if failures else VERIFIED
+        witnesses = _cap(failures) if failures else certificates + [
+            f"all {len(rooms)} rooms certified"
+        ]
+        return VerificationReport(
+            PROP_COVERAGE,
+            verdict,
+            {"depth": cfg.depth, "radius": cfg.radius},
+            [len(rooms), len(failures)],
+            witnesses,
+        )
+
+    def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
+        """Only the closure's ``room_pair_candidates`` in the scan ball
+        are translated, as for disjointness; ``counts[0]`` is still the
+        number of nonidentity ball elements covered."""
+        boundary = self.boundary(cfg.radius)
+        ball, overlaps = self._ball_overlaps(self.closure(cfg.radius), cfg.depth)
+        bad = []
+        for g, meet in overlaps:
+            spill = meet.difference(boundary)
+            if not spill.is_empty():
+                bad.append(
+                    f"{g.text()} meets the closure off the boundary: "
+                    f"{'; '.join(spill.describe())}"
+                )
+        return VerificationReport(
+            PROP_BOUNDARY,
+            REFUTED if bad else VERIFIED,
+            {"depth": cfg.depth, "radius": cfg.radius},
+            [len(ball) - 1, len(overlaps), len(bad)],
+            _cap(bad),
+        )
+
+    def local_finiteness(
+        self, cfg: RunConfig, centers: Optional[Sequence[ReducedWord]] = None
+    ) -> tuple[VerificationReport, dict[str, list[int]]]:
+        """The neighbourhood is the five-room coordinate patch at each
+        center and the horizon bounds the reflection depth.  Past
+        ``depth_cap`` a candidate without a depth may lie deeper than the
+        horizon or not be reachable at all, so any such candidate makes
+        the profile inconclusive."""
+        if centers is None:
+            centers = enumerate_ball(min(2, max(cfg.radius - 1, 0)))
+        for w in centers:
+            if len(w.letters) + 1 > cfg.radius:
+                raise ValueError(
+                    "radius too small for a requested neighbourhood center"
+                )
+        bound = cfg.schedule[-1]
+        profiles: dict[str, list[int]] = {}
+        witnesses: list[str] = []
+        totals = [0] * len(cfg.schedule)
+        unresolved = 0
+        for w in centers:
+            cands = self.meeting_candidates(w)
+            depths = [self.candidate_min_depth(g, bound) for g in cands]
+            unresolved += depths.count(None)
+            counts = [
+                sum(1 for d in depths if d is not None and d <= t)
+                for t in cfg.schedule
+            ]
+            profiles[w.text() or "e"] = counts
+            totals = [a + b for a, b in zip(totals, counts)]
+            if len(witnesses) < 6:
+                witnesses.append(
+                    f"center {w.text() or 'e'}: {counts[-1]} translates, "
+                    f"depths {sorted(d for d in depths if d is not None)}"
+                )
+        tail = (
+            f"stable total {totals[-1]}"
+            if stabilized(totals)
+            else "total still growing"
+        )
+        witnesses.append(f"{len(profiles)} centers, {tail}")
+        report = _profile_report(
+            PROP_LOCAL_FINITENESS,
+            {"depth": bound, "radius": cfg.radius},
+            totals,
+            witnesses,
+        )
+        if bound > self.depth_cap and unresolved:
+            report.verdict = INCONCLUSIVE
+            report.witnesses.append(
+                f"{unresolved} candidates unresolved: minimum depths are exact "
+                f"only up to {self.depth_cap} reflections, and horizon {bound} "
+                "is past that cap"
+            )
+        return report, profiles
+
+    def finite_self_adjacency(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, list[ActionElement]]:
+        counts = []
+        last_hits: list[tuple[Optional[ReducedWord], ActionElement]] = []
+        for k in cfg.schedule:
+            hits = self.overlapping_generators(k, cfg.radius)
+            counts.append(len(hits))
+            last_hits = hits
+        names = [
+            "id" if root is None else generator_text(root)
+            for root, _ in last_hits
+        ]
+        witnesses = [
+            "closure translates under reflections at every spine power overlap",
+            "overlapping elements: " + ", ".join(_cap(names, 12)),
+        ]
+        report = _profile_report(
+            PROP_SELF_ADJACENCY,
+            {"depth": cfg.schedule[-1], "radius": cfg.radius},
+            counts,
+            witnesses,
+        )
+        return report, [g for _, g in last_hits]
+
+    def quotient(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, QuotientDescription]:
+        radius = cfg.radius
+        samples = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+        pieces = [
+            f"closed triangle in room {r_power(i).text() or 'e'}"
+            for i in range(-radius, radius + 1)
+        ]
+        idents: list[dict[str, str]] = []
+        checked = 0
+        bad: list[str] = []
+        for i in range(-radius, radius):
+            mirror = room_reflection(r_power(i))
+            for t in samples:
+                checked += 1
+                start = canonical_point(r_power(i), t, Fraction(1))
+                image = apply_to_point(mirror, start)
+                expect = canonical_point(r_power(i + 1), Fraction(0), t)
+                if image != expect:
+                    bad.append(f"edge gluing {i} -> {i + 1} moved a sample point")
+                    break
+            for t in samples:
+                checked += 1
+                on_diag = canonical_point(r_power(i), t, t)
+                if apply_to_point(mirror, on_diag) != on_diag:
+                    bad.append(f"diagonal of room {r_power(i).text() or 'e'} moved")
+                    break
+            idents.append(
+                {
+                    "from": f"top edge of triangle {i}",
+                    "to": f"left edge of triangle {i + 1}",
+                    "via": generator_text(r_power(i)),
+                    "orientation": "t -> t",
+                }
+            )
+        desc = QuotientDescription(
+            "free2house",
+            pieces,
+            idents,
+            [
+                "triangle vertices (0,0), (0,1), (1,1) in every room are "
+                "excluded gluing corners"
+            ],
+            False,
+            [
+                "one closed triangle per spine power, glued into an infinite "
+                "strip; each diagonal is fixed pointwise by its reflection"
+            ],
+        )
+        return (
+            VerificationReport(
+                PROP_QUOTIENT,
+                REFUTED if bad else VERIFIED,
+                {"depth": None, "radius": radius},
+                [len(pieces), len(idents), checked, len(bad)],
+                _cap(bad)
+                if bad
+                else [
+                    f"{len(idents)} edge gluings re-validated on {checked} samples",
+                    "orientation along each glued edge is the identity in the "
+                    "edge parameter",
+                ],
+            ),
+            desc,
+        )
+
+    def fixed_points(
+        self, cfg: RunConfig, transform: ActionElement
+    ) -> VerificationReport:
+        if not isinstance(transform, ActionElement):
+            raise TypeError("expected a group element")
+        rooms = self.rooms(cfg.radius)
+        if transform.is_identity():
+            return VerificationReport(
+                PROP_FIXED_POINTS,
+                VERIFIED,
+                {"depth": None, "radius": cfg.radius},
+                [len(rooms), len(rooms)],
+                ["identity fixes the whole truncated space"],
+            )
+        fixed = [v for v in rooms if transform.apply(v) == v]
+        if transform.parity == 0:
+            witnesses = (
+                ["no fixed rooms: nontrivial room permutation"]
+                if not fixed
+                else [f"unexpected fixed room {v.text()}" for v in fixed]
+            )
+        else:
+            witnesses = [
+                f"diagonal of room {v.text() or 'e'} is fixed pointwise"
+                for v in fixed
+            ] or ["no fixed rooms at this truncation"]
+        return VerificationReport(
+            PROP_FIXED_POINTS,
+            VERIFIED,
+            {"depth": None, "radius": cfg.radius},
+            [len(rooms), len(fixed)],
+            _cap(witnesses),
+        )
+
+
+class LineSystem(System):
+    """Interval regions on the line under integer translation.  The kinds
+    are the keys of ``EXPECTED``."""
+
+    EXPECTED = {
+        "line-standard": {
+            PROP_DISJOINTNESS: VERIFIED,
+            PROP_COVERAGE: VERIFIED,
+            PROP_BOUNDARY: VERIFIED,
+            PROP_LOCAL_FINITENESS: VERIFIED,
+            PROP_SELF_ADJACENCY: VERIFIED,
+            PROP_ADJACENCY_AUDIT: VERIFIED,
+            PROP_ORBIT_BOUNDARY: VERIFIED,
+            PROP_QUOTIENT: VERIFIED,
+            PROP_COMPACTNESS: VERIFIED,
+        },
+        "line-pathological": {
+            PROP_DISJOINTNESS: VERIFIED,
+            PROP_COVERAGE: VERIFIED,
+            PROP_BOUNDARY: VERIFIED,
+            PROP_LOCAL_FINITENESS: REFUTED,
+            PROP_SELF_ADJACENCY: REFUTED,
+            PROP_QUOTIENT: VERIFIED,
+            PROP_COMPACTNESS: VERIFIED,
+        },
+    }
+    cocompact = True
 
     def __init__(self, kind: str) -> None:
-        if kind not in self.KINDS:
+        if kind not in self.EXPECTED:
             raise ValueError(f"unknown line system: {kind!r}")
+        super().__init__()
         self.name = kind
+        self.expected = self.EXPECTED[kind]
+        # the family's tiles accumulate at 1, so its closure is unbounded
+        self.closure_bounded = kind == "line-standard"
 
     def region(self, n_intervals: int) -> IntervalSet:
         """The region; raises BudgetExceeded before building one whose
@@ -426,8 +877,6 @@ class LineSystem:
         self._refuse_over_budget(n_intervals, f"{n_intervals} intervals")
         if self.name == "line-standard":
             return standard_interval()
-        if self.name == "line-corrupted":
-            return corrupted_interval()
         return pathological_1d(n_intervals)
 
     def profile_tiles(self, k: int, n_intervals: int) -> int:
@@ -469,118 +918,14 @@ class LineSystem:
         # integer translates of the unbounded family pile up at 1
         return Fraction(1) if self.name == "line-pathological" else Fraction(0)
 
+    def margin(self) -> Fraction:
+        """How far the self-adjacency candidate widens each closed tile."""
+        return Fraction(1, 16) if self.name == "line-pathological" else Fraction(1, 4)
 
-class PlanePathologicalSystem:
-    """Hyperbola-band region in the punctured plane under integer shifts.
+    # -- properties ----------------------------------------------------
 
-    The region admits no room decomposition, so set operations work
-    through exact membership predicates and sampled scans.
-    """
-
-    name = "plane-pathological"
-
-    def sample_points(self) -> list[tuple[Fraction, Fraction]]:
-        points = []
-        for p in range(1, 12):
-            x = Fraction(p, 12)
-            for j in range(1, 5):
-                points.append((x, 1 / x + Fraction(j, 5)))
-        return points
-
-    def lf_center(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(0), Fraction(1, 2))
-
-
-class CylinderSystem:
-    """Product band X x (0, c) under translation by multiples of c.
-
-    The X factor is carried symbolically; only its compactness flag
-    matters to any operation here.
-    """
-
-    name = "cylinder"
-
-    def __init__(self, shift: Rational = 1, x_compact: bool = True) -> None:
-        self.shift = Fraction(shift)
-        if self.shift <= 0:
-            raise ValueError("shift must be positive")
-        self.x_compact = bool(x_compact)
-
-    def band(self) -> IntervalSet:
-        return IntervalSet([(Fraction(0), self.shift)])
-
-
-AnySystem = Union[
-    Free2HouseSystem, LineSystem, PlanePathologicalSystem, CylinderSystem
-]
-
-SELECTORS = (
-    "free2house",
-    "line-standard",
-    "line-pathological",
-    "plane-pathological",
-    "cylinder",
-)
-
-
-def make_system(
-    selector: str, shift: Rational = 1, x_compact: bool = True
-) -> AnySystem:
-    if selector == "free2house":
-        return Free2HouseSystem()
-    if selector in ("line-standard", "line-pathological"):
-        return LineSystem(selector)
-    if selector == "plane-pathological":
-        return PlanePathologicalSystem()
-    if selector == "cylinder":
-        return CylinderSystem(shift, x_compact)
-    raise KeyError(f"unknown system selector: {selector!r}")
-
-
-# ------------------------------------------------------------- disjointness
-
-
-def _ball_overlaps(
-    system: Free2HouseSystem, s: RoomSet, depth: int
-) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
-    """The scan ball, and each nonidentity ball element g with g.s meeting
-    s, paired with g.s ∩ s, in ball iteration order."""
-    ball = system.scan_ball(depth)
-    meets: dict[ActionElement, RoomSet] = {}
-    for g in system.room_pair_candidates(s):
-        if g.is_identity() or g not in ball:
-            continue
-        meet = s.translate(g).intersect(s)
-        if not meet.is_empty():
-            meets[g] = meet
-    return ball, [(g, meets[g]) for g in ball.in_iteration_order(meets)]
-
-
-def check_disjointness(system: AnySystem, cfg: RunConfig) -> VerificationReport:
-    """No nonidentity enumerated translate of the open region meets it.
-
-    For free2house only the scan-ball elements among
-    ``Free2HouseSystem.room_pair_candidates`` of the region are
-    translated: any other element moves every region room off the
-    region.  ``counts[0]`` is still the number of nonidentity ball
-    elements the scan covers, not the number of translates computed.
-    """
-    if isinstance(system, Free2HouseSystem):
-        ball, overlaps = _ball_overlaps(system, system.region(cfg.radius), cfg.depth)
-        bad = [
-            f"{g.text()} overlaps: {'; '.join(meet.describe())}"
-            for g, meet in overlaps
-        ]
-        return VerificationReport(
-            PROP_DISJOINTNESS,
-            REFUTED if bad else VERIFIED,
-            {"depth": cfg.depth, "radius": cfg.radius},
-            [len(ball) - 1, len(bad)],
-            _cap(bad),
-        )
-
-    if isinstance(system, LineSystem):
-        region = system.region(cfg.n_intervals)
+    def disjointness(self, cfg: RunConfig) -> VerificationReport:
+        region = self.region(cfg.n_intervals)
         checked = 0
         bad = []
         for m in range(-cfg.m_range, cfg.m_range + 1):
@@ -602,80 +947,12 @@ def check_disjointness(system: AnySystem, cfg: RunConfig) -> VerificationReport:
             _cap(bad),
         )
 
-    if isinstance(system, PlanePathologicalSystem):
-        # membership predicate only: sampled interior points vs shifts
-        points = system.sample_points()
-        reach = 10
-        checked = 0
-        bad = []
-        for x, y in points:
-            if not plane2d_membership(x, y):
-                raise AssertionError("sample point must lie in the region")
-            for m in range(-reach, reach + 1):
-                for n in range(-reach, reach + 1):
-                    if m == 0 and n == 0:
-                        continue
-                    checked += 1
-                    if plane2d_membership(x - m, y - n):
-                        bad.append(
-                            f"({format_fraction(x)}, {format_fraction(y)}) "
-                            f"also lies in the ({m}, {n}) translate"
-                        )
-        return VerificationReport(
-            PROP_DISJOINTNESS,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": reach},
-            [len(points), checked, len(bad)],
-            _cap(bad),
-        )
-
-    band = system.band()
-    checked = 0
-    bad = []
-    for m in range(-cfg.m_range, cfg.m_range + 1):
-        if m == 0:
-            continue
-        checked += 1
-        overlap = band.first_overlap(band.translate(m * system.shift))
-        if overlap is not None:
-            bad.append(f"m = {m}")
-    return VerificationReport(
-        PROP_DISJOINTNESS,
-        REFUTED if bad else VERIFIED,
-        {"depth": None, "radius": cfg.m_range},
-        [checked, len(bad)],
-        _cap(bad),
-    )
-
-
-# ----------------------------------------------------------------- coverage
-
-
-def check_coverage(
-    system: AnySystem,
-    cfg: RunConfig,
-    window: Optional[tuple[Rational, Rational]] = None,
-) -> VerificationReport:
-    """Enumerated closure translates cover the truncated space (or window)."""
-    if isinstance(system, Free2HouseSystem):
-        return _coverage_free2house(system, cfg)
-
-    if isinstance(system, LineSystem):
-        if system.name == "line-corrupted":
-            return VerificationReport(
-                PROP_COVERAGE,
-                INCONCLUSIVE,
-                {"depth": None, "radius": None},
-                [],
-                ["translates of the oversized interval overlap; no tiling"],
-            )
-        if window is not None:
-            lo, hi = Fraction(window[0]), Fraction(window[1])
-        elif system.name == "line-standard":
+    def coverage(self, cfg: RunConfig) -> VerificationReport:
+        if self.name == "line-standard":
             lo, hi = Fraction(-2), Fraction(3)
         else:
             lo, hi = Fraction(0), 1 - Fraction(1, cfg.schedule[-1])
-        region = system.region(cfg.n_intervals)
+        region = self.region(cfg.n_intervals)
         reach = cfg.n_intervals + 2
         translates = [region.translate(m) for m in range(-reach, reach + 1)]
         union = translates[0].union(*translates[1:])
@@ -696,106 +973,8 @@ def check_coverage(
             witnesses,
         )
 
-    if isinstance(system, PlanePathologicalSystem):
-        return VerificationReport(
-            PROP_COVERAGE,
-            INCONCLUSIVE,
-            {"depth": None, "radius": None},
-            [],
-            ["membership predicate only; no finite cover certificate"],
-        )
-
-    c = system.shift
-    if window is None:
-        lo, hi = -2 * c, 3 * c
-    else:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
-    reach = max(2, int(abs(lo) / c) + 2, int(abs(hi) / c) + 2)
-    band = system.band()
-    translates = [band.translate(m * c) for m in range(-reach, reach + 1)]
-    union = translates[0].union(*translates[1:])
-    gap = union.coverage_gap(lo, hi)
-    return VerificationReport(
-        PROP_COVERAGE,
-        REFUTED if gap is not None else VERIFIED,
-        {"depth": None, "radius": reach},
-        [2 * reach + 1],
-        [f"uncovered point {format_fraction(gap)}"]
-        if gap is not None
-        else [f"band translates |m| <= {reach} cover the window"],
-    )
-
-
-def _coverage_free2house(
-    system: Free2HouseSystem, cfg: RunConfig
-) -> VerificationReport:
-    """Walk certificates: each room's closed box lands inside the union of
-    the closure and one spine-power translate of it."""
-    ext = system.closure(cfg.radius + 1)
-    union_at: dict[int, RoomSet] = {}
-    certificates: list[str] = []
-    failures: list[str] = []
-    rooms = enumerate_ball(cfg.radius)
-    for v in rooms:
-        g, m = walk_to_spine(v)
-        if m not in union_at:
-            mirror = room_reflection(r_power(m))
-            union_at[m] = ext.union(ext.translate(mirror))
-        image = materialize_cell(v, Cell.CLOSED_BOX).translate(g)
-        if union_at[m].contains(image):
-            if len(certificates) < 6:
-                certificates.append(
-                    f"room {v.text() or 'e'}: walk {g.text()} lands on spine "
-                    f"power {m}"
-                )
-        else:
-            failures.append(f"room {v.text() or 'e'} escapes its walk cover")
-    verdict = REFUTED if failures else VERIFIED
-    witnesses = _cap(failures) if failures else certificates + [
-        f"all {len(rooms)} rooms certified"
-    ]
-    return VerificationReport(
-        PROP_COVERAGE,
-        verdict,
-        {"depth": cfg.depth, "radius": cfg.radius},
-        [len(rooms), len(failures)],
-        witnesses,
-    )
-
-
-# ------------------------------------------------------ boundary containment
-
-
-def boundary_containment(system: AnySystem, cfg: RunConfig) -> VerificationReport:
-    """Closure overlaps with nonidentity translates stay inside the
-    topological boundary of the region.
-
-    For free2house only the scan-ball elements among the closure's
-    ``room_pair_candidates`` are translated, as in
-    ``check_disjointness``; ``counts[0]`` is still the number of
-    nonidentity ball elements covered.
-    """
-    if isinstance(system, Free2HouseSystem):
-        boundary = system.boundary(cfg.radius)
-        ball, overlaps = _ball_overlaps(system, system.closure(cfg.radius), cfg.depth)
-        bad = []
-        for g, meet in overlaps:
-            spill = meet.difference(boundary)
-            if not spill.is_empty():
-                bad.append(
-                    f"{g.text()} meets the closure off the boundary: "
-                    f"{'; '.join(spill.describe())}"
-                )
-        return VerificationReport(
-            PROP_BOUNDARY,
-            REFUTED if bad else VERIFIED,
-            {"depth": cfg.depth, "radius": cfg.radius},
-            [len(ball) - 1, len(overlaps), len(bad)],
-            _cap(bad),
-        )
-
-    if isinstance(system, LineSystem):
-        region = system.region(cfg.n_intervals)
+    def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
+        region = self.region(cfg.n_intervals)
         allowed = set(region.endpoints())
         checked = 0
         nonempty = 0
@@ -827,8 +1006,257 @@ def boundary_containment(system: AnySystem, cfg: RunConfig) -> VerificationRepor
             _cap(bad),
         )
 
-    if isinstance(system, PlanePathologicalSystem):
-        # vertical fibers: closure bands touch only along shifted graphs
+    def local_finiteness(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, dict[str, list[int]]]:
+        """A window around the cluster point shrinks with the horizon
+        while the region grows."""
+        point = self.cluster_point()
+        counts = []
+        last_hits: list[int] = []
+        self.check_budget(cfg)
+        for k in cfg.schedule:
+            n_tiles = self.profile_tiles(k, cfg.n_intervals)
+            region = self.region(n_tiles)
+            reach = n_tiles + 2
+            lo, hi = point - Fraction(1, k), point + Fraction(1, k)
+            hits = [
+                m
+                for m in range(-reach, reach + 1)
+                if region.translate(m).closure_meets_open_window(lo, hi)
+            ]
+            counts.append(len(hits))
+            last_hits = hits
+        witnesses = [
+            f"window around {format_fraction(point)}",
+            "meeting shifts at the last horizon: "
+            + ", ".join(str(m) for m in _cap(map(str, last_hits), 10)),
+        ]
+        report = _profile_report(
+            PROP_LOCAL_FINITENESS,
+            {"depth": cfg.schedule[-1], "radius": None},
+            counts,
+            witnesses,
+        )
+        return report, {format_fraction(point): counts}
+
+    def finite_self_adjacency(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, list[int]]:
+        """The candidate neighbourhood is the closure inflated by
+        ``margin()``."""
+        eps = self.margin()
+        inflated = self.region(cfg.n_intervals).inflate(eps)
+        counts = []
+        last_hits: list[int] = []
+        for k in cfg.schedule:
+            hits = [
+                m
+                for m in range(-k, k + 1)
+                if inflated.intersects(inflated.translate(m))
+            ]
+            counts.append(len(hits))
+            last_hits = hits
+        report = _profile_report(
+            PROP_SELF_ADJACENCY,
+            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
+            counts,
+            [
+                f"candidate: closure inflated by {format_fraction(eps)}",
+                f"overlapping shifts at the last horizon: {last_hits}",
+            ],
+        )
+        return report, last_hits
+
+    def adjacency_audit(self, cfg: RunConfig) -> VerificationReport:
+        """Where the overlap family is finite (the standard interval),
+        every sampled point sees at most that many translates."""
+        if self.name != "line-standard":
+            return super().adjacency_audit(cfg)
+        _, overlap = self.cached_self_adjacency(cfg)
+        bound = len(overlap)
+        region = self.region(cfg.n_intervals)
+        eps = self.margin()
+        worst = 0
+        samples = [Fraction(j, 8) for j in range(-8, 17)]
+        for t in samples:
+            base = floor(t)  # t lies in the base-th closure tile
+            lo, hi = base - eps, base + 1 + eps
+            seen = sum(
+                1
+                for m in range(base - 4, base + 5)
+                if region.translate(m).closure_meets_open_window(lo, hi)
+            )
+            worst = max(worst, seen)
+        return VerificationReport(
+            PROP_ADJACENCY_AUDIT,
+            VERIFIED if worst <= bound else REFUTED,
+            {"depth": None, "radius": cfg.m_range},
+            [len(samples), bound, worst],
+            [
+                f"certified overlap family size {bound}",
+                f"max translates meeting a sampled point's patch: {worst}",
+            ],
+        )
+
+    def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
+        """Count orbit points of 0 landing on the region boundary."""
+        endpoints = set(self.region(cfg.n_intervals).endpoints())
+        hits = [
+            m
+            for m in range(-cfg.m_range, cfg.m_range + 1)
+            if Fraction(m) in endpoints
+        ]
+        return VerificationReport(
+            PROP_ORBIT_BOUNDARY,
+            VERIFIED,
+            {"depth": None, "radius": cfg.m_range},
+            [len(hits)],
+            [f"orbit of 0 meets the boundary at shifts {hits}"],
+        )
+
+    def quotient(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, QuotientDescription]:
+        region = self.region(cfg.n_intervals)
+        if self.name == "line-standard":
+            ends = region.endpoints()
+            lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
+            desc = QuotientDescription(
+                self.name,
+                [f"[{lo}, {hi}]"],
+                [{"from": f"point {lo}", "to": f"point {hi}", "via": "m = 1"}],
+                [],
+                True,
+                ["endpoints glued: a circle"],
+            )
+            # the generator must carry the left end onto the right end
+            image = ends[0] + 1
+            ok = image == ends[-1]
+            return (
+                VerificationReport(
+                    PROP_QUOTIENT,
+                    VERIFIED if ok else REFUTED,
+                    {"depth": None, "radius": 1},
+                    [1, 1, 1],
+                    [f"gluing m = 1 maps {lo} to {hi}; sample re-validated"]
+                    if ok
+                    else [
+                        f"gluing m = 1 maps {lo} to {format_fraction(image)}, "
+                        f"not to the right end {hi}"
+                    ],
+                ),
+                desc,
+            )
+        pairs = region.pairs
+        idents = []
+        checked = 0
+        bad = []
+        for n in range(len(pairs) - 1):
+            hi_n = pairs[n][1]
+            lo_next = pairs[n + 1][0]
+            checked += 1
+            if hi_n + 1 != lo_next:
+                bad.append(f"tiles {n} and {n + 1} fail to glue")
+                continue
+            idents.append(
+                {
+                    "from": f"right end of tile {n}",
+                    "to": f"left end of tile {n + 1}",
+                    "via": "m = 1",
+                }
+            )
+        desc = QuotientDescription(
+            self.name,
+            [
+                f"[{format_fraction(lo)}, {format_fraction(hi)}]"
+                for lo, hi in pairs[:4]
+            ]
+            + [f"... {len(pairs)} tiles in total"],
+            idents[:4] + [{"note": f"... {len(idents)} gluings in total"}],
+            [],
+            False,
+            [
+                "tiles chain into a half-open arc; the closing point is "
+                "never reached, so the quotient map to the circle is a "
+                "continuous bijection but not a homeomorphism"
+            ],
+        )
+        return (
+            VerificationReport(
+                PROP_QUOTIENT,
+                REFUTED if bad else VERIFIED,
+                {"depth": None, "radius": cfg.n_intervals},
+                [len(pairs), checked, len(bad)],
+                _cap(bad) if bad else ["all consecutive tiles glue by m = 1"],
+            ),
+            desc,
+        )
+
+
+class PlanePathologicalSystem(System):
+    """Hyperbola-band region in the punctured plane under integer shifts.
+
+    The region admits no room decomposition, so set operations work
+    through exact membership predicates and sampled scans.
+    """
+
+    name = "plane-pathological"
+    expected = {
+        PROP_DISJOINTNESS: VERIFIED,
+        PROP_LOCAL_FINITENESS: REFUTED,
+        PROP_SELF_ADJACENCY: REFUTED,
+        PROP_COMPACTNESS: VERIFIED,
+    }
+    cocompact = True
+    closure_bounded = False
+
+    def sample_points(self) -> list[tuple[Fraction, Fraction]]:
+        points = []
+        for p in range(1, 12):
+            x = Fraction(p, 12)
+            for j in range(1, 5):
+                points.append((x, 1 / x + Fraction(j, 5)))
+        return points
+
+    def lf_center(self) -> tuple[Fraction, Fraction]:
+        return (Fraction(0), Fraction(1, 2))
+
+    def disjointness(self, cfg: RunConfig) -> VerificationReport:
+        """Membership predicate only: sampled interior points against
+        shifts."""
+        points = self.sample_points()
+        reach = 10
+        checked = 0
+        bad = []
+        for x, y in points:
+            if not plane2d_membership(x, y):
+                raise AssertionError("sample point must lie in the region")
+            for m in range(-reach, reach + 1):
+                for n in range(-reach, reach + 1):
+                    if m == 0 and n == 0:
+                        continue
+                    checked += 1
+                    if plane2d_membership(x - m, y - n):
+                        bad.append(
+                            f"({format_fraction(x)}, {format_fraction(y)}) "
+                            f"also lies in the ({m}, {n}) translate"
+                        )
+        return VerificationReport(
+            PROP_DISJOINTNESS,
+            REFUTED if bad else VERIFIED,
+            {"depth": None, "radius": reach},
+            [len(points), checked, len(bad)],
+            _cap(bad),
+        )
+
+    def coverage(self, cfg: RunConfig) -> VerificationReport:
+        return _inconclusive(
+            PROP_COVERAGE, "membership predicate only; no finite cover certificate"
+        )
+
+    def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
+        """Vertical fibers: closure bands touch only along shifted graphs."""
         checked = 0
         bad = []
         xs = [Fraction(p, 16) for p in range(1, 17)]
@@ -853,114 +1281,12 @@ def boundary_containment(system: AnySystem, cfg: RunConfig) -> VerificationRepor
             _cap(bad) if bad else ["vertical translates touch along graph edges only"],
         )
 
-    band = system.band()
-    allowed = set(band.endpoints())
-    checked = 0
-    bad = []
-    for m in range(-cfg.m_range, cfg.m_range + 1):
-        if m == 0:
-            continue
-        checked += 1
-        for lo, hi in band.closed_intersection(band.translate(m * system.shift)):
-            if lo < hi or lo not in allowed:
-                bad.append(f"m = {m}")
-    return VerificationReport(
-        PROP_BOUNDARY,
-        REFUTED if bad else VERIFIED,
-        {"depth": None, "radius": cfg.m_range},
-        [checked, len(bad)],
-        _cap(bad) if bad else ["band translates touch only at 0 and the shift"],
-    )
-
-
-# ---------------------------------------------------------- local finiteness
-
-
-def local_finiteness_profile(
-    system: AnySystem,
-    cfg: RunConfig,
-    centers: Optional[Sequence[ReducedWord]] = None,
-) -> tuple[VerificationReport, dict[str, list[int]]]:
-    """Count enumerated translates meeting a shrinking neighbourhood.
-
-    The profile is per schedule horizon; the verdicts come from the
-    stabilization rule.  For the tiled system the neighbourhood is the
-    five-room coordinate patch at each center and the horizon bounds the
-    reflection depth; for the metric systems the neighbourhood shrinks
-    with the horizon while the enumeration grows.
-    """
-    if isinstance(system, Free2HouseSystem):
-        if centers is None:
-            centers = enumerate_ball(min(2, max(cfg.radius - 1, 0)))
-        for w in centers:
-            if len(w.letters) + 1 > cfg.radius:
-                raise ValueError(
-                    "radius too small for a requested neighbourhood center"
-                )
-        bound = cfg.schedule[-1]
-        profiles: dict[str, list[int]] = {}
-        witnesses: list[str] = []
-        totals = [0] * len(cfg.schedule)
-        for w in centers:
-            cands = system.meeting_candidates(w)
-            depths = [system.candidate_min_depth(g, bound) for g in cands]
-            counts = [
-                sum(1 for d in depths if d is not None and d <= t)
-                for t in cfg.schedule
-            ]
-            profiles[w.text() or "e"] = counts
-            totals = [a + b for a, b in zip(totals, counts)]
-            if len(witnesses) < 6:
-                witnesses.append(
-                    f"center {w.text() or 'e'}: {counts[-1]} translates, "
-                    f"depths {sorted(d for d in depths if d is not None)}"
-                )
-        tail = (
-            f"stable total {totals[-1]}"
-            if stabilized(totals)
-            else "total still growing"
-        )
-        witnesses.append(f"{len(profiles)} centers, {tail}")
-        report = _profile_report(
-            PROP_LOCAL_FINITENESS,
-            {"depth": bound, "radius": cfg.radius},
-            totals,
-            witnesses,
-        )
-        return report, profiles
-
-    if isinstance(system, LineSystem):
-        point = system.cluster_point()
-        counts = []
-        last_hits: list[int] = []
-        system.check_budget(cfg)
-        for k in cfg.schedule:
-            n_tiles = system.profile_tiles(k, cfg.n_intervals)
-            region = system.region(n_tiles)
-            reach = n_tiles + 2
-            lo, hi = point - Fraction(1, k), point + Fraction(1, k)
-            hits = [
-                m
-                for m in range(-reach, reach + 1)
-                if region.translate(m).closure_meets_open_window(lo, hi)
-            ]
-            counts.append(len(hits))
-            last_hits = hits
-        witnesses = [
-            f"window around {format_fraction(point)}",
-            "meeting shifts at the last horizon: "
-            + ", ".join(str(m) for m in _cap(map(str, last_hits), 10)),
-        ]
-        report = _profile_report(
-            PROP_LOCAL_FINITENESS,
-            {"depth": cfg.schedule[-1], "radius": None},
-            counts,
-            witnesses,
-        )
-        return report, {format_fraction(point): counts}
-
-    if isinstance(system, PlanePathologicalSystem):
-        cx, cy = system.lf_center()
+    def local_finiteness(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, dict[str, list[int]]]:
+        """A box around a point of the left edge shrinks with the horizon
+        while the shift range grows."""
+        cx, cy = self.lf_center()
         counts = []
         last_pairs: list[tuple[int, int]] = []
         for k in cfg.schedule:
@@ -987,95 +1313,10 @@ def local_finiteness_profile(
         )
         return report, {"(0, 1/2)": counts}
 
-    c = system.shift
-    band = system.band()
-    counts = []
-    last_hits = []
-    for k in cfg.schedule:
-        lo, hi = -c / k, c / k
-        hits = [
-            m
-            for m in range(-cfg.m_range, cfg.m_range + 1)
-            if band.translate(m * c).closure_meets_open_window(lo, hi)
-        ]
-        counts.append(len(hits))
-        last_hits = hits
-    report = _profile_report(
-        PROP_LOCAL_FINITENESS,
-        {"depth": cfg.schedule[-1], "radius": cfg.m_range},
-        counts,
-        ["band point 0", f"meeting shifts: {last_hits}"],
-    )
-    return report, {"0": counts}
-
-
-# ------------------------------------------------------ finite self adjacency
-
-
-def fsa_check(
-    system: AnySystem,
-    cfg: RunConfig,
-    margin: Optional[Rational] = None,
-    candidate: Optional[tuple[Rational, Rational]] = None,
-) -> tuple[VerificationReport, Optional[list]]:
-    """Finitely many enumerated translates of a candidate neighbourhood of
-    the closure meet the neighbourhood itself.
-
-    ``margin`` inflates interval closures into the open candidate;
-    ``candidate`` gives an explicit open band for the product system.
-    Either must contain the closure or the call is rejected.
-    """
-    if isinstance(system, Free2HouseSystem):
-        counts = []
-        last_hits: list[tuple[Optional[ReducedWord], ActionElement]] = []
-        for k in cfg.schedule:
-            hits = system.overlapping_generators(k, cfg.radius)
-            counts.append(len(hits))
-            last_hits = hits
-        names = [
-            "id" if root is None else generator_text(root)
-            for root, _ in last_hits
-        ]
-        witnesses = [
-            "closure translates under reflections at every spine power overlap",
-            "overlapping elements: " + ", ".join(_cap(names, 12)),
-        ]
-        report = _profile_report(
-            PROP_SELF_ADJACENCY,
-            {"depth": cfg.schedule[-1], "radius": cfg.radius},
-            counts,
-            witnesses,
-        )
-        return report, [g for _, g in last_hits]
-
-    if isinstance(system, LineSystem):
-        eps = Fraction(margin) if margin is not None else _default_margin(system)
-        if eps <= 0:
-            raise ValueError("margin must be positive")
-        inflated = system.region(cfg.n_intervals).inflate(eps)
-        counts = []
-        last_hits = []
-        for k in cfg.schedule:
-            hits = [
-                m
-                for m in range(-k, k + 1)
-                if inflated.intersects(inflated.translate(m))
-            ]
-            counts.append(len(hits))
-            last_hits = hits
-        report = _profile_report(
-            PROP_SELF_ADJACENCY,
-            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
-            counts,
-            [
-                f"candidate: closure inflated by {format_fraction(eps)}",
-                f"overlapping shifts at the last horizon: {last_hits}",
-            ],
-        )
-        return report, last_hits
-
-    if isinstance(system, PlanePathologicalSystem):
-        lf_report, _ = local_finiteness_profile(system, cfg)
+    def finite_self_adjacency(self, cfg: RunConfig) -> tuple[VerificationReport, None]:
+        """Judged from the local profile: a finite self-adjacency bound
+        forces a stable local translate count."""
+        lf_report, _ = self.cached_local_finiteness(cfg)
         if lf_report.verdict == REFUTED:
             trend = "grows instead"
         elif lf_report.verdict == VERIFIED:
@@ -1097,77 +1338,157 @@ def fsa_check(
         )
         return report, None
 
-    c = system.shift
-    if candidate is None:
-        lo, hi = -c, 2 * c
-    else:
-        lo, hi = Fraction(candidate[0]), Fraction(candidate[1])
-    if not (lo < 0 and hi > c):
-        raise ValueError("candidate band must contain the closed band")
-    counts = []
-    overlap = [m for m in range(-cfg.m_range, cfg.m_range + 1) if abs(m) * c < hi - lo]
-    for k in cfg.schedule:
-        counts.append(sum(1 for m in overlap if abs(m) <= k))
-    report = _profile_report(
-        PROP_SELF_ADJACENCY,
-        {"depth": cfg.schedule[-1], "radius": cfg.m_range},
-        counts,
-        [
-            f"candidate band ({format_fraction(lo)}, {format_fraction(hi)})",
-            f"overlapping shifts: {overlap}",
-        ],
-    )
-    return report, overlap
-
-
-def _default_margin(system: LineSystem) -> Fraction:
-    return Fraction(1, 16) if system.name == "line-pathological" else Fraction(1, 4)
-
-
-# --------------------------------------------- adjacency implies finiteness
-
-
-def fsa_implies_lf_audit(system: AnySystem, cfg: RunConfig) -> VerificationReport:
-    """Spot-check the implication instance: where a finite overlap family
-    was certified, every sampled point sees at most that many translates."""
-    if isinstance(system, LineSystem) and system.name == "line-standard":
-        _, overlap = fsa_check(system, cfg)
-        assert overlap is not None
-        bound = len(overlap)
-        region = system.region(cfg.n_intervals)
-        eps = _default_margin(system)
-        worst = 0
-        samples = [Fraction(j, 8) for j in range(-8, 17)]
-        for t in samples:
-            base = _floor_fraction(t)  # t lies in the base-th closure tile
-            lo, hi = base - eps, base + 1 + eps
-            seen = sum(
-                1
-                for m in range(base - 4, base + 5)
-                if region.translate(m).closure_meets_open_window(lo, hi)
-            )
-            worst = max(worst, seen)
-        ok = worst <= bound
-        return VerificationReport(
-            PROP_ADJACENCY_AUDIT,
-            VERIFIED if ok else REFUTED,
-            {"depth": None, "radius": cfg.m_range},
-            [len(samples), bound, worst],
-            [
-                f"certified overlap family size {bound}",
-                f"max translates meeting a sampled point's patch: {worst}",
-            ],
+    def quotient(self, cfg: RunConfig) -> tuple[VerificationReport, None]:
+        return (
+            _inconclusive(
+                PROP_QUOTIENT,
+                "no piecewise description available for the band quotient",
+            ),
+            None,
         )
 
-    if isinstance(system, CylinderSystem):
-        _, overlap = fsa_check(system, cfg)
-        assert overlap is not None
+    def compactness(self, cfg: RunConfig) -> VerificationReport:
+        report = super().compactness(cfg)
+        x, y = plane2d_point_above(100)
+        report.witnesses.append(
+            "unbounded closure witness: region point "
+            f"({format_fraction(x)}, {format_fraction(y)})"
+        )
+        return report
+
+
+class CylinderSystem(System):
+    """Product band X x (0, c) under translation by multiples of c.
+
+    The X factor is carried symbolically; only its compactness flag
+    matters to any operation here: the action is cocompact, and the
+    closed band bounded, exactly when X is compact.
+    """
+
+    name = "cylinder"
+    expected = LineSystem.EXPECTED["line-standard"]
+
+    def __init__(self, shift: Rational = 1, x_compact: bool = True) -> None:
+        super().__init__()
+        self.shift = Fraction(shift)
+        if self.shift <= 0:
+            raise ValueError("shift must be positive")
+        self.x_compact = bool(x_compact)
+        self.cocompact = self.closure_bounded = self.x_compact
+
+    def band(self) -> IntervalSet:
+        return IntervalSet([(Fraction(0), self.shift)])
+
+    def disjointness(self, cfg: RunConfig) -> VerificationReport:
+        band = self.band()
+        checked = 0
+        bad = []
+        for m in range(-cfg.m_range, cfg.m_range + 1):
+            if m == 0:
+                continue
+            checked += 1
+            overlap = band.first_overlap(band.translate(m * self.shift))
+            if overlap is not None:
+                bad.append(f"m = {m}")
+        return VerificationReport(
+            PROP_DISJOINTNESS,
+            REFUTED if bad else VERIFIED,
+            {"depth": None, "radius": cfg.m_range},
+            [checked, len(bad)],
+            _cap(bad),
+        )
+
+    def coverage(self, cfg: RunConfig) -> VerificationReport:
+        """Band translates cover the window [-2c, 3c]."""
+        c = self.shift
+        lo, hi = -2 * c, 3 * c
+        reach = 5  # the window reaches 3 shifts up, plus a margin of 2
+        band = self.band()
+        translates = [band.translate(m * c) for m in range(-reach, reach + 1)]
+        union = translates[0].union(*translates[1:])
+        gap = union.coverage_gap(lo, hi)
+        return VerificationReport(
+            PROP_COVERAGE,
+            REFUTED if gap is not None else VERIFIED,
+            {"depth": None, "radius": reach},
+            [2 * reach + 1],
+            [f"uncovered point {format_fraction(gap)}"]
+            if gap is not None
+            else [f"band translates |m| <= {reach} cover the window"],
+        )
+
+    def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
+        band = self.band()
+        allowed = set(band.endpoints())
+        checked = 0
+        bad = []
+        for m in range(-cfg.m_range, cfg.m_range + 1):
+            if m == 0:
+                continue
+            checked += 1
+            for lo, hi in band.closed_intersection(band.translate(m * self.shift)):
+                if lo < hi or lo not in allowed:
+                    bad.append(f"m = {m}")
+        return VerificationReport(
+            PROP_BOUNDARY,
+            REFUTED if bad else VERIFIED,
+            {"depth": None, "radius": cfg.m_range},
+            [checked, len(bad)],
+            _cap(bad) if bad else ["band translates touch only at 0 and the shift"],
+        )
+
+    def local_finiteness(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, dict[str, list[int]]]:
+        c = self.shift
+        band = self.band()
+        counts = []
+        last_hits: list[int] = []
+        for k in cfg.schedule:
+            lo, hi = -c / k, c / k
+            hits = [
+                m
+                for m in range(-cfg.m_range, cfg.m_range + 1)
+                if band.translate(m * c).closure_meets_open_window(lo, hi)
+            ]
+            counts.append(len(hits))
+            last_hits = hits
+        report = _profile_report(
+            PROP_LOCAL_FINITENESS,
+            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
+            counts,
+            ["band point 0", f"meeting shifts: {last_hits}"],
+        )
+        return report, {"0": counts}
+
+    def finite_self_adjacency(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, list[int]]:
+        """The candidate neighbourhood is the open band (-c, 2c)."""
+        c = self.shift
+        lo, hi = -c, 2 * c
+        shifts = range(-cfg.m_range, cfg.m_range + 1)
+        overlap = [m for m in shifts if abs(m) * c < hi - lo]
+        counts = [sum(1 for m in overlap if abs(m) <= k) for k in cfg.schedule]
+        report = _profile_report(
+            PROP_SELF_ADJACENCY,
+            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
+            counts,
+            [
+                f"candidate band ({format_fraction(lo)}, {format_fraction(hi)})",
+                f"overlapping shifts: {overlap}",
+            ],
+        )
+        return report, overlap
+
+    def adjacency_audit(self, cfg: RunConfig) -> VerificationReport:
+        _, overlap = self.cached_self_adjacency(cfg)
         bound = len(overlap)
-        c = system.shift
+        c = self.shift
         worst = 0
         samples = [Fraction(j, 8) * c for j in range(-8, 17)]
         for t in samples:
-            base = _floor_ratio(t, c)
+            base = floor(t / c)
             lo, hi = base * c - c, base * c + 2 * c
             seen = sum(
                 1
@@ -1175,10 +1496,9 @@ def fsa_implies_lf_audit(system: AnySystem, cfg: RunConfig) -> VerificationRepor
                 if m * c < hi and m * c + c > lo
             )
             worst = max(worst, seen)
-        ok = worst <= bound
         return VerificationReport(
             PROP_ADJACENCY_AUDIT,
-            VERIFIED if ok else REFUTED,
+            VERIFIED if worst <= bound else REFUTED,
             {"depth": None, "radius": cfg.m_range},
             [len(samples), bound, worst],
             [
@@ -1187,48 +1507,8 @@ def fsa_implies_lf_audit(system: AnySystem, cfg: RunConfig) -> VerificationRepor
             ],
         )
 
-    return VerificationReport(
-        PROP_ADJACENCY_AUDIT,
-        INCONCLUSIVE,
-        {"depth": None, "radius": None},
-        [],
-        ["no finite self-adjacency certificate to audit"],
-    )
-
-
-def _floor_fraction(t: Fraction) -> int:
-    return t.numerator // t.denominator
-
-
-def _floor_ratio(t: Fraction, c: Fraction) -> int:
-    return _floor_fraction(t / c)
-
-
-# ------------------------------------------------------------ orbit boundary
-
-
-def orbit_boundary_finiteness(
-    system: AnySystem, cfg: RunConfig
-) -> VerificationReport:
-    """Count orbit points landing on the region boundary."""
-    if isinstance(system, LineSystem) and system.name != "line-corrupted":
-        region = system.region(cfg.n_intervals)
-        endpoints = set(region.endpoints())
-        hits = [
-            m
-            for m in range(-cfg.m_range, cfg.m_range + 1)
-            if Fraction(m) in endpoints
-        ]
-        return VerificationReport(
-            PROP_ORBIT_BOUNDARY,
-            VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [len(hits)],
-            [f"orbit of 0 meets the boundary at shifts {hits}"],
-        )
-
-    if isinstance(system, CylinderSystem):
-        c = system.shift
+    def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
+        c = self.shift
         endpoints = {Fraction(0), c}
         hits = [
             m
@@ -1246,250 +1526,149 @@ def orbit_boundary_finiteness(
             ],
         )
 
-    return VerificationReport(
-        PROP_ORBIT_BOUNDARY,
-        INCONCLUSIVE,
-        {"depth": None, "radius": None},
-        [],
-        ["finiteness needs a self-adjacency certificate absent here"],
-    )
+    def quotient(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, QuotientDescription]:
+        c = self.shift
+        ends = self.band().endpoints()
+        lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
+        desc = QuotientDescription(
+            self.name,
+            [f"X x [{lo}, {hi}]"],
+            [
+                {
+                    "from": f"X x {{{lo}}}",
+                    "to": f"X x {{{hi}}}",
+                    "via": "m = 1",
+                }
+            ],
+            [],
+            self.x_compact,
+            ["band with glued edges; compact exactly when X is"],
+        )
+        # the generator (shift by c) must carry the lower edge onto the upper
+        image = ends[0] + c
+        ok = image == ends[-1]
+        return (
+            VerificationReport(
+                PROP_QUOTIENT,
+                VERIFIED if ok else REFUTED,
+                {"depth": None, "radius": 1},
+                [1, 1, 1],
+                [f"gluing m = 1 maps the {lo} section to the {hi} section"]
+                if ok
+                else [
+                    f"gluing m = 1 maps the {lo} section to the "
+                    f"{format_fraction(image)} section, not to the upper edge {hi}"
+                ],
+            ),
+            desc,
+        )
 
 
-# ------------------------------------------------------------------ quotient
+SELECTORS = (
+    "free2house",
+    "line-standard",
+    "line-pathological",
+    "plane-pathological",
+    "cylinder",
+)
 
 
-@dataclass
-class QuotientDescription:
-    """Identification structure of the closure modulo the action."""
+def make_system(
+    selector: str, shift: Rational = 1, x_compact: bool = True
+) -> System:
+    if selector == "free2house":
+        return Free2HouseSystem()
+    if selector in ("line-standard", "line-pathological"):
+        return LineSystem(selector)
+    if selector == "plane-pathological":
+        return PlanePathologicalSystem()
+    if selector == "cylinder":
+        return CylinderSystem(shift, x_compact)
+    raise KeyError(f"unknown system selector: {selector!r}")
 
-    system: str
-    pieces: list[str]
-    identifications: list[dict[str, str]]
-    removed_points: list[str]
-    compact: bool
-    notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "pieces": list(self.pieces),
-            "identifications": [dict(d) for d in self.identifications],
-            "removed_points": list(self.removed_points),
-            "compact": self.compact,
-            "notes": list(self.notes),
-        }
+# ------------------------------------------------------------------- checks
+#
+# One function per property, each handing the call to the system.  The
+# battery and ``verify --property`` look them up by name, so a wrapper put
+# on this module sees every call.
+
+
+def check_disjointness(system: System, cfg: RunConfig) -> VerificationReport:
+    """No nonidentity enumerated translate of the open region meets it."""
+    return system.disjointness(cfg)
+
+
+def check_coverage(system: System, cfg: RunConfig) -> VerificationReport:
+    """Enumerated closure translates cover the truncated space (or a
+    window of it)."""
+    return system.coverage(cfg)
+
+
+def boundary_containment(system: System, cfg: RunConfig) -> VerificationReport:
+    """Closure overlaps with nonidentity translates stay inside the
+    topological boundary of the region."""
+    return system.boundary_containment(cfg)
+
+
+def local_finiteness_profile(
+    system: System,
+    cfg: RunConfig,
+    centers: Optional[Sequence[ReducedWord]] = None,
+) -> tuple[VerificationReport, dict[str, list[int]]]:
+    """Count enumerated translates meeting a shrinking neighbourhood.
+
+    The profile is per schedule horizon; the verdicts come from the
+    stabilization rule.  ``centers`` picks the free2house patches.
+    """
+    if centers is not None:
+        return system.local_finiteness(cfg, centers)
+    return system.cached_local_finiteness(cfg)
+
+
+def fsa_check(
+    system: System, cfg: RunConfig
+) -> tuple[VerificationReport, Optional[list]]:
+    """Finitely many enumerated translates of a candidate neighbourhood of
+    the closure meet the neighbourhood itself; also returns the
+    overlapping family at the last horizon."""
+    return system.cached_self_adjacency(cfg)
+
+
+def fsa_implies_lf_audit(system: System, cfg: RunConfig) -> VerificationReport:
+    """Spot-check the implication instance: where a finite overlap family
+    was certified, every sampled point sees at most that many translates."""
+    return system.adjacency_audit(cfg)
+
+
+def orbit_boundary_finiteness(system: System, cfg: RunConfig) -> VerificationReport:
+    """Count orbit points landing on the region boundary."""
+    return system.orbit_boundary(cfg)
 
 
 def quotient_build(
-    system: AnySystem, cfg: RunConfig
+    system: System, cfg: RunConfig
 ) -> tuple[VerificationReport, Optional[QuotientDescription]]:
     """Assemble the identification structure and re-validate each gluing
     on sample points."""
-    if isinstance(system, Free2HouseSystem):
-        return _quotient_free2house(system, cfg)
-
-    if isinstance(system, LineSystem):
-        if system.name == "line-standard":
-            ends = system.region(cfg.n_intervals).endpoints()
-            lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
-            desc = QuotientDescription(
-                system.name,
-                [f"[{lo}, {hi}]"],
-                [{"from": f"point {lo}", "to": f"point {hi}", "via": "m = 1"}],
-                [],
-                True,
-                ["endpoints glued: a circle"],
-            )
-            # the generator must carry the left end onto the right end
-            image = ends[0] + 1
-            ok = image == ends[-1]
-            return (
-                VerificationReport(
-                    PROP_QUOTIENT,
-                    VERIFIED if ok else REFUTED,
-                    {"depth": None, "radius": 1},
-                    [1, 1, 1],
-                    [f"gluing m = 1 maps {lo} to {hi}; sample re-validated"]
-                    if ok
-                    else [
-                        f"gluing m = 1 maps {lo} to {format_fraction(image)}, "
-                        f"not to the right end {hi}"
-                    ],
-                ),
-                desc,
-            )
-        if system.name == "line-pathological":
-            region = system.region(cfg.n_intervals)
-            pairs = region.pairs
-            idents = []
-            checked = 0
-            bad = []
-            for n in range(len(pairs) - 1):
-                hi_n = pairs[n][1]
-                lo_next = pairs[n + 1][0]
-                checked += 1
-                if hi_n + 1 != lo_next:
-                    bad.append(f"tiles {n} and {n + 1} fail to glue")
-                    continue
-                idents.append(
-                    {
-                        "from": f"right end of tile {n}",
-                        "to": f"left end of tile {n + 1}",
-                        "via": "m = 1",
-                    }
-                )
-            desc = QuotientDescription(
-                system.name,
-                [
-                    f"[{format_fraction(lo)}, {format_fraction(hi)}]"
-                    for lo, hi in pairs[:4]
-                ]
-                + [f"... {len(pairs)} tiles in total"],
-                idents[:4] + [{"note": f"... {len(idents)} gluings in total"}],
-                [],
-                False,
-                [
-                    "tiles chain into a half-open arc; the closing point is "
-                    "never reached, so the quotient map to the circle is a "
-                    "continuous bijection but not a homeomorphism"
-                ],
-            )
-            return (
-                VerificationReport(
-                    PROP_QUOTIENT,
-                    REFUTED if bad else VERIFIED,
-                    {"depth": None, "radius": cfg.n_intervals},
-                    [len(pairs), checked, len(bad)],
-                    _cap(bad) if bad else ["all consecutive tiles glue by m = 1"],
-                ),
-                desc,
-            )
-        return (
-            VerificationReport(
-                PROP_QUOTIENT,
-                INCONCLUSIVE,
-                {"depth": None, "radius": None},
-                [],
-                ["interior overlaps break the identification structure"],
-            ),
-            None,
-        )
-
-    if isinstance(system, PlanePathologicalSystem):
-        return (
-            VerificationReport(
-                PROP_QUOTIENT,
-                INCONCLUSIVE,
-                {"depth": None, "radius": None},
-                [],
-                ["no piecewise description available for the band quotient"],
-            ),
-            None,
-        )
-
-    c = system.shift
-    ends = system.band().endpoints()
-    lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
-    desc = QuotientDescription(
-        system.name,
-        [f"X x [{lo}, {hi}]"],
-        [
-            {
-                "from": f"X x {{{lo}}}",
-                "to": f"X x {{{hi}}}",
-                "via": "m = 1",
-            }
-        ],
-        [],
-        system.x_compact,
-        ["band with glued edges; compact exactly when X is"],
-    )
-    # the generator (shift by c) must carry the lower edge onto the upper
-    image = ends[0] + c
-    ok = image == ends[-1]
-    return (
-        VerificationReport(
-            PROP_QUOTIENT,
-            VERIFIED if ok else REFUTED,
-            {"depth": None, "radius": 1},
-            [1, 1, 1],
-            [f"gluing m = 1 maps the {lo} section to the {hi} section"]
-            if ok
-            else [
-                f"gluing m = 1 maps the {lo} section to the "
-                f"{format_fraction(image)} section, not to the upper edge {hi}"
-            ],
-        ),
-        desc,
-    )
+    return system.quotient(cfg)
 
 
-def _quotient_free2house(
-    system: Free2HouseSystem, cfg: RunConfig
-) -> tuple[VerificationReport, QuotientDescription]:
-    radius = cfg.radius
-    samples = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    pieces = [
-        f"closed triangle in room {r_power(i).text() or 'e'}"
-        for i in range(-radius, radius + 1)
-    ]
-    idents: list[dict[str, str]] = []
-    checked = 0
-    bad: list[str] = []
-    for i in range(-radius, radius):
-        mirror = room_reflection(r_power(i))
-        for t in samples:
-            checked += 1
-            start = canonical_point(r_power(i), t, Fraction(1))
-            image = apply_to_point(mirror, start)
-            expect = canonical_point(r_power(i + 1), Fraction(0), t)
-            if image != expect:
-                bad.append(f"edge gluing {i} -> {i + 1} moved a sample point")
-                break
-        for t in samples:
-            checked += 1
-            on_diag = canonical_point(r_power(i), t, t)
-            if apply_to_point(mirror, on_diag) != on_diag:
-                bad.append(f"diagonal of room {r_power(i).text() or 'e'} moved")
-                break
-        idents.append(
-            {
-                "from": f"top edge of triangle {i}",
-                "to": f"left edge of triangle {i + 1}",
-                "via": generator_text(r_power(i)),
-                "orientation": "t -> t",
-            }
-        )
-    desc = QuotientDescription(
-        "free2house",
-        pieces,
-        idents,
-        [
-            "triangle vertices (0,0), (0,1), (1,1) in every room are "
-            "excluded gluing corners"
-        ],
-        False,
-        [
-            "one closed triangle per spine power, glued into an infinite "
-            "strip; each diagonal is fixed pointwise by its reflection"
-        ],
-    )
-    return (
-        VerificationReport(
-            PROP_QUOTIENT,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": radius},
-            [len(pieces), len(idents), checked, len(bad)],
-            _cap(bad)
-            if bad
-            else [
-                f"{len(idents)} edge gluings re-validated on {checked} samples",
-                "orientation along each glued edge is the identity in the "
-                "edge parameter",
-            ],
-        ),
-        desc,
-    )
+def compactness_proxy(system: System, cfg: RunConfig) -> VerificationReport:
+    """A verified finite self-adjacency certificate plus a cocompact
+    action forces a bounded closure."""
+    return system.compactness(cfg)
+
+
+def fixed_point_search(
+    system: System,
+    cfg: RunConfig,
+    transform: Union[ActionElement, int, tuple[int, int]],
+) -> VerificationReport:
+    """Report everything the given transformation fixes at truncation."""
+    return system.fixed_points(cfg, transform)
 
 
 # -------------------------------------------------------- orbit representatives
@@ -1536,194 +1715,45 @@ def representative_class_count(reps: Sequence[RoomPoint]) -> int:
     return len({normalize_representative(q).text() for q in reps})
 
 
-# ------------------------------------------------------------------ compactness
-
-
-_COMPACTNESS_FLAGS: dict[str, dict[str, bool]] = {
-    "free2house": {"cocompact": False, "closure_bounded": False},
-    "line-standard": {"cocompact": True, "closure_bounded": True},
-    "line-corrupted": {"cocompact": True, "closure_bounded": True},
-    "line-pathological": {"cocompact": True, "closure_bounded": False},
-    "plane-pathological": {"cocompact": True, "closure_bounded": False},
-}
-
-
-def compactness_proxy(system: AnySystem, cfg: RunConfig) -> VerificationReport:
-    """Consistency of one implication instance: a verified finite
-    self-adjacency certificate plus a cocompact action forces a bounded
-    closure.  Never claims the converse."""
-    if isinstance(system, CylinderSystem):
-        flags = {
-            "cocompact": system.x_compact,
-            "closure_bounded": system.x_compact,
-        }
-    else:
-        flags = _COMPACTNESS_FLAGS[system.name]
-    fsa_report, _ = fsa_check(system, cfg)
-    premise = fsa_report.verdict == VERIFIED and flags["cocompact"]
-    holds = (not premise) or flags["closure_bounded"]
-    witnesses = [
-        f"finite self-adjacency: {fsa_report.verdict}",
-        f"action cocompact: {flags['cocompact']}",
-        f"closure bounded: {flags['closure_bounded']}",
-        "implication instance holds"
-        + ("" if premise else " (vacuously)"),
-    ]
-    if isinstance(system, PlanePathologicalSystem):
-        x, y = plane2d_point_above(100)
-        witnesses.append(
-            "unbounded closure witness: region point "
-            f"({format_fraction(x)}, {format_fraction(y)})"
-        )
-    return VerificationReport(
-        PROP_COMPACTNESS,
-        VERIFIED if holds else REFUTED,
-        fsa_report.truncation,
-        [],
-        witnesses,
-    )
-
-
-# ------------------------------------------------------------------ fixed points
-
-
-def fixed_point_search(
-    system: AnySystem,
-    cfg: RunConfig,
-    transform: Union[ActionElement, int, tuple[int, int]],
-) -> VerificationReport:
-    """Report everything the given transformation fixes at truncation."""
-    if isinstance(system, Free2HouseSystem):
-        if not isinstance(transform, ActionElement):
-            raise TypeError("expected a group element")
-        rooms = enumerate_ball(cfg.radius)
-        if transform.is_identity():
-            return VerificationReport(
-                PROP_FIXED_POINTS,
-                VERIFIED,
-                {"depth": None, "radius": cfg.radius},
-                [len(rooms), len(rooms)],
-                ["identity fixes the whole truncated space"],
-            )
-        fixed = [v for v in rooms if transform.apply(v) == v]
-        if transform.parity == 0:
-            witnesses = (
-                ["no fixed rooms: nontrivial room permutation"]
-                if not fixed
-                else [f"unexpected fixed room {v.text()}" for v in fixed]
-            )
-        else:
-            witnesses = [
-                f"diagonal of room {v.text() or 'e'} is fixed pointwise"
-                for v in fixed
-            ] or ["no fixed rooms at this truncation"]
-        return VerificationReport(
-            PROP_FIXED_POINTS,
-            VERIFIED,
-            {"depth": None, "radius": cfg.radius},
-            [len(rooms), len(fixed)],
-            _cap(witnesses),
-        )
-
-    shift_is_zero = transform == 0 or transform == (0, 0)
-    return VerificationReport(
-        PROP_FIXED_POINTS,
-        VERIFIED,
-        {"depth": None, "radius": cfg.m_range},
-        [1 if shift_is_zero else 0],
-        ["zero shift fixes everything"]
-        if shift_is_zero
-        else ["nonzero shifts act freely"],
-    )
-
-
 # ------------------------------------------------------------------- battery
 
-
-_EXPECTED: dict[str, dict[str, str]] = {
-    "free2house": {
-        PROP_DISJOINTNESS: VERIFIED,
-        PROP_COVERAGE: VERIFIED,
-        PROP_BOUNDARY: VERIFIED,
-        PROP_LOCAL_FINITENESS: VERIFIED,
-        PROP_SELF_ADJACENCY: REFUTED,
-        PROP_QUOTIENT: VERIFIED,
-        PROP_COMPACTNESS: VERIFIED,
-    },
-    "line-standard": {
-        PROP_DISJOINTNESS: VERIFIED,
-        PROP_COVERAGE: VERIFIED,
-        PROP_BOUNDARY: VERIFIED,
-        PROP_LOCAL_FINITENESS: VERIFIED,
-        PROP_SELF_ADJACENCY: VERIFIED,
-        PROP_ADJACENCY_AUDIT: VERIFIED,
-        PROP_ORBIT_BOUNDARY: VERIFIED,
-        PROP_QUOTIENT: VERIFIED,
-        PROP_COMPACTNESS: VERIFIED,
-    },
-    "line-pathological": {
-        PROP_DISJOINTNESS: VERIFIED,
-        PROP_COVERAGE: VERIFIED,
-        PROP_BOUNDARY: VERIFIED,
-        PROP_LOCAL_FINITENESS: REFUTED,
-        PROP_SELF_ADJACENCY: REFUTED,
-        PROP_QUOTIENT: VERIFIED,
-        PROP_COMPACTNESS: VERIFIED,
-    },
-    "plane-pathological": {
-        PROP_DISJOINTNESS: VERIFIED,
-        PROP_LOCAL_FINITENESS: REFUTED,
-        PROP_SELF_ADJACENCY: REFUTED,
-        PROP_COMPACTNESS: VERIFIED,
-    },
-    "cylinder": {
-        PROP_DISJOINTNESS: VERIFIED,
-        PROP_COVERAGE: VERIFIED,
-        PROP_BOUNDARY: VERIFIED,
-        PROP_LOCAL_FINITENESS: VERIFIED,
-        PROP_SELF_ADJACENCY: VERIFIED,
-        PROP_ADJACENCY_AUDIT: VERIFIED,
-        PROP_ORBIT_BOUNDARY: VERIFIED,
-        PROP_QUOTIENT: VERIFIED,
-        PROP_COMPACTNESS: VERIFIED,
-    },
+# Property -> the module-level check that decides it.
+CHECKS = {
+    PROP_DISJOINTNESS: "check_disjointness",
+    PROP_COVERAGE: "check_coverage",
+    PROP_BOUNDARY: "boundary_containment",
+    PROP_LOCAL_FINITENESS: "local_finiteness_profile",
+    PROP_SELF_ADJACENCY: "fsa_check",
+    PROP_ADJACENCY_AUDIT: "fsa_implies_lf_audit",
+    PROP_ORBIT_BOUNDARY: "orbit_boundary_finiteness",
+    PROP_QUOTIENT: "quotient_build",
+    PROP_COMPACTNESS: "compactness_proxy",
 }
 
 
-def battery_expectations(selector: str) -> dict[str, str]:
-    return dict(_EXPECTED[selector])
+def property_check(prop: str) -> Callable[[System, RunConfig], VerificationReport]:
+    """The check for ``prop`` as this module holds it at the call,
+    reduced to its report."""
+    check = globals()[CHECKS[prop]]
+
+    def run(system: System, cfg: RunConfig) -> VerificationReport:
+        result = check(system, cfg)
+        return result[0] if isinstance(result, tuple) else result
+
+    return run
 
 
 def run_battery(
-    system: AnySystem, cfg: RunConfig
+    system: System, cfg: RunConfig
 ) -> list[tuple[VerificationReport, str]]:
-    """Run every applicable operation; pair each report with the expected
-    verdict.  An expected refutation that arrives is a pass."""
-    if system.name not in _EXPECTED:
-        raise ValueError(f"no battery defined for {system.name!r}")
-    expected = _EXPECTED[system.name]
-    if isinstance(system, LineSystem):
-        system.check_budget(cfg)
-    results: list[tuple[VerificationReport, str]] = []
-
-    def add(report: VerificationReport) -> None:
-        results.append((report, expected[report.property_name]))
-
-    add(check_disjointness(system, cfg))
-    if PROP_COVERAGE in expected:
-        add(check_coverage(system, cfg))
-    if PROP_BOUNDARY in expected:
-        add(boundary_containment(system, cfg))
-    add(local_finiteness_profile(system, cfg)[0])
-    add(fsa_check(system, cfg)[0])
-    if PROP_ADJACENCY_AUDIT in expected:
-        add(fsa_implies_lf_audit(system, cfg))
-    if PROP_ORBIT_BOUNDARY in expected:
-        add(orbit_boundary_finiteness(system, cfg))
-    if PROP_QUOTIENT in expected:
-        add(quotient_build(system, cfg)[0])
-    add(compactness_proxy(system, cfg))
-    return results
+    """Run the system's expected properties in order; pair each report
+    with the expected verdict.  An expected refutation that arrives is a
+    pass."""
+    system.check_budget(cfg)
+    return [
+        (property_check(prop)(system, cfg), want)
+        for prop, want in system.expected.items()
+    ]
 
 
 def battery_exit_code(results: Sequence[tuple[VerificationReport, str]]) -> int:

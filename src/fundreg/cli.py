@@ -28,28 +28,11 @@ from typing import Callable, Optional, Sequence
 
 from . import checker
 from .checker import (
-    PROP_ADJACENCY_AUDIT,
-    PROP_BOUNDARY,
-    PROP_COMPACTNESS,
-    PROP_COVERAGE,
-    PROP_DISJOINTNESS,
-    PROP_LOCAL_FINITENESS,
-    PROP_ORBIT_BOUNDARY,
-    PROP_QUOTIENT,
-    PROP_SELF_ADJACENCY,
     QuotientDescription,
     RunConfig,
     VerificationReport,
     battery_exit_code,
-    boundary_containment,
-    check_coverage,
-    check_disjointness,
-    compactness_proxy,
-    fsa_check,
-    fsa_implies_lf_audit,
-    local_finiteness_profile,
     make_system,
-    orbit_boundary_finiteness,
     quotient_build,
     run_battery,
 )
@@ -75,16 +58,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# ``verify --property`` runs each check as the checker module holds it at
+# import.  A wrapper put on this table afterwards therefore wraps the check
+# itself, not a second wrapper put on the module.
 _PROPERTY_RUNNERS: dict[str, Callable[..., VerificationReport]] = {
-    PROP_DISJOINTNESS: check_disjointness,
-    PROP_COVERAGE: check_coverage,
-    PROP_BOUNDARY: boundary_containment,
-    PROP_LOCAL_FINITENESS: lambda sy, cfg: local_finiteness_profile(sy, cfg)[0],
-    PROP_SELF_ADJACENCY: lambda sy, cfg: fsa_check(sy, cfg)[0],
-    PROP_ADJACENCY_AUDIT: fsa_implies_lf_audit,
-    PROP_ORBIT_BOUNDARY: orbit_boundary_finiteness,
-    PROP_QUOTIENT: lambda sy, cfg: quotient_build(sy, cfg)[0],
-    PROP_COMPACTNESS: compactness_proxy,
+    prop: checker.property_check(prop) for prop in checker.CHECKS
 }
 
 

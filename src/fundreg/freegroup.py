@@ -8,7 +8,7 @@ hashing work on the raw letter tuple.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 R = 1
 U = 2
@@ -220,7 +220,3 @@ def enumerate_ball(radius: int) -> tuple[ReducedWord, ...]:
 def ball_size(radius: int) -> int:
     """Closed form for len(enumerate_ball(radius))."""
     return 1 + 2 * (3**radius - 1)
-
-
-def iter_ball(radius: int) -> Iterator[ReducedWord]:
-    return iter(enumerate_ball(radius))

@@ -4,7 +4,8 @@ Five region kinds are modelled, each with the exact data the verification
 ops need:
 
 * ``free2house``: the spine-of-triangles region in the glued room space,
-  given per room as cells from :mod:`fundreg.tilespace`.
+  given per room as cells from :mod:`fundreg.tilespace`; its closure and
+  boundary are derived from it as room sets.
 * ``line-standard``: the unit interval (0, 1) under integer translation.
 * ``line-pathological``: an infinite union of shrinking open intervals,
   one near each natural number, whose fractional parts tile [0, 1).
@@ -19,7 +20,6 @@ Everything here is exact rational arithmetic; no floats.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -30,15 +30,6 @@ from .freegroup import ReducedWord, r_power
 from .tilespace import Cell
 
 Rational = Union[int, Fraction]
-
-KINDS = (
-    "free2house",
-    "line-standard",
-    "line-pathological",
-    "plane-pathological",
-    "cylinder",
-)
-
 
 def _frac(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
@@ -300,11 +291,6 @@ def standard_interval() -> IntervalSet:
     return IntervalSet([(0, 1)])
 
 
-def corrupted_interval() -> IntervalSet:
-    """Deliberately too-wide interval; refutation demo under translation."""
-    return IntervalSet([(0, Fraction(3, 2))])
-
-
 def pathological_interval(n: int) -> tuple[Fraction, Fraction]:
     """The n-th interval: sits inside (n, n+1), width 1/((n+1)(n+2))."""
     if n < 0:
@@ -329,16 +315,6 @@ def plane2d_membership(x: Rational, y: Rational) -> bool:
     if not 0 < x < 1:
         return False
     return 1 / x < y < 1 / x + 1
-
-
-def plane2d_closure_membership(x: Rational, y: Rational) -> bool:
-    """Closure membership: x in (0, 1], y in [1/x, 1/x + 1]."""
-    x, y = _frac(x), _frac(y)
-    if x == 0:
-        raise ValueError("outside chart")
-    if not 0 < x <= 1:
-        return False
-    return 1 / x <= y <= 1 / x + 1
 
 
 def plane2d_point_above(height: Rational) -> tuple[Fraction, Fraction]:
@@ -380,32 +356,6 @@ def plane2d_translate_meets_box(
     return True
 
 
-# --------------------------------------------------------------- cylinder
-
-
-def cylinder_overlap_set(
-    c: Rational, margin: Optional[tuple[Rational, Rational]] = None
-) -> set[int]:
-    """Integers m for which the m-fold shift of the band U meets U.
-
-    U defaults to (-c, 2c), a neighbourhood of the closed band [0, c].
-    """
-    c = _frac(c)
-    if c <= 0:
-        raise ValueError("shift must be positive")
-    lo, hi = margin if margin is not None else (-c, 2 * c)
-    lo, hi = _frac(lo), _frac(hi)
-    if not lo < hi:
-        raise ValueError("empty margin band")
-    out: set[int] = set()
-    m = 0
-    while m * c < hi - lo:
-        out.add(m)
-        out.add(-m)
-        m += 1
-    return out
-
-
 # ----------------------------------------------------- free-2-house cells
 
 
@@ -416,53 +366,3 @@ def free2house_region_cells(radius: int) -> dict[ReducedWord, Cell]:
     return {
         r_power(i): Cell.OPEN_UPPER_TRIANGLE for i in range(-radius, radius + 1)
     }
-
-
-def free2house_closure_cells(radius: int) -> dict[ReducedWord, Cell]:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return {
-        r_power(i): Cell.CLOSED_UPPER_TRIANGLE for i in range(-radius, radius + 1)
-    }
-
-
-def free2house_boundary_cells(radius: int) -> dict[ReducedWord, Cell]:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return {r_power(i): Cell.UPPER_BOUNDARY for i in range(-radius, radius + 1)}
-
-
-# ------------------------------------------------------------------ specs
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """Descriptor naming one of the modelled regions plus its parameters."""
-
-    kind: str
-    shift: Optional[Fraction] = None
-    x_compact: Optional[bool] = None
-    intervals: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind == "cylinder":
-            if self.shift is None or self.shift <= 0:
-                raise ValueError("cylinder needs a positive shift")
-        elif self.shift is not None:
-            raise ValueError("shift only applies to the cylinder")
-
-    def descriptor(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.shift is not None:
-            data["shift"] = format_fraction(self.shift)
-        if self.x_compact is not None:
-            data["x_compact"] = self.x_compact
-        if self.intervals is not None:
-            data["intervals"] = self.intervals
-        return data
-
-
-def cylinder_spec(shift: Rational, x_compact: bool = True) -> RegionSpec:
-    return RegionSpec("cylinder", shift=_frac(shift), x_compact=x_compact)

@@ -271,21 +271,8 @@ def apply_to_point(g: ActionElement, p: RoomPoint) -> RoomPoint:
     return RoomPoint(room, p.x, p.y)
 
 
-def covering_point(p: RoomPoint) -> tuple[Fraction, Fraction]:
-    """Image in the punctured plane: room offset plus box coordinates."""
-    re, ue = p.room.exponent_vector()
-    return (re + p.x, ue + p.y)
-
-
 def room_offset(room: ReducedWord) -> tuple[int, int]:
     return room.exponent_vector()
-
-
-def reflect_across_diagonal(anchor: tuple[int, int], point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """Reflect the plane across the slope-one line through the anchor."""
-    a, b = anchor
-    x, y = point
-    return (y - b + a, x - a + b)
 
 
 # -------------------------------------------------------- neighbourhoods

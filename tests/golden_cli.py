@@ -1,0 +1,98 @@
+"""Golden CLI runs: the argv list and a recorder for their digests.
+
+Each case is one ``fundreg`` invocation; ``golden_cli.json`` holds the
+sha256 of its stdout and its exit code.  ``tests/test_golden_cli.py``
+re-runs every case in-process and compares.  The free2house runs use
+``--depth 3 --radius 5`` so that the whole sweep stays a few seconds.
+
+Re-record (only when a change of output is intended and named in
+CHANGES.md):
+
+    PYTHONPATH=src python tests/golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+DATA = Path(__file__).with_name("golden_cli.json")
+
+SELECTORS = (
+    "free2house",
+    "line-standard",
+    "line-pathological",
+    "plane-pathological",
+    "cylinder",
+)
+
+PROPERTIES = (
+    "disjointness",
+    "coverage",
+    "boundary-containment",
+    "local-finiteness",
+    "finite-self-adjacency",
+    "self-adjacency-implies-local-finiteness",
+    "orbit-boundary-finiteness",
+    "quotient-structure",
+    "compactness-proxy",
+)
+
+SMALL_F2H = ["--depth", "3", "--radius", "5"]
+
+
+def _sized(selector: str) -> list[str]:
+    return SMALL_F2H if selector == "free2house" else []
+
+
+def cases() -> list[list[str]]:
+    out: list[list[str]] = []
+    for sel in SELECTORS:
+        out.append(["verify", sel, *_sized(sel)])
+        out.append(["verify", sel, "--format", "json", *_sized(sel)])
+    for sel in SELECTORS:
+        for prop in PROPERTIES:
+            out.append(
+                ["verify", sel, "--property", prop, "--format", "json", *_sized(sel)]
+            )
+    for sel in SELECTORS:
+        out.append(["quotient", sel, *_sized(sel)])
+    out += [
+        ["quotient", "free2house", "--format", "svg", *SMALL_F2H],
+        ["render", "spine", "--radius", "5"],
+        ["render", "quotient", "--radius", "5"],
+        ["verify", "cylinder", "--c", "3/2", "--format", "json"],
+        ["verify", "cylinder", "--x-noncompact", "--format", "json"],
+        ["verify", "line-pathological", "--N", "48", "--format", "json"],
+        ["verify", "plane-pathological", "--schedule", "1,2,3", "--format", "json"],
+        # a schedule past the exact depth cap of local finiteness
+        ["verify", "free2house", "--property", "local-finiteness",
+         "--schedule", "2,4,6,8", "--format", "json", *SMALL_F2H],
+    ]
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout sha256 of one in-process invocation."""
+    from fundreg.cli import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(list(argv))
+    return code, hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+
+
+def record() -> list[dict]:
+    rows = []
+    for argv in cases():
+        code, digest = run(argv)
+        rows.append({"argv": argv, "exit": code, "sha256": digest})
+    return rows
+
+
+if __name__ == "__main__":
+    DATA.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {DATA}")

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from fundreg.action import (
     IDENTITY,
     ActionElement,
-    compose_all,
     group_ball,
-    naive_reflection_image,
     room_reflection,
     walk_to_spine,
 )
@@ -25,6 +23,7 @@ from fundreg.freegroup import (
     spine_exponent,
     word,
 )
+from oracles import compose_all, naive_reflection_image
 
 letters_st = st.lists(st.sampled_from(LETTERS), max_size=10)
 
@@ -68,7 +67,7 @@ def test_reflection_matches_naive_formula(root_letters, v_letters):
 
 def test_action_is_homomorphism_on_small_ball():
     roots = enumerate_ball(1)
-    ball = group_ball(roots, 3).elements()
+    ball = sorted(group_ball(roots, 3), key=ActionElement.sort_key)
     words = enumerate_ball(3)
     for a in ball[:40]:
         for b in ball[:40]:
@@ -112,7 +111,7 @@ def test_group_ball_layers_and_membership():
     gu = room_reflection(word("u"))
     assert compose_all([ge, gr, ge]) == gu
     assert ball.min_depth(gu) == 1
-    elements = ball.elements()
+    elements = sorted(ball, key=ActionElement.sort_key)
     assert len(set(elements)) == len(elements)
     keys = [g.sort_key() for g in elements]
     assert keys == sorted(keys)

@@ -47,13 +47,17 @@ from fundreg.checker import (
     run_battery,
     stabilized,
 )
-from fundreg.freegroup import enumerate_ball, r_power, spine_exponent, u_power, word
-from fundreg.regions import (
-    IntervalSet,
-    plane2d_closure_membership,
-    plane2d_translate_meets_box,
+from fundreg.freegroup import (
+    ball_size,
+    enumerate_ball,
+    r_power,
+    spine_exponent,
+    u_power,
+    word,
 )
+from fundreg.regions import IntervalSet, plane2d_translate_meets_box
 from fundreg.tilespace import canonical_point, neighborhood_roomset
+from oracles import CorruptedLine, plane2d_closure_membership
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +285,33 @@ def test_scan_ball_over_budget_is_refused_before_building(monkeypatch):
     assert len(system.scan_ball(2)) == 250
 
 
+def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):
+    # estimates only: radius 16 would need 86 million rooms
+    assert ball_size(12) <= SCAN_BALL_BUDGET < ball_size(13)
+    assert ball_size(16) == 86_093_441
+    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", ball_size(3))
+    radii = []
+
+    def counted(radius):
+        radii.append(radius)
+        return enumerate_ball(radius)
+
+    monkeypatch.setattr(checker, "enumerate_ball", counted)
+    system = Free2HouseSystem()
+    with pytest.raises(BudgetExceeded, match="radius 4 needs a ball of 161 rooms"):
+        check_coverage(system, RunConfig(depth=1, radius=4))
+    with pytest.raises(BudgetExceeded, match="radius 4"):
+        fixed_point_search(system, RunConfig(radius=4), identity())
+    assert 4 not in radii
+    # a battery is refused before its first check builds the scan ball
+    with pytest.raises(BudgetExceeded, match="radius 4"):
+        run_battery(system, RunConfig(depth=1, radius=4))
+    assert system._scan_balls == {}
+    assert check_coverage(system, RunConfig(depth=1, radius=3)).verdict == VERIFIED
+    rep = fixed_point_search(system, RunConfig(radius=3), identity())
+    assert rep.counts == [53, 53]
+
+
 def test_boundary_containment_free2house(f2, small_cfg):
     rep = boundary_containment(f2, small_cfg)
     assert rep.verdict == VERIFIED
@@ -305,6 +336,27 @@ def test_local_finiteness_needs_room(f2):
         local_finiteness_profile(
             f2, RunConfig(depth=3, radius=2), centers=[word("uu")]
         )
+
+
+def test_local_finiteness_past_the_depth_cap_is_inconclusive(f2):
+    # five of the six candidates at rurur are deeper than the exact depth
+    # cap of 6 (or outside the group): the count of 1 is stable only
+    # because of the cap
+    cfg = RunConfig(radius=6, schedule=tuple(range(2, 13)))
+    rep, profiles = local_finiteness_profile(f2, cfg, centers=[word("rurur")])
+    assert profiles["rurur"] == [0] + [1] * 10
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.witnesses[-1] == (
+        "5 candidates unresolved: minimum depths are exact only up to 6 "
+        "reflections, and horizon 12 is past that cap"
+    )
+    # up to the cap the same counts are exact
+    rep, _ = local_finiteness_profile(f2, RunConfig(radius=6), centers=[word("rurur")])
+    assert rep.verdict == VERIFIED and rep.counts == [0, 1, 1, 1, 1]
+    # the default centers resolve every candidate, past the cap too
+    cfg = RunConfig(depth=3, radius=5, schedule=(2, 4, 6, 8))
+    rep, _ = local_finiteness_profile(f2, cfg)
+    assert rep.verdict == VERIFIED
 
 
 def test_fsa_free2house_growth(f2):
@@ -403,13 +455,13 @@ def test_line_standard_battery_values():
 
 def test_line_corrupted_disjointness_refuted():
     cfg = RunConfig()
-    rep = check_disjointness(LineSystem("line-corrupted"), cfg)
+    rep = check_disjointness(CorruptedLine(), cfg)
     assert rep.verdict == REFUTED
     assert any("m = 1" in w and "(1, 3/2)" in w for w in rep.witnesses)
 
 
 def test_line_corrupted_boundary_refuted():
-    rep = boundary_containment(LineSystem("line-corrupted"), RunConfig())
+    rep = boundary_containment(CorruptedLine(), RunConfig())
     assert rep.verdict == REFUTED
 
 
@@ -437,13 +489,6 @@ def test_line_pathological_coverage_threshold():
     rep = check_coverage(lp, cfg_short)
     assert rep.verdict == REFUTED
     assert any("uncovered point" in w for w in rep.witnesses)
-
-
-def test_line_fsa_margin_validation():
-    with pytest.raises(ValueError):
-        fsa_check(make_system("line-standard"), RunConfig(), margin=0)
-    with pytest.raises(ValueError):
-        fsa_check(make_system("line-pathological"), RunConfig(), margin=Fraction(3, 4))
 
 
 def test_line_quotients():
@@ -540,11 +585,6 @@ def test_cylinder_overlap_set_all_shifts():
         rep, overlap = fsa_check(make_system("cylinder", shift=c), RunConfig())
         assert rep.verdict == VERIFIED
         assert overlap == [-2, -1, 0, 1, 2]
-
-
-def test_cylinder_candidate_validation():
-    with pytest.raises(ValueError):
-        fsa_check(make_system("cylinder"), RunConfig(), candidate=(0, 1))
 
 
 def test_cylinder_audit_and_orbit():

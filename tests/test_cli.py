@@ -230,6 +230,18 @@ def test_over_budget_depth_exits_64_before_enumerating(capsys, monkeypatch):
     assert "budget is 1,000" in err
 
 
+def test_over_budget_radius_exits_64_before_enumerating(capsys, monkeypatch):
+    # a budget lowered to radius 3 stands in for a huge --radius
+    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", 53)
+    argv = ["verify", "free2house", "--property", "coverage", "--depth", "1"]
+    code, out, err = run_cli(capsys, [*argv, "--radius", "4"])
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert "radius 4 needs a ball of 161 rooms; the budget is 53" in err
+    code, _, _ = run_cli(capsys, [*argv, "--radius", "3"])
+    assert code == 0
+
+
 def test_over_budget_line_scans_exit_64_before_building(capsys, monkeypatch):
     # a budget lowered to N = 8 stands in for a huge --N or --schedule; a
     # broken guard builds a 9-interval region here, never a huge one

@@ -23,6 +23,7 @@ from fundreg.checker import (
     make_system,
 )
 from fundreg.regions import IntervalSet
+from oracles import CorruptedLine
 
 Oracle = interval_oracle.IntervalSet
 
@@ -173,7 +174,7 @@ GRID = (
 
 def _system(kind, shift):
     if kind == "line-corrupted":
-        return checker.LineSystem(kind)
+        return CorruptedLine()
     return make_system(kind, shift=Fraction(shift or 1))
 
 

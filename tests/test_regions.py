@@ -5,26 +5,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fundreg.checker import CylinderSystem, Free2HouseSystem, RunConfig, fsa_check
 from fundreg.freegroup import r_power
 from fundreg.regions import (
     IntervalSet,
-    RegionSpec,
-    corrupted_interval,
-    cylinder_overlap_set,
-    cylinder_spec,
     format_fraction,
-    free2house_boundary_cells,
     free2house_region_cells,
     pathological_1d,
     pathological_interval,
-    plane2d_closure_membership,
     plane2d_membership,
     plane2d_point_above,
     plane2d_translate_meets_box,
     standard_interval,
 )
-from fundreg.tilespace import Cell
+from fundreg.tilespace import Cell, materialize_cell
 from interval_oracle import closure_covers
+from oracles import (
+    CorruptedLine,
+    cell_boundary,
+    cell_closure,
+    plane2d_closure_membership,
+)
 
 
 # --------------------------------------------------------------- oracles
@@ -136,7 +137,7 @@ def test_serialize_uses_exact_fractions():
 
 def test_standard_and_corrupted_intervals():
     assert standard_interval().pairs == ((0, 1),)
-    assert corrupted_interval().pairs == ((0, Fraction(3, 2)),)
+    assert CorruptedLine().region(1).pairs == ((0, Fraction(3, 2)),)
 
 
 def test_pathological_first_interval_and_count_guard():
@@ -249,23 +250,17 @@ def test_plane_translate_box_other_column():
 # --------------------------------------------------------------- cylinder
 
 
+def _cylinder_overlap(c, m_range=200):
+    _, overlap = fsa_check(CylinderSystem(c), RunConfig(m_range=m_range))
+    return set(overlap)
+
+
 def test_cylinder_overlap_default_margin():
-    for c in (1, Fraction(3, 2), 7):
-        assert cylinder_overlap_set(c) == {-2, -1, 0, 1, 2}
-
-
-def test_cylinder_overlap_narrow_and_shifted_margins():
-    assert cylinder_overlap_set(1, (0, 1)) == {0}
-    assert cylinder_overlap_set(
-        Fraction(3, 2), (-Fraction(3, 4), Fraction(9, 4))
-    ) == {-1, 0, 1}
-
-
-def test_cylinder_overlap_validation():
-    with pytest.raises(ValueError):
-        cylinder_overlap_set(0)
-    with pytest.raises(ValueError):
-        cylinder_overlap_set(1, (2, 2))
+    # the default band (-c, 2c) meets its shifts by |m| <= 2, whatever the
+    # shift range
+    for c in (Fraction(2, 3), Fraction(5, 7), 3):
+        for m_range in (3, 200):
+            assert _cylinder_overlap(c, m_range) == {-2, -1, 0, 1, 2}
 
 
 @given(
@@ -273,10 +268,10 @@ def test_cylinder_overlap_validation():
     st.integers(min_value=-9, max_value=9),
 )
 def test_cylinder_overlap_matches_interval_arithmetic(c, m):
-    # oracle: direct open-interval overlap of the shifted band
+    # oracle: direct open-interval overlap of the shifted band (-c, 2c)
     u = IntervalSet([(-c, 2 * c)])
     expected = u.intersects(u.translate(m * c))
-    assert (m in cylinder_overlap_set(c)) == expected
+    assert (m in _cylinder_overlap(c, m_range=9)) == expected
 
 
 # ------------------------------------------------- free-2-house regions
@@ -287,26 +282,13 @@ def test_free2house_cells_radius_zero_and_two():
     cells = free2house_region_cells(2)
     assert len(cells) == 5
     assert cells[r_power(-2)] is Cell.OPEN_UPPER_TRIANGLE
-    assert free2house_boundary_cells(1)[r_power(1)] is Cell.UPPER_BOUNDARY
+    edge = materialize_cell(r_power(1), Cell.UPPER_BOUNDARY).atoms_at(r_power(1))
+    assert Free2HouseSystem().boundary(1).atoms_at(r_power(1)) == edge
 
 
-# ------------------------------------------------------------------ specs
-
-
-def test_region_spec_descriptors():
-    spec = cylinder_spec(Fraction(3, 2), x_compact=False)
-    assert spec.descriptor() == {
-        "kind": "cylinder",
-        "shift": "3/2",
-        "x_compact": False,
-    }
-    assert RegionSpec("line-standard").descriptor() == {"kind": "line-standard"}
-
-
-def test_region_spec_validation():
-    with pytest.raises(ValueError):
-        RegionSpec("nonsense")
-    with pytest.raises(ValueError):
-        RegionSpec("cylinder")
-    with pytest.raises(ValueError):
-        RegionSpec("line-standard", shift=Fraction(1))
+def test_free2house_closure_and_boundary_derive_from_the_region():
+    # closure(region) and closure \ region are the cell-drawn sets
+    system = Free2HouseSystem()
+    for radius in range(12):
+        assert system.closure(radius) == cell_closure(radius)
+        assert system.boundary(radius) == cell_boundary(radius)

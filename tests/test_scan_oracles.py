@@ -27,6 +27,9 @@ from fundreg.freegroup import enumerate_ball
 from fundreg.tilespace import ALL_ATOMS, RoomSet
 
 
+_TRUE = Free2HouseSystem()
+
+
 def capped(items, limit=8):
     return items[:limit] + ["..."] if len(items) > limit else items
 
@@ -90,10 +93,17 @@ def oracle_overlapping_generators(system, horizon, radius):
 
 class ClosureAsRegion(Free2HouseSystem):
     """The closure stands in for the open region: its translates touch
-    along walls and diagonals, so disjointness must refute."""
+    along walls and diagonals, so disjointness must refute.  Closure and
+    boundary stay those of the true region."""
 
     def region(self, radius):
-        return self.closure(radius)
+        return _TRUE.closure(radius)
+
+    def closure(self, radius):
+        return _TRUE.closure(radius)
+
+    def boundary(self, radius):
+        return _TRUE.boundary(radius)
 
 
 class Blob(Free2HouseSystem):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fundreg.action import group_ball, room_reflection
+from fundreg.action import ActionElement, group_ball, room_reflection
 from fundreg.freegroup import IDENTITY_WORD, enumerate_ball, r_power, word
 from fundreg.tilespace import (
     ALL_ATOMS,
@@ -20,14 +20,13 @@ from fundreg.tilespace import (
     TruncationError,
     apply_to_point,
     canonical_point,
-    covering_point,
     materialize_cell,
     neighborhood_cells,
     neighborhood_roomset,
-    reflect_across_diagonal,
     room_offset,
     swap_atoms,
 )
+from oracles import covering_point, reflect_across_diagonal
 
 half = Fraction(1, 2)
 third = Fraction(1, 3)
@@ -93,7 +92,8 @@ def test_apply_then_inverse_is_identity(x, y):
     if (x in (0, 1)) and (y in (0, 1)):
         return
     p = canonical_point(word("ru"), x, y)
-    for g in group_ball(enumerate_ball(1), 2).elements()[:10]:
+    ball = sorted(group_ball(enumerate_ball(1), 2), key=ActionElement.sort_key)
+    for g in ball[:10]:
         assert apply_to_point(g.inverse(), apply_to_point(g, p)) == p
 
 
