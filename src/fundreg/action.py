@@ -104,9 +104,12 @@ def _encode(letters: tuple[int, ...], parity: int) -> bytes:
     return bytes([parity] + [_ENC[a] for a in letters])
 
 
+def _letters(key: bytes) -> tuple[int, ...]:
+    return tuple(_DEC[b] for b in key[1:])
+
+
 def _decode(key: bytes) -> ActionElement:
-    letters = tuple(_DEC[b] for b in key[1:])
-    return ActionElement(ReducedWord._trusted(letters), key[0])
+    return ActionElement(ReducedWord._trusted(_letters(key)), key[0])
 
 
 class GroupBall:
@@ -121,37 +124,23 @@ class GroupBall:
             raise ValueError("depth must be >= 0")
         self.roots = tuple(roots)
         self.depth = depth
-        gens = []
-        seen_gens = set()
-        for root in roots:
-            g = room_reflection(root)
-            key = _encode(g.spine.letters, g.parity)
-            if key not in seen_gens:
-                seen_gens.add(key)
-                gens.append((g.spine.letters, swap_letters(g.spine.letters)))
-        self._gen_pairs = gens
+        # the distinct generator spines, in root order; all have parity 1
+        spines = list(dict.fromkeys(room_reflection(r).spine.letters for r in roots))
 
         depth_of: dict[bytes, int] = {_encode((), 0): 0}
         layers: list[list[bytes]] = [[_encode((), 0)]]
-        frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
         for k in range(1, depth + 1):
-            nxt_keys: list[bytes] = []
-            nxt: list[tuple[tuple[int, ...], int]] = []
-            for letters, parity in frontier:
-                swapped = swap_letters(letters)
-                for gen_plain, gen_swapped in gens:
-                    # generators have parity 1: new = gen * elem
-                    new_letters = concat_reduced(gen_plain, swapped)
-                    new_parity = 1 ^ parity
-                    key = _encode(new_letters, new_parity)
-                    if key not in depth_of:
-                        depth_of[key] = k
-                        nxt_keys.append(key)
-                        nxt.append((new_letters, new_parity))
-                # gen_swapped is unused on purpose: composing on the left
-                # always swaps the element spine, never the generator spine.
-            layers.append(nxt_keys)
-            frontier = nxt
+            nxt: list[bytes] = []
+            for key in layers[-1]:
+                # new = gen * elem = (gen spine * swap(elem spine), 1 ^ parity)
+                swapped = swap_letters(_letters(key))
+                parity = 1 ^ key[0]
+                for spine in spines:
+                    new = _encode(concat_reduced(spine, swapped), parity)
+                    if new not in depth_of:
+                        depth_of[new] = k
+                        nxt.append(new)
+            layers.append(nxt)
         self._depth_of = depth_of
         self._layers = layers
 

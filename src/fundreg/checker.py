@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .action import (
     ActionElement,
@@ -269,8 +269,9 @@ class System:
     ``cocompact`` and ``closure_bounded``.  This base supplies, once, the
     inconclusive reports for an audit or orbit count without a
     certificate, the compactness check (which needs only the facts and
-    finite self-adjacency), fixed points of a translation action, and a
-    per-configuration memo of the two profiles other checks reuse.
+    finite self-adjacency), fixed points of a translation action, and
+    ``_once``, the one memo a system keeps: the two profiles other checks
+    reuse, and whatever structures a system builds for several checks.
     """
 
     name: str
@@ -279,24 +280,29 @@ class System:
     closure_bounded: bool
 
     def __init__(self) -> None:
-        self._memo: dict[tuple, tuple] = {}
+        self._memo: dict[tuple, Any] = {}
+
+    def _once(self, key: tuple, make: Callable[[], Any]) -> Any:
+        """``make()``, called the first time ``key`` is asked for and held
+        for later calls.  Callers share the result, so none may mutate it."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def check_budget(self, cfg: RunConfig) -> None:
         """Refuse, before anything is built, a run over budget."""
 
     def cached_local_finiteness(self, cfg: RunConfig) -> tuple:
         """``local_finiteness(cfg)``, computed once per configuration."""
-        key = (PROP_LOCAL_FINITENESS, cfg)
-        if key not in self._memo:
-            self._memo[key] = self.local_finiteness(cfg)
-        return self._memo[key]
+        return self._once(
+            (PROP_LOCAL_FINITENESS, cfg), lambda: self.local_finiteness(cfg)
+        )
 
     def cached_self_adjacency(self, cfg: RunConfig) -> tuple:
         """``finite_self_adjacency(cfg)``, computed once per configuration."""
-        key = (PROP_SELF_ADJACENCY, cfg)
-        if key not in self._memo:
-            self._memo[key] = self.finite_self_adjacency(cfg)
-        return self._memo[key]
+        return self._once(
+            (PROP_SELF_ADJACENCY, cfg), lambda: self.finite_self_adjacency(cfg)
+        )
 
     def adjacency_audit(self, cfg: RunConfig) -> VerificationReport:
         return _inconclusive(
@@ -373,28 +379,22 @@ class Free2HouseSystem(System):
     cocompact = False
     closure_bounded = False
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._scan_balls: dict[int, GroupBall] = {}
-        self._half: Optional[GroupBall] = None
-        self._region: dict[int, RoomSet] = {}
-        self._depth_cache: dict[tuple, Optional[int]] = {}
-
     # -- enumeration -------------------------------------------------
 
     def scan_ball(self, depth: int) -> GroupBall:
         """The scan ball; raises BudgetExceeded before building one whose
         estimated size is over SCAN_BALL_BUDGET."""
-        if depth not in self._scan_balls:
+
+        def build() -> GroupBall:
             estimate = self.scan_ball_estimate(depth)
             if estimate > SCAN_BALL_BUDGET:
                 raise BudgetExceeded(
                     f"depth {depth} needs a scan ball of about {estimate:,} "
                     f"elements; the budget is {SCAN_BALL_BUDGET:,}"
                 )
-            roots = enumerate_ball(self.scan_root_len)
-            self._scan_balls[depth] = group_ball(roots, depth)
-        return self._scan_balls[depth]
+            return group_ball(enumerate_ball(self.scan_root_len), depth)
+
+        return self._once(("scan ball", depth), build)
 
     def scan_ball_estimate(self, depth: int) -> int:
         """Size of ``scan_ball(depth)`` from the layers of the depth-2 ball.
@@ -435,27 +435,33 @@ class Free2HouseSystem(System):
             )
 
     def half_ball(self) -> GroupBall:
-        if self._half is None:
-            roots = enumerate_ball(self.profile_root_len)
-            self._half = group_ball(roots, 3)
-        return self._half
+        return self._once(
+            ("half ball",),
+            lambda: group_ball(enumerate_ball(self.profile_root_len), 3),
+        )
 
     # -- region pieces -----------------------------------------------
 
     def region(self, radius: int) -> RoomSet:
-        if radius not in self._region:
+        def build() -> RoomSet:
             cells = free2house_region_cells(radius)
             out = RoomSet({})
             for room in sorted(cells, key=ReducedWord.sort_key):
                 out = out.union(materialize_cell(room, cells[room]))
-            self._region[radius] = out
-        return self._region[radius]
+            return out
+
+        return self._once(("region", radius), build)
 
     def closure(self, radius: int) -> RoomSet:
-        return self.region(radius).closure()
+        return self._once(
+            ("closure", radius), lambda: self.region(radius).closure()
+        )
 
     def boundary(self, radius: int) -> RoomSet:
-        return self.closure(radius).difference(self.region(radius))
+        return self._once(
+            ("boundary", radius),
+            lambda: self.closure(radius).difference(self.region(radius)),
+        )
 
     # -- candidates ----------------------------------------------------
 
@@ -495,25 +501,20 @@ class Free2HouseSystem(System):
         minimal, so scanning ascending t with a layer-exact left factor
         finds the true minimum.  Above the cap it returns None too.
         """
-        key = (g.spine.letters, g.parity)
-        if key in self._depth_cache:
-            found = self._depth_cache[key]
-            return found if found is not None and found <= bound else None
+        found = self._once(("min depth", g), lambda: self._min_depth(g))
+        return found if found is not None and found <= bound else None
+
+    def _min_depth(self, g: ActionElement) -> Optional[int]:
         half = self.half_ball()
         found = half.min_depth(g)
-        if found is None:
-            for total in range(4, self.depth_cap + 1):
-                first = total - 3
-                for a in half.iter_layer(first):
-                    rest = a.inverse() * g
-                    tail = half.min_depth(rest)
-                    if tail is not None and tail <= 3:
-                        found = total
-                        break
-                if found is not None:
-                    break
-        self._depth_cache[key] = found
-        return found if found is not None and found <= bound else None
+        if found is not None:
+            return found
+        for total in range(4, self.depth_cap + 1):
+            for a in half.iter_layer(total - 3):
+                tail = half.min_depth(a.inverse() * g)
+                if tail is not None and tail <= 3:
+                    return total
+        return None
 
     def room_pair_candidates(self, s: RoomSet) -> Iterator[ActionElement]:
         """Every element that moves some room of ``s`` onto a room of ``s``,
@@ -710,12 +711,13 @@ class Free2HouseSystem(System):
     def finite_self_adjacency(
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, list[ActionElement]]:
-        counts = []
-        last_hits: list[tuple[Optional[ReducedWord], ActionElement]] = []
-        for k in cfg.schedule:
-            hits = self.overlapping_generators(k, cfg.radius)
-            counts.append(len(hits))
-            last_hits = hits
+        """The overlapping generators at the last horizon, counted at each
+        horizon by root length; the identity counts at every horizon."""
+        last_hits = self.overlapping_generators(cfg.schedule[-1], cfg.radius)
+        counts = [
+            sum(1 for root, _ in last_hits if root is None or len(root) <= k)
+            for k in cfg.schedule
+        ]
         names = [
             "id" if root is None else generator_text(root)
             for root, _ in last_hits
@@ -877,7 +879,9 @@ class LineSystem(System):
         self._refuse_over_budget(n_intervals, f"{n_intervals} intervals")
         if self.name == "line-standard":
             return standard_interval()
-        return pathological_1d(n_intervals)
+        return self._once(
+            ("region", n_intervals), lambda: pathological_1d(n_intervals)
+        )
 
     def profile_tiles(self, k: int, n_intervals: int) -> int:
         """Intervals of the region the local-finiteness scan builds at

@@ -90,9 +90,13 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def radius_and_out(p: _Parser) -> None:
+        p.add_argument("--radius", type=int, default=8, help="word ball radius")
+        p.add_argument("--out", help="write output to this file instead of stdout")
+
     def common(p: _Parser) -> None:
         p.add_argument("--depth", type=int, default=4, help="group ball depth")
-        p.add_argument("--radius", type=int, default=8, help="word ball radius")
+        radius_and_out(p)
         p.add_argument(
             "--schedule",
             type=_parse_schedule,
@@ -117,7 +121,6 @@ def build_parser() -> _Parser:
             action="store_true",
             help="model the cylinder cross-section as non-compact",
         )
-        p.add_argument("--out", help="write output to this file instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run checks against expectations")
     p_verify.add_argument("selector", choices=checker.SELECTORS)
@@ -132,8 +135,7 @@ def build_parser() -> _Parser:
     p_render = sub.add_parser("render", help="draw an SVG picture")
     p_render.add_argument("view", choices=("nbhd", "spine", "quotient"))
     p_render.add_argument("center", nargs="?", default="", help="room word, e.g. ru")
-    p_render.add_argument("--format", choices=("svg",), default="svg")
-    common(p_render)
+    radius_and_out(p_render)
 
     p_quot = sub.add_parser("quotient", help="emit the identification structure")
     p_quot.add_argument("selector", choices=checker.SELECTORS)
@@ -234,7 +236,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+    cfg = RunConfig(radius=args.radius)
     if args.view == "nbhd":
         center = word(args.center)
         name = center.text() or "e"

@@ -92,23 +92,15 @@ class PartitionData:
         return slice(lo, hi + 1)
 
 
-def build_partition(
-    s: float, grid: int = 64, reach: int = 6, step: float | None = None
-) -> PartitionData:
+def build_partition(s: float, grid: int = 64, reach: int = 6) -> PartitionData:
     """Sample the normalized plateau partition.
 
     ``grid`` sample steps per period; the grid spans [-reach*s,
     (reach+1)*s] and the partition identity is checked on the interior
-    window [-(reach-1)*s, reach*s].  An explicit ``step`` must divide
-    the scale into a whole, even number of samples.
+    window [-(reach-1)*s, reach*s].
     """
     if s <= 0:
         raise ValueError("scale must be positive")
-    if step is not None:
-        ratio = s / step
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
-            raise ValueError("step must divide the scale evenly")
-        grid = int(round(ratio))
     if grid < 4 or grid % 2:
         raise ValueError("grid must be an even count of at least 4")
     if reach < 2:
@@ -146,18 +138,14 @@ class RescalingData:
 
 
 def build_rescaling(
-    s: float,
-    grid: int = 64,
-    reach: int = 6,
-    step: float | None = None,
-    null: bool = False,
+    s: float, grid: int = 64, reach: int = 6, null: bool = False
 ) -> RescalingData:
     """Index-weighted partition sum; drops by s per period.
 
     ``null`` replaces the field by zero, a deliberately broken control
     whose isometry error is exp(2 s) - 1.
     """
-    part = build_partition(s, grid=grid, reach=reach, step=step)
+    part = build_partition(s, grid=grid, reach=reach)
     if null:
         values = np.zeros_like(part.ts)
     else:

@@ -60,8 +60,8 @@ class IntervalSet:
     ``lcm(den, q)`` (so ``den`` need not stay minimal).  Every scan then
     compares and adds ints, and two sets over different denominators meet
     over the lcm of both.  ``Fraction``s are built only where a value
-    leaves the set: witnesses, ``pairs``, ``endpoints``, ``serialize`` and
-    ``merged_closure``.  Equality and hashing are those of ``pairs``.
+    leaves the set: witnesses, ``pairs``, ``endpoints`` and ``serialize``.
+    Equality is that of ``pairs``.
     """
 
     __slots__ = ("den", "ends")
@@ -101,9 +101,6 @@ class IntervalSet:
             a * other.den == b * self.den for a, b in zip(self.ends, other.ends)
         )
 
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
     def __len__(self) -> int:
         return len(self.ends) // 2
 
@@ -130,18 +127,6 @@ class IntervalSet:
         den, ends, step = self._with(margin)
         widened = ((lo - step, hi + step) for lo, hi in zip(ends[::2], ends[1::2]))
         return IntervalSet._over(den, tuple(chain.from_iterable(widened)))
-
-    def contains(self, point: Rational) -> bool:
-        point = _frac(point)
-        p, q = point.numerator * self.den, point.denominator
-        ends = self.ends
-        return any(lo * q < p < hi * q for lo, hi in zip(ends[::2], ends[1::2]))
-
-    def closure_contains(self, point: Rational) -> bool:
-        point = _frac(point)
-        p, q = point.numerator * self.den, point.denominator
-        ends = self.ends
-        return any(lo * q <= p <= hi * q for lo, hi in zip(ends[::2], ends[1::2]))
 
     def endpoints(self) -> tuple[Fraction, ...]:
         """Boundary of the set: every interval endpoint, deduplicated."""
@@ -208,18 +193,6 @@ class IntervalSet:
         # index k on has b > lo, and the first of them has the least a.
         k = bisect_right(ends, floor_lo)
         return k < len(ends) and ends[k & ~1] < ceil_hi
-
-    def merged_closure(self) -> list[tuple[Fraction, Fraction]]:
-        """Union of the closed intervals, with touching pieces fused."""
-        merged: list[list[int]] = []
-        ends = self.ends
-        for lo, hi in zip(ends[::2], ends[1::2]):
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        den = self.den
-        return [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in merged]
 
     def coverage_gap(self, lo: Rational, hi: Rational) -> Optional[Fraction]:
         """A witness point of [lo, hi] missed by the closed union, if any.

@@ -199,9 +199,6 @@ class RoomSet:
                 add(room * _WORD_R, (LEFT,))
         return RoomSet({room: frozenset(atoms) for room, atoms in out.items()})
 
-    def room_count(self) -> int:
-        return len(self.rooms)
-
     def describe(self) -> list[str]:
         return [
             f"{room.text()}:{'+'.join(ATOM_NAMES[a] for a in sorted(atoms))}"

@@ -5,6 +5,9 @@ kernel replaced: it keeps every endpoint as a ``Fraction`` and re-sorts and
 re-validates on every construction.  It also carries the two methods the
 checker calls that it never had, ``inflate`` and a many-way ``union``,
 written the obvious way, so the checks can run on it unchanged.
+
+The point queries and the merged closure, which only tests ask for, are
+functions of ``s.pairs`` and take a set of either class.
 """
 
 from __future__ import annotations
@@ -19,10 +22,32 @@ def _frac(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def contains(s, point: Rational) -> bool:
+    point = _frac(point)
+    return any(lo < point < hi for lo, hi in s.pairs)
+
+
+def closure_contains(s, point: Rational) -> bool:
+    point = _frac(point)
+    return any(lo <= point <= hi for lo, hi in s.pairs)
+
+
+def merged_closure(s) -> list[tuple[Fraction, Fraction]]:
+    """Union of the closed intervals, with touching pieces fused."""
+    merged: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in s.pairs:
+        if merged and lo <= merged[-1][1]:
+            last_lo, last_hi = merged[-1]
+            merged[-1] = (last_lo, max(last_hi, hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def closure_covers(s, lo: Rational, hi: Rational) -> bool:
     """Whether the closed union of ``s`` contains the whole window [lo, hi]."""
     lo, hi = _frac(lo), _frac(hi)
-    return any(a <= lo and hi <= b for a, b in s.merged_closure())
+    return any(a <= lo and hi <= b for a, b in merged_closure(s))
 
 
 class IntervalSet:
@@ -43,9 +68,6 @@ class IntervalSet:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntervalSet) and self.pairs == other.pairs
 
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -62,14 +84,6 @@ class IntervalSet:
     def inflate(self, margin: Rational) -> "IntervalSet":
         margin = _frac(margin)
         return IntervalSet((lo - margin, hi + margin) for lo, hi in self.pairs)
-
-    def contains(self, point: Rational) -> bool:
-        point = _frac(point)
-        return any(lo < point < hi for lo, hi in self.pairs)
-
-    def closure_contains(self, point: Rational) -> bool:
-        point = _frac(point)
-        return any(lo <= point <= hi for lo, hi in self.pairs)
 
     def endpoints(self) -> tuple[Fraction, ...]:
         return tuple(sorted({value for pair in self.pairs for value in pair}))
@@ -114,20 +128,10 @@ class IntervalSet:
         lo, hi = _frac(lo), _frac(hi)
         return any(a < hi and b > lo for a, b in self.pairs)
 
-    def merged_closure(self) -> list[tuple[Fraction, Fraction]]:
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in self.pairs:
-            if merged and lo <= merged[-1][1]:
-                last_lo, last_hi = merged[-1]
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        return merged
-
     def coverage_gap(self, lo: Rational, hi: Rational) -> Optional[Fraction]:
         lo, hi = _frac(lo), _frac(hi)
         cursor = lo
-        for a, b in self.merged_closure():
+        for a, b in merged_closure(self):
             if b < cursor:
                 continue
             if a > cursor:
@@ -137,7 +141,7 @@ class IntervalSet:
                 return None
         if cursor >= hi:
             return None
-        remaining_starts = [a for a, _ in self.merged_closure() if a > cursor]
+        remaining_starts = [a for a, _ in merged_closure(self) if a > cursor]
         next_start = min(remaining_starts + [hi])
         return cursor + (min(next_start, hi) - cursor) / 2 if cursor < hi else None
 

@@ -4,9 +4,9 @@ pictures, and a deliberately broken system for refutation tests."""
 from fractions import Fraction
 
 from fundreg import regions
-from fundreg.action import IDENTITY
+from fundreg.action import IDENTITY, _decode, _encode, room_reflection
 from fundreg.checker import PROP_COVERAGE, LineSystem, _inconclusive
-from fundreg.freegroup import r_power
+from fundreg.freegroup import concat_reduced, r_power, swap_letters
 from fundreg.tilespace import Cell, RoomSet, materialize_cell
 
 
@@ -21,6 +21,50 @@ def compose_all(elements):
     for g in elements:
         out = out * g
     return out
+
+
+class ReferenceBall:
+    """The breadth-first ball build that ``GroupBall`` replaced.  It holds
+    each new layer twice: as byte keys, and as a frontier of
+    ``(letters, parity)`` tuples that the next layer is built from."""
+
+    def __init__(self, roots, depth):
+        gens = []
+        seen_gens = set()
+        for root in roots:
+            g = room_reflection(root)
+            key = _encode(g.spine.letters, g.parity)
+            if key not in seen_gens:
+                seen_gens.add(key)
+                gens.append(g.spine.letters)
+        depth_of = {_encode((), 0): 0}
+        layers = [[_encode((), 0)]]
+        frontier = [((), 0)]
+        for k in range(1, depth + 1):
+            nxt_keys = []
+            nxt = []
+            for letters, parity in frontier:
+                swapped = swap_letters(letters)
+                for gen in gens:
+                    # generators have parity 1: new = gen * elem
+                    new_letters = concat_reduced(gen, swapped)
+                    new_parity = 1 ^ parity
+                    key = _encode(new_letters, new_parity)
+                    if key not in depth_of:
+                        depth_of[key] = k
+                        nxt_keys.append(key)
+                        nxt.append((new_letters, new_parity))
+            layers.append(nxt_keys)
+            frontier = nxt
+        self.depth_of = depth_of
+        self.layers = layers
+
+    def layer(self, k):
+        return [_decode(key) for key in self.layers[k]]
+
+    def elements(self):
+        """Every element, layer by layer: the ball's iteration order."""
+        return [g for k in range(len(self.layers)) for g in self.layer(k)]
 
 
 def covering_point(p):

@@ -23,7 +23,7 @@ from fundreg.freegroup import (
     spine_exponent,
     word,
 )
-from oracles import compose_all, naive_reflection_image
+from oracles import ReferenceBall, compose_all, naive_reflection_image
 
 letters_st = st.lists(st.sampled_from(LETTERS), max_size=10)
 
@@ -115,6 +115,31 @@ def test_group_ball_layers_and_membership():
     assert len(set(elements)) == len(elements)
     keys = [g.sort_key() for g in elements]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("root_len", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_group_ball_matches_the_frontier_build(root_len, depth):
+    roots = enumerate_ball(root_len)
+    ball = group_ball(roots, depth)
+    ref = ReferenceBall(roots, depth)
+    # same keys, same depths, inserted in the same order
+    assert list(ball._depth_of.items()) == list(ref.depth_of.items())
+    assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
+    order = ref.elements()
+    assert list(ball) == order
+    for k in range(depth + 1):
+        assert list(ball.iter_layer(k)) == ref.layer(k)
+    # witnesses are ranked by iteration order: pick a few members and
+    # non-members, shuffled
+    rng = random.Random(root_len * 10 + depth)
+    picks = rng.sample(order, min(len(order), 25))
+    stranger = room_reflection(word("rrrr")) * room_reflection(word("uuuu"))
+    assert stranger not in ball
+    query = picks + [stranger]
+    rng.shuffle(query)
+    wanted = set(picks)
+    assert ball.in_iteration_order(query) == [g for g in order if g in wanted]
 
 
 def test_walk_to_spine_examples():

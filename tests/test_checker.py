@@ -276,13 +276,28 @@ def test_line_scan_over_budget_is_refused_before_building(monkeypatch):
         run_battery(family, RunConfig(n_intervals=9))
 
 
+def _recording_group_ball(monkeypatch):
+    """Depths of the balls built through ``checker.group_ball``."""
+    built = []
+    group_ball = checker.group_ball
+
+    def recorded(roots, depth):
+        built.append(depth)
+        return group_ball(roots, depth)
+
+    monkeypatch.setattr(checker, "group_ball", recorded)
+    return built
+
+
 def test_scan_ball_over_budget_is_refused_before_building(monkeypatch):
     monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", 1000)
+    built = _recording_group_ball(monkeypatch)
     system = Free2HouseSystem()
     with pytest.raises(BudgetExceeded, match="depth 3"):
         system.scan_ball(3)
-    assert system._scan_balls == {}
+    assert built == [] and system._memo == {}
     assert len(system.scan_ball(2)) == 250
+    assert built == [2]
 
 
 def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):
@@ -297,6 +312,7 @@ def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):
         return enumerate_ball(radius)
 
     monkeypatch.setattr(checker, "enumerate_ball", counted)
+    built = _recording_group_ball(monkeypatch)
     system = Free2HouseSystem()
     with pytest.raises(BudgetExceeded, match="radius 4 needs a ball of 161 rooms"):
         check_coverage(system, RunConfig(depth=1, radius=4))
@@ -306,7 +322,7 @@ def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):
     # a battery is refused before its first check builds the scan ball
     with pytest.raises(BudgetExceeded, match="radius 4"):
         run_battery(system, RunConfig(depth=1, radius=4))
-    assert system._scan_balls == {}
+    assert built == [] and system._memo == {}
     assert check_coverage(system, RunConfig(depth=1, radius=3)).verdict == VERIFIED
     rep = fixed_point_search(system, RunConfig(radius=3), identity())
     assert rep.counts == [53, 53]

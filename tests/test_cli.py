@@ -179,6 +179,9 @@ def test_conformal_csv_rows(capsys):
         ["conformal", "--s", "-0.5"],
         ["conformal", "--s", "0.3", "--grid", "7"],
         ["quotient", "plane-pathological", "--format", "svg"],
+        # render reads only the view, the center, --radius and --out
+        ["render", "spine", "--depth", "3"],
+        ["render", "spine", "--format", "svg"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):

@@ -93,19 +93,11 @@ def test_partition_window_coordinates():
         {"s": 0.3, "grid": 7},
         {"s": 0.3, "grid": 2},
         {"s": 0.3, "reach": 1},
-        {"s": 0.3, "step": 0.07},
     ],
 )
 def test_partition_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         build_partition(**kwargs)
-
-
-def test_partition_step_form_matches_grid_form():
-    by_grid = build_partition(0.3, grid=64, reach=4)
-    by_step = build_partition(0.3, step=0.3 / 64, reach=4)
-    assert by_step.grid == 64
-    assert np.array_equal(by_grid.fields, by_step.fields)
 
 
 # --------------------------------------------------------------- rescaling

@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 from fundreg import checker, cli
-from fundreg.checker import SELECTORS, RunConfig, make_system, run_battery
+from fundreg.checker import (
+    SELECTORS,
+    Free2HouseSystem,
+    RunConfig,
+    make_system,
+    run_battery,
+)
+from fundreg.tilespace import RoomSet
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -81,3 +88,44 @@ def test_battery_calls_each_check_by_name_and_fsa_once(monkeypatch, selector):
     props = [report.property_name for report, _ in results]
     assert props == list(system.expected)
     assert calls == Counter({CHECK_NAMES[p]: 1 for p in props} | {"fsa body": 1})
+
+
+def test_free2house_battery_builds_each_structure_once(monkeypatch):
+    balls, closures, calls = Counter(), Counter(), Counter()
+    group_ball = checker.group_ball
+
+    def recorded_ball(roots, depth):
+        balls[tuple(roots), depth] += 1
+        return group_ball(roots, depth)
+
+    closure = RoomSet.closure
+
+    def recorded_closure(self):
+        closures[self] += 1
+        return closure(self)
+
+    monkeypatch.setattr(checker, "group_ball", recorded_ball)
+    monkeypatch.setattr(RoomSet, "closure", recorded_closure)
+    overlapping = Free2HouseSystem.overlapping_generators
+    counted = _counting(calls, "overlapping_generators", overlapping)
+    monkeypatch.setattr(Free2HouseSystem, "overlapping_generators", counted)
+    run_battery(make_system("free2house"), RunConfig(depth=2, radius=4))
+    # the scan ball and the profile half ball
+    assert len(balls) == 2 and set(balls.values()) == {1}
+    # the closures at radius 4 (scans) and 5 (coverage)
+    assert len(closures) == 2 and set(closures.values()) == {1}
+    assert calls == Counter({"overlapping_generators": 1})
+
+
+def test_line_battery_builds_each_family_once(monkeypatch):
+    sizes = Counter()
+    family = checker.pathological_1d
+
+    def recorded(count):
+        sizes[count] += 1
+        return family(count)
+
+    monkeypatch.setattr(checker, "pathological_1d", recorded)
+    run_battery(make_system("line-pathological"), RunConfig(n_intervals=40))
+    # the region, and one per horizon 2..6 of local finiteness (4k tiles)
+    assert sizes == Counter({n: 1 for n in (40, 8, 12, 16, 20, 24)})

@@ -173,4 +173,4 @@ def test_room_pair_candidates_are_distinct_and_bounded(f2):
     closure = f2.closure(8)
     cands = list(f2.room_pair_candidates(closure))
     assert len(cands) == len(set(cands))
-    assert len(cands) <= 2 * closure.room_count() ** 2
+    assert len(cands) <= 2 * len(closure.rooms) ** 2

@@ -159,7 +159,7 @@ def test_roomset_algebra():
     b = materialize_cell(IDENTITY_WORD, Cell.CLOSED_LOWER_TRIANGLE)
     meet = a.intersect(b)
     assert meet.atoms_at(IDENTITY_WORD) == frozenset({DIAG})
-    assert meet.room_count() == 1
+    assert len(meet.rooms) == 1
     assert a.union(b).atoms_at(IDENTITY_WORD) == ALL_ATOMS
     assert a.difference(b).atoms_at(IDENTITY_WORD) == frozenset({UPPER, LEFT})
     assert a.contains(materialize_cell(IDENTITY_WORD, Cell.DIAGONAL))
@@ -171,7 +171,7 @@ def test_roomset_translate_by_parity_one():
     tri = materialize_cell(word("r"), Cell.OPEN_UPPER_TRIANGLE)
     got = tri.translate(ge)
     assert got.atoms_at(word("u")) == frozenset({LOWER})
-    assert got.room_count() == 1
+    assert len(got.rooms) == 1
     # translation round-trips
     assert got.translate(ge) == tri
 
