@@ -331,7 +331,7 @@ class System:
                 f"finite self-adjacency: {fsa_report.verdict}",
                 f"action cocompact: {self.cocompact}",
                 f"closure bounded: {self.closure_bounded}",
-                "implication instance holds"
+                f"implication instance {'holds' if holds else 'fails'}"
                 + ("" if premise else " (vacuously)"),
             ],
         )
@@ -597,27 +597,31 @@ class Free2HouseSystem(System):
         )
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
-        """Walk certificates: each room's closed box lands inside the union
-        of the closure and one spine-power translate of it."""
+        """Walk certificates: the walk g of room v lands on the spine room
+        r^m, and v is certified when g carries its closed box into
+        ext ∪ room_reflection(r^m)·ext.  That test depends on m alone and
+        runs once per |m| <= radius: the action permutes closed boxes, so
+        box(v).translate(g) == box(g·v) == box(r^m), and every reflection
+        preserves the exponent sum, so m == v.exponent_sum().  Walks are
+        taken only for the six certificate lines."""
         rooms = self.rooms(cfg.radius)
         ext = self.closure(cfg.radius + 1)
-        union_at: dict[int, RoomSet] = {}
+        covered = {}
+        for m in range(-cfg.radius, cfg.radius + 1):
+            spine = r_power(m)
+            cover = ext.union(ext.translate(room_reflection(spine)))
+            covered[m] = cover.contains(materialize_cell(spine, Cell.CLOSED_BOX))
         certificates: list[str] = []
         failures: list[str] = []
         for v in rooms:
-            g, m = walk_to_spine(v)
-            if m not in union_at:
-                mirror = room_reflection(r_power(m))
-                union_at[m] = ext.union(ext.translate(mirror))
-            image = materialize_cell(v, Cell.CLOSED_BOX).translate(g)
-            if union_at[m].contains(image):
-                if len(certificates) < 6:
-                    certificates.append(
-                        f"room {v.text() or 'e'}: walk {g.text()} lands on spine "
-                        f"power {m}"
-                    )
-            else:
+            if not covered[v.exponent_sum()]:
                 failures.append(f"room {v.text() or 'e'} escapes its walk cover")
+            elif len(certificates) < 6:
+                g, m = walk_to_spine(v)
+                certificates.append(
+                    f"room {v.text() or 'e'}: walk {g.text()} lands on spine "
+                    f"power {m}"
+                )
         verdict = REFUTED if failures else VERIFIED
         witnesses = _cap(failures) if failures else certificates + [
             f"all {len(rooms)} rooms certified"
@@ -1227,25 +1231,24 @@ class PlanePathologicalSystem(System):
         return (Fraction(0), Fraction(1, 2))
 
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        """Membership predicate only: sampled interior points against
-        shifts."""
+        """Membership predicate only: sampled interior points against the
+        shifts (m, n) with |m|, |n| <= reach.  A region point has x in
+        (0, 1), so x - m leaves the chart strip for every m != 0; only
+        the shifts (0, n) need the predicate, and ``checked`` counts
+        them all."""
         points = self.sample_points()
         reach = 10
-        checked = 0
         bad = []
         for x, y in points:
             if not plane2d_membership(x, y):
                 raise AssertionError("sample point must lie in the region")
-            for m in range(-reach, reach + 1):
-                for n in range(-reach, reach + 1):
-                    if m == 0 and n == 0:
-                        continue
-                    checked += 1
-                    if plane2d_membership(x - m, y - n):
-                        bad.append(
-                            f"({format_fraction(x)}, {format_fraction(y)}) "
-                            f"also lies in the ({m}, {n}) translate"
-                        )
+            for n in range(-reach, reach + 1):
+                if n and plane2d_membership(x, y - n):
+                    bad.append(
+                        f"({format_fraction(x)}, {format_fraction(y)}) "
+                        f"also lies in the (0, {n}) translate"
+                    )
+        checked = len(points) * ((2 * reach + 1) ** 2 - 1)
         return VerificationReport(
             PROP_DISJOINTNESS,
             REFUTED if bad else VERIFIED,

@@ -60,7 +60,7 @@ class IntervalSet:
     ``lcm(den, q)`` (so ``den`` need not stay minimal).  Every scan then
     compares and adds ints, and two sets over different denominators meet
     over the lcm of both.  ``Fraction``s are built only where a value
-    leaves the set: witnesses, ``pairs``, ``endpoints`` and ``serialize``.
+    leaves the set: witnesses, ``pairs`` and ``endpoints``.
     Equality is that of ``pairs``.
     """
 
@@ -228,9 +228,6 @@ class IntervalSet:
             pairs.extend(zip(ends[::2], ends[1::2]))
         pairs.sort()
         return IntervalSet._over(den, tuple(chain.from_iterable(pairs)))
-
-    def serialize(self) -> list[list[str]]:
-        return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self.pairs]
 
 
 def _rescaled(ends: tuple[int, ...], factor: int) -> tuple[int, ...]:

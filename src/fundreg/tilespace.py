@@ -286,22 +286,19 @@ def neighborhood_cells(center: ReducedWord) -> list[tuple[ReducedWord, Cell]]:
     ]
 
 
-def neighborhood_rooms(center: ReducedWord) -> list[ReducedWord]:
-    return [center] + [center * word(c) for c in ("r", "R", "u", "U")]
-
-
 def neighborhood_roomset(center: ReducedWord, radius: int) -> RoomSet:
     """Canonical atoms of the coordinate neighbourhood at `center`.
 
     Raises TruncationError unless all five rooms fit in the word ball of
     the given radius.
     """
-    if any(len(room) > radius for room in neighborhood_rooms(center)):
+    cells = neighborhood_cells(center)
+    if any(len(room) > radius for room, _ in cells):
         raise TruncationError(
             f"neighbourhood at {center.text()} exits truncation radius {radius}"
         )
     out = EMPTY_SET
-    for room, cell in neighborhood_cells(center):
+    for room, cell in cells:
         out = out.union(materialize_cell(room, cell))
     return out
 

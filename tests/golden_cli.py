@@ -71,6 +71,8 @@ def cases() -> list[list[str]]:
         # a schedule past the exact depth cap of local finiteness
         ["verify", "free2house", "--property", "local-finiteness",
          "--schedule", "2,4,6,8", "--format", "json", *SMALL_F2H],
+        # coverage at the default depth and radius
+        ["verify", "free2house", "--property", "coverage", "--format", "json"],
     ]
     return out
 

@@ -6,8 +6,8 @@ re-validates on every construction.  It also carries the two methods the
 checker calls that it never had, ``inflate`` and a many-way ``union``,
 written the obvious way, so the checks can run on it unchanged.
 
-The point queries and the merged closure, which only tests ask for, are
-functions of ``s.pairs`` and take a set of either class.
+The point queries, the merged closure and ``serialize``, which only tests
+ask for, are functions of ``s.pairs`` and take a set of either class.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ def contains(s, point: Rational) -> bool:
 def closure_contains(s, point: Rational) -> bool:
     point = _frac(point)
     return any(lo <= point <= hi for lo, hi in s.pairs)
+
+
+def serialize(s) -> list[list[str]]:
+    """Exact "p/q" text of each interval's endpoints."""
+    return [[format_fraction(lo), format_fraction(hi)] for lo, hi in s.pairs]
 
 
 def merged_closure(s) -> list[tuple[Fraction, Fraction]]:
@@ -150,6 +155,3 @@ class IntervalSet:
         for other in others:
             pairs.extend(other.pairs)
         return IntervalSet(pairs)
-
-    def serialize(self) -> list[list[str]]:
-        return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self.pairs]

@@ -55,7 +55,7 @@ from fundreg.freegroup import (
     u_power,
     word,
 )
-from fundreg.regions import IntervalSet, plane2d_translate_meets_box
+from fundreg.regions import IntervalSet, format_fraction, plane2d_translate_meets_box
 from fundreg.tilespace import canonical_point, neighborhood_roomset
 from oracles import CorruptedLine, plane2d_closure_membership
 
@@ -544,6 +544,50 @@ def test_plane_disjointness_and_boundary():
     assert boundary_containment(pp, cfg).verdict == VERIFIED
 
 
+def oracle_plane_disjointness(pp):
+    """The full scan of every shift (m, n) with |m|, |n| <= 10."""
+    points = pp.sample_points()
+    reach = 10
+    checked = 0
+    bad = []
+    for x, y in points:
+        for m in range(-reach, reach + 1):
+            for n in range(-reach, reach + 1):
+                if m == 0 and n == 0:
+                    continue
+                checked += 1
+                if checker.plane2d_membership(x - m, y - n):
+                    bad.append(
+                        f"({format_fraction(x)}, {format_fraction(y)}) "
+                        f"also lies in the ({m}, {n}) translate"
+                    )
+    return VerificationReport(
+        "disjointness",
+        REFUTED if bad else VERIFIED,
+        {"depth": None, "radius": reach},
+        [len(points), checked, len(bad)],
+        bad[:8] + ["..."] if len(bad) > 8 else bad,
+    )
+
+
+def test_plane_disjointness_matches_the_full_shift_scan(monkeypatch):
+    pp = PlanePathologicalSystem()
+    got = check_disjointness(pp, RunConfig()).to_dict()
+    assert got["counts"] == [44, 19360, 0]
+    assert got == oracle_plane_disjointness(pp).to_dict()
+    # a band three units tall, with the same chart strip, meets its
+    # (0, n) translates for |n| <= 2
+    band = checker.plane2d_membership
+
+    def tall(x, y):
+        return band(x, y) or band(x, y - 1) or band(x, y - 2)
+
+    monkeypatch.setattr(checker, "plane2d_membership", tall)
+    got = check_disjointness(pp, RunConfig()).to_dict()
+    assert got["verdict"] == REFUTED and got["witnesses"][-1] == "..."
+    assert got == oracle_plane_disjointness(pp).to_dict()
+
+
 def test_plane_lf_counts_have_witness_points():
     cfg = RunConfig(schedule=(2, 3, 4))
     pp = PlanePathologicalSystem()
@@ -619,6 +663,15 @@ def test_cylinder_compactness_both_flags():
         assert compactness_proxy(cy, cfg).verdict == VERIFIED
         _, desc = quotient_build(cy, cfg)
         assert desc.compact is flag
+
+
+def test_refuted_compactness_says_the_instance_fails():
+    # one interval: finite self-adjacency verifies on a cocompact action
+    # whose closure is declared unbounded, so the instance fails
+    system = LineSystem("line-pathological")
+    rep = compactness_proxy(system, RunConfig(n_intervals=1, schedule=(1, 2, 3)))
+    assert rep.verdict == REFUTED
+    assert rep.witnesses[-1] == "implication instance fails"
 
 
 def test_cylinder_shift_validation():

@@ -71,7 +71,7 @@ def same(new, old):
     assert new.pairs == old.pairs
     assert len(new) == len(old)
     assert repr(new) == repr(old)
-    assert new.serialize() == old.serialize()
+    assert interval_oracle.serialize(new) == interval_oracle.serialize(old)
     assert new.endpoints() == old.endpoints()
 
 

@@ -117,6 +117,20 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     assert calls == Counter({"overlapping_generators": 1})
 
 
+def test_free2house_coverage_decides_each_spine_power_once(monkeypatch):
+    calls = Counter()
+    walk = checker.walk_to_spine
+    monkeypatch.setattr(checker, "walk_to_spine", _counting(calls, "walk", walk))
+    contains = RoomSet.contains
+    monkeypatch.setattr(RoomSet, "contains", _counting(calls, "contains", contains))
+    radius = 5
+    report = checker.check_coverage(Free2HouseSystem(), RunConfig(radius=radius))
+    # 485 rooms, each walked and tested when decided room by room
+    assert report.counts == [485, 0]
+    assert calls["contains"] <= 2 * radius + 1
+    assert calls["walk"] <= 6
+
+
 def test_line_battery_builds_each_family_once(monkeypatch):
     sizes = Counter()
     family = checker.pathological_1d

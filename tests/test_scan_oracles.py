@@ -1,19 +1,22 @@
-"""Room-pair candidate scans against the whole-ball brute force.
+"""Free2house scans against the brute force they replaced.
 
 ``check_disjointness``, ``boundary_containment`` and
 ``Free2HouseSystem.overlapping_generators`` translate only the elements
-that move a room of the set onto a room of the set.  The oracles below
-are the loops those scans replaced: they translate the set by every
-element of the ball (or by the reflection at every root), so agreement
-covers completeness of the candidates, the counts, and the order and
-cap of the witnesses.
+that move a room of the set onto a room of the set.  Their oracles below
+translate the set by every element of the ball (or by the reflection at
+every root), so agreement covers completeness of the candidates, the
+counts, and the order and cap of the witnesses.
+
+``check_coverage`` decides each spine power once.  Its oracle walks every
+room to the spine and tests that room's own translated closed box.
 """
 
 import pytest
 
-from fundreg.action import room_reflection
+from fundreg.action import room_reflection, walk_to_spine
 from fundreg.checker import (
     PROP_BOUNDARY,
+    PROP_COVERAGE,
     PROP_DISJOINTNESS,
     REFUTED,
     VERIFIED,
@@ -21,10 +24,11 @@ from fundreg.checker import (
     RunConfig,
     VerificationReport,
     boundary_containment,
+    check_coverage,
     check_disjointness,
 )
-from fundreg.freegroup import enumerate_ball
-from fundreg.tilespace import ALL_ATOMS, RoomSet
+from fundreg.freegroup import enumerate_ball, r_power
+from fundreg.tilespace import ALL_ATOMS, Cell, RoomSet, materialize_cell
 
 
 _TRUE = Free2HouseSystem()
@@ -91,6 +95,38 @@ def oracle_overlapping_generators(system, horizon, radius):
     return hits
 
 
+def oracle_coverage(system, cfg):
+    rooms = system.rooms(cfg.radius)
+    ext = system.closure(cfg.radius + 1)
+    union_at = {}
+    certificates = []
+    failures = []
+    for v in rooms:
+        g, m = walk_to_spine(v)
+        if m not in union_at:
+            mirror = room_reflection(r_power(m))
+            union_at[m] = ext.union(ext.translate(mirror))
+        image = materialize_cell(v, Cell.CLOSED_BOX).translate(g)
+        if union_at[m].contains(image):
+            if len(certificates) < 6:
+                certificates.append(
+                    f"room {v.text() or 'e'}: walk {g.text()} lands on spine "
+                    f"power {m}"
+                )
+        else:
+            failures.append(f"room {v.text() or 'e'} escapes its walk cover")
+    witnesses = capped(failures) if failures else certificates + [
+        f"all {len(rooms)} rooms certified"
+    ]
+    return VerificationReport(
+        PROP_COVERAGE,
+        REFUTED if failures else VERIFIED,
+        {"depth": cfg.depth, "radius": cfg.radius},
+        [len(rooms), len(failures)],
+        witnesses,
+    )
+
+
 class ClosureAsRegion(Free2HouseSystem):
     """The closure stands in for the open region: its translates touch
     along walls and diagonals, so disjointness must refute.  Closure and
@@ -118,6 +154,14 @@ class Blob(Free2HouseSystem):
 
     def boundary(self, radius):
         return RoomSet()
+
+
+class ShrunkClosure(Free2HouseSystem):
+    """The closure three radii in: rooms near the edge of the ball lose
+    their cover, so coverage must refute, past the witness cap."""
+
+    def closure(self, radius):
+        return _TRUE.closure(max(radius - 3, 0))
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +218,29 @@ def test_room_pair_candidates_are_distinct_and_bounded(f2):
     cands = list(f2.room_pair_candidates(closure))
     assert len(cands) == len(set(cands))
     assert len(cands) <= 2 * len(closure.rooms) ** 2
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_coverage_matches_per_room_walks(f2, radius):
+    cfg = RunConfig(radius=radius)
+    assert check_coverage(f2, cfg).to_dict() == oracle_coverage(f2, cfg).to_dict()
+
+
+@pytest.mark.parametrize(
+    "radius,counts", [(3, [53, 24]), (5, [485, 96]), (7, [4373, 384])]
+)
+def test_refuting_coverage_keeps_witness_order_and_cap(radius, counts):
+    system = ShrunkClosure()
+    cfg = RunConfig(radius=radius)
+    got = check_coverage(system, cfg).to_dict()
+    assert got["verdict"] == REFUTED and got["counts"] == counts
+    assert got["witnesses"][-1] == "..."
+    assert got == oracle_coverage(system, cfg).to_dict()
+
+
+def test_walks_carry_closed_boxes_onto_the_spine_power_of_the_exponent_sum(f2):
+    for v in f2.rooms(8):
+        g, m = walk_to_spine(v)
+        assert m == v.exponent_sum()
+        box = materialize_cell(v, Cell.CLOSED_BOX).translate(g)
+        assert box == materialize_cell(r_power(m), Cell.CLOSED_BOX)
