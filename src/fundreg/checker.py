@@ -243,6 +243,11 @@ SCAN_BALL_BUDGET = 2_000_000
 LINE_SCAN_BUDGET = 128 * 2**20
 
 
+# Most shift pairs, 5 (8k + 1) at horizon k, that plane local finiteness may
+# test: about 10 s at 17.5-22 us a pair (CPython 3.11, 2-core x86-64).
+PLANE_SCAN_BUDGET = 500_000
+
+
 class BudgetExceeded(ValueError):
     """A run would enumerate more than its budget allows."""
 
@@ -365,7 +370,7 @@ class Free2HouseSystem(System):
     name = "free2house"
     scan_root_len = 2
     profile_root_len = 3
-    # candidate_min_depth splits over two half balls of depth 3
+    # midpoint splits reach depth 6 with half balls of depth at most 3
     depth_cap = 6
     expected = {
         PROP_DISJOINTNESS: VERIFIED,
@@ -434,10 +439,10 @@ class Free2HouseSystem(System):
                 f"the budget is {SCAN_BALL_BUDGET:,}"
             )
 
-    def half_ball(self) -> GroupBall:
+    def half_ball(self, depth: int) -> GroupBall:
         return self._once(
-            ("half ball",),
-            lambda: group_ball(enumerate_ball(self.profile_root_len), 3),
+            ("half ball", depth),
+            lambda: group_ball(enumerate_ball(self.profile_root_len), depth),
         )
 
     # -- region pieces -----------------------------------------------
@@ -494,25 +499,20 @@ class Free2HouseSystem(System):
     def candidate_min_depth(self, g: ActionElement, bound: int) -> Optional[int]:
         """Smallest reflection count producing ``g``, or None above ``bound``.
 
-        Exact up to ``depth_cap`` = 6: a direct lookup handles depth <= 3,
-        and a two-sided split over the cached half ball handles 4 to 6.  A
-        product of t <= 6 reflections always splits as (t - 3) + 3, and
-        the left factor has minimal depth exactly t - 3 whenever t is
-        minimal, so scanning ascending t with a layer-exact left factor
-        finds the true minimum.  Above the cap it returns None too.
+        Exact up to ``depth_cap``.  Generators have parity 1, so only totals
+        t of g's parity can be minimal.  Scanning them upward, t is found
+        when some a of minimal depth floor(t/2) has a^-1 g within ceil(t/2):
+        a minimal product splits so at its midpoint.  Each t needs only the
+        half ball of depth ceil(t/2), built on first need.  Past the cap: None.
         """
         found = self._once(("min depth", g), lambda: self._min_depth(g))
         return found if found is not None and found <= bound else None
 
     def _min_depth(self, g: ActionElement) -> Optional[int]:
-        half = self.half_ball()
-        found = half.min_depth(g)
-        if found is not None:
-            return found
-        for total in range(4, self.depth_cap + 1):
-            for a in half.iter_layer(total - 3):
-                tail = half.min_depth(a.inverse() * g)
-                if tail is not None and tail <= 3:
+        for total in range(g.parity, self.depth_cap + 1, 2):
+            ball = self.half_ball(total - total // 2)
+            for a in ball.iter_layer(total // 2):
+                if a.inverse() * g in ball:
                     return total
         return None
 
@@ -1230,6 +1230,15 @@ class PlanePathologicalSystem(System):
     def lf_center(self) -> tuple[Fraction, Fraction]:
         return (Fraction(0), Fraction(1, 2))
 
+    def check_budget(self, cfg: RunConfig) -> None:
+        """Refuse a schedule over PLANE_SCAN_BUDGET before any scan."""
+        pairs = sum(5 * (8 * k + 1) for k in cfg.schedule)
+        if pairs > PLANE_SCAN_BUDGET:
+            raise BudgetExceeded(
+                f"plane-pathological at schedule horizon {cfg.schedule[-1]} needs "
+                f"{pairs:,} shift pairs; the budget is {PLANE_SCAN_BUDGET:,}"
+            )
+
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
         """Membership predicate only: sampled interior points against the
         shifts (m, n) with |m|, |n| <= reach.  A region point has x in
@@ -1293,6 +1302,7 @@ class PlanePathologicalSystem(System):
     ) -> tuple[VerificationReport, dict[str, list[int]]]:
         """A box around a point of the left edge shrinks with the horizon
         while the shift range grows."""
+        self.check_budget(cfg)
         cx, cy = self.lf_center()
         counts = []
         last_pairs: list[tuple[int, int]] = []

@@ -86,14 +86,6 @@ class ReducedWord:
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         return ReducedWord._trusted(concat_reduced(self.letters, other.letters))
 
-    def __pow__(self, n: int) -> "ReducedWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out: tuple[int, ...] = ()
-        for _ in range(n):
-            out = concat_reduced(out, self.letters)
-        return ReducedWord._trusted(out)
-
     def inverse(self) -> "ReducedWord":
         return ReducedWord._trusted(invert_letters(self.letters))
 

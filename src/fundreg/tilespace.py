@@ -268,10 +268,6 @@ def apply_to_point(g: ActionElement, p: RoomPoint) -> RoomPoint:
     return RoomPoint(room, p.x, p.y)
 
 
-def room_offset(room: ReducedWord) -> tuple[int, int]:
-    return room.exponent_vector()
-
-
 # -------------------------------------------------------- neighbourhoods
 
 
@@ -334,7 +330,7 @@ def render_roomsets(
         rooms.update(room for room, _ in roomset.items())
     if not rooms:
         rooms.add(IDENTITY_WORD)
-    offsets = {room: room_offset(room) for room in rooms}
+    offsets = {room: room.exponent_vector() for room in rooms}
     xs = [o[0] for o in offsets.values()]
     ys = [o[1] for o in offsets.values()]
     min_x, max_x = min(xs), max(xs) + 1

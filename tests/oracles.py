@@ -2,11 +2,12 @@
 pictures, and a deliberately broken system for refutation tests."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 from fundreg import regions
-from fundreg.action import IDENTITY, _decode, _encode, room_reflection
+from fundreg.action import GroupBall, IDENTITY, _decode, _encode, room_reflection
 from fundreg.checker import PROP_COVERAGE, LineSystem, _inconclusive
-from fundreg.freegroup import concat_reduced, r_power, swap_letters
+from fundreg.freegroup import concat_reduced, enumerate_ball, r_power, swap_letters
 from fundreg.tilespace import Cell, RoomSet, materialize_cell
 
 
@@ -65,6 +66,28 @@ class ReferenceBall:
     def elements(self):
         """Every element, layer by layer: the ball's iteration order."""
         return [g for k in range(len(self.layers)) for g in self.layer(k)]
+
+
+@lru_cache(maxsize=None)
+def reference_half_ball():
+    """The depth-3 ball over the length-<=3 roots, built once per test process."""
+    return GroupBall(enumerate_ball(3), 3)
+
+
+def reference_min_depth(g):
+    """The depth lookup that the midpoint split replaced: a direct lookup
+    in the depth-3 ball, then for t = 4 .. 6 a (t - 3) + 3 split whose
+    left factor has minimal depth exactly t - 3."""
+    half = reference_half_ball()
+    found = half.min_depth(g)
+    if found is not None:
+        return found
+    for total in range(4, 7):
+        for a in half.iter_layer(total - 3):
+            tail = half.min_depth(a.inverse() * g)
+            if tail is not None and tail <= 3:
+                return total
+    return None
 
 
 def covering_point(p):

@@ -57,7 +57,12 @@ from fundreg.freegroup import (
 )
 from fundreg.regions import IntervalSet, format_fraction, plane2d_translate_meets_box
 from fundreg.tilespace import canonical_point, neighborhood_roomset
-from oracles import CorruptedLine, plane2d_closure_membership
+from oracles import (
+    CorruptedLine,
+    plane2d_closure_membership,
+    reference_half_ball,
+    reference_min_depth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,9 +160,10 @@ def test_candidates_identity_membership(f2):
 # --------------------------------------------------- minimum reflection depth
 
 
-def oracle_min_depth(system, g, bound=6):
-    """Split products at the midpoint instead of three from the right."""
-    half = system.half_ball()
+def oracle_min_depth(g, bound=6):
+    """A direct lookup in a depth-3 ball of its own, then the splits
+    (2,2), (2,3), (3,3) with the right factor looked up in that ball."""
+    half = reference_half_ball()
     two = GroupBall(enumerate_ball(3), 2)
     direct = half.min_depth(g)
     if direct is not None:
@@ -177,13 +183,30 @@ def test_min_depth_matches_oracle_on_products(f2):
     rng = random.Random(20260817)
     roots = enumerate_ball(3)
     cases = []
-    for n_factors in (2, 3, 4, 4, 4, 5, 5, 6):
+    for n_factors in (2, 3, 4, 4, 4, 5, 5, 6, 6, 6):
         g = identity()
         for _ in range(n_factors):
             g = g * room_reflection(rng.choice(roots))
         cases.append(g)
+    depths = [f2.candidate_min_depth(g, 6) for g in cases]
+    assert depths == [oracle_min_depth(g) for g in cases]
+    assert depths == [reference_min_depth(g) for g in cases]
+    assert {4, 5, 6} <= set(depths)
+
+
+def test_min_depth_matches_the_reference_on_the_half_ball_and_at_rurur(f2):
+    # every element of layers 0-2, a sample of layer 3, and the six
+    # candidates at rurur, five of them deeper than the cap or outside
+    # the group
+    half = reference_half_ball()
+    cases = [g for k in range(3) for g in half.iter_layer(k)]
+    cases += random.Random(20261018).sample(list(half.iter_layer(3)), 2000)
     for g in cases:
-        assert f2.candidate_min_depth(g, 6) == oracle_min_depth(f2, g)
+        assert f2.candidate_min_depth(g, 6) == half.min_depth(g), g
+    rurur = f2.meeting_candidates(word("rurur"))
+    depths = [f2.candidate_min_depth(g, 6) for g in rurur]
+    assert depths == [reference_min_depth(g) for g in rurur]
+    assert depths.count(None) == 5
 
 
 def test_min_depth_parity_invariant(f2):
@@ -618,6 +641,35 @@ def test_plane_lf_counts_have_witness_points():
             assert plane2d_closure_membership(x_chart, y_chart)
             bx, by = x_chart + m, y_chart + n
             assert abs(bx - cx) < half and abs(by - cy) < half
+
+
+def test_plane_schedule_over_budget_is_refused_before_scanning(monkeypatch):
+    calls = []
+    meets = checker.plane2d_translate_meets_box
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return meets(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "plane2d_translate_meets_box", counted)
+    cfg = RunConfig(schedule=(1, 2, 3))
+    # the closed form, 5 (8k + 1) pairs at horizon k, is exactly the scan
+    pairs = 5 * 9 + 5 * 17 + 5 * 25
+    monkeypatch.setattr(checker, "PLANE_SCAN_BUDGET", pairs)
+    rep, _ = local_finiteness_profile(PlanePathologicalSystem(), cfg)
+    assert rep.counts == [10, 9, 12] and len(calls) == pairs
+    monkeypatch.setattr(checker, "PLANE_SCAN_BUDGET", pairs - 1)
+    calls.clear()
+    for check in (local_finiteness_profile, fsa_check, run_battery):
+        with pytest.raises(BudgetExceeded, match="needs 255 shift pairs"):
+            check(PlanePathologicalSystem(), cfg)
+    assert calls == []
+    # the real budget admits the defaults and a horizon of 12,000
+    monkeypatch.undo()
+    PlanePathologicalSystem().check_budget(RunConfig())
+    PlanePathologicalSystem().check_budget(RunConfig(schedule=(2, 3, 12_000)))
+    with pytest.raises(BudgetExceeded, match="budget is 500,000"):
+        PlanePathologicalSystem().check_budget(RunConfig(schedule=(2, 3, 13_000)))
 
 
 def test_plane_fsa_refuted_via_local_profile():

@@ -245,6 +245,20 @@ def test_over_budget_radius_exits_64_before_enumerating(capsys, monkeypatch):
     assert code == 0
 
 
+def test_over_budget_plane_schedule_exits_64_before_scanning(capsys, monkeypatch):
+    # the scan would test 800,005 shift pairs at horizon 20,000 alone
+    def never(*args, **kwargs):
+        raise AssertionError("scanned a schedule over the budget")
+
+    monkeypatch.setattr(checker, "plane2d_translate_meets_box", never)
+    argv = ["verify", "plane-pathological", "--schedule", "2,3,20000"]
+    for extra in ([], ["--property", "local-finiteness"]):
+        code, out, err = run_cli(capsys, [*argv, *extra])
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert "needs 800,215 shift pairs; the budget is 500,000" in err
+
+
 def test_over_budget_line_scans_exit_64_before_building(capsys, monkeypatch):
     # a budget lowered to N = 8 stands in for a huge --N or --schedule; a
     # broken guard builds a 9-interval region here, never a huge one

@@ -15,11 +15,13 @@ import pytest
 from fundreg import checker, cli
 from fundreg.checker import (
     SELECTORS,
+    VERIFIED,
     Free2HouseSystem,
     RunConfig,
     make_system,
     run_battery,
 )
+from fundreg.freegroup import enumerate_ball
 from fundreg.tilespace import RoomSet
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -110,11 +112,31 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     counted = _counting(calls, "overlapping_generators", overlapping)
     monkeypatch.setattr(Free2HouseSystem, "overlapping_generators", counted)
     run_battery(make_system("free2house"), RunConfig(depth=2, radius=4))
-    # the scan ball and the profile half ball
-    assert len(balls) == 2 and set(balls.values()) == {1}
+    # one scan ball, and the profile half balls only as deep as the
+    # candidates need: each built once, none deeper than 2
+    scan = [d for roots, d in balls if roots == enumerate_ball(2)]
+    half = [d for roots, d in balls if roots == enumerate_ball(3)]
+    assert scan == [2] and len(balls) == 1 + len(half)
+    assert half and max(half) <= 2 and set(balls.values()) == {1}
     # the closures at radius 4 (scans) and 5 (coverage)
     assert len(closures) == 2 and set(closures.values()) == {1}
     assert calls == Counter({"overlapping_generators": 1})
+
+
+def test_default_profile_builds_no_depth_3_half_ball(monkeypatch):
+    depths = []
+    group_ball = checker.group_ball
+
+    def recorded_ball(roots, depth):
+        if tuple(roots) == enumerate_ball(3):
+            depths.append(depth)
+        return group_ball(roots, depth)
+
+    monkeypatch.setattr(checker, "group_ball", recorded_ball)
+    report, _ = checker.local_finiteness_profile(Free2HouseSystem(), RunConfig())
+    assert report.verdict == VERIFIED
+    # every default candidate has depth at most 4 = 2 + 2
+    assert depths and max(depths) <= 2
 
 
 def test_free2house_coverage_decides_each_spine_power_once(monkeypatch):

@@ -23,7 +23,6 @@ from fundreg.tilespace import (
     materialize_cell,
     neighborhood_cells,
     neighborhood_roomset,
-    room_offset,
     swap_atoms,
 )
 from oracles import covering_point, reflect_across_diagonal
@@ -113,7 +112,7 @@ def test_covering_reflection_identity():
     ]
     for root in enumerate_ball(2):
         g = room_reflection(root)
-        anchor = room_offset(root)
+        anchor = root.exponent_vector()
         for p in samples:
             lhs = covering_point(apply_to_point(g, p))
             rhs = reflect_across_diagonal(anchor, covering_point(p))
