@@ -17,13 +17,10 @@ from typing import Iterable, Iterator, Sequence
 from .freegroup import (
     IDENTITY_WORD,
     ReducedWord,
-    concat_reduced,
-    invert_letters,
     leading_r_run,
     r_power,
     run_count,
     spine_exponent,
-    swap_letters,
 )
 
 
@@ -112,6 +109,30 @@ def _decode(key: bytes) -> ActionElement:
     return ActionElement(ReducedWord._trusted(_letters(key)), key[0])
 
 
+# On a whole key, one translate swaps every letter code (r <-> u, R <-> U:
+# 0 <-> 1, 2 <-> 3) and flips the parity header p to 1 ^ p, which is the
+# header of a product with a parity-1 generator.  Code c cancels 3 - c.
+_SWAP_FLIP = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x03\x02")
+
+
+def _junctions(spines: list[bytes], lead: bytes) -> list[tuple[bytes, int]]:
+    """One row of the product table: for a swapped key that starts with
+    ``lead`` (its header, then as many letter codes as the longest spine
+    has), each generator's product as ``(header + surviving spine head,
+    cut)``.  The product key is that head followed by the swapped key from
+    ``cut`` on."""
+    body = lead[1:]
+    row = []
+    for spine in spines:
+        i = len(spine)
+        j = 0
+        while i and j < len(body) and spine[i - 1] == 3 - body[j]:
+            i -= 1
+            j += 1
+        row.append((lead[:1] + spine[:i], 1 + j))
+    return row
+
+
 class GroupBall:
     """Products of at most `depth` reflection generators, deduplicated.
 
@@ -124,8 +145,19 @@ class GroupBall:
             raise ValueError("depth must be >= 0")
         self.roots = tuple(roots)
         self.depth = depth
-        # the distinct generator spines, in root order; all have parity 1
-        spines = list(dict.fromkeys(room_reflection(r).spine.letters for r in roots))
+        # the distinct generator spines as letter codes, in root order;
+        # all generators have parity 1
+        spines = list(
+            dict.fromkeys(
+                bytes(_ENC[a] for a in room_reflection(r).spine.letters)
+                for r in roots
+            )
+        )
+        # the cancellation in gen * elem depends only on the first `width`
+        # bytes of the swapped key, so the products come from one table row
+        # per such prefix, filled the first time the prefix is seen
+        width = 1 + max(map(len, spines), default=0)
+        table: dict[bytes, list[tuple[bytes, int]]] = {}
 
         depth_of: dict[bytes, int] = {_encode((), 0): 0}
         layers: list[list[bytes]] = [[_encode((), 0)]]
@@ -133,10 +165,13 @@ class GroupBall:
             nxt: list[bytes] = []
             for key in layers[-1]:
                 # new = gen * elem = (gen spine * swap(elem spine), 1 ^ parity)
-                swapped = swap_letters(_letters(key))
-                parity = 1 ^ key[0]
-                for spine in spines:
-                    new = _encode(concat_reduced(spine, swapped), parity)
+                swapped = key.translate(_SWAP_FLIP)
+                lead = swapped[:width]
+                row = table.get(lead)
+                if row is None:
+                    row = table[lead] = _junctions(spines, lead)
+                for head, cut in row:
+                    new = head + swapped[cut:]
                     if new not in depth_of:
                         depth_of[new] = k
                         nxt.append(new)
@@ -149,9 +184,6 @@ class GroupBall:
 
     def __contains__(self, g: ActionElement) -> bool:
         return _encode(g.spine.letters, g.parity) in self._depth_of
-
-    def min_depth(self, g: ActionElement) -> int | None:
-        return self._depth_of.get(_encode(g.spine.letters, g.parity))
 
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self._layers]

@@ -68,6 +68,11 @@ class ReferenceBall:
         return [g for k in range(len(self.layers)) for g in self.layer(k)]
 
 
+def ball_depth(ball, g):
+    """The layer of ``ball`` that holds g, or None if g is not in it."""
+    return ball._depth_of.get(_encode(g.spine.letters, g.parity))
+
+
 @lru_cache(maxsize=None)
 def reference_half_ball():
     """The depth-3 ball over the length-<=3 roots, built once per test process."""
@@ -79,12 +84,12 @@ def reference_min_depth(g):
     in the depth-3 ball, then for t = 4 .. 6 a (t - 3) + 3 split whose
     left factor has minimal depth exactly t - 3."""
     half = reference_half_ball()
-    found = half.min_depth(g)
+    found = ball_depth(half, g)
     if found is not None:
         return found
     for total in range(4, 7):
         for a in half.iter_layer(total - 3):
-            tail = half.min_depth(a.inverse() * g)
+            tail = ball_depth(half, a.inverse() * g)
             if tail is not None and tail <= 3:
                 return total
     return None

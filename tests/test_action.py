@@ -23,7 +23,7 @@ from fundreg.freegroup import (
     spine_exponent,
     word,
 )
-from oracles import ReferenceBall, compose_all, naive_reflection_image
+from oracles import ReferenceBall, ball_depth, compose_all, naive_reflection_image
 
 letters_st = st.lists(st.sampled_from(LETTERS), max_size=10)
 
@@ -104,23 +104,20 @@ def test_group_ball_layers_and_membership():
     assert len(ball) == sum(sizes)
     ge = room_reflection(IDENTITY_WORD)
     gr = room_reflection(word("r"))
-    assert ball.min_depth(ge) == 1
-    assert ball.min_depth(ge * gr) == 2
-    assert ball.min_depth(IDENTITY) == 0
+    assert ball_depth(ball, ge) == 1
+    assert ball_depth(ball, ge * gr) == 2
+    assert ball_depth(ball, IDENTITY) == 0
     # g[u] = g[e] g[r] g[e]: relations can shorten products
     gu = room_reflection(word("u"))
     assert compose_all([ge, gr, ge]) == gu
-    assert ball.min_depth(gu) == 1
+    assert ball_depth(ball, gu) == 1
     elements = sorted(ball, key=ActionElement.sort_key)
     assert len(set(elements)) == len(elements)
     keys = [g.sort_key() for g in elements]
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("root_len", [1, 2, 3])
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_group_ball_matches_the_frontier_build(root_len, depth):
-    roots = enumerate_ball(root_len)
+def assert_matches_the_frontier_build(roots, depth, seed):
     ball = group_ball(roots, depth)
     ref = ReferenceBall(roots, depth)
     # same keys, same depths, inserted in the same order
@@ -132,7 +129,7 @@ def test_group_ball_matches_the_frontier_build(root_len, depth):
         assert list(ball.iter_layer(k)) == ref.layer(k)
     # witnesses are ranked by iteration order: pick a few members and
     # non-members, shuffled
-    rng = random.Random(root_len * 10 + depth)
+    rng = random.Random(seed)
     picks = rng.sample(order, min(len(order), 25))
     stranger = room_reflection(word("rrrr")) * room_reflection(word("uuuu"))
     assert stranger not in ball
@@ -140,6 +137,39 @@ def test_group_ball_matches_the_frontier_build(root_len, depth):
     rng.shuffle(query)
     wanted = set(picks)
     assert ball.in_iteration_order(query) == [g for g in order if g in wanted]
+    return ball
+
+
+@pytest.mark.parametrize("root_len", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_group_ball_matches_the_frontier_build(root_len, depth):
+    assert_matches_the_frontier_build(
+        enumerate_ball(root_len), depth, root_len * 10 + depth
+    )
+
+
+def test_scan_ball_matches_the_frontier_build():
+    ball = assert_matches_the_frontier_build(enumerate_ball(2), 4, 24)
+    assert len(ball) == 45_098
+
+
+@pytest.mark.parametrize("roots", [[], [IDENTITY_WORD]], ids=["none", "e"])
+def test_ball_without_spine_letters_matches_the_frontier_build(roots):
+    # no generator spine has a letter, so the product table's prefix is
+    # the parity header alone
+    ball = assert_matches_the_frontier_build(roots, 3, len(roots))
+    assert ball.layer_sizes() == [1, len(roots), 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ball_over_random_roots_matches_the_frontier_build(seed):
+    # a random subset of the length-<=3 roots, some of them repeated, in
+    # shuffled order: spines of mixed lengths from 0 to 6 letters
+    rng = random.Random(20261018 + seed)
+    roots = rng.sample(enumerate_ball(3), rng.randint(1, 10))
+    roots += rng.choices(roots, k=3)
+    rng.shuffle(roots)
+    assert_matches_the_frontier_build(roots, 3, seed)
 
 
 def test_walk_to_spine_examples():

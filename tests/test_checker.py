@@ -59,6 +59,7 @@ from fundreg.regions import IntervalSet, format_fraction, plane2d_translate_meet
 from fundreg.tilespace import canonical_point, neighborhood_roomset
 from oracles import (
     CorruptedLine,
+    ball_depth,
     plane2d_closure_membership,
     reference_half_ball,
     reference_min_depth,
@@ -165,7 +166,7 @@ def oracle_min_depth(g, bound=6):
     (2,2), (2,3), (3,3) with the right factor looked up in that ball."""
     half = reference_half_ball()
     two = GroupBall(enumerate_ball(3), 2)
-    direct = half.min_depth(g)
+    direct = ball_depth(half, g)
     if direct is not None:
         return direct
     for total in range(4, bound + 1):
@@ -173,7 +174,7 @@ def oracle_min_depth(g, bound=6):
         source = two if left == 2 else half
         limit = total - left
         for a in source.iter_layer(left):
-            rest = half.min_depth(a.inverse() * g)
+            rest = ball_depth(half, a.inverse() * g)
             if rest is not None and rest <= limit:
                 return total
     return None
@@ -202,7 +203,7 @@ def test_min_depth_matches_the_reference_on_the_half_ball_and_at_rurur(f2):
     cases = [g for k in range(3) for g in half.iter_layer(k)]
     cases += random.Random(20261018).sample(list(half.iter_layer(3)), 2000)
     for g in cases:
-        assert f2.candidate_min_depth(g, 6) == half.min_depth(g), g
+        assert f2.candidate_min_depth(g, 6) == ball_depth(half, g), g
     rurur = f2.meeting_candidates(word("rurur"))
     depths = [f2.candidate_min_depth(g, 6) for g in rurur]
     assert depths == [reference_min_depth(g) for g in rurur]
