@@ -240,8 +240,10 @@ SCAN_BALL_BUDGET = 2_000_000
 
 
 # Largest line scan a run may make, in estimated bytes of interval
-# endpoints (``LineSystem.scan_estimate``).  The pathological family with
-# 200 intervals needs about 25 MiB; about 395 intervals fit.
+# endpoints (``LineSystem.scan_estimate``, sized for 2n + 5 whole
+# translates; the sweeps now hold far less, so it is a conservative bound).
+# The pathological family with 200 intervals is estimated at about 25 MiB;
+# about 395 intervals fit.
 LINE_SCAN_BUDGET = 128 * 2**20
 
 
@@ -896,8 +898,11 @@ class LineSystem(System):
 
     def scan_estimate(self, n_intervals: int) -> int:
         """Upper estimate, in bytes, of the endpoints one scan over
-        ``region(n_intervals)`` makes: its 2n + 5 integer translates, all
-        held at once by the coverage union.  Each interval costs about 224
+        ``region(n_intervals)`` makes, sized for 2n + 5 integer translates
+        held at once.  The scans no longer build them: the shift sweep and
+        the window hold a few lifted copies of each interval and the pieces
+        they find, so the estimate bounds them with room to spare and the
+        budget is unchanged.  Each interval costs about 224
         bytes of objects plus a third of a byte per bit of its integers.
         The family's denominator lcm(1, ..., n + 1) has under 1.5 (n + 1)
         bits, since log lcm(1, ..., x) < 1.03883 x (Rosser and
@@ -935,25 +940,18 @@ class LineSystem(System):
     # -- properties ----------------------------------------------------
 
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        region = self.region(cfg.n_intervals)
-        checked = 0
-        bad = []
-        for m in range(-cfg.m_range, cfg.m_range + 1):
-            if m == 0:
-                continue
-            checked += 1
-            overlap = region.first_overlap(region.translate(m))
-            if overlap is not None:
-                lo, hi = overlap
-                bad.append(
-                    f"m = {m}: open overlap "
-                    f"({format_fraction(lo)}, {format_fraction(hi)})"
-                )
+        meetings = self.region(cfg.n_intervals).shift_meetings(1, cfg.m_range)
+        # the first of each shift's overlaps, left to right
+        bad = [
+            f"m = {m}: open overlap ({format_fraction(lo)}, {format_fraction(hi)})"
+            for m, overlap in meetings.items()
+            for lo, hi in overlap.pairs[:1]
+        ]
         return VerificationReport(
             PROP_DISJOINTNESS,
             REFUTED if bad else VERIFIED,
             {"depth": None, "radius": cfg.m_range},
-            [checked, len(bad)],
+            [2 * cfg.m_range, len(bad)],
             _cap(bad),
         )
 
@@ -964,9 +962,8 @@ class LineSystem(System):
             lo, hi = Fraction(0), 1 - Fraction(1, cfg.schedule[-1])
         region = self.region(cfg.n_intervals)
         reach = cfg.n_intervals + 2
-        translates = [region.translate(m) for m in range(-reach, reach + 1)]
-        union = translates[0].union(*translates[1:])
-        gap = union.coverage_gap(lo, hi)
+        pieces = region.window_translates(1, lo, hi, reach, closed=True)
+        gap = IntervalSet(()).union(*pieces.values()).coverage_gap(lo, hi)
         witnesses = (
             [f"uncovered point {format_fraction(gap)}"]
             if gap is not None
@@ -984,35 +981,20 @@ class LineSystem(System):
         )
 
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
-        region = self.region(cfg.n_intervals)
-        allowed = set(region.endpoints())
-        checked = 0
-        nonempty = 0
-        bad = []
-        for m in range(-cfg.m_range, cfg.m_range + 1):
-            if m == 0:
-                continue
-            checked += 1
-            pieces = region.closed_intersection(region.translate(m))
-            if not pieces:
-                continue
-            nonempty += 1
-            for lo, hi in pieces:
-                if lo < hi:
-                    bad.append(
-                        f"m = {m}: interior overlap "
-                        f"({format_fraction(lo)}, {format_fraction(hi)})"
-                    )
-                elif lo not in allowed:
-                    bad.append(
-                        f"m = {m}: touch point {format_fraction(lo)} "
-                        "is not a region endpoint"
-                    )
+        meetings = self.region(cfg.n_intervals).shift_meetings(1, cfg.m_range)
+        # a point where two closures only touch is an endpoint of both
+        # intervals, so every touch lies on the region boundary
+        bad = [
+            f"m = {m}: interior overlap "
+            f"({format_fraction(lo)}, {format_fraction(hi)})"
+            for m, overlap in meetings.items()
+            for lo, hi in overlap.pairs
+        ]
         return VerificationReport(
             PROP_BOUNDARY,
             REFUTED if bad else VERIFIED,
             {"depth": None, "radius": cfg.m_range},
-            [checked, nonempty, len(bad)],
+            [2 * cfg.m_range, len(meetings), len(bad)],
             _cap(bad),
         )
 
@@ -1030,11 +1012,7 @@ class LineSystem(System):
             region = self.region(n_tiles)
             reach = n_tiles + 2
             lo, hi = point - Fraction(1, k), point + Fraction(1, k)
-            hits = [
-                m
-                for m in range(-reach, reach + 1)
-                if region.translate(m).closure_meets_open_window(lo, hi)
-            ]
+            hits = list(region.window_translates(1, lo, hi, reach))
             counts.append(len(hits))
             last_hits = hits
         witnesses = [
@@ -1057,14 +1035,12 @@ class LineSystem(System):
         ``margin()``."""
         eps = self.margin()
         inflated = self.region(cfg.n_intervals).inflate(eps)
+        overlaps = inflated.shift_meetings(1, cfg.schedule[-1])
         counts = []
         last_hits: list[int] = []
         for k in cfg.schedule:
-            hits = [
-                m
-                for m in range(-k, k + 1)
-                if inflated.intersects(inflated.translate(m))
-            ]
+            # the (nonempty) candidate overlaps itself at m = 0
+            hits = [m for m in range(-k, k + 1) if m == 0 or overlaps.get(m)]
             counts.append(len(hits))
             last_hits = hits
         report = _profile_report(
@@ -1399,21 +1375,13 @@ class CylinderSystem(System):
         return IntervalSet([(Fraction(0), self.shift)])
 
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        band = self.band()
-        checked = 0
-        bad = []
-        for m in range(-cfg.m_range, cfg.m_range + 1):
-            if m == 0:
-                continue
-            checked += 1
-            overlap = band.first_overlap(band.translate(m * self.shift))
-            if overlap is not None:
-                bad.append(f"m = {m}")
+        meetings = self.band().shift_meetings(self.shift, cfg.m_range)
+        bad = [f"m = {m}" for m, overlap in meetings.items() if overlap]
         return VerificationReport(
             PROP_DISJOINTNESS,
             REFUTED if bad else VERIFIED,
             {"depth": None, "radius": cfg.m_range},
-            [checked, len(bad)],
+            [2 * cfg.m_range, len(bad)],
             _cap(bad),
         )
 
@@ -1422,10 +1390,8 @@ class CylinderSystem(System):
         c = self.shift
         lo, hi = -2 * c, 3 * c
         reach = 5  # the window reaches 3 shifts up, plus a margin of 2
-        band = self.band()
-        translates = [band.translate(m * c) for m in range(-reach, reach + 1)]
-        union = translates[0].union(*translates[1:])
-        gap = union.coverage_gap(lo, hi)
+        pieces = self.band().window_translates(c, lo, hi, reach, closed=True)
+        gap = IntervalSet(()).union(*pieces.values()).coverage_gap(lo, hi)
         return VerificationReport(
             PROP_COVERAGE,
             REFUTED if gap is not None else VERIFIED,
@@ -1437,22 +1403,14 @@ class CylinderSystem(System):
         )
 
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
-        band = self.band()
-        allowed = set(band.endpoints())
-        checked = 0
-        bad = []
-        for m in range(-cfg.m_range, cfg.m_range + 1):
-            if m == 0:
-                continue
-            checked += 1
-            for lo, hi in band.closed_intersection(band.translate(m * self.shift)):
-                if lo < hi or lo not in allowed:
-                    bad.append(f"m = {m}")
+        meetings = self.band().shift_meetings(self.shift, cfg.m_range)
+        # touch points are band endpoints; each interior overlap is bad
+        bad = [f"m = {m}" for m, overlap in meetings.items() for _ in overlap.pairs]
         return VerificationReport(
             PROP_BOUNDARY,
             REFUTED if bad else VERIFIED,
             {"depth": None, "radius": cfg.m_range},
-            [checked, len(bad)],
+            [2 * cfg.m_range, len(bad)],
             _cap(bad) if bad else ["band translates touch only at 0 and the shift"],
         )
 
@@ -1465,11 +1423,7 @@ class CylinderSystem(System):
         last_hits: list[int] = []
         for k in cfg.schedule:
             lo, hi = -c / k, c / k
-            hits = [
-                m
-                for m in range(-cfg.m_range, cfg.m_range + 1)
-                if band.translate(m * c).closure_meets_open_window(lo, hi)
-            ]
+            hits = list(band.window_translates(c, lo, hi, cfg.m_range))
             counts.append(len(hits))
             last_hits = hits
         report = _profile_report(

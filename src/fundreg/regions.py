@@ -19,7 +19,7 @@ Everything here is exact rational arithmetic; no floats.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -133,9 +133,6 @@ class IntervalSet:
         den = self.den
         return tuple(Fraction(e, den) for e in sorted(set(self.ends)))
 
-    def intersects(self, other: "IntervalSet") -> bool:
-        return self.first_overlap(other) is not None
-
     def first_overlap(
         self, other: "IntervalSet"
     ) -> Optional[tuple[Fraction, Fraction]]:
@@ -216,6 +213,100 @@ class IntervalSet:
             return None
         next_start = ends[k] if k < len(ends) else top
         return Fraction(cursor + min(next_start, top), 2 * den)
+
+    def shift_meetings(
+        self, step: Rational, reach: int
+    ) -> dict[int, "IntervalSet"]:
+        """Where closure(self) meets closure(self + m * step), 0 < |m| <= reach.
+
+        The keys are the shifts whose closures meet, ascending; each value
+        is the open overlap self & (self + m * step), empty when the
+        closures only touch.
+
+        One sweep instead of a merge per shift: each interval (a, b) is
+        reduced modulo ``step`` to a copy (r, r + b - a) with
+        a = q * step + r, 0 <= r < step.  Interval I meets interval J
+        shifted by m steps exactly when I's copy meets J's copy lifted by
+        k = m + q_J - q_I steps.  The copies lie in [0, step + longest), so
+        only the few lifts that reach that range are made, and one sorted
+        sweep of the copies against the lifts finds every meeting pair
+        (Shamos and Hoey, FOCS 1976): O(n log n + meetings within reach).
+        """
+        den, ends, unit = self._with(step)
+        if unit <= 0:
+            raise ValueError("step must be positive")
+        if not ends:
+            return {}
+        copies = []
+        for a, b in zip(ends[::2], ends[1::2]):
+            q, r = divmod(a, unit)
+            copies.append((r, r + b - a, q))
+        top = unit + max(hi - lo for lo, hi, _ in copies)
+        # a copy carries its quotient; a lift by k carries q - k, so that a
+        # meeting pair's shift is always (copy's tag) - (lift's tag)
+        events = [(lo, 0, hi, q) for lo, hi, q in copies]
+        for lo, hi, q in copies:
+            for k in range(-(hi // unit), (top - lo) // unit + 1):
+                events.append((lo + k * unit, 1, hi + k * unit, q - k))
+        events.sort()
+        # the intervals met so far on each side, as (tag, end), by tag
+        live: list[list[tuple[int, int]]] = [[], []]
+        found: dict[int, list[tuple[int, int]]] = {}
+        for lo, side, hi, tag in events:
+            # only tags within reach of this one give a shift in range;
+            # events come by start, so one ending before lo meets nothing
+            # from here on and is dropped
+            others = live[1 - side]
+            i = bisect_left(others, (tag - reach,))
+            j = bisect_left(others, (tag + reach + 1,))
+            near = others[i:j] = [e for e in others[i:j] if e[1] >= lo]
+            for other_tag, other_hi in near:
+                q, lifted = (tag, other_tag) if side == 0 else (other_tag, tag)
+                if q == lifted:
+                    continue
+                pieces = found.setdefault(q - lifted, [])
+                end = hi if hi < other_hi else other_hi
+                if lo < end:
+                    pieces.append((lo + q * unit, end + q * unit))
+            insort(live[side], (tag, hi))
+        return {
+            m: IntervalSet._over(den, tuple(chain.from_iterable(sorted(found[m]))))
+            for m in sorted(found)
+        }
+
+    def window_translates(
+        self,
+        step: Rational,
+        lo: Rational,
+        hi: Rational,
+        reach: int,
+        closed: bool = False,
+    ) -> dict[int, "IntervalSet"]:
+        """The intervals of each translate self + m * step, |m| <= reach,
+        whose closures meet the open window (lo, hi), or the closed window
+        [lo, hi] when ``closed``; keys ascend, and a shift that meets
+        nothing has no key.
+
+        [a, b] + m * step meets (lo, hi) exactly when m * step lies in
+        (lo - b, hi - a), and [lo, hi] when it lies in [lo - b, hi - a], so
+        each interval yields its shifts by two floor divisions: O(n + hits)
+        for any reach, with no translate per shift.
+        """
+        step, lo, hi = _frac(step), _frac(lo), _frac(hi)
+        den = lcm(self.den, step.denominator, lo.denominator, hi.denominator)
+        ends = _rescaled(self.ends, den // self.den)
+        unit, low, high = (v.numerator * (den // v.denominator) for v in (step, lo, hi))
+        if unit <= 0:
+            raise ValueError("step must be positive")
+        found: dict[int, list[int]] = {}
+        for a, b in zip(ends[::2], ends[1::2]):
+            if closed:  # ceil((low - b) / unit) .. floor((high - a) / unit)
+                first, last = -((b - low) // unit), (high - a) // unit
+            else:  # the same bounds with the ends excluded
+                first, last = (low - b) // unit + 1, -((a - high) // unit) - 1
+            for m in range(max(first, -reach), min(last, reach) + 1):
+                found.setdefault(m, []).extend((a + m * unit, b + m * unit))
+        return {m: IntervalSet._over(den, tuple(found[m])) for m in sorted(found)}
 
     def union(self, *others: "IntervalSet") -> "IntervalSet":
         """Union of this set and ``others``, which must not overlap it or

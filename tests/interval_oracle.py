@@ -2,9 +2,11 @@
 
 ``IntervalSet`` below is the straightforward implementation the integer
 kernel replaced: it keeps every endpoint as a ``Fraction`` and re-sorts and
-re-validates on every construction.  It also carries the two methods the
-checker calls that it never had, ``inflate`` and a many-way ``union``,
-written the obvious way, so the checks can run on it unchanged.
+re-validates on every construction.  It also carries the methods the
+checker calls that it never had, written the obvious way, so the checks
+can run on it unchanged: ``inflate``, a many-way ``union``, and the shift
+scans ``shift_meetings`` and ``window_translates`` as one translate and one
+merge or window query per shift, the loops the kernel's sweeps replaced.
 
 The point queries, the merged closure and ``serialize``, which only tests
 ask for, are functions of ``s.pairs`` and take a set of either class.
@@ -93,9 +95,6 @@ class IntervalSet:
     def endpoints(self) -> tuple[Fraction, ...]:
         return tuple(sorted({value for pair in self.pairs for value in pair}))
 
-    def intersects(self, other: "IntervalSet") -> bool:
-        return self.first_overlap(other) is not None
-
     def first_overlap(
         self, other: "IntervalSet"
     ) -> Optional[tuple[Fraction, Fraction]]:
@@ -149,6 +148,39 @@ class IntervalSet:
         remaining_starts = [a for a, _ in merged_closure(self) if a > cursor]
         next_start = min(remaining_starts + [hi])
         return cursor + (min(next_start, hi) - cursor) / 2 if cursor < hi else None
+
+    def shift_meetings(self, step: Rational, reach: int) -> dict[int, "IntervalSet"]:
+        step = _frac(step)
+        out = {}
+        for m in range(-reach, reach + 1):
+            if m == 0:
+                continue
+            pieces = self.closed_intersection(self.translate(m * step))
+            if pieces:
+                out[m] = IntervalSet((lo, hi) for lo, hi in pieces if lo < hi)
+        return out
+
+    def window_translates(
+        self,
+        step: Rational,
+        lo: Rational,
+        hi: Rational,
+        reach: int,
+        closed: bool = False,
+    ) -> dict[int, "IntervalSet"]:
+        step, lo, hi = _frac(step), _frac(lo), _frac(hi)
+        out = {}
+        for m in range(-reach, reach + 1):
+            moved = self.translate(m * step)
+            if closed:
+                meets = [(a, b) for a, b in moved.pairs if a <= hi and b >= lo]
+            elif moved.closure_meets_open_window(lo, hi):
+                meets = [(a, b) for a, b in moved.pairs if a < hi and b > lo]
+            else:
+                meets = []
+            if meets:
+                out[m] = IntervalSet(meets)
+        return out
 
     def union(self, *others: "IntervalSet") -> "IntervalSet":
         pairs = list(self.pairs)

@@ -87,7 +87,7 @@ def test_interval_set_allows_touching_endpoints():
 
 @given(interval_sets(), interval_sets())
 def test_intersects_matches_naive_scan(a, b):
-    assert a.intersects(b) == naive_intersects(a, b)
+    assert (a.first_overlap(b) is not None) == naive_intersects(a, b)
 
 
 @given(interval_sets(), interval_sets())
@@ -166,8 +166,8 @@ def test_pathological_fractional_parts_tile_the_unit_interval():
 def test_pathological_translates_are_disjoint():
     s = pathological_1d(30)
     for m in range(1, 35):
-        assert not s.intersects(s.translate(m))
-        assert not s.intersects(s.translate(-m))
+        assert s.first_overlap(s.translate(m)) is None
+        assert s.first_overlap(s.translate(-m)) is None
 
 
 def test_pathological_closure_coverage_threshold():
@@ -270,7 +270,7 @@ def test_cylinder_overlap_default_margin():
 def test_cylinder_overlap_matches_interval_arithmetic(c, m):
     # oracle: direct open-interval overlap of the shifted band (-c, 2c)
     u = IntervalSet([(-c, 2 * c)])
-    expected = u.intersects(u.translate(m * c))
+    expected = u.first_overlap(u.translate(m * c)) is not None
     assert (m in _cylinder_overlap(c, m_range=9)) == expected
 
 
