@@ -240,10 +240,9 @@ SCAN_BALL_BUDGET = 2_000_000
 
 
 # Largest line scan a run may make, in estimated bytes of interval
-# endpoints (``LineSystem.scan_estimate``, sized for 2n + 5 whole
-# translates; the sweeps now hold far less, so it is a conservative bound).
-# The pathological family with 200 intervals is estimated at about 25 MiB;
-# about 395 intervals fit.
+# endpoints (``LineSystem.scan_estimate``, an upper bound on what the shift
+# sweeps and window queries hold).  The pathological family with 200
+# intervals is estimated at about 25 MiB; about 395 intervals fit.
 LINE_SCAN_BUDGET = 128 * 2**20
 
 
@@ -898,11 +897,9 @@ class LineSystem(System):
 
     def scan_estimate(self, n_intervals: int) -> int:
         """Upper estimate, in bytes, of the endpoints one scan over
-        ``region(n_intervals)`` makes, sized for 2n + 5 integer translates
-        held at once.  The scans no longer build them: the shift sweep and
-        the window hold a few lifted copies of each interval and the pieces
-        they find, so the estimate bounds them with room to spare and the
-        budget is unchanged.  Each interval costs about 224
+        ``region(n_intervals)`` holds: the size of 2n + 5 integer translates
+        of the region, which bounds the lifted copies and found pieces of
+        the shift sweeps and window queries.  Each interval costs about 224
         bytes of objects plus a third of a byte per bit of its integers.
         The family's denominator lcm(1, ..., n + 1) has under 1.5 (n + 1)
         bits, since log lcm(1, ..., x) < 1.03883 x (Rosser and
@@ -962,7 +959,7 @@ class LineSystem(System):
             lo, hi = Fraction(0), 1 - Fraction(1, cfg.schedule[-1])
         region = self.region(cfg.n_intervals)
         reach = cfg.n_intervals + 2
-        pieces = region.window_translates(1, lo, hi, reach, closed=True)
+        pieces = region.window_translates(1, lo, hi, reach)
         gap = IntervalSet(()).union(*pieces.values()).coverage_gap(lo, hi)
         witnesses = (
             [f"uncovered point {format_fraction(gap)}"]
@@ -1035,12 +1032,14 @@ class LineSystem(System):
         ``margin()``."""
         eps = self.margin()
         inflated = self.region(cfg.n_intervals).inflate(eps)
-        overlaps = inflated.shift_meetings(1, cfg.schedule[-1])
         counts = []
         last_hits: list[int] = []
         for k in cfg.schedule:
-            # the (nonempty) candidate overlaps itself at m = 0
-            hits = [m for m in range(-k, k + 1) if m == 0 or overlaps.get(m)]
+            hits = [
+                m
+                for m in range(-k, k + 1)
+                if inflated.first_overlap(inflated.translate(m)) is not None
+            ]
             counts.append(len(hits))
             last_hits = hits
         report = _profile_report(
@@ -1068,11 +1067,8 @@ class LineSystem(System):
         for t in samples:
             base = floor(t)  # t lies in the base-th closure tile
             lo, hi = base - eps, base + 1 + eps
-            seen = sum(
-                1
-                for m in range(base - 4, base + 5)
-                if region.translate(m).closure_meets_open_window(lo, hi)
-            )
+            hits = region.window_translates(1, lo, hi, abs(base) + 4)
+            seen = sum(1 for m in hits if base - 4 <= m <= base + 4)
             worst = max(worst, seen)
         return VerificationReport(
             PROP_ADJACENCY_AUDIT,
@@ -1390,7 +1386,7 @@ class CylinderSystem(System):
         c = self.shift
         lo, hi = -2 * c, 3 * c
         reach = 5  # the window reaches 3 shifts up, plus a margin of 2
-        pieces = self.band().window_translates(c, lo, hi, reach, closed=True)
+        pieces = self.band().window_translates(c, lo, hi, reach)
         gap = IntervalSet(()).union(*pieces.values()).coverage_gap(lo, hi)
         return VerificationReport(
             PROP_COVERAGE,

@@ -275,22 +275,15 @@ class IntervalSet:
         }
 
     def window_translates(
-        self,
-        step: Rational,
-        lo: Rational,
-        hi: Rational,
-        reach: int,
-        closed: bool = False,
+        self, step: Rational, lo: Rational, hi: Rational, reach: int
     ) -> dict[int, "IntervalSet"]:
         """The intervals of each translate self + m * step, |m| <= reach,
-        whose closures meet the open window (lo, hi), or the closed window
-        [lo, hi] when ``closed``; keys ascend, and a shift that meets
-        nothing has no key.
+        whose closures meet the open window (lo, hi); keys ascend, and a
+        shift that meets nothing has no key.
 
         [a, b] + m * step meets (lo, hi) exactly when m * step lies in
-        (lo - b, hi - a), and [lo, hi] when it lies in [lo - b, hi - a], so
-        each interval yields its shifts by two floor divisions: O(n + hits)
-        for any reach, with no translate per shift.
+        (lo - b, hi - a), so each interval yields its shifts by two floor
+        divisions: O(n + hits) for any reach, with no translate per shift.
         """
         step, lo, hi = _frac(step), _frac(lo), _frac(hi)
         den = lcm(self.den, step.denominator, lo.denominator, hi.denominator)
@@ -300,10 +293,8 @@ class IntervalSet:
             raise ValueError("step must be positive")
         found: dict[int, list[int]] = {}
         for a, b in zip(ends[::2], ends[1::2]):
-            if closed:  # ceil((low - b) / unit) .. floor((high - a) / unit)
-                first, last = -((b - low) // unit), (high - a) // unit
-            else:  # the same bounds with the ends excluded
-                first, last = (low - b) // unit + 1, -((a - high) // unit) - 1
+            # floor((low - b) / unit) + 1 .. ceil((high - a) / unit) - 1
+            first, last = (low - b) // unit + 1, -((a - high) // unit) - 1
             for m in range(max(first, -reach), min(last, reach) + 1):
                 found.setdefault(m, []).extend((a + m * unit, b + m * unit))
         return {m: IntervalSet._over(den, tuple(found[m])) for m in sorted(found)}

@@ -161,25 +161,14 @@ class IntervalSet:
         return out
 
     def window_translates(
-        self,
-        step: Rational,
-        lo: Rational,
-        hi: Rational,
-        reach: int,
-        closed: bool = False,
+        self, step: Rational, lo: Rational, hi: Rational, reach: int
     ) -> dict[int, "IntervalSet"]:
         step, lo, hi = _frac(step), _frac(lo), _frac(hi)
         out = {}
         for m in range(-reach, reach + 1):
             moved = self.translate(m * step)
-            if closed:
-                meets = [(a, b) for a, b in moved.pairs if a <= hi and b >= lo]
-            elif moved.closure_meets_open_window(lo, hi):
-                meets = [(a, b) for a, b in moved.pairs if a < hi and b > lo]
-            else:
-                meets = []
-            if meets:
-                out[m] = IntervalSet(meets)
+            if moved.closure_meets_open_window(lo, hi):
+                out[m] = IntervalSet((a, b) for a, b in moved.pairs if a < hi and b > lo)
         return out
 
     def union(self, *others: "IntervalSet") -> "IntervalSet":

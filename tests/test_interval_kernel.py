@@ -179,25 +179,20 @@ def test_shift_meetings_match_the_per_shift_merges(pairs, step, reach):
 def test_window_translates_match_the_per_shift_queries(pairs, step, lo, hi, reach):
     # inverted and empty windows included
     new, old = both(pairs)
-    opened = new.window_translates(step, lo, hi, reach)
-    closed = new.window_translates(step, lo, hi, reach, closed=True)
-    for got in (opened, closed):
-        assert list(got) == sorted(got)
-        assert set(got) <= set(range(-reach, reach + 1))
+    got = new.window_translates(step, lo, hi, reach)
+    assert list(got) == sorted(got)
+    assert set(got) <= set(range(-reach, reach + 1))
     for m in range(-reach, reach + 1):
         moved = new.translate(m * step)
-        assert (m in opened) == moved.closure_meets_open_window(lo, hi)
-        if m in opened:
-            assert opened[m] == IntervalSet(
+        assert (m in got) == moved.closure_meets_open_window(lo, hi)
+        if m in got:
+            assert got[m] == IntervalSet(
                 (a, b) for a, b in moved.pairs if a < hi and b > lo
             )
-        touching = [(a, b) for a, b in moved.pairs if a <= hi and b >= lo]
-        assert closed.get(m) == (IntervalSet(touching) if touching else None)
-    for flag, got in ((False, opened), (True, closed)):
-        reference = old.window_translates(step, lo, hi, reach, closed=flag)
-        assert {m: v.pairs for m, v in got.items()} == {
-            m: v.pairs for m, v in reference.items()
-        }
+    reference = old.window_translates(step, lo, hi, reach)
+    assert {m: v.pairs for m, v in got.items()} == {
+        m: v.pairs for m, v in reference.items()
+    }
 
 
 @given(pair_lists(), steps, shifts, shifts, reaches)
@@ -210,7 +205,7 @@ def test_windowed_coverage_matches_the_union_of_every_translate(
         full = translates[0].union(*translates[1:])
     except ValueError:
         return  # the translates overlap somewhere: no tiling to compare
-    pieces = s.window_translates(step, lo, hi, reach, closed=True)
+    pieces = s.window_translates(step, lo, hi, reach)
     windowed = IntervalSet(()).union(*pieces.values())
     assert windowed.coverage_gap(lo, hi) == full.coverage_gap(lo, hi)
 
