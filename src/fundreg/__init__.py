@@ -5,7 +5,9 @@ space, plus several metric comparison systems, and checks disjointness,
 coverage, local finiteness, self-adjacency, boundary containment, and
 quotient structure mechanically.  All tiling arithmetic is exact
 (reduced words and rationals); only the smooth rescaling module uses
-floating point.
+floating point.  numpy is needed by that module alone: ``build_partition``,
+``build_rescaling`` and ``rescaling_report`` import it on first access, so
+the exact battery, ``render`` and ``quotient`` never load it.
 """
 
 from .action import (
@@ -28,7 +30,6 @@ from .checker import (
     make_system,
     run_battery,
 )
-from .conformal import build_partition, build_rescaling, rescaling_report
 from .freegroup import ReducedWord, ball_size, enumerate_ball, r_power, u_power, word
 from .tilespace import (
     Cell,
@@ -41,6 +42,18 @@ from .tilespace import (
 )
 
 __version__ = "0.1.0"
+
+# Only the rescaling needs numpy: its names load ``conformal`` on first access.
+_CONFORMAL = frozenset({"build_partition", "build_rescaling", "rescaling_report"})
+
+
+def __getattr__(name: str):
+    if name in _CONFORMAL:
+        from . import conformal
+
+        return getattr(conformal, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ActionElement",

@@ -242,7 +242,7 @@ SCAN_BALL_BUDGET = 2_000_000
 # Largest line scan a run may make, in estimated bytes of interval
 # endpoints (``LineSystem.scan_estimate``, an upper bound on what the shift
 # sweeps and window queries hold).  The pathological family with 200
-# intervals is estimated at about 25 MiB; about 395 intervals fit.
+# intervals is estimated at about 0.4 MiB; up to 6,461 intervals fit.
 LINE_SCAN_BUDGET = 128 * 2**20
 
 
@@ -897,18 +897,22 @@ class LineSystem(System):
 
     def scan_estimate(self, n_intervals: int) -> int:
         """Upper estimate, in bytes, of the endpoints one scan over
-        ``region(n_intervals)`` holds: the size of 2n + 5 integer translates
-        of the region, which bounds the lifted copies and found pieces of
-        the shift sweeps and window queries.  Each interval costs about 224
-        bytes of objects plus a third of a byte per bit of its integers.
-        The family's denominator lcm(1, ..., n + 1) has under 1.5 (n + 1)
-        bits, since log lcm(1, ..., x) < 1.03883 x (Rosser and
-        Schoenfeld); the other regions have denominator 1 or 2."""
+        ``region(n_intervals)`` holds at once.  The shift sweep holds the
+        most: the region, a copy of each interval reduced modulo the step,
+        and at most four lifts of each copy, since no interval is wider
+        than the step; that is six region-sized sets of endpoints.  The
+        window query, the coverage union and the self-adjacency translates
+        hold fewer.  Each interval costs about 224 bytes of objects plus a
+        third of a byte per bit of its integers.  The family's denominator
+        lcm(1, ..., n + 1) has under 1.5 (n + 1) bits, since
+        log lcm(1, ..., x) < 1.03883 x (Rosser and Schoenfeld); the integer
+        parts add the bits of n, and 8 more bits cover the inflation and
+        window denominators.  The standard region is one interval over
+        denominator 1, whatever n."""
         family = self.name == "line-pathological"
-        shifts = 2 * n_intervals + 5
         den_bits = -(-3 * (n_intervals + 1) // 2) if family else 2
-        bits = den_bits + shifts.bit_length()
-        return shifts * (n_intervals if family else 1) * (224 + bits // 3)
+        bits = den_bits + n_intervals.bit_length() + 8
+        return 6 * (n_intervals if family else 1) * (224 + bits // 3)
 
     def check_budget(self, cfg: RunConfig) -> None:
         """Refuse, before anything is built, a run whose regions would be
@@ -1083,11 +1087,10 @@ class LineSystem(System):
 
     def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
         """Count orbit points of 0 landing on the region boundary."""
-        endpoints = set(self.region(cfg.n_intervals).endpoints())
         hits = [
-            m
-            for m in range(-cfg.m_range, cfg.m_range + 1)
-            if Fraction(m) in endpoints
+            int(e)
+            for e in self.region(cfg.n_intervals).endpoints()
+            if e.denominator == 1 and -cfg.m_range <= e <= cfg.m_range
         ]
         return VerificationReport(
             PROP_ORBIT_BOUNDARY,

@@ -36,7 +36,6 @@ from .checker import (
     quotient_build,
     run_battery,
 )
-from .conformal import build_rescaling, rescaling_report
 from .freegroup import word
 from .tilespace import (
     TruncationError,
@@ -279,7 +278,20 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def build_rescaling(*args, **kwargs):
+    """``conformal.build_rescaling``, imported on first use.
+
+    ``conformal`` is the only module that needs numpy, so ``verify``,
+    ``render`` and ``quotient`` start without it.
+    """
+    from .conformal import build_rescaling
+
+    return build_rescaling(*args, **kwargs)
+
+
 def cmd_conformal(args: argparse.Namespace) -> int:
+    from .conformal import rescaling_report
+
     if args.s <= 0:
         raise UsageError("scaling step must be positive")
     try:

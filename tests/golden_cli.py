@@ -73,6 +73,10 @@ def cases() -> list[list[str]]:
          "--schedule", "2,4,6,8", "--format", "json", *SMALL_F2H],
         # coverage at the default depth and radius
         ["verify", "free2house", "--property", "coverage", "--format", "json"],
+        # the rescaling: its report, the zero-field control, and the samples
+        ["conformal", "--s", "0.3"],
+        ["conformal", "--s", "0.3", "--null-rescaling"],
+        ["conformal", "--s", "0.7", "--format", "csv"],
     ]
     return out
 

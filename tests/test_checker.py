@@ -265,22 +265,31 @@ def test_line_scan_budget_admits_the_defaults():
     family = LineSystem("line-pathological")
     for n in (48, 200, 4 * 6):
         assert family.scan_estimate(n) <= LINE_SCAN_BUDGET
-    assert family.scan_estimate(1000) > LINE_SCAN_BUDGET
+    # the largest family the budget admits
+    assert family.scan_estimate(6461) <= LINE_SCAN_BUDGET < family.scan_estimate(6462)
     assert LineSystem("line-standard").scan_estimate(200) < family.scan_estimate(200)
 
 
-def test_line_scan_estimate_bounds_the_coverage_union():
+def _traced_peak(run) -> int:
     import tracemalloc
 
-    family = LineSystem("line-pathological")
-    cfg = RunConfig(n_intervals=40)
     tracemalloc.start()
     try:
-        check_coverage(family, cfg)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_line_scan_estimate_bounds_the_coverage_union():
+    family = LineSystem("line-pathological")
+    peak = _traced_peak(lambda: check_coverage(family, RunConfig(n_intervals=40)))
     assert peak <= family.scan_estimate(40)
+    # the whole battery, shift sweeps included, on a fresh system each time
+    for n in (40, 200, 395, 800):
+        cfg = RunConfig(n_intervals=n, m_range=max(200, n))
+        peak = _traced_peak(lambda: run_battery(LineSystem("line-pathological"), cfg))
+        assert peak <= family.scan_estimate(n), n
 
 
 def test_line_scan_over_budget_is_refused_before_building(monkeypatch):
@@ -298,6 +307,12 @@ def test_line_scan_over_budget_is_refused_before_building(monkeypatch):
         run_battery(family, RunConfig(n_intervals=8, schedule=(1, 2, 3)))
     with pytest.raises(BudgetExceeded, match="9 intervals"):
         run_battery(family, RunConfig(n_intervals=9))
+    # just over the real budget: 6,462 intervals, or horizon 1,616 (4 each)
+    monkeypatch.setattr(checker, "LINE_SCAN_BUDGET", LINE_SCAN_BUDGET)
+    with pytest.raises(BudgetExceeded, match="6462 intervals"):
+        run_battery(family, RunConfig(n_intervals=6462))
+    with pytest.raises(BudgetExceeded, match="horizon 1616 \\(6464 intervals\\)"):
+        run_battery(family, RunConfig(n_intervals=8, schedule=(1, 2, 1616)))
 
 
 def _recording_group_ball(monkeypatch):

@@ -272,3 +272,18 @@ def test_over_budget_line_scans_exit_64_before_building(capsys, monkeypatch):
         assert code == USAGE_EXIT
         assert out == ""
         assert f"line-pathological at {what} needs about" in err
+
+
+def test_line_scans_run_at_400_and_exit_64_just_over_the_budget(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["verify", "line-pathological", "--N", "400"])
+    assert code == 0
+    assert out.endswith("as expected\n")
+
+    def never(count):
+        raise AssertionError("built a region over the budget")
+
+    monkeypatch.setattr(checker, "pathological_1d", never)
+    code, out, err = run_cli(capsys, ["verify", "line-pathological", "--N", "6462"])
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert "line-pathological at 6462 intervals needs about 128 MiB" in err

@@ -1,0 +1,56 @@
+"""numpy is loaded only by ``fundreg conformal``.
+
+Only the rescaling fields use floating point, so importing the package,
+importing the CLI and running the exact battery must leave numpy
+unimported.  The probe runs in a fresh interpreter: this test process
+has numpy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import contextlib, io, sys
+
+def numpy_loaded():
+    return "numpy" in sys.modules
+
+import fundreg
+assert not numpy_loaded(), "import fundreg"
+import fundreg.cli as cli
+assert not numpy_loaded(), "import fundreg.cli"
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "line-standard"])
+assert code == 0, code
+assert not numpy_loaded(), "verify line-standard"
+
+try:
+    fundreg.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("fundreg.no_such_name resolved")
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["conformal", "--s", "0.3"])
+assert code == 0, code
+assert numpy_loaded(), "conformal ran without numpy"
+
+import fundreg.conformal
+assert fundreg.build_rescaling is fundreg.conformal.build_rescaling
+assert fundreg.rescaling_report is fundreg.conformal.rescaling_report
+assert fundreg.build_partition is fundreg.conformal.build_partition
+print("ok")
+"""
+
+
+def test_numpy_is_imported_only_by_conformal():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
