@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import ceil, floor, lcm
 from operator import le, lt
 from typing import Iterable, Optional, Union
 
@@ -360,13 +360,18 @@ def pathological_1d(count: int) -> IntervalSet:
 
 
 def plane2d_membership(x: Rational, y: Rational) -> bool:
-    """Open membership in the hyperbola strip over x in (0, 1)."""
-    x, y = _frac(x), _frac(y)
-    if x == 0:
+    """Open membership in the hyperbola strip over x in (0, 1).
+
+    With x = p/q and y = a/b in lowest terms, 1/x < y < 1/x + 1 reads
+    q b < a p < (q + p) b once 0 < p < q: integer compares only.
+    """
+    p, q = x.numerator, x.denominator
+    if p == 0:
         raise ValueError("outside chart")
-    if not 0 < x < 1:
+    if not 0 < p < q:
         return False
-    return 1 / x < y < 1 / x + 1
+    a, b = y.numerator, y.denominator
+    return q * b < a * p < (q + p) * b
 
 
 def plane2d_point_above(height: Rational) -> tuple[Fraction, Fraction]:
@@ -376,36 +381,41 @@ def plane2d_point_above(height: Rational) -> tuple[Fraction, Fraction]:
     return (x, 1 / x + Fraction(1, 2))
 
 
-def plane2d_translate_meets_box(
+def plane2d_box_shifts(
     m: int,
-    n: int,
+    reach: int,
     half_width: Rational,
     center: tuple[Rational, Rational] = (0, 0),
-) -> bool:
-    """Whether closure(region) + (m, n) meets an open square box.
+) -> range:
+    """The n in [-reach, reach], ascending, for which closure(region) +
+    (m, n) meets the open box (cx - w, cx + w) x (cy - w, cy + w).
 
-    The box is (cx - w, cx + w) x (cy - w, cy + w).  Exact endpoint
-    arithmetic: for each open slice of x values the translated closure
-    sweeps a y interval whose ends are 1/x + n and 1/x + n + 1.
+    Over the box's x slice (x_lo, x_hi] of the strip, the closed bands
+    [1/x, 1/x + 1] sweep [1/x_hi, 1/x_lo + 1), unbounded above when
+    x_lo = 0.  Moved by n, that meets (cy - w, cy + w) exactly for the n
+    strictly between cy - w - (1/x_lo + 1) and cy + w - 1/x_hi, so no n
+    is tested one by one.
     """
     w = _frac(half_width)
     cx, cy = _frac(center[0]), _frac(center[1])
     x_lo = max(cx - w - m, Fraction(0))
     x_hi = min(cx + w - m, Fraction(1))
     if x_lo >= x_hi:
-        return False
-    # On x in (x_lo, x_hi], 1/x covers [1/x_hi, 1/x_lo) (or up to infinity
-    # when x_lo == 0), so the union of the closed bands [1/x, 1/x + 1] is
-    # exactly (limit handling below) an interval with those ends widened
-    # by one on the right.
-    band_lo = 1 / x_hi
-    band_hi = None if x_lo == 0 else 1 / x_lo + 1
-    y_lo, y_hi = cy - w - n, cy + w - n
-    if y_hi <= band_lo:
-        return False
-    if band_hi is not None and y_lo >= band_hi:
-        return False
-    return True
+        return range(0)
+    first = -reach if x_lo == 0 else max(-reach, floor(cy - w - 1 / x_lo - 1) + 1)
+    last = min(reach, ceil(cy + w - 1 / x_hi) - 1)
+    return range(first, last + 1)
+
+
+def plane2d_translate_meets_box(
+    m: int,
+    n: int,
+    half_width: Rational,
+    center: tuple[Rational, Rational] = (0, 0),
+) -> bool:
+    """Whether closure(region) + (m, n) meets the open box of
+    ``plane2d_box_shifts``."""
+    return n in plane2d_box_shifts(m, abs(n), half_width, center)
 
 
 # ----------------------------------------------------- free-2-house cells

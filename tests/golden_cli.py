@@ -77,6 +77,14 @@ def cases() -> list[list[str]]:
         ["conformal", "--s", "0.3"],
         ["conformal", "--s", "0.3", "--null-rescaling"],
         ["conformal", "--s", "0.7", "--format", "csv"],
+        # plane schedules past the defaults, and cylinder shifts off 1
+        ["verify", "plane-pathological", "--schedule", "1,2,3,7,11,40",
+         "--format", "json"],
+        ["verify", "plane-pathological", "--property", "local-finiteness",
+         "--schedule", "3,7,11,100"],
+        ["verify", "cylinder", "--c", "5/7", "--N", "2", "--schedule", "1,2,3",
+         "--format", "json"],
+        ["verify", "cylinder", "--c", "7/3", "--N", "1", "--x-noncompact"],
     ]
     return out
 

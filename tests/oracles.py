@@ -1,12 +1,27 @@
 """Test-only oracles and fixtures: defining formulas straight off the
-pictures, and a deliberately broken system for refutation tests."""
+pictures, the per-shift scans that closed forms replaced, and a
+deliberately broken system for refutation tests."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 
 from fundreg import regions
 from fundreg.action import GroupBall, IDENTITY, _decode, _encode, room_reflection
-from fundreg.checker import PROP_COVERAGE, LineSystem, _inconclusive
+from fundreg.checker import (
+    PROP_ADJACENCY_AUDIT,
+    PROP_COVERAGE,
+    PROP_ORBIT_BOUNDARY,
+    PROP_SELF_ADJACENCY,
+    REFUTED,
+    VERIFIED,
+    CylinderSystem,
+    LineSystem,
+    PlanePathologicalSystem,
+    VerificationReport,
+    _inconclusive,
+    _profile_report,
+)
 from fundreg.freegroup import concat_reduced, enumerate_ball, r_power, swap_letters
 from fundreg.tilespace import Cell, RoomSet, materialize_cell
 
@@ -153,4 +168,125 @@ class CorruptedLine(LineSystem):
     def coverage(self, cfg):
         return _inconclusive(
             PROP_COVERAGE, "translates of the oversized interval overlap; no tiling"
+        )
+
+
+def plane2d_meets_box_by_bands(m, n, half_width, center=(0, 0)):
+    """Whether closure(region) + (m, n) meets the open box
+    (cx - w, cx + w) x (cy - w, cy + w), one shift at a time: over the x
+    slice (x_lo, x_hi] the translated closure sweeps y from 1/x_hi + n to
+    1/x_lo + 1 + n (no upper end when x_lo = 0)."""
+    w = Fraction(half_width)
+    cx, cy = Fraction(center[0]), Fraction(center[1])
+    x_lo = max(cx - w - m, Fraction(0))
+    x_hi = min(cx + w - m, Fraction(1))
+    if x_lo >= x_hi:
+        return False
+    band_lo = 1 / x_hi
+    band_hi = None if x_lo == 0 else 1 / x_lo + 1
+    y_lo, y_hi = cy - w - n, cy + w - n
+    if y_hi <= band_lo:
+        return False
+    if band_hi is not None and y_lo >= band_hi:
+        return False
+    return True
+
+
+def plane_pairs_by_scan(k, center):
+    """The shifts (m, n), |m| <= 2 and |n| <= 4k, whose closure translate
+    meets the box of half width 1/k at ``center``: all 5 (8k + 1) pairs
+    tested one by one, as plane local finiteness once did."""
+    reach = 4 * k
+    half = Fraction(1, k)
+    return [
+        (m, n)
+        for m in range(-2, 3)
+        for n in range(-reach, reach + 1)
+        if plane2d_meets_box_by_bands(m, n, half, center)
+    ]
+
+
+class ScanningPlane(PlanePathologicalSystem):
+    """Plane local finiteness by the full shift scan."""
+
+    def local_finiteness(self, cfg):
+        cx, cy = self.lf_center()
+        counts = []
+        last_pairs = []
+        for k in cfg.schedule:
+            last_pairs = plane_pairs_by_scan(k, (cx, cy))
+            counts.append(len(last_pairs))
+        witnesses = [
+            f"box center ({regions.format_fraction(cx)}, "
+            f"{regions.format_fraction(cy)})",
+            "meeting shifts at the last horizon: "
+            + ", ".join(str(p) for p in last_pairs[:8])
+            + (", ..." if len(last_pairs) > 8 else ""),
+        ]
+        report = _profile_report(
+            "local-finiteness",
+            {"depth": cfg.schedule[-1], "radius": None},
+            counts,
+            witnesses,
+        )
+        return report, {"(0, 1/2)": counts}
+
+
+class ScanningCylinder(CylinderSystem):
+    """The cylinder's self-adjacency, audit and orbit count by the loops
+    they replaced: every shift |m| <= m_range, and every sample, tested in
+    ``Fraction`` arithmetic."""
+
+    def finite_self_adjacency(self, cfg):
+        c = self.shift
+        lo, hi = -c, 2 * c
+        shifts = range(-cfg.m_range, cfg.m_range + 1)
+        overlap = [m for m in shifts if abs(m) * c < hi - lo]
+        counts = [sum(1 for m in overlap if abs(m) <= k) for k in cfg.schedule]
+        report = _profile_report(
+            PROP_SELF_ADJACENCY,
+            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
+            counts,
+            [
+                f"candidate band ({regions.format_fraction(lo)}, "
+                f"{regions.format_fraction(hi)})",
+                f"overlapping shifts: {overlap}",
+            ],
+        )
+        return report, overlap
+
+    def adjacency_audit(self, cfg):
+        _, overlap = self.cached_self_adjacency(cfg)
+        bound = len(overlap)
+        c = self.shift
+        worst = 0
+        samples = [Fraction(j, 8) * c for j in range(-8, 17)]
+        for t in samples:
+            base = floor(t / c)
+            lo, hi = base * c - c, base * c + 2 * c
+            seen = sum(
+                1 for m in range(base - 4, base + 5) if m * c < hi and m * c + c > lo
+            )
+            worst = max(worst, seen)
+        return VerificationReport(
+            PROP_ADJACENCY_AUDIT,
+            VERIFIED if worst <= bound else REFUTED,
+            {"depth": None, "radius": cfg.m_range},
+            [len(samples), bound, worst],
+            [
+                f"certified overlap family size {bound}",
+                f"max translates meeting a sampled patch: {worst}",
+            ],
+        )
+
+    def orbit_boundary(self, cfg):
+        c = self.shift
+        endpoints = {Fraction(0), c}
+        hits = [m for m in range(-cfg.m_range, cfg.m_range + 1) if m * c in endpoints]
+        return VerificationReport(
+            PROP_ORBIT_BOUNDARY,
+            VERIFIED,
+            {"depth": None, "radius": cfg.m_range},
+            [len(hits)],
+            [f"orbit of the 0 section meets the band boundary at shifts {hits}"],
         )

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from fundreg.action import GroupBall, identity, room_reflection
-from fundreg import checker
+from fundreg import checker, regions
 from fundreg.checker import (
     EXIT_CODES,
     LINE_SCAN_BUDGET,
@@ -659,33 +659,16 @@ def test_plane_lf_counts_have_witness_points():
             assert abs(bx - cx) < half and abs(by - cy) < half
 
 
-def test_plane_schedule_over_budget_is_refused_before_scanning(monkeypatch):
-    calls = []
-    meets = checker.plane2d_translate_meets_box
+def test_plane_local_finiteness_tests_no_shift_pair(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("tested a shift pair")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return meets(*args, **kwargs)
-
-    monkeypatch.setattr(checker, "plane2d_translate_meets_box", counted)
-    cfg = RunConfig(schedule=(1, 2, 3))
-    # the closed form, 5 (8k + 1) pairs at horizon k, is exactly the scan
-    pairs = 5 * 9 + 5 * 17 + 5 * 25
-    monkeypatch.setattr(checker, "PLANE_SCAN_BUDGET", pairs)
-    rep, _ = local_finiteness_profile(PlanePathologicalSystem(), cfg)
-    assert rep.counts == [10, 9, 12] and len(calls) == pairs
-    monkeypatch.setattr(checker, "PLANE_SCAN_BUDGET", pairs - 1)
-    calls.clear()
-    for check in (local_finiteness_profile, fsa_check, run_battery):
-        with pytest.raises(BudgetExceeded, match="needs 255 shift pairs"):
-            check(PlanePathologicalSystem(), cfg)
-    assert calls == []
-    # the real budget admits the defaults and a horizon of 12,000
-    monkeypatch.undo()
-    PlanePathologicalSystem().check_budget(RunConfig())
-    PlanePathologicalSystem().check_budget(RunConfig(schedule=(2, 3, 12_000)))
-    with pytest.raises(BudgetExceeded, match="budget is 500,000"):
-        PlanePathologicalSystem().check_budget(RunConfig(schedule=(2, 3, 13_000)))
+    monkeypatch.setattr(checker, "plane2d_translate_meets_box", never)
+    monkeypatch.setattr(regions, "plane2d_translate_meets_box", never)
+    rep, counts = local_finiteness_profile(
+        PlanePathologicalSystem(), RunConfig(schedule=(1, 2, 3))
+    )
+    assert rep.counts == [10, 9, 12] and counts == {"(0, 1/2)": [10, 9, 12]}
 
 
 def test_plane_fsa_refuted_via_local_profile():

@@ -5,7 +5,7 @@ import xml.dom.minidom
 
 import pytest
 
-from fundreg import checker, cli
+from fundreg import checker, cli, regions
 from fundreg.cli import INTERNAL_EXIT, USAGE_EXIT, main, quotient_strip_svg
 from fundreg.checker import Free2HouseSystem, RunConfig, quotient_build
 
@@ -245,18 +245,38 @@ def test_over_budget_radius_exits_64_before_enumerating(capsys, monkeypatch):
     assert code == 0
 
 
-def test_over_budget_plane_schedule_exits_64_before_scanning(capsys, monkeypatch):
-    # the scan would test 800,005 shift pairs at horizon 20,000 alone
+def test_long_plane_schedule_exits_0_without_a_shift_scan(capsys, monkeypatch):
+    # the scan would have tested 800,005 shift pairs at horizon 20,000 alone
     def never(*args, **kwargs):
-        raise AssertionError("scanned a schedule over the budget")
+        raise AssertionError("tested a shift pair")
 
     monkeypatch.setattr(checker, "plane2d_translate_meets_box", never)
+    monkeypatch.setattr(regions, "plane2d_translate_meets_box", never)
     argv = ["verify", "plane-pathological", "--schedule", "2,3,20000"]
-    for extra in ([], ["--property", "local-finiteness"]):
-        code, out, err = run_cli(capsys, [*argv, *extra])
-        assert code == USAGE_EXIT
-        assert out == ""
-        assert "needs 800,215 shift pairs; the budget is 500,000" in err
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.endswith("battery: 4 checks, 4 as expected\n")
+    # on its own the property exits with its verdict, the expected refutation
+    argv += ["--property", "local-finiteness", "--format", "json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "refuted"
+    assert report["counts"] == [9, 12, 60002]
+
+
+def test_cylinder_at_a_trillion_shifts_exits_0(capsys):
+    # no cylinder check loops over the shift range, m_range = max(200, N)
+    for extra in ([], ["--c", "3/2"]):
+        argv = ["verify", "cylinder", "--N", "1000000000000", *extra]
+        code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        witnesses = [w for r in json.loads(out)["results"] for w in r["witnesses"]]
+        assert "overlapping shifts: [-2, -1, 0, 1, 2]" in witnesses
+        assert (
+            "orbit of the 0 section meets the band boundary at shifts [0, 1]"
+            in witnesses
+        )
 
 
 def test_over_budget_line_scans_exit_64_before_building(capsys, monkeypatch):
