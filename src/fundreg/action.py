@@ -12,7 +12,7 @@ so equality of elements is equality of the pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .freegroup import (
     IDENTITY_WORD,
@@ -89,47 +89,48 @@ def generator_text(root: ReducedWord) -> str:
 
 # ----------------------------------------------------------- ball storage
 
-# Ball keys pack (parity, spine letters) into bytes: one header byte for the
-# parity, then one byte per letter via the map -2,-1,1,2 -> 0,1,2,3.  Compact
-# keys keep million-element balls affordable.
+# Ball keys pack (parity, spine letters) into one int: bit 0 holds the
+# parity, bits 1 + 2i and 2 + 2i hold letter i via the map -2,-1,1,2 ->
+# 0,1,2,3, and a sentinel bit sits just above the last letter, so a word
+# that ends in code-0 letters keeps its length.  Small ints keep
+# million-element balls affordable.
 
 _ENC = {-2: 0, -1: 1, 1: 2, 2: 3}
-_DEC = {0: -2, 1: -1, 2: 1, 3: 2}
+_DEC = (-2, -1, 1, 2)
 
 
-def _encode(letters: tuple[int, ...], parity: int) -> bytes:
-    return bytes([parity] + [_ENC[a] for a in letters])
+def _encode(letters: tuple[int, ...], parity: int) -> int:
+    key = 1
+    for a in reversed(letters):
+        key = key << 2 | _ENC[a]
+    return key << 1 | parity
 
 
-def _letters(key: bytes) -> tuple[int, ...]:
-    return tuple(_DEC[b] for b in key[1:])
+def _letters(key: int) -> tuple[int, ...]:
+    return tuple(_DEC[key >> i & 3] for i in range(1, key.bit_length() - 1, 2))
 
 
-def _decode(key: bytes) -> ActionElement:
-    return ActionElement(ReducedWord._trusted(_letters(key)), key[0])
+def _decode(key: int) -> ActionElement:
+    return ActionElement(ReducedWord._trusted(_letters(key)), key & 1)
 
 
-# On a whole key, one translate swaps every letter code (r <-> u, R <-> U:
-# 0 <-> 1, 2 <-> 3) and flips the parity header p to 1 ^ p, which is the
-# header of a product with a parity-1 generator.  Code c cancels 3 - c.
-_SWAP_FLIP = bytes.maketrans(b"\x00\x01\x02\x03", b"\x01\x00\x03\x02")
-
-
-def _junctions(spines: list[bytes], lead: bytes) -> list[tuple[bytes, int]]:
-    """One row of the product table: for a swapped key that starts with
-    ``lead`` (its header, then as many letter codes as the longest spine
-    has), each generator's product as ``(header + surviving spine head,
-    cut)``.  The product key is that head followed by the swapped key from
-    ``cut`` on."""
-    body = lead[1:]
+def _junctions(spines: list[tuple[tuple, int]], lead: int) -> list[tuple]:
+    """One row of the product table: for a swapped key whose parity and
+    first letters are those of ``lead``, each generator's product as
+    ``(head, drop, keep)``.  The product key ``swapped >> drop << keep |
+    head`` is the swapped key less its parity and the letters the junction
+    cancels, under the parity and the surviving spine head: the low
+    ``keep`` bits of the spine's parity-0 key."""
+    body = _letters(lead)
     row = []
-    for spine in spines:
+    for spine, key in spines:
         i = len(spine)
         j = 0
-        while i and j < len(body) and spine[i - 1] == 3 - body[j]:
+        while i and j < len(body) and spine[i - 1] == -body[j]:
             i -= 1
             j += 1
-        row.append((lead[:1] + spine[:i], 1 + j))
+        keep = 1 + 2 * i
+        row.append((key & (1 << keep) - 1 | lead & 1, 1 + 2 * j, keep))
     return row
 
 
@@ -145,45 +146,55 @@ class GroupBall:
             raise ValueError("depth must be >= 0")
         self.roots = tuple(roots)
         self.depth = depth
-        # the distinct generator spines as letter codes, in root order;
-        # all generators have parity 1
-        spines = list(
-            dict.fromkeys(
-                bytes(_ENC[a] for a in room_reflection(r).spine.letters)
-                for r in roots
-            )
-        )
-        # the cancellation in gen * elem depends only on the first `width`
-        # bytes of the swapped key, so the products come from one table row
-        # per such prefix, filled the first time the prefix is seen
-        width = 1 + max(map(len, spines), default=0)
-        table: dict[bytes, list[tuple[bytes, int]]] = {}
+        # the distinct generator spines, in root order, with their parity-0
+        # keys; all generators have parity 1
+        letters = dict.fromkeys(room_reflection(r).spine.letters for r in roots)
+        spines = [(spine, _encode(spine, 0)) for spine in letters]
+        # the cancellation in gen * elem depends only on the parity and the
+        # first `width` letters of the swapped key, so the products come
+        # from one table row per such lead, filled the first time the lead
+        # is seen.  A key with fewer letters is its own lead; a longer one
+        # is cut to `width` letters under a flag bit at the sentinel's
+        # place, so a short lead and a cut one never alias.
+        width = max((len(spine) for spine, _ in spines), default=0)
+        flag = 1 << 1 + 2 * width
+        table: dict[int, list[tuple[int, int, int]]] = {}
 
-        depth_of: dict[bytes, int] = {_encode((), 0): 0}
-        layers: list[list[bytes]] = [[_encode((), 0)]]
-        for k in range(1, depth + 1):
-            nxt: list[bytes] = []
-            for key in layers[-1]:
-                # new = gen * elem = (gen spine * swap(elem spine), 1 ^ parity)
-                swapped = key.translate(_SWAP_FLIP)
-                lead = swapped[:width]
+        def products(layer: dict[int, None]) -> Iterator[int]:
+            # new = gen * elem = (gen spine * swap(elem spine), 1 ^ parity);
+            # flips[n] has bit 0 and the low bit of each letter of a key of
+            # bit length n set, so its XOR swaps codes 0 <-> 1, 2 <-> 3.
+            top = max(layer, default=0).bit_length()
+            flips = [(1 << n) // 12 << 1 | 1 for n in range(top + 1)]
+            for key in layer:
+                swapped = key ^ flips[key.bit_length()]
+                lead = swapped if swapped < flag else swapped & flag - 1 | flag
                 row = table.get(lead)
                 if row is None:
                     row = table[lead] = _junctions(spines, lead)
-                for head, cut in row:
-                    new = head + swapped[cut:]
-                    if new not in depth_of:
-                        depth_of[new] = k
-                        nxt.append(new)
+                for head, drop, keep in row:
+                    yield swapped >> drop << keep | head
+
+        # Every generator has parity 1, so layer k holds parity k mod 2,
+        # and gen * elem for elem in layer k - 1 lies in layer k - 2 or
+        # layer k: layer k is the products less the keys of layer k - 2.
+        layers: list[dict[int, None]] = [{_encode((), 0): None}]
+        for k in range(1, depth + 1):
+            nxt = dict.fromkeys(products(layers[-1]))
+            for key in layers[-2] if k >= 2 else ():
+                nxt.pop(key, None)
             layers.append(nxt)
-        self._depth_of = depth_of
         self._layers = layers
 
     def __len__(self) -> int:
-        return len(self._depth_of)
+        return sum(map(len, self._layers))
+
+    def _depth(self, key: int) -> Optional[int]:
+        ks = range(key & 1, len(self._layers), 2)
+        return next((k for k in ks if key in self._layers[k]), None)
 
     def __contains__(self, g: ActionElement) -> bool:
-        return _encode(g.spine.letters, g.parity) in self._depth_of
+        return self._depth(_encode(g.spine.letters, g.parity)) is not None
 
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self._layers]
@@ -209,10 +220,10 @@ class GroupBall:
         Only the layers that hold a member are walked, and only as keys,
         so ranking a few witnesses costs no decoding of the ball.
         """
-        wanted: dict[int, dict[bytes, ActionElement]] = {}
+        wanted: dict[int, dict[int, ActionElement]] = {}
         for g in elements:
             key = _encode(g.spine.letters, g.parity)
-            k = self._depth_of.get(key)
+            k = self._depth(key)
             if k is not None:
                 wanted.setdefault(k, {})[key] = g
         out: list[ActionElement] = []

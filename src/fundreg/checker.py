@@ -236,9 +236,9 @@ def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
 # ------------------------------------------------------------------ budgets
 
 # Largest scan ball (or room ball) a run may build.  Depth 5 (604,850
-# elements) fits: with CPython 3.11 its keys and layers take about 62 MiB,
-# and a depth-5 disjointness run peaks at about 93 MiB.  Depth 6 (estimated
-# at 8.7 million, near 900 MiB at the same cost per element) does not.
+# elements) fits: its int keys and layer dicts take about 40 MiB under
+# CPython 3.11, and a depth-5 disjointness run peaks at about 65 MiB RSS.
+# Depth 6 (about 8.7 million, near 600 MiB at that rate) does not.
 SCAN_BALL_BUDGET = 2_000_000
 
 
@@ -481,21 +481,22 @@ class Free2HouseSystem(System):
         placement.  Exactly six placements are geometrically possible.
         """
 
-        def axis0(v: ReducedWord) -> ActionElement:
-            return ActionElement(v * r_power(-v.exponent_sum()), 0)
+        def build() -> list[ActionElement]:
+            cands = set()
+            # parity 0 steps along u and returns along r; parity 1 swaps them
+            for parity, step, back in ((0, u_power, r_power), (1, r_power, u_power)):
+                for v in (center, center * step(1), center * step(-1)):
+                    cands.add(ActionElement(v * back(-v.exponent_sum()), parity))
+            return sorted(cands, key=ActionElement.sort_key)
 
-        def axis1(v: ReducedWord) -> ActionElement:
-            return ActionElement(v * u_power(-v.exponent_sum()), 1)
+        return self._once(("meeting candidates", center), build)
 
-        cands = {
-            axis0(center),
-            axis0(center * u_power(1)),
-            axis0(center * u_power(-1)),
-            axis1(center),
-            axis1(center * r_power(1)),
-            axis1(center * r_power(-1)),
-        }
-        return sorted(cands, key=ActionElement.sort_key)
+    def meeting_inverses(self, center: ReducedWord) -> list[ActionElement]:
+        """The inverses of ``meeting_candidates(center)``, in its order."""
+        return self._once(
+            ("meeting inverses", center),
+            lambda: [g.inverse() for g in self.meeting_candidates(center)],
+        )
 
     def candidate_min_depth(self, g: ActionElement, bound: int) -> Optional[int]:
         """Smallest reflection count producing ``g``, or None above ``bound``.
@@ -537,6 +538,13 @@ class Free2HouseSystem(System):
                         seen.add(key)
                         yield ActionElement(ReducedWord._trusted(key[0]), parity)
 
+    def closure_candidates(self, radius: int) -> list[ActionElement]:
+        """``room_pair_candidates`` of the closure, built once per radius."""
+        return self._once(
+            ("closure candidates", radius),
+            lambda: list(self.room_pair_candidates(self.closure(radius))),
+        )
+
     def overlapping_generators(
         self, horizon: int, radius: int
     ) -> list[tuple[Optional[ReducedWord], ActionElement]]:
@@ -550,7 +558,7 @@ class Free2HouseSystem(System):
         """
         closure = self.closure(radius)
         hits: list[tuple[Optional[ReducedWord], ActionElement]] = []
-        for g in self.room_pair_candidates(closure):
+        for g in self.closure_candidates(radius):
             half, odd = divmod(len(g.spine), 2)
             if not g.parity or odd or half > horizon:
                 continue
@@ -563,13 +571,14 @@ class Free2HouseSystem(System):
         return [(None, identity())] + hits
 
     def _ball_overlaps(
-        self, s: RoomSet, depth: int
+        self, s: RoomSet, depth: int, candidates: Optional[list] = None
     ) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
         """The scan ball, and each nonidentity ball element g with g.s
-        meeting s, paired with g.s ∩ s, in ball iteration order."""
+        meeting s, paired with g.s ∩ s, in ball iteration order.  Pass
+        the ``room_pair_candidates`` of s if they are already built."""
         ball = self.scan_ball(depth)
         meets: dict[ActionElement, RoomSet] = {}
-        for g in self.room_pair_candidates(s):
+        for g in self.room_pair_candidates(s) if candidates is None else candidates:
             if g.is_identity() or g not in ball:
                 continue
             meet = s.translate(g).intersect(s)
@@ -603,35 +612,33 @@ class Free2HouseSystem(System):
         ext ∪ room_reflection(r^m)·ext.  That test depends on m alone and
         runs once per |m| <= radius: the action permutes closed boxes, so
         box(v).translate(g) == box(g·v) == box(r^m), and every reflection
-        preserves the exponent sum, so m == v.exponent_sum().  Walks are
-        taken only for the six certificate lines."""
-        rooms = self.rooms(cfg.radius)
+        preserves the exponent sum, so m == v.exponent_sum().  The rooms
+        are enumerated only when some m fails; otherwise they are counted,
+        and walks are taken only for the six certificate lines."""
+        self._refuse_room_ball(cfg.radius)
         ext = self.closure(cfg.radius + 1)
         covered = {}
         for m in range(-cfg.radius, cfg.radius + 1):
             spine = r_power(m)
             cover = ext.union(ext.translate(room_reflection(spine)))
             covered[m] = cover.contains(materialize_cell(spine, Cell.CLOSED_BOX))
-        certificates: list[str] = []
-        failures: list[str] = []
-        for v in rooms:
-            if not covered[v.exponent_sum()]:
-                failures.append(f"room {v.text() or 'e'} escapes its walk cover")
-            elif len(certificates) < 6:
-                g, m = walk_to_spine(v)
-                certificates.append(
-                    f"room {v.text() or 'e'}: walk {g.text()} lands on spine "
-                    f"power {m}"
-                )
-        verdict = REFUTED if failures else VERIFIED
-        witnesses = _cap(failures) if failures else certificates + [
-            f"all {len(rooms)} rooms certified"
+        rooms = ball_size(cfg.radius)
+        failures = [] if all(covered.values()) else [
+            f"room {v.text() or 'e'} escapes its walk cover"
+            for v in self.rooms(cfg.radius)
+            if not covered[v.exponent_sum()]
         ]
+        # the first six rooms of any ball lie within radius 2
+        first = enumerate_ball(min(cfg.radius, 2))[:6]
+        witnesses = _cap(failures) if failures else [
+            f"room {v.text() or 'e'}: walk {g.text()} lands on spine power {m}"
+            for v, (g, m) in zip(first, map(walk_to_spine, first))
+        ] + [f"all {rooms} rooms certified"]
         return VerificationReport(
             PROP_COVERAGE,
-            verdict,
+            REFUTED if failures else VERIFIED,
             {"depth": cfg.depth, "radius": cfg.radius},
-            [len(rooms), len(failures)],
+            [rooms, len(failures)],
             witnesses,
         )
 
@@ -640,7 +647,8 @@ class Free2HouseSystem(System):
         are translated, as for disjointness; ``counts[0]`` is still the
         number of nonidentity ball elements covered."""
         boundary = self.boundary(cfg.radius)
-        ball, overlaps = self._ball_overlaps(self.closure(cfg.radius), cfg.depth)
+        cands = self.closure_candidates(cfg.radius)
+        ball, overlaps = self._ball_overlaps(self.closure(cfg.radius), cfg.depth, cands)
         bad = []
         for g, meet in overlaps:
             spill = meet.difference(boundary)
@@ -1645,8 +1653,8 @@ def orbit_representatives(
     coordinate patch at ``p``'s room.
     """
     found: dict[str, RoomPoint] = {}
-    for cand in system.meeting_candidates(p.room):
-        q = apply_to_point(cand.inverse(), p)
+    for inverse in system.meeting_inverses(p.room):
+        q = apply_to_point(inverse, p)
         if in_closed_region(q):
             found.setdefault(q.text(), q)
     return [found[key] for key in sorted(found)]

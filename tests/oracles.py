@@ -83,9 +83,15 @@ class ReferenceBall:
         return [g for k in range(len(self.layers)) for g in self.layer(k)]
 
 
+def ball_keys(ball):
+    """Every (key, depth) of ``ball``, layer by layer in insertion order."""
+    return [(key, k) for k, layer in enumerate(ball._layers) for key in layer]
+
+
 def ball_depth(ball, g):
     """The layer of ``ball`` that holds g, or None if g is not in it."""
-    return ball._depth_of.get(_encode(g.spine.letters, g.parity))
+    key = _encode(g.spine.letters, g.parity)
+    return next((k for k, layer in enumerate(ball._layers) if key in layer), None)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from fundreg.action import (
     IDENTITY,
     ActionElement,
+    _decode,
+    _encode,
     group_ball,
     room_reflection,
     walk_to_spine,
@@ -23,7 +25,13 @@ from fundreg.freegroup import (
     spine_exponent,
     word,
 )
-from oracles import ReferenceBall, ball_depth, compose_all, naive_reflection_image
+from oracles import (
+    ReferenceBall,
+    ball_depth,
+    ball_keys,
+    compose_all,
+    naive_reflection_image,
+)
 
 letters_st = st.lists(st.sampled_from(LETTERS), max_size=10)
 
@@ -121,7 +129,7 @@ def assert_matches_the_frontier_build(roots, depth, seed):
     ball = group_ball(roots, depth)
     ref = ReferenceBall(roots, depth)
     # same keys, same depths, inserted in the same order
-    assert list(ball._depth_of.items()) == list(ref.depth_of.items())
+    assert ball_keys(ball) == list(ref.depth_of.items())
     assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
     order = ref.elements()
     assert list(ball) == order
@@ -131,7 +139,8 @@ def assert_matches_the_frontier_build(roots, depth, seed):
     # non-members, shuffled
     rng = random.Random(seed)
     picks = rng.sample(order, min(len(order), 25))
-    stranger = room_reflection(word("rrrr")) * room_reflection(word("uuuu"))
+    # a 20-letter spine: longer than any product of two length-4 roots
+    stranger = room_reflection(word("rrrrr")) * room_reflection(word("uuuuu"))
     assert stranger not in ball
     query = picks + [stranger]
     rng.shuffle(query)
@@ -170,6 +179,58 @@ def test_ball_over_random_roots_matches_the_frontier_build(seed):
     roots += rng.choices(roots, k=3)
     rng.shuffle(roots)
     assert_matches_the_frontier_build(roots, 3, seed)
+
+
+# words need not be reduced to be packed; -2 (U) is letter code 0
+long_letters_st = st.lists(st.sampled_from(LETTERS), max_size=200)
+code0_tail_st = st.integers(min_value=0, max_value=5)
+
+
+@given(long_letters_st, code0_tail_st, st.sampled_from([0, 1]))
+def test_packed_keys_round_trip(letters, tail, parity):
+    w = tuple(letters) + (-2,) * tail
+    g = _decode(_encode(w, parity))
+    assert (g.spine.letters, g.parity) == (w, parity)
+
+
+@given(
+    long_letters_st,
+    code0_tail_st,
+    st.sampled_from([0, 1]),
+    long_letters_st,
+    code0_tail_st,
+    st.sampled_from([0, 1]),
+)
+def test_packed_keys_are_injective(a, a_tail, p, b, b_tail, q):
+    v = (tuple(a) + (-2,) * a_tail, p)
+    w = (tuple(b) + (-2,) * b_tail, q)
+    assert (_encode(*v) == _encode(*w)) == (v == w)
+
+
+def test_packed_keys_keep_trailing_code0_letters():
+    keys = {_encode((-2,) * n, p) for n in range(12) for p in (0, 1)}
+    assert len(keys) == 24
+
+
+def test_ball_over_eight_letter_spines_matches_the_frontier_build():
+    # roots of length <= 4: 161 generators, spines of up to 8 letters
+    ball = assert_matches_the_frontier_build(enumerate_ball(4), 2, 42)
+    assert ball.layer_sizes()[:2] == [1, 161]
+
+
+def test_spine_longer_than_every_member_is_not_in_the_ball():
+    ball = group_ball(enumerate_ball(2), 3)
+    longest = max(ball, key=lambda g: len(g.spine))
+    n = len(longest.spine)
+    # the member's spine followed by code-0 letters (U): without the
+    # sentinel bit those letters would add nothing to the member's key
+    tail = (-2,) * 5 if longest.spine.letters[-1] != 2 else (1,) + (-2,) * 5
+    extended = ReducedWord(longest.spine.letters + tail)
+    assert len(extended) > n
+    assert longest in ball
+    for parity in (0, 1):
+        assert ActionElement(extended, parity) not in ball
+        assert ActionElement(extended * word("r" * 9), parity) not in ball
 
 
 def test_walk_to_spine_examples():

@@ -11,8 +11,11 @@ counts, and the order and cap of the witnesses.
 room to the spine and tests that room's own translated closed box.
 """
 
+import json
+
 import pytest
 
+from fundreg import checker
 from fundreg.action import room_reflection, walk_to_spine
 from fundreg.checker import (
     PROP_BOUNDARY,
@@ -29,6 +32,7 @@ from fundreg.checker import (
 )
 from fundreg.freegroup import enumerate_ball, r_power
 from fundreg.tilespace import ALL_ATOMS, Cell, RoomSet, materialize_cell
+from golden_cli import DATA, run
 
 
 _TRUE = Free2HouseSystem()
@@ -236,6 +240,36 @@ def test_refuting_coverage_keeps_witness_order_and_cap(radius, counts):
     assert got["verdict"] == REFUTED and got["counts"] == counts
     assert got["witnesses"][-1] == "..."
     assert got == oracle_coverage(system, cfg).to_dict()
+
+
+def test_verified_coverage_builds_no_room_ball(monkeypatch):
+    # Only the root list of the profile half balls (radius 3) may be
+    # enumerated; every room ball of these runs has radius 5 or 8.
+    def guard(fn, limit):
+        def guarded(*args):
+            if args[-1] > limit:
+                raise AssertionError(f"room ball of radius {args[-1]} built")
+            return fn(*args)
+
+        return guarded
+
+    roots = Free2HouseSystem.profile_root_len
+    monkeypatch.setattr(checker, "enumerate_ball", guard(enumerate_ball, roots))
+    monkeypatch.setattr(
+        Free2HouseSystem, "rooms", guard(Free2HouseSystem.rooms, 2)
+    )
+    golden = {
+        " ".join(row["argv"]): (row["exit"], row["sha256"])
+        for row in json.loads(DATA.read_text(encoding="utf-8"))
+    }
+    for argv in (
+        "verify free2house --format json --depth 3 --radius 5",
+        "verify free2house --property coverage --format json",
+    ):
+        assert run(argv.split()) == golden[argv]
+    # over budget, refused before any enumeration
+    code, _ = run("verify free2house --property coverage --radius 13".split())
+    assert code == 64
 
 
 def test_walks_carry_closed_boxes_onto_the_spine_power_of_the_exponent_sum(f2):
