@@ -114,6 +114,28 @@ def _decode(key: int) -> ActionElement:
     return ActionElement(ReducedWord._trusted(_letters(key)), key & 1)
 
 
+# The letter maps that commute with swap act on a key letterwise, as one
+# XOR pattern on every 2-bit letter code: swap (r <-> u) flips the low bit
+# (codes 0 <-> 1, 2 <-> 3), phi (r <-> R, u <-> U) flips both bits, and
+# phi o swap flips the high bit; pattern 0 is the identity.  Each is an
+# automorphism of F(r, u) that commutes with swap, so (spine, p) ->
+# (map(spine), p) is an automorphism of the action, and it sends the
+# generator rooted at w to the generator rooted at map(w).
+
+_EMPTY_SPINE = frozenset({_encode((), 0), _encode((), 1)})
+
+
+def _spread(pattern: int, n: int) -> int:
+    """The XOR that applies ``pattern`` to every letter of a key of bit
+    length ``n``."""
+    return pattern * ((1 << n - 2) // 3) << 1
+
+
+def _image(key: int, pattern: int) -> int:
+    """The key of the image of ``key``'s element under a letter map."""
+    return key ^ _spread(pattern, key.bit_length())
+
+
 def _junctions(spines: list[tuple[tuple, int]], lead: int) -> list[tuple]:
     """One row of the product table: for a swapped key whose parity and
     first letters are those of ``lead``, each generator's product as
@@ -137,8 +159,13 @@ def _junctions(spines: list[tuple[tuple, int]], lead: int) -> list[tuple]:
 class GroupBall:
     """Products of at most `depth` reflection generators, deduplicated.
 
-    Layers are breadth-first: layer k holds the elements whose minimal
-    generator-word length is exactly k.
+    Layer k holds the elements whose minimal generator-word length is
+    exactly k.  ``symmetries`` are the letter maps (as XOR patterns) that
+    send the set of generators onto itself.  Such a map preserves word
+    length, so every layer is a union of its orbits, and a layer is
+    stored as one canonical key per orbit: the member whose last letter
+    has the least code.  A nonempty spine's orbit has exactly
+    ``len(symmetries)`` keys; an empty spine's has one.
     """
 
     def __init__(self, roots: Sequence[ReducedWord], depth: int):
@@ -149,62 +176,123 @@ class GroupBall:
         # the distinct generator spines, in root order, with their parity-0
         # keys; all generators have parity 1
         letters = dict.fromkeys(room_reflection(r).spine.letters for r in roots)
-        spines = [(spine, _encode(spine, 0)) for spine in letters]
+        self._spines = [(spine, _encode(spine, 0)) for spine in letters]
+        keys = {key for _, key in self._spines}
+        self.symmetries = tuple(
+            p for p in range(4) if {_image(key, p) for key in keys} == keys
+        )
+        # choose[c]: the symmetry that takes last-letter code c lowest
+        self._choose = [min(self.symmetries, key=c.__xor__) for c in range(4)]
         # the cancellation in gen * elem depends only on the parity and the
         # first `width` letters of the swapped key, so the products come
         # from one table row per such lead, filled the first time the lead
         # is seen.  A key with fewer letters is its own lead; a longer one
         # is cut to `width` letters under a flag bit at the sentinel's
         # place, so a short lead and a cut one never alias.
-        width = max((len(spine) for spine, _ in spines), default=0)
-        flag = 1 << 1 + 2 * width
-        table: dict[int, list[tuple[int, int, int]]] = {}
+        width = max((len(spine) for spine, _ in self._spines), default=0)
+        self._flag = 1 << 1 + 2 * width
+        self._table: dict[int, list[tuple[int, int, int]]] = {}
+        # bit length of a key with `width` letters
+        short = 2 + 2 * width
 
-        def products(layer: dict[int, None]) -> Iterator[int]:
-            # new = gen * elem = (gen spine * swap(elem spine), 1 ^ parity);
-            # flips[n] has bit 0 and the low bit of each letter of a key of
-            # bit length n set, so its XOR swaps codes 0 <-> 1, 2 <-> 3.
-            top = max(layer, default=0).bit_length()
-            flips = [(1 << n) // 12 << 1 | 1 for n in range(top + 1)]
-            for key in layer:
-                swapped = key ^ flips[key.bit_length()]
-                lead = swapped if swapped < flag else swapped & flag - 1 | flag
-                row = table.get(lead)
-                if row is None:
-                    row = table[lead] = _junctions(spines, lead)
-                for head, drop, keep in row:
-                    yield swapped >> drop << keep | head
+        def products(reps: set[int]) -> Iterator[int]:
+            # gen * elem = (gen spine * swap(elem spine), 1 ^ parity); the
+            # products of the orbit of elem are the orbits of the products
+            # of any one member.  A key with more letters than any spine
+            # keeps its last letter in every product, so turning it by the
+            # symmetry that makes its swapped last letter canonical makes
+            # every product canonical.  turn[n][c] swaps the letters and
+            # the parity of a key of bit length n and last-letter code c,
+            # then applies that symmetry.
+            top = max(reps, default=0).bit_length()
+            turn = [
+                [_spread(1 ^ self._choose[c ^ 1], n) | 1 for c in range(4)]
+                if n > short else None
+                for n in range(top + 1)
+            ]
+            for key in reps:
+                n = key.bit_length()
+                if n > short:
+                    swapped = key ^ turn[n][key >> n - 3 & 3]
+                    for head, drop, keep in self._row(swapped):
+                        yield swapped >> drop << keep | head
+                else:
+                    yield from map(self._canonical, self._neighbours(key))
 
         # Every generator has parity 1, so layer k holds parity k mod 2,
         # and gen * elem for elem in layer k - 1 lies in layer k - 2 or
-        # layer k: layer k is the products less the keys of layer k - 2.
-        layers: list[dict[int, None]] = [{_encode((), 0): None}]
+        # layer k.  Every element of layer k is tau(gen * s) for a
+        # representative s of layer k - 1, so its orbit meets the products
+        # of s: layer k is the canonical products less layer k - 2.
+        reps: list[set[int]] = [{_encode((), 0)}]
         for k in range(1, depth + 1):
-            nxt = dict.fromkeys(products(layers[-1]))
-            for key in layers[-2] if k >= 2 else ():
-                nxt.pop(key, None)
-            layers.append(nxt)
-        self._layers = layers
+            nxt = set(products(reps[-1]))
+            if k >= 2:
+                nxt -= reps[-2]
+            reps.append(nxt)
+        self._reps = reps
+        order = len(self.symmetries)
+        self._sizes = [
+            order * len(layer) - (order - 1) * len(layer & _EMPTY_SPINE)
+            for layer in reps
+        ]
+
+    def _row(self, swapped: int) -> list[tuple[int, int, int]]:
+        flag = self._flag
+        lead = swapped if swapped < flag else swapped & flag - 1 | flag
+        row = self._table.get(lead)
+        if row is None:
+            row = self._table[lead] = _junctions(self._spines, lead)
+        return row
+
+    def _neighbours(self, key: int) -> list[int]:
+        """The keys of gen * elem for each generator, in generator order."""
+        # bit 0 and the low bit of every letter: swap codes 0 <-> 1, 2 <-> 3
+        swapped = key ^ (_spread(1, key.bit_length()) | 1)
+        row = self._row(swapped)
+        return [swapped >> drop << keep | head for head, drop, keep in row]
+
+    def _canonical(self, key: int) -> int:
+        n = key.bit_length()
+        return key ^ _spread(self._choose[key >> n - 3 & 3], n) if n > 2 else key
 
     def __len__(self) -> int:
-        return sum(map(len, self._layers))
+        return sum(self._sizes)
 
     def _depth(self, key: int) -> Optional[int]:
-        ks = range(key & 1, len(self._layers), 2)
-        return next((k for k in ks if key in self._layers[k]), None)
+        rep = self._canonical(key)
+        ks = range(key & 1, len(self._reps), 2)
+        return next((k for k in ks if rep in self._reps[k]), None)
 
     def __contains__(self, g: ActionElement) -> bool:
         return self._depth(_encode(g.spine.letters, g.parity)) is not None
 
     def layer_sizes(self) -> list[int]:
-        return [len(layer) for layer in self._layers]
+        return list(self._sizes)
 
     def iter_layer(self, k: int) -> Iterator[ActionElement]:
-        return (_decode(key) for key in self._layers[k])
+        """Every element of layer k once, in no specified order."""
+        reps = self._reps[k]
+        top = max(reps, default=0).bit_length()
+        orbit = [
+            [_spread(p, n) for p in self.symmetries] if n > 2 else [0]
+            for n in range(top + 1)
+        ]
+        return (_decode(rep ^ m) for rep in reps for m in orbit[rep.bit_length()])
+
+    def representatives(self, k: int) -> Iterator[ActionElement]:
+        """One element of each orbit in layer k."""
+        return map(_decode, self._reps[k])
+
+    def orbit(self, g: ActionElement) -> list[ActionElement]:
+        """The distinct images of g under ``symmetries``."""
+        key = _encode(g.spine.letters, g.parity)
+        n = key.bit_length()
+        return [_decode(key ^ _spread(p, n)) for p in self.symmetries if n > 2 or not p]
 
     def __iter__(self) -> Iterator[ActionElement]:
-        for layer in self._layers:
-            yield from (_decode(key) for key in layer)
+        for k in range(len(self._reps)):
+            yield from self.iter_layer(k)
 
     def nonidentity(self) -> Iterator[ActionElement]:
         for g in self:
@@ -214,11 +302,13 @@ class GroupBall:
     def in_iteration_order(
         self, elements: Iterable[ActionElement]
     ) -> list[ActionElement]:
-        """The ball members among ``elements``, in the order iteration
-        yields them.
+        """The ball members among ``elements`` in breadth-first order: by
+        layer, and within layer k by the least (rank of the parent,
+        generator index) over the parents in layer k - 1, the order in
+        which a frontier build first reaches them.
 
-        Only the layers that hold a member are walked, and only as keys,
-        so ranking a few witnesses costs no decoding of the ball.
+        Only the members and their ancestors are ranked: each is walked
+        one layer down through its products with the generators.
         """
         wanted: dict[int, dict[int, ActionElement]] = {}
         for g in elements:
@@ -226,10 +316,32 @@ class GroupBall:
             k = self._depth(key)
             if k is not None:
                 wanted.setdefault(k, {})[key] = g
+        if not wanted:
+            return []
+        need: list[set[int]] = [set() for _ in range(max(wanted) + 1)]
+        for k, picks in wanted.items():
+            need[k].update(picks)
+        parents: dict[int, list[tuple[int, int]]] = {}
+        for k in range(len(need) - 1, 0, -1):
+            below = self._reps[k - 1]
+            for key in need[k]:
+                ps = [
+                    (p, i)
+                    for i, p in enumerate(self._neighbours(key))
+                    if self._canonical(p) in below
+                ]
+                parents[key] = ps
+                need[k - 1].update(p for p, _ in ps)
+        rank = {key: 0 for key in need[0]}
+        for k in range(1, len(need)):
+            ranked = sorted(
+                need[k], key=lambda key: min((rank[p], i) for p, i in parents[key])
+            )
+            rank.update((key, pos) for pos, key in enumerate(ranked))
         out: list[ActionElement] = []
         for k in sorted(wanted):
             picks = wanted[k]
-            out.extend(picks[key] for key in self._layers[k] if key in picks)
+            out.extend(picks[key] for key in sorted(picks, key=rank.__getitem__))
         return out
 
 

@@ -235,10 +235,11 @@ def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
 
 # ------------------------------------------------------------------ budgets
 
-# Largest scan ball (or room ball) a run may build.  Depth 5 (604,850
-# elements) fits: its int keys and layer dicts take about 40 MiB under
-# CPython 3.11, and a depth-5 disjointness run peaks at about 65 MiB RSS.
-# Depth 6 (about 8.7 million, near 600 MiB at that rate) does not.
+# Largest scan ball (or room ball) a run may build, in elements.  Depth 5
+# (604,850 elements in 151,214 orbit keys) fits: its layer sets take
+# about 9.3 MiB under CPython 3.11, and a depth-5 disjointness run peaks
+# at about 31 MiB RSS.  Depth 6 (about 8.7 million elements, some 135 MiB
+# at that rate) is over the budget.
 SCAN_BALL_BUDGET = 2_000_000
 
 
@@ -511,10 +512,15 @@ class Free2HouseSystem(System):
         return found if found is not None and found <= bound else None
 
     def _min_depth(self, g: ActionElement) -> Optional[int]:
+        # a symmetry tau of the ball maps its layers onto themselves, so
+        # tau(a)^-1 g lies in the ball exactly when a^-1 tau^-1(g) does:
+        # one left factor per orbit, against every image of g
         for total in range(g.parity, self.depth_cap + 1, 2):
             ball = self.half_ball(total - total // 2)
-            for a in ball.iter_layer(total // 2):
-                if a.inverse() * g in ball:
+            images = ball.orbit(g)
+            for a in ball.representatives(total // 2):
+                a_inv = a.inverse()
+                if any(a_inv * h in ball for h in images):
                     return total
         return None
 
@@ -572,10 +578,11 @@ class Free2HouseSystem(System):
 
     def _ball_overlaps(
         self, s: RoomSet, depth: int, candidates: Optional[list] = None
-    ) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
+    ) -> tuple[GroupBall, dict[ActionElement, RoomSet]]:
         """The scan ball, and each nonidentity ball element g with g.s
-        meeting s, paired with g.s ∩ s, in ball iteration order.  Pass
-        the ``room_pair_candidates`` of s if they are already built."""
+        meeting s, mapped to g.s ∩ s.  Pass the ``room_pair_candidates``
+        of s if they are already built.  Callers rank only the elements
+        that become witnesses, with ``in_iteration_order``."""
         ball = self.scan_ball(depth)
         meets: dict[ActionElement, RoomSet] = {}
         for g in self.room_pair_candidates(s) if candidates is None else candidates:
@@ -584,7 +591,7 @@ class Free2HouseSystem(System):
             meet = s.translate(g).intersect(s)
             if not meet.is_empty():
                 meets[g] = meet
-        return ball, [(g, meets[g]) for g in ball.in_iteration_order(meets)]
+        return ball, meets
 
     # -- properties ----------------------------------------------------
 
@@ -593,10 +600,10 @@ class Free2HouseSystem(System):
         ``room_pair_candidates`` are translated: any other element moves
         every region room off the region.  ``counts[0]`` is still the
         number of nonidentity ball elements the scan covers."""
-        ball, overlaps = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
+        ball, meets = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
         bad = [
-            f"{g.text()} overlaps: {'; '.join(meet.describe())}"
-            for g, meet in overlaps
+            f"{g.text()} overlaps: {'; '.join(meets[g].describe())}"
+            for g in ball.in_iteration_order(meets)
         ]
         return VerificationReport(
             PROP_DISJOINTNESS,
@@ -648,20 +655,20 @@ class Free2HouseSystem(System):
         number of nonidentity ball elements covered."""
         boundary = self.boundary(cfg.radius)
         cands = self.closure_candidates(cfg.radius)
-        ball, overlaps = self._ball_overlaps(self.closure(cfg.radius), cfg.depth, cands)
-        bad = []
-        for g, meet in overlaps:
-            spill = meet.difference(boundary)
-            if not spill.is_empty():
-                bad.append(
-                    f"{g.text()} meets the closure off the boundary: "
-                    f"{'; '.join(spill.describe())}"
-                )
+        ball, meets = self._ball_overlaps(self.closure(cfg.radius), cfg.depth, cands)
+        spills = {g: meet.difference(boundary) for g, meet in meets.items()}
+        bad = [
+            f"{g.text()} meets the closure off the boundary: "
+            f"{'; '.join(spills[g].describe())}"
+            for g in ball.in_iteration_order(
+                g for g, spill in spills.items() if not spill.is_empty()
+            )
+        ]
         return VerificationReport(
             PROP_BOUNDARY,
             REFUTED if bad else VERIFIED,
             {"depth": cfg.depth, "radius": cfg.radius},
-            [len(ball) - 1, len(overlaps), len(bad)],
+            [len(ball) - 1, len(meets), len(bad)],
             _cap(bad),
         )
 
@@ -1631,16 +1638,22 @@ def fixed_point_search(
 # -------------------------------------------------------- orbit representatives
 
 
+def _closed_atoms(room: ReducedWord) -> tuple[int, ...]:
+    """The atoms of ``room`` that the closed region holds: the upper
+    triangle with its diagonal and left wall in a spine room, the bottom
+    wall in the room just above one, none elsewhere."""
+    if spine_exponent(room) is not None:
+        return (UPPER, DIAG, LEFT)
+    prefix = room * u_power(-1)
+    if spine_exponent(prefix) is not None and prefix * u_power(1) == room:
+        return (BOTTOM,)
+    return ()
+
+
 def in_closed_region(p: RoomPoint) -> bool:
     """Exact membership of a canonical point in the closed region; serves
     acceptance criterion 7, as the three helpers below do."""
-    i = spine_exponent(p.room)
-    if i is not None:
-        return p.atom() in (UPPER, DIAG, LEFT)
-    prefix = p.room * u_power(-1)
-    if spine_exponent(prefix) is not None and prefix * u_power(1) == p.room:
-        return p.atom() == BOTTOM
-    return False
+    return p.atom() in _closed_atoms(p.room)
 
 
 def orbit_representatives(
@@ -1650,12 +1663,25 @@ def orbit_representatives(
 
     Completeness rests on the six-candidate enumeration: any element
     moving ``p`` into the closure must place a closure room onto the
-    coordinate patch at ``p``'s room.
+    coordinate patch at ``p``'s room.  Where each candidate sends the
+    room, and which atoms of the image room are closed, depend on the
+    room alone, so they are found once per room; a point then only swaps
+    its coordinates and tests its atom.
     """
+
+    def build() -> list[tuple[int, ReducedWord, tuple[int, ...]]]:
+        out = []
+        for g in system.meeting_inverses(p.room):
+            room = g.apply(p.room)
+            atoms = _closed_atoms(room)
+            if atoms:
+                out.append((g.parity, room, atoms))
+        return out
+
     found: dict[str, RoomPoint] = {}
-    for inverse in system.meeting_inverses(p.room):
-        q = apply_to_point(inverse, p)
-        if in_closed_region(q):
+    for parity, room, atoms in system._once(("closed images", p.room), build):
+        q = RoomPoint(room, p.y, p.x) if parity else RoomPoint(room, p.x, p.y)
+        if q.atom() in atoms:
             found.setdefault(q.text(), q)
     return [found[key] for key in sorted(found)]
 

@@ -11,6 +11,7 @@ from fundreg.action import (
     ActionElement,
     _decode,
     _encode,
+    _image,
     group_ball,
     room_reflection,
     walk_to_spine,
@@ -106,37 +107,39 @@ def test_group_ball_example():
 
 def test_group_ball_layers_and_membership():
     ball = group_ball(enumerate_ball(1), 3)
+    ref = ReferenceBall(enumerate_ball(1), 3)
     sizes = ball.layer_sizes()
     assert sizes[0] == 1
     assert sizes[1] == 5
     assert len(ball) == sum(sizes)
     ge = room_reflection(IDENTITY_WORD)
     gr = room_reflection(word("r"))
-    assert ball_depth(ball, ge) == 1
-    assert ball_depth(ball, ge * gr) == 2
-    assert ball_depth(ball, IDENTITY) == 0
     # g[u] = g[e] g[r] g[e]: relations can shorten products
     gu = room_reflection(word("u"))
     assert compose_all([ge, gr, ge]) == gu
-    assert ball_depth(ball, gu) == 1
+    for g, k in [(IDENTITY, 0), (ge, 1), (ge * gr, 2), (gu, 1)]:
+        assert ball_depth(ref, g) == k
+        assert g in ball and g in set(ball.iter_layer(k))
     elements = sorted(ball, key=ActionElement.sort_key)
     assert len(set(elements)) == len(elements)
     keys = [g.sort_key() for g in elements]
     assert keys == sorted(keys)
 
 
-def assert_matches_the_frontier_build(roots, depth, seed):
+def assert_matches_the_frontier_build(roots, depth, seed, rank_whole=True):
+    """Same layers as the frontier build, no element twice, and witnesses
+    ranked in the frontier build's insertion order.  Ranking the whole
+    ball walks every element's parents, so large balls rank only picks."""
     ball = group_ball(roots, depth)
     ref = ReferenceBall(roots, depth)
-    # same keys, same depths, inserted in the same order
-    assert ball_keys(ball) == list(ref.depth_of.items())
     assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
+    for k, keys in enumerate(ball_keys(ref)):
+        got = [_encode(g.spine.letters, g.parity) for g in ball.iter_layer(k)]
+        assert len(got) == len(set(got))
+        assert set(got) == keys
+    assert len(ball) == len(ref.depth_of)
     order = ref.elements()
-    assert list(ball) == order
-    for k in range(depth + 1):
-        assert list(ball.iter_layer(k)) == ref.layer(k)
-    # witnesses are ranked by iteration order: pick a few members and
-    # non-members, shuffled
+    # pick a few members and a non-member, shuffled
     rng = random.Random(seed)
     picks = rng.sample(order, min(len(order), 25))
     # a 20-letter spine: longer than any product of two length-4 roots
@@ -146,6 +149,8 @@ def assert_matches_the_frontier_build(roots, depth, seed):
     rng.shuffle(query)
     wanted = set(picks)
     assert ball.in_iteration_order(query) == [g for g in order if g in wanted]
+    if rank_whole:
+        assert ball.in_iteration_order(rng.sample(order, len(order))) == order
     return ball
 
 
@@ -153,13 +158,20 @@ def assert_matches_the_frontier_build(roots, depth, seed):
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_group_ball_matches_the_frontier_build(root_len, depth):
     assert_matches_the_frontier_build(
-        enumerate_ball(root_len), depth, root_len * 10 + depth
+        enumerate_ball(root_len), depth, root_len * 10 + depth, root_len * depth < 9
     )
 
 
 def test_scan_ball_matches_the_frontier_build():
-    ball = assert_matches_the_frontier_build(enumerate_ball(2), 4, 24)
+    ball = assert_matches_the_frontier_build(enumerate_ball(2), 4, 24, False)
     assert len(ball) == 45_098
+
+
+def test_depth_5_scan_ball_layer_sizes():
+    # measured on the dict-per-layer build that orbit storage replaced
+    ball = group_ball(enumerate_ball(2), 5)
+    assert ball.layer_sizes() == [1, 17, 232, 3112, 41736, 559752]
+    assert len(ball) == 604_850
 
 
 @pytest.mark.parametrize("roots", [[], [IDENTITY_WORD]], ids=["none", "e"])
@@ -179,6 +191,58 @@ def test_ball_over_random_roots_matches_the_frontier_build(seed):
     roots += rng.choices(roots, k=3)
     rng.shuffle(roots)
     assert_matches_the_frontier_build(roots, 3, seed)
+
+
+# ------------------------------------------------------ letter symmetries
+
+# The three letter maps of F(r, u) that commute with swap, straight off
+# their definitions, keyed by the XOR pattern they apply to a letter code.
+LETTER_MAPS = {
+    1: lambda a: {1: 2, 2: 1, -1: -2, -2: -1}[a],  # swap: r <-> u
+    3: lambda a: -a,  # phi: r <-> R, u <-> U
+    2: lambda a: -{1: 2, 2: 1, -1: -2, -2: -1}[a],  # phi o swap
+}
+
+
+def mapped(pattern, g):
+    """The image of g under a letter map, computed on its key."""
+    return _decode(_image(_encode(g.spine.letters, g.parity), pattern))
+
+
+@pytest.mark.parametrize("root_len", [2, 3])
+def test_symmetries_permute_the_generators(root_len):
+    roots = enumerate_ball(root_len)
+    ball = group_ball(roots, 0)
+    assert ball.symmetries == (0, 1, 2, 3)
+    gens = {room_reflection(root) for root in roots}
+    for pattern, letter_map in LETTER_MAPS.items():
+        images = set()
+        for g in gens:
+            image = mapped(pattern, g)
+            assert image.spine.letters == tuple(map(letter_map, g.spine.letters))
+            assert image.parity == g.parity == 1
+            images.add(image)
+        assert images == gens
+
+
+def test_symmetries_are_automorphisms_of_the_action():
+    rng = random.Random(20261018)
+    sample = rng.sample(list(group_ball(enumerate_ball(2), 3)), 200)
+    for pattern in LETTER_MAPS:
+        for g, h in zip(sample, reversed(sample)):
+            assert mapped(pattern, g * h) == mapped(pattern, g) * mapped(pattern, h)
+            assert mapped(pattern, g.inverse()) == mapped(pattern, g).inverse()
+
+
+@pytest.mark.parametrize(
+    "texts,symmetries",
+    [(["", "r", "u"], (0, 1)), (["r", "ru"], (0,))],
+    ids=["swap only", "none"],
+)
+def test_ball_over_asymmetric_roots_matches_the_frontier_build(texts, symmetries):
+    roots = [word(t) for t in texts]
+    assert group_ball(roots, 0).symmetries == symmetries
+    assert_matches_the_frontier_build(roots, 4, len(texts))
 
 
 # words need not be reduced to be packed; -2 (U) is letter code 0
@@ -214,7 +278,7 @@ def test_packed_keys_keep_trailing_code0_letters():
 
 def test_ball_over_eight_letter_spines_matches_the_frontier_build():
     # roots of length <= 4: 161 generators, spines of up to 8 letters
-    ball = assert_matches_the_frontier_build(enumerate_ball(4), 2, 42)
+    ball = assert_matches_the_frontier_build(enumerate_ball(4), 2, 42, False)
     assert ball.layer_sizes()[:2] == [1, 161]
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from fundreg.action import GroupBall, identity, room_reflection
+from fundreg.action import identity, room_reflection
 from fundreg import checker, regions
 from fundreg.checker import (
     EXIT_CODES,
@@ -165,15 +165,13 @@ def oracle_min_depth(g, bound=6):
     """A direct lookup in a depth-3 ball of its own, then the splits
     (2,2), (2,3), (3,3) with the right factor looked up in that ball."""
     half = reference_half_ball()
-    two = GroupBall(enumerate_ball(3), 2)
     direct = ball_depth(half, g)
     if direct is not None:
         return direct
     for total in range(4, bound + 1):
         left = total // 2  # (2,2), (2,3), (3,3): both halves within reach
-        source = two if left == 2 else half
         limit = total - left
-        for a in source.iter_layer(left):
+        for a in half.layer(left):
             rest = ball_depth(half, a.inverse() * g)
             if rest is not None and rest <= limit:
                 return total
@@ -200,8 +198,8 @@ def test_min_depth_matches_the_reference_on_the_half_ball_and_at_rurur(f2):
     # candidates at rurur, five of them deeper than the cap or outside
     # the group
     half = reference_half_ball()
-    cases = [g for k in range(3) for g in half.iter_layer(k)]
-    cases += random.Random(20261018).sample(list(half.iter_layer(3)), 2000)
+    cases = [g for k in range(3) for g in half.layer(k)]
+    cases += random.Random(20261018).sample(half.layer(3), 2000)
     for g in cases:
         assert f2.candidate_min_depth(g, 6) == ball_depth(half, g), g
     rurur = f2.meeting_candidates(word("rurur"))

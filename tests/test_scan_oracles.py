@@ -33,6 +33,7 @@ from fundreg.checker import (
 from fundreg.freegroup import enumerate_ball, r_power
 from fundreg.tilespace import ALL_ATOMS, Cell, RoomSet, materialize_cell
 from golden_cli import DATA, run
+from oracles import reference_ball
 
 
 _TRUE = Free2HouseSystem()
@@ -42,12 +43,17 @@ def capped(items, limit=8):
     return items[:limit] + ["..."] if len(items) > limit else items
 
 
+def scan_ball_in_frontier_order(system, depth):
+    """The nonidentity elements of the scan ball, in the frontier build's
+    insertion order, which is the order witnesses are listed in."""
+    return reference_ball(system.scan_root_len, depth).elements()[1:]
+
+
 def oracle_disjointness(system, cfg):
     region = system.region(cfg.radius)
-    ball = system.scan_ball(cfg.depth)
     checked = 0
     bad = []
-    for g in ball.nonidentity():
+    for g in scan_ball_in_frontier_order(system, cfg.depth):
         checked += 1
         meet = region.translate(g).intersect(region)
         if not meet.is_empty():
@@ -64,11 +70,10 @@ def oracle_disjointness(system, cfg):
 def oracle_boundary(system, cfg):
     closure = system.closure(cfg.radius)
     boundary = system.boundary(cfg.radius)
-    ball = system.scan_ball(cfg.depth)
     checked = 0
     nonempty = 0
     bad = []
-    for g in ball.nonidentity():
+    for g in scan_ball_in_frontier_order(system, cfg.depth):
         checked += 1
         meet = closure.translate(g).intersect(closure)
         if meet.is_empty():
