@@ -299,7 +299,7 @@ class GroupBall:
             if not g.is_identity():
                 yield g
 
-    def in_iteration_order(
+    def frontier_order(
         self, elements: Iterable[ActionElement]
     ) -> list[ActionElement]:
         """The ball members among ``elements`` in breadth-first order: by

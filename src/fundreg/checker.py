@@ -582,7 +582,7 @@ class Free2HouseSystem(System):
         """The scan ball, and each nonidentity ball element g with g.s
         meeting s, mapped to g.s ∩ s.  Pass the ``room_pair_candidates``
         of s if they are already built.  Callers rank only the elements
-        that become witnesses, with ``in_iteration_order``."""
+        that become witnesses, with ``frontier_order``."""
         ball = self.scan_ball(depth)
         meets: dict[ActionElement, RoomSet] = {}
         for g in self.room_pair_candidates(s) if candidates is None else candidates:
@@ -603,7 +603,7 @@ class Free2HouseSystem(System):
         ball, meets = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
         bad = [
             f"{g.text()} overlaps: {'; '.join(meets[g].describe())}"
-            for g in ball.in_iteration_order(meets)
+            for g in ball.frontier_order(meets)
         ]
         return VerificationReport(
             PROP_DISJOINTNESS,
@@ -660,7 +660,7 @@ class Free2HouseSystem(System):
         bad = [
             f"{g.text()} meets the closure off the boundary: "
             f"{'; '.join(spills[g].describe())}"
-            for g in ball.in_iteration_order(
+            for g in ball.frontier_order(
                 g for g, spill in spills.items() if not spill.is_empty()
             )
         ]
@@ -951,10 +951,17 @@ class LineSystem(System):
         """How far the self-adjacency candidate widens each closed tile."""
         return Fraction(1, 16) if self.name == "line-pathological" else Fraction(1, 4)
 
+    def shift_meetings(self, cfg: RunConfig) -> dict[int, IntervalSet]:
+        """One sweep, shared by disjointness and boundary containment."""
+        return self._once(
+            ("shift meetings", cfg.n_intervals, cfg.m_range),
+            lambda: self.region(cfg.n_intervals).shift_meetings(1, cfg.m_range),
+        )
+
     # -- properties ----------------------------------------------------
 
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        meetings = self.region(cfg.n_intervals).shift_meetings(1, cfg.m_range)
+        meetings = self.shift_meetings(cfg)
         # the first of each shift's overlaps, left to right
         bad = [
             f"m = {m}: open overlap ({format_fraction(lo)}, {format_fraction(hi)})"
@@ -995,7 +1002,7 @@ class LineSystem(System):
         )
 
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
-        meetings = self.region(cfg.n_intervals).shift_meetings(1, cfg.m_range)
+        meetings = self.shift_meetings(cfg)
         # a point where two closures only touch is an endpoint of both
         # intervals, so every touch lies on the region boundary
         bad = [
@@ -1046,19 +1053,16 @@ class LineSystem(System):
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, list[int]]:
         """The candidate neighbourhood is the closure inflated by
-        ``margin()``."""
+        ``margin()``; one scan to the last horizon counts every horizon."""
         eps = self.margin()
         inflated = self.region(cfg.n_intervals).inflate(eps)
-        counts = []
-        last_hits: list[int] = []
-        for k in cfg.schedule:
-            hits = [
-                m
-                for m in range(-k, k + 1)
-                if inflated.first_overlap(inflated.translate(m)) is not None
-            ]
-            counts.append(len(hits))
-            last_hits = hits
+        top = cfg.schedule[-1]
+        last_hits = [
+            m
+            for m in range(-top, top + 1)
+            if inflated.first_overlap(inflated.translate(m)) is not None
+        ]
+        counts = [sum(1 for m in last_hits if abs(m) <= k) for k in cfg.schedule]
         report = _profile_report(
             PROP_SELF_ADJACENCY,
             {"depth": cfg.schedule[-1], "radius": cfg.m_range},
@@ -1146,32 +1150,31 @@ class LineSystem(System):
                 ),
                 desc,
             )
-        pairs = region.pairs
-        idents = []
-        checked = 0
-        bad = []
-        for n in range(len(pairs) - 1):
-            hi_n = pairs[n][1]
-            lo_next = pairs[n + 1][0]
-            checked += 1
-            if hi_n + 1 != lo_next:
+        # tile n ends at ends[2n + 1] / den; m = 1 glues it to tile n + 1
+        den, ends = region.den, region.ends
+        glued, bad = [], []
+        for n in range(len(region) - 1):
+            if ends[2 * n + 1] + den == ends[2 * n + 2]:
+                glued.append(n)
+            else:
                 bad.append(f"tiles {n} and {n + 1} fail to glue")
-                continue
-            idents.append(
+        desc = QuotientDescription(
+            self.name,
+            [
+                f"[{format_fraction(Fraction(lo, den))}, "
+                f"{format_fraction(Fraction(hi, den))}]"
+                for lo, hi in zip(ends[:8:2], ends[1:8:2])
+            ]
+            + [f"... {len(region)} tiles in total"],
+            [
                 {
                     "from": f"right end of tile {n}",
                     "to": f"left end of tile {n + 1}",
                     "via": "m = 1",
                 }
-            )
-        desc = QuotientDescription(
-            self.name,
-            [
-                f"[{format_fraction(lo)}, {format_fraction(hi)}]"
-                for lo, hi in pairs[:4]
+                for n in glued[:4]
             ]
-            + [f"... {len(pairs)} tiles in total"],
-            idents[:4] + [{"note": f"... {len(idents)} gluings in total"}],
+            + [{"note": f"... {len(glued)} gluings in total"}],
             [],
             False,
             [
@@ -1185,7 +1188,7 @@ class LineSystem(System):
                 PROP_QUOTIENT,
                 REFUTED if bad else VERIFIED,
                 {"depth": None, "radius": cfg.n_intervals},
-                [len(pairs), checked, len(bad)],
+                [len(region), len(glued) + len(bad), len(bad)],
                 _cap(bad) if bad else ["all consecutive tiles glue by m = 1"],
             ),
             desc,
@@ -1372,8 +1375,15 @@ class CylinderSystem(System):
     def band(self) -> IntervalSet:
         return IntervalSet([(Fraction(0), self.shift)])
 
+    def shift_meetings(self, cfg: RunConfig) -> dict[int, IntervalSet]:
+        """One sweep, shared by disjointness and boundary containment."""
+        return self._once(
+            ("shift meetings", cfg.m_range),
+            lambda: self.band().shift_meetings(self.shift, cfg.m_range),
+        )
+
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        meetings = self.band().shift_meetings(self.shift, cfg.m_range)
+        meetings = self.shift_meetings(cfg)
         bad = [f"m = {m}" for m, overlap in meetings.items() if overlap]
         return VerificationReport(
             PROP_DISJOINTNESS,
@@ -1401,7 +1411,7 @@ class CylinderSystem(System):
         )
 
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
-        meetings = self.band().shift_meetings(self.shift, cfg.m_range)
+        meetings = self.shift_meetings(cfg)
         # touch points are band endpoints; each interior overlap is bad
         bad = [f"m = {m}" for m, overlap in meetings.items() for _ in overlap.pairs]
         return VerificationReport(

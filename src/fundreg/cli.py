@@ -18,7 +18,7 @@ arguments produce equal bytes.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import io
 import json
 import sys
@@ -82,7 +82,9 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The process's one parser: parsing never changes it."""
     parser = _Parser(
         prog="fundreg",
         description="Exact tiling verification at truncation scale.",
@@ -302,6 +304,8 @@ def cmd_conformal(args: argparse.Namespace) -> int:
         raise UsageError(str(exc))
     report = rescaling_report(resc)
     if args.format == "csv":
+        import csv  # only this output needs it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["t", "f"])

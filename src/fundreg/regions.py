@@ -344,10 +344,10 @@ def standard_interval() -> IntervalSet:
 
 
 def pathological_interval(n: int) -> tuple[Fraction, Fraction]:
-    """The n-th interval: sits inside (n, n+1), width 1/((n+1)(n+2))."""
+    """The n-th interval, (n + n/(n+1), n + (n+1)/(n+2)): width 1/((n+1)(n+2))."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return (n + Fraction(n, n + 1), n + Fraction(n + 1, n + 2))
+    return (Fraction(n * (n + 2), n + 1), Fraction(n * (n + 3) + 1, n + 2))
 
 
 def pathological_1d(count: int) -> IntervalSet:

@@ -22,7 +22,6 @@ materialized, which is exactly the gluing.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -304,6 +303,8 @@ def neighborhood_roomset(center: ReducedWord, radius: int) -> RoomSet:
 
 def label_color(label: str) -> str:
     """Stable mid-range hex color derived from the label text."""
+    import hashlib  # only drawing needs it
+
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     r, g, b = (48 + v % 160 for v in digest[:3])
     return f"#{r:02x}{g:02x}{b:02x}"

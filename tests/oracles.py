@@ -1,6 +1,7 @@
 """Test-only oracles and fixtures: defining formulas straight off the
-pictures, the per-shift scans that closed forms replaced, and a
-deliberately broken system for refutation tests."""
+pictures, the per-shift scans that closed forms replaced, the
+``Fraction`` loops that integer comparisons replaced, and deliberately
+broken systems for refutation tests."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -12,13 +13,16 @@ from fundreg.checker import (
     PROP_ADJACENCY_AUDIT,
     PROP_COVERAGE,
     PROP_ORBIT_BOUNDARY,
+    PROP_QUOTIENT,
     PROP_SELF_ADJACENCY,
     REFUTED,
     VERIFIED,
     CylinderSystem,
     LineSystem,
     PlanePathologicalSystem,
+    QuotientDescription,
     VerificationReport,
+    _cap,
     _inconclusive,
     _profile_report,
 )
@@ -44,7 +48,7 @@ class ReferenceBall:
     holds each new layer twice: as keys in insertion order, and as a
     frontier of ``(letters, parity)`` tuples that the next layer is built
     from.  Its insertion order is the witness order that
-    ``GroupBall.in_iteration_order`` recovers."""
+    ``GroupBall.frontier_order`` recovers."""
 
     def __init__(self, roots, depth):
         gens = []
@@ -302,4 +306,90 @@ class ScanningCylinder(CylinderSystem):
             {"depth": None, "radius": cfg.m_range},
             [len(hits)],
             [f"orbit of the 0 section meets the band boundary at shifts {hits}"],
+        )
+
+
+def per_horizon_self_adjacency(system, cfg):
+    """``LineSystem.finite_self_adjacency`` as it first ran: each horizon k
+    translates the inflated region once per shift |m| <= k."""
+    eps = system.margin()
+    inflated = system.region(cfg.n_intervals).inflate(eps)
+    counts = []
+    last_hits = []
+    for k in cfg.schedule:
+        hits = [
+            m
+            for m in range(-k, k + 1)
+            if inflated.first_overlap(inflated.translate(m)) is not None
+        ]
+        counts.append(len(hits))
+        last_hits = hits
+    report = _profile_report(
+        PROP_SELF_ADJACENCY,
+        {"depth": cfg.schedule[-1], "radius": cfg.m_range},
+        counts,
+        [
+            f"candidate: closure inflated by {regions.format_fraction(eps)}",
+            f"overlapping shifts at the last horizon: {last_hits}",
+        ],
+    )
+    return report, last_hits
+
+
+def pairwise_line_quotient(system, cfg):
+    """The family's quotient check as it first ran: the region's
+    ``Fraction`` pairs, every consecutive pair compared by value."""
+    fmt = regions.format_fraction
+    pairs = system.region(cfg.n_intervals).pairs
+    idents = []
+    checked = 0
+    bad = []
+    for n in range(len(pairs) - 1):
+        checked += 1
+        if pairs[n][1] + 1 != pairs[n + 1][0]:
+            bad.append(f"tiles {n} and {n + 1} fail to glue")
+            continue
+        idents.append(
+            {
+                "from": f"right end of tile {n}",
+                "to": f"left end of tile {n + 1}",
+                "via": "m = 1",
+            }
+        )
+    desc = QuotientDescription(
+        system.name,
+        [f"[{fmt(lo)}, {fmt(hi)}]" for lo, hi in pairs[:4]]
+        + [f"... {len(pairs)} tiles in total"],
+        idents[:4] + [{"note": f"... {len(idents)} gluings in total"}],
+        [],
+        False,
+        [
+            "tiles chain into a half-open arc; the closing point is "
+            "never reached, so the quotient map to the circle is a "
+            "continuous bijection but not a homeomorphism"
+        ],
+    )
+    report = VerificationReport(
+        PROP_QUOTIENT,
+        REFUTED if bad else VERIFIED,
+        {"depth": None, "radius": cfg.n_intervals},
+        [len(pairs), checked, len(bad)],
+        _cap(bad) if bad else ["all consecutive tiles glue by m = 1"],
+    )
+    return report, desc
+
+
+class GappedLine(LineSystem):
+    """The pathological family with tile ``gap`` left out: the tiles on
+    either side of the hole do not glue, so the quotient must refute."""
+
+    def __init__(self, gap):
+        super().__init__("line-pathological")
+        self.gap = gap
+
+    def region(self, n_intervals):
+        return regions.IntervalSet(
+            regions.pathological_interval(n)
+            for n in range(n_intervals)
+            if n != self.gap
         )

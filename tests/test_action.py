@@ -148,9 +148,9 @@ def assert_matches_the_frontier_build(roots, depth, seed, rank_whole=True):
     query = picks + [stranger]
     rng.shuffle(query)
     wanted = set(picks)
-    assert ball.in_iteration_order(query) == [g for g in order if g in wanted]
+    assert ball.frontier_order(query) == [g for g in order if g in wanted]
     if rank_whole:
-        assert ball.in_iteration_order(rng.sample(order, len(order))) == order
+        assert ball.frontier_order(rng.sample(order, len(order))) == order
     return ball
 
 

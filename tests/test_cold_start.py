@@ -2,7 +2,8 @@
 
 Only the rescaling fields use floating point, so importing the package,
 importing the CLI and running the exact battery must leave numpy
-unimported.  The probe runs in a fresh interpreter: this test process
+unimported.  Likewise ``hashlib``, which only the drawings use, and
+``csv``, which only ``conformal --format csv`` uses, stay unimported.  The probe runs in a fresh interpreter: this test process
 has numpy loaded already.
 """
 
@@ -19,6 +20,7 @@ import contextlib, io, sys
 def numpy_loaded():
     return "numpy" in sys.modules
 
+before = set(sys.modules)
 import fundreg
 assert not numpy_loaded(), "import fundreg"
 import fundreg.cli as cli
@@ -27,6 +29,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "line-standard"])
 assert code == 0, code
 assert not numpy_loaded(), "verify line-standard"
+added = set(sys.modules) - before
+assert not added & {"csv", "hashlib"}, sorted(added & {"csv", "hashlib"})
 
 try:
     fundreg.no_such_name

@@ -4,10 +4,12 @@ The digests in ``golden_cli.json`` were recorded before the system
 protocol refactor; see ``golden_cli.py`` for the cases and the recorder.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from fundreg.cli import USAGE_EXIT, build_parser
 from golden_cli import DATA, run
 
 ROWS = json.loads(DATA.read_text(encoding="utf-8"))
@@ -16,3 +18,20 @@ ROWS = json.loads(DATA.read_text(encoding="utf-8"))
 @pytest.mark.parametrize("row", ROWS, ids=[" ".join(r["argv"]) for r in ROWS])
 def test_cli_output_matches_the_recording(row):
     assert run(row["argv"]) == (row["exit"], row["sha256"])
+
+
+def test_one_parser_serves_runs_in_turn():
+    """The cached parser serves every run in a process, a usage error in
+    between included, and each run still prints its recorded bytes."""
+    assert build_parser() is build_parser()
+    recorded = {tuple(r["argv"]): (r["exit"], r["sha256"]) for r in ROWS}
+    nothing = hashlib.sha256(b"").hexdigest()
+    runs = [
+        (["verify", "line-standard", "--format", "json"], None),
+        (["verify", "line-standard", "--property", "no-such"], (USAGE_EXIT, nothing)),
+        (["verify", "line-pathological", "--property", "disjointness",
+          "--format", "json"], None),
+        (["quotient", "line-pathological"], None),
+    ]
+    for argv, want in runs:
+        assert run(argv) == (want or recorded[tuple(argv)]), argv

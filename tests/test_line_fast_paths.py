@@ -1,0 +1,72 @@
+"""The line system's shortcuts against the loops they replaced.
+
+Finite self-adjacency tests the shifts of the last horizon once and counts
+every horizon from them; the family's quotient compares integer endpoints;
+``pathological_interval`` builds each endpoint as one ``Fraction``.  Each
+is compared with the straightforward version in ``tests/oracles.py``, or
+with the defining formula, report for report.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fundreg.checker import REFUTED, VERIFIED, LineSystem, RunConfig
+from fundreg.regions import pathological_interval
+from oracles import (
+    CorruptedLine,
+    GappedLine,
+    pairwise_line_quotient,
+    per_horizon_self_adjacency,
+)
+
+SCHEDULES = [(2, 3, 4, 5, 6), (1, 2, 3), (3, 7, 12)]
+
+LINES = (
+    [("line-standard", 200)]
+    + [("line-pathological", n) for n in (1, 2, 5, 17, 48, 200)]
+    + [("line-corrupted", 200)]
+)
+
+
+def _line(kind):
+    return CorruptedLine() if kind == "line-corrupted" else LineSystem(kind)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
+@pytest.mark.parametrize("kind,n", LINES)
+def test_self_adjacency_matches_the_per_horizon_scan(kind, n, schedule):
+    cfg = RunConfig(schedule=schedule, n_intervals=n)
+    report, hits = _line(kind).finite_self_adjacency(cfg)
+    want, want_hits = per_horizon_self_adjacency(_line(kind), cfg)
+    assert report.to_dict() == want.to_dict()
+    assert hits == want_hits
+
+
+def _quotients(system, n):
+    cfg = RunConfig(n_intervals=n)
+    report, desc = system.quotient(cfg)
+    want, want_desc = pairwise_line_quotient(system, cfg)
+    assert report.to_dict() == want.to_dict()
+    assert desc.to_dict() == want_desc.to_dict()
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_integer_quotient_matches_the_fraction_pairs(n):
+    assert _quotients(LineSystem("line-pathological"), n).verdict == VERIFIED
+
+
+@pytest.mark.parametrize("gap", [1, 3, 100])
+def test_integer_quotient_refutes_a_missing_tile_with_the_same_witnesses(gap):
+    report = _quotients(GappedLine(gap), 200)
+    # the tiles on either side of the hole are now tiles gap - 1 and gap
+    assert report.verdict == REFUTED
+    assert report.witnesses == [f"tiles {gap - 1} and {gap} fail to glue"]
+
+
+def test_pathological_interval_matches_the_defining_formula():
+    for n in range(500):
+        lo, hi = pathological_interval(n)
+        assert (lo, hi) == (n + Fraction(n, n + 1), n + Fraction(n + 1, n + 2))
+        assert (type(lo), type(hi)) == (Fraction, Fraction)

@@ -8,6 +8,7 @@ so that such a patch sees each call.
 import importlib
 import importlib.util
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from fundreg.checker import (
     run_battery,
 )
 from fundreg.freegroup import enumerate_ball
+from fundreg.regions import IntervalSet
 from fundreg.tilespace import RoomSet
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -165,3 +167,20 @@ def test_line_battery_builds_each_family_once(monkeypatch):
     run_battery(make_system("line-pathological"), RunConfig(n_intervals=40))
     # the region, and one per horizon 2..6 of local finiteness (4k tiles)
     assert sizes == Counter({n: 1 for n in (40, 8, 12, 16, 20, 24)})
+
+
+@pytest.mark.parametrize(
+    "selector,shift",
+    [("line-standard", 1), ("line-pathological", 1), ("cylinder", Fraction(3, 2))],
+)
+def test_line_and_cylinder_batteries_sweep_the_shifts_once(
+    monkeypatch, selector, shift
+):
+    calls = Counter()
+    sweep = IntervalSet.shift_meetings
+    monkeypatch.setattr(IntervalSet, "shift_meetings", _counting(calls, "sweep", sweep))
+    system = make_system(selector, shift=shift)
+    results = run_battery(system, RunConfig())
+    assert all(report.verdict == want for report, want in results)
+    # disjointness and boundary containment share the one sweep
+    assert calls == Counter({"sweep": 1})
