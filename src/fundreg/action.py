@@ -189,7 +189,7 @@ class GroupBall:
         # is seen.  A key with fewer letters is its own lead; a longer one
         # is cut to `width` letters under a flag bit at the sentinel's
         # place, so a short lead and a cut one never alias.
-        width = max((len(spine) for spine, _ in self._spines), default=0)
+        width = self._width = max((len(s) for s, _ in self._spines), default=0)
         self._flag = 1 << 1 + 2 * width
         self._table: dict[int, list[tuple[int, int, int]]] = {}
         # bit length of a key with `width` letters
@@ -270,15 +270,15 @@ class GroupBall:
     def layer_sizes(self) -> list[int]:
         return list(self._sizes)
 
+    def _layer_keys(self, k: int) -> Iterator[int]:
+        for rep in self._reps[k]:
+            n = rep.bit_length()
+            for p in self.symmetries if n > 2 else (0,):
+                yield rep ^ _spread(p, n)
+
     def iter_layer(self, k: int) -> Iterator[ActionElement]:
         """Every element of layer k once, in no specified order."""
-        reps = self._reps[k]
-        top = max(reps, default=0).bit_length()
-        orbit = [
-            [_spread(p, n) for p in self.symmetries] if n > 2 else [0]
-            for n in range(top + 1)
-        ]
-        return (_decode(rep ^ m) for rep in reps for m in orbit[rep.bit_length()])
+        return map(_decode, self._layer_keys(k))
 
     def representatives(self, k: int) -> Iterator[ActionElement]:
         """One element of each orbit in layer k."""
@@ -307,41 +307,43 @@ class GroupBall:
         generator index) over the parents in layer k - 1, the order in
         which a frontier build first reaches them.
 
-        Only the members and their ancestors are ranked: each is walked
-        one layer down through its products with the generators.
+        Walking down, a layer needs the parents of what the layer above
+        needs, or all of it once that is no larger.  Each needed layer is
+        then replayed from the one below, in order, as the build did.
         """
         wanted: dict[int, dict[int, ActionElement]] = {}
         for g in elements:
             key = _encode(g.spine.letters, g.parity)
-            k = self._depth(key)
-            if k is not None:
+            if (k := self._depth(key)) is not None:
                 wanted.setdefault(k, {})[key] = g
         if not wanted:
             return []
-        need: list[set[int]] = [set() for _ in range(max(wanted) + 1)]
-        for k, picks in wanted.items():
-            need[k].update(picks)
-        parents: dict[int, list[tuple[int, int]]] = {}
-        for k in range(len(need) - 1, 0, -1):
+        need = [set(wanted.get(k, ())) for k in range(max(wanted) + 1)]
+        # canonical key: key ^ spread[bit length][last letter code]
+        spread = [
+            [_spread(t, n) for t in self._choose] if n > 2 else None
+            for n in range(3 + 2 * self._width * (len(need) + 1))
+        ]
+        k = len(need) - 1
+        while k and len(need[k]) < self._sizes[k - 1]:
             below = self._reps[k - 1]
             for key in need[k]:
-                ps = [
-                    (p, i)
-                    for i, p in enumerate(self._neighbours(key))
-                    if self._canonical(p) in below
-                ]
-                parents[key] = ps
-                need[k - 1].update(p for p, _ in ps)
-        rank = {key: 0 for key in need[0]}
-        for k in range(1, len(need)):
-            ranked = sorted(
-                need[k], key=lambda key: min((rank[p], i) for p, i in parents[key])
-            )
-            rank.update((key, pos) for pos, key in enumerate(ranked))
+                for p in self._neighbours(key):
+                    n = p.bit_length()
+                    if (p ^ spread[n][p >> n - 3 & 3] if n > 2 else p) in below:
+                        need[k - 1].add(p)
+            k -= 1
+        for j in range(k):
+            need[j] = set(self._layer_keys(j))
         out: list[ActionElement] = []
-        for k in sorted(wanted):
-            picks = wanted[k]
-            out.extend(picks[key] for key in sorted(picks, key=rank.__getitem__))
+        frontier = list(need[0])
+        for k, keys in enumerate(need):
+            if k:
+                frontier = list(dict.fromkeys(
+                    p for key in frontier for p in self._neighbours(key) if p in keys
+                ))
+            picks = wanted.get(k, {})
+            out.extend(picks[key] for key in frontier if key in picks)
         return out
 
 

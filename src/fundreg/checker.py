@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .action import (
     ActionElement,
     GroupBall,
+    _encode,
     generator_text,
     group_ball,
     identity,
@@ -43,7 +44,6 @@ from .freegroup import (
     invert_letters,
     r_power,
     spine_exponent,
-    swap_letters,
     u_power,
 )
 from .regions import (
@@ -71,6 +71,7 @@ from .tilespace import (
     apply_to_point,
     canonical_point,
     materialize_cell,
+    swap_atoms,
 )
 
 # ----------------------------------------------------------------- verdicts
@@ -252,6 +253,9 @@ LINE_SCAN_BUDGET = 128 * 2**20
 
 class BudgetExceeded(ValueError):
     """A run would enumerate more than its budget allows."""
+
+
+MeetIndex = dict[tuple[tuple[int, ...], int], dict[ReducedWord, frozenset[int]]]
 
 
 # ------------------------------------------------------------------ systems
@@ -524,32 +528,28 @@ class Free2HouseSystem(System):
                     return total
         return None
 
-    def room_pair_candidates(self, s: RoomSet) -> Iterator[ActionElement]:
-        """Every element that moves some room of ``s`` onto a room of ``s``,
-        each once.
+    def meet_index(self, s: RoomSet) -> MeetIndex:
+        """g.s ∩ s, room by room, for every g whose translate meets s,
+        keyed by g's (spine letters, parity) and built once per set.  g =
+        (spine, p) moves rooms bijectively, and spine = b * swap^p(a)^-1
+        sends room a onto b, so g.s ∩ s in room b is swap^p(atoms(a)) ∩
+        atoms(b): one pass over the room pairs of s, and pairs whose atoms
+        miss make no key."""
 
-        (spine, p) sends room a to spine * swap^p(a), so sending a to b
-        pins spine = b * swap^p(a)^-1.  A translate g.s meets s only if g
-        puts a room of s onto a room of s, so these at most
-        2 * |rooms(s)|^2 candidates include every g with g.s and s meeting.
-        """
-        rooms = [room.letters for room in s.rooms]
-        seen: set[tuple[tuple[int, ...], int]] = set()
-        for parity in (0, 1):
-            for a in rooms:
-                a_inv = invert_letters(swap_letters(a) if parity else a)
-                for b in rooms:
-                    key = (concat_reduced(b, a_inv), parity)
-                    if key not in seen:
-                        seen.add(key)
-                        yield ActionElement(ReducedWord._trusted(key[0]), parity)
+        def build() -> MeetIndex:
+            index: MeetIndex = {}
+            for parity in (0, 1):
+                for a, atoms in s.rooms.items():
+                    if parity:
+                        a, atoms = a.swapped(), swap_atoms(atoms)
+                    a_inv = invert_letters(a.letters)
+                    for b, here in s.rooms.items():
+                        if meet := atoms & here:
+                            key = (concat_reduced(b.letters, a_inv), parity)
+                            index.setdefault(key, {})[b] = meet
+            return index
 
-    def closure_candidates(self, radius: int) -> list[ActionElement]:
-        """``room_pair_candidates`` of the closure, built once per radius."""
-        return self._once(
-            ("closure candidates", radius),
-            lambda: list(self.room_pair_candidates(self.closure(radius))),
-        )
+        return self._once(("meet index", s), build)
 
     def overlapping_generators(
         self, horizon: int, radius: int
@@ -559,47 +559,39 @@ class Free2HouseSystem(System):
         in ``enumerate_ball`` order.
 
         The reflection rooted at w has spine w * swap(w)^-1, of length
-        2|w| with w as its first half, so a room-pair candidate is such a
-        reflection exactly when its spine rebuilds from its first half.
+        2|w| with w as its first half, so a parity-1 key of the closure's
+        ``meet_index`` is such a reflection exactly when its spine
+        rebuilds from its first half.
         """
-        closure = self.closure(radius)
         hits: list[tuple[Optional[ReducedWord], ActionElement]] = []
-        for g in self.closure_candidates(radius):
-            half, odd = divmod(len(g.spine), 2)
-            if not g.parity or odd or half > horizon:
-                continue
-            root = ReducedWord._trusted(g.spine.letters[:half])
-            if room_reflection(root) != g:
-                continue
-            if not closure.intersect(closure.translate(g)).is_empty():
-                hits.append((root, g))
+        for spine, parity in self.meet_index(self.closure(radius)):
+            if parity and len(spine) <= 2 * horizon:
+                root = ReducedWord._trusted(spine[: len(spine) // 2])
+                g = room_reflection(root)
+                if g.spine.letters == spine:
+                    hits.append((root, g))
         hits.sort(key=lambda hit: hit[0].sort_key())
         return [(None, identity())] + hits
 
     def _ball_overlaps(
-        self, s: RoomSet, depth: int, candidates: Optional[list] = None
+        self, s: RoomSet, depth: int
     ) -> tuple[GroupBall, dict[ActionElement, RoomSet]]:
-        """The scan ball, and each nonidentity ball element g with g.s
-        meeting s, mapped to g.s ∩ s.  Pass the ``room_pair_candidates``
-        of s if they are already built.  Callers rank only the elements
-        that become witnesses, with ``frontier_order``."""
+        """The scan ball, and each nonidentity ball member g among the keys
+        of ``meet_index(s)`` (tested on its packed key), mapped to g.s ∩ s."""
         ball = self.scan_ball(depth)
-        meets: dict[ActionElement, RoomSet] = {}
-        for g in self.room_pair_candidates(s) if candidates is None else candidates:
-            if g.is_identity() or g not in ball:
-                continue
-            meet = s.translate(g).intersect(s)
-            if not meet.is_empty():
-                meets[g] = meet
+        meets = {
+            ActionElement(ReducedWord._trusted(spine), parity): RoomSet(rooms)
+            for (spine, parity), rooms in self.meet_index(s).items()
+            if (spine or parity) and ball._depth(_encode(spine, parity)) is not None
+        }
         return ball, meets
 
     # -- properties ----------------------------------------------------
 
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        """Only the scan-ball elements among the region's
-        ``room_pair_candidates`` are translated: any other element moves
-        every region room off the region.  ``counts[0]`` is still the
-        number of nonidentity ball elements the scan covers."""
+        """Overlaps are read off the region's ``meet_index``, so no set is
+        translated.  ``counts[0]`` is still the number of nonidentity ball
+        elements the scan covers."""
         ball, meets = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
         bad = [
             f"{g.text()} overlaps: {'; '.join(meets[g].describe())}"
@@ -616,19 +608,16 @@ class Free2HouseSystem(System):
     def coverage(self, cfg: RunConfig) -> VerificationReport:
         """Walk certificates: the walk g of room v lands on the spine room
         r^m, and v is certified when g carries its closed box into
-        ext ∪ room_reflection(r^m)·ext.  That test depends on m alone and
-        runs once per |m| <= radius: the action permutes closed boxes, so
+        ext ∪ room_reflection(r^m)·ext.  That test (``_box_covered``)
+        depends on m alone: the action permutes closed boxes, so
         box(v).translate(g) == box(g·v) == box(r^m), and every reflection
         preserves the exponent sum, so m == v.exponent_sum().  The rooms
         are enumerated only when some m fails; otherwise they are counted,
         and walks are taken only for the six certificate lines."""
         self._refuse_room_ball(cfg.radius)
         ext = self.closure(cfg.radius + 1)
-        covered = {}
-        for m in range(-cfg.radius, cfg.radius + 1):
-            spine = r_power(m)
-            cover = ext.union(ext.translate(room_reflection(spine)))
-            covered[m] = cover.contains(materialize_cell(spine, Cell.CLOSED_BOX))
+        spine_powers = range(-cfg.radius, cfg.radius + 1)
+        covered = {m: self._box_covered(ext, m) for m in spine_powers}
         rooms = ball_size(cfg.radius)
         failures = [] if all(covered.values()) else [
             f"room {v.text() or 'e'} escapes its walk cover"
@@ -649,13 +638,22 @@ class Free2HouseSystem(System):
             witnesses,
         )
 
+    def _box_covered(self, ext: RoomSet, m: int) -> bool:
+        """box(r^m) ⊆ ext ∪ ρ·ext, ρ = room_reflection(r^m), room by room: ρ
+        is a parity-1 involution, so ρ·ext is swap(ext(ρ·b)) in room b."""
+        spine = r_power(m)
+        mirror = room_reflection(spine)
+        return all(
+            atoms <= ext.atoms_at(b) | swap_atoms(ext.atoms_at(mirror.apply(b)))
+            for b, atoms in materialize_cell(spine, Cell.CLOSED_BOX).rooms.items()
+        )
+
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
-        """Only the closure's ``room_pair_candidates`` in the scan ball
-        are translated, as for disjointness; ``counts[0]`` is still the
-        number of nonidentity ball elements covered."""
+        """The overlaps are read off the closure's ``meet_index``, shared
+        with ``overlapping_generators``, as for disjointness; ``counts[0]``
+        is still the number of nonidentity ball elements covered."""
         boundary = self.boundary(cfg.radius)
-        cands = self.closure_candidates(cfg.radius)
-        ball, meets = self._ball_overlaps(self.closure(cfg.radius), cfg.depth, cands)
+        ball, meets = self._ball_overlaps(self.closure(cfg.radius), cfg.depth)
         spills = {g: meet.difference(boundary) for g, meet in meets.items()}
         bad = [
             f"{g.text()} meets the closure off the boundary: "

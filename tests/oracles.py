@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import floor
 
 from fundreg import regions
-from fundreg.action import IDENTITY, _decode, _encode, room_reflection
+from fundreg.action import IDENTITY, ActionElement, _decode, _encode, room_reflection
 from fundreg.checker import (
     PROP_ADJACENCY_AUDIT,
     PROP_COVERAGE,
@@ -26,7 +26,14 @@ from fundreg.checker import (
     _inconclusive,
     _profile_report,
 )
-from fundreg.freegroup import concat_reduced, enumerate_ball, r_power, swap_letters
+from fundreg.freegroup import (
+    ReducedWord,
+    concat_reduced,
+    enumerate_ball,
+    invert_letters,
+    r_power,
+    swap_letters,
+)
 from fundreg.tilespace import Cell, RoomSet, materialize_cell
 
 
@@ -125,6 +132,28 @@ def reference_min_depth(g):
             if tail is not None and tail <= 3:
                 return total
     return None
+
+
+def room_pair_candidates(s):
+    """Every element that moves some room of ``s`` onto a room of ``s``,
+    each once: the candidates the free2house scans translated before
+    they read overlaps off a meet index.
+
+    (spine, p) sends room a to spine * swap^p(a), so sending a to b
+    pins spine = b * swap^p(a)^-1.  A translate g.s meets s only if g
+    puts a room of s onto a room of s, so these at most
+    2 * |rooms(s)|^2 candidates include every g with g.s and s meeting.
+    """
+    rooms = [room.letters for room in s.rooms]
+    seen = set()
+    for parity in (0, 1):
+        for a in rooms:
+            a_inv = invert_letters(swap_letters(a) if parity else a)
+            for b in rooms:
+                key = (concat_reduced(b, a_inv), parity)
+                if key not in seen:
+                    seen.add(key)
+                    yield ActionElement(ReducedWord._trusted(key[0]), parity)
 
 
 def covering_point(p):

@@ -126,10 +126,10 @@ def test_group_ball_layers_and_membership():
     assert keys == sorted(keys)
 
 
-def assert_matches_the_frontier_build(roots, depth, seed, rank_whole=True):
-    """Same layers as the frontier build, no element twice, and witnesses
-    ranked in the frontier build's insertion order.  Ranking the whole
-    ball walks every element's parents, so large balls rank only picks."""
+def assert_matches_the_frontier_build(roots, depth, seed):
+    """Same layers as the frontier build, no element twice, and both a
+    few picks and the whole ball ranked in the frontier build's insertion
+    order."""
     ball = group_ball(roots, depth)
     ref = ReferenceBall(roots, depth)
     assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
@@ -149,21 +149,19 @@ def assert_matches_the_frontier_build(roots, depth, seed, rank_whole=True):
     rng.shuffle(query)
     wanted = set(picks)
     assert ball.frontier_order(query) == [g for g in order if g in wanted]
-    if rank_whole:
-        assert ball.frontier_order(rng.sample(order, len(order))) == order
+    assert ball.frontier_order(rng.sample(order, len(order))) == order
     return ball
 
 
 @pytest.mark.parametrize("root_len", [1, 2, 3])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_group_ball_matches_the_frontier_build(root_len, depth):
-    assert_matches_the_frontier_build(
-        enumerate_ball(root_len), depth, root_len * 10 + depth, root_len * depth < 9
-    )
+    seed = root_len * 10 + depth
+    assert_matches_the_frontier_build(enumerate_ball(root_len), depth, seed)
 
 
 def test_scan_ball_matches_the_frontier_build():
-    ball = assert_matches_the_frontier_build(enumerate_ball(2), 4, 24, False)
+    ball = assert_matches_the_frontier_build(enumerate_ball(2), 4, 24)
     assert len(ball) == 45_098
 
 
@@ -278,7 +276,7 @@ def test_packed_keys_keep_trailing_code0_letters():
 
 def test_ball_over_eight_letter_spines_matches_the_frontier_build():
     # roots of length <= 4: 161 generators, spines of up to 8 letters
-    ball = assert_matches_the_frontier_build(enumerate_ball(4), 2, 42, False)
+    ball = assert_matches_the_frontier_build(enumerate_ball(4), 2, 42)
     assert ball.layer_sizes()[:2] == [1, 161]
 
 

@@ -95,7 +95,7 @@ def test_battery_calls_each_check_by_name_and_fsa_once(monkeypatch, selector):
 
 
 def test_free2house_battery_builds_each_structure_once(monkeypatch):
-    balls, closures, calls = Counter(), Counter(), Counter()
+    balls, closures, indexed, calls = Counter(), Counter(), Counter(), Counter()
     group_ball = checker.group_ball
 
     def recorded_ball(roots, depth):
@@ -108,12 +108,26 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
         closures[self] += 1
         return closure(self)
 
+    once = Free2HouseSystem._once
+
+    def recorded_once(self, key, make):
+        def recorded_make():
+            if key[0] == "meet index":
+                indexed[key[1]] += 1
+            return make()
+
+        return once(self, key, recorded_make)
+
     monkeypatch.setattr(checker, "group_ball", recorded_ball)
     monkeypatch.setattr(RoomSet, "closure", recorded_closure)
+    monkeypatch.setattr(Free2HouseSystem, "_once", recorded_once)
+    translate = _counting(calls, "translate", RoomSet.translate)
+    monkeypatch.setattr(RoomSet, "translate", translate)
     overlapping = Free2HouseSystem.overlapping_generators
     counted = _counting(calls, "overlapping_generators", overlapping)
     monkeypatch.setattr(Free2HouseSystem, "overlapping_generators", counted)
-    run_battery(make_system("free2house"), RunConfig(depth=2, radius=4))
+    system = make_system("free2house")
+    run_battery(system, RunConfig(depth=2, radius=4))
     # one scan ball, and the profile half balls only as deep as the
     # candidates need: each built once, none deeper than 2
     scan = [d for roots, d in balls if roots == enumerate_ball(2)]
@@ -122,6 +136,10 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     assert half and max(half) <= 2 and set(balls.values()) == {1}
     # the closures at radius 4 (scans) and 5 (coverage)
     assert len(closures) == 2 and set(closures.values()) == {1}
+    # one meet index built for the region (disjointness) and one for the
+    # closure (boundary containment and the overlapping generators)
+    assert indexed == Counter({system.region(4): 1, system.closure(4): 1})
+    # no set is translated: every overlap is read off an index
     assert calls == Counter({"overlapping_generators": 1})
 
 
@@ -145,14 +163,19 @@ def test_free2house_coverage_decides_each_spine_power_once(monkeypatch):
     calls = Counter()
     walk = checker.walk_to_spine
     monkeypatch.setattr(checker, "walk_to_spine", _counting(calls, "walk", walk))
-    contains = RoomSet.contains
-    monkeypatch.setattr(RoomSet, "contains", _counting(calls, "contains", contains))
+    box = Free2HouseSystem._box_covered
+    monkeypatch.setattr(Free2HouseSystem, "_box_covered", _counting(calls, "box", box))
+    for name in ("contains", "translate"):
+        counted = _counting(calls, name, getattr(RoomSet, name))
+        monkeypatch.setattr(RoomSet, name, counted)
     radius = 5
     report = checker.check_coverage(Free2HouseSystem(), RunConfig(radius=radius))
     # 485 rooms, each walked and tested when decided room by room
     assert report.counts == [485, 0]
-    assert calls["contains"] <= 2 * radius + 1
+    assert calls["box"] <= 2 * radius + 1
     assert calls["walk"] <= 6
+    # the box rooms are looked up in the closure; no cover is built
+    assert calls["contains"] == calls["translate"] == 0
 
 
 def test_line_battery_builds_each_family_once(monkeypatch):

@@ -1,14 +1,18 @@
 """Free2house scans against the brute force they replaced.
 
 ``check_disjointness``, ``boundary_containment`` and
-``Free2HouseSystem.overlapping_generators`` translate only the elements
-that move a room of the set onto a room of the set.  Their oracles below
-translate the set by every element of the ball (or by the reflection at
-every root), so agreement covers completeness of the candidates, the
-counts, and the order and cap of the witnesses.
+``Free2HouseSystem.overlapping_generators`` translate nothing: they read
+each overlap g.s ∩ s off the set's ``meet_index``, built from the room
+pairs of s.  Their oracles below translate the set by every element of
+the ball (or by the reflection at every root), so agreement covers
+completeness of the index, the counts, and the order and cap of the
+witnesses.  The index itself is checked against translating s by each
+room-pair candidate (``oracles.room_pair_candidates``).
 
-``check_coverage`` decides each spine power once.  Its oracle walks every
-room to the spine and tests that room's own translated closed box.
+``check_coverage`` decides each spine power once, on the three rooms of
+its closed box.  Its oracle walks every room to the spine and tests that
+room's own translated closed box, and the box decision is checked
+against the union and containment of the translated closure.
 """
 
 import json
@@ -16,7 +20,7 @@ import json
 import pytest
 
 from fundreg import checker
-from fundreg.action import room_reflection, walk_to_spine
+from fundreg.action import ActionElement, room_reflection, walk_to_spine
 from fundreg.checker import (
     PROP_BOUNDARY,
     PROP_COVERAGE,
@@ -30,10 +34,10 @@ from fundreg.checker import (
     check_coverage,
     check_disjointness,
 )
-from fundreg.freegroup import enumerate_ball, r_power
+from fundreg.freegroup import ReducedWord, enumerate_ball, r_power
 from fundreg.tilespace import ALL_ATOMS, Cell, RoomSet, materialize_cell
 from golden_cli import DATA, run
-from oracles import reference_ball
+from oracles import reference_ball, room_pair_candidates
 
 
 _TRUE = Free2HouseSystem()
@@ -224,9 +228,66 @@ def test_overlapping_generators_match_per_root_scan(f2, radius):
 
 def test_room_pair_candidates_are_distinct_and_bounded(f2):
     closure = f2.closure(8)
-    cands = list(f2.room_pair_candidates(closure))
+    cands = list(room_pair_candidates(closure))
     assert len(cands) == len(set(cands))
     assert len(cands) <= 2 * len(closure.rooms) ** 2
+
+
+def translated_meets(s, candidates):
+    """g.s ∩ s for each candidate g whose translate meets s."""
+    meets = {g: s.translate(g).intersect(s) for g in candidates}
+    return {g: meet for g, meet in meets.items() if not meet.is_empty()}
+
+
+def index_meets(index):
+    return {
+        ActionElement(ReducedWord._trusted(spine), parity): RoomSet(rooms)
+        for (spine, parity), rooms in index.items()
+    }
+
+
+def assert_index_matches_the_translates(system, s, depth):
+    index = system.meet_index(s)
+    want = translated_meets(s, room_pair_candidates(s))
+    assert index_meets(index) == want
+    # and the scan keeps exactly the nonidentity ball members among them
+    ball, meets = system._ball_overlaps(s, depth)
+    kept = {g: m for g, m in want.items() if not g.is_identity() and g in ball}
+    assert meets == kept
+    return index
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_meet_index_matches_translates_of_the_room_pair_candidates(f2, radius):
+    region = assert_index_matches_the_translates(f2, f2.region(radius), 3)
+    closure = assert_index_matches_the_translates(f2, f2.closure(radius), 3)
+    if radius == 8:
+        # 33 keys for the region and 356 for the closure, against 322 and
+        # 1,223 room-pair candidates
+        assert (len(region), len(closure)) == (33, 356)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 5])
+@pytest.mark.parametrize("fixture", [ClosureAsRegion, Blob])
+def test_meet_index_of_refuting_sets_matches_the_translates(fixture, radius):
+    system = fixture()
+    for s in (system.region(radius), system.closure(radius)):
+        assert_index_matches_the_translates(system, s, 2)
+
+
+@pytest.mark.parametrize("system", [_TRUE, ShrunkClosure()], ids=["true", "shrunk"])
+def test_box_rooms_decide_containment_in_the_mirrored_cover(system):
+    decided = []
+    for radius in (3, 5, 8):
+        ext = system.closure(radius + 1)
+        for m in range(-9, 10):
+            mirror = room_reflection(r_power(m))
+            cover = ext.union(ext.translate(mirror))
+            box = materialize_cell(r_power(m), Cell.CLOSED_BOX)
+            decided.append(system._box_covered(ext, m))
+            assert decided[-1] == cover.contains(box)
+    # both answers occur, so the comparison is not vacuous
+    assert set(decided) == {True, False}
 
 
 @pytest.mark.parametrize("radius", range(9))
