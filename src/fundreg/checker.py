@@ -21,10 +21,10 @@ check functions hand each call to the system, and the battery and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import floor
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .action import (
     ActionElement,
@@ -43,14 +43,12 @@ from .freegroup import (
     enumerate_ball,
     invert_letters,
     r_power,
-    spine_exponent,
     u_power,
 )
 from .regions import (
     IntervalSet,
     Rational,
     format_fraction,
-    free2house_region_cells,
     pathological_1d,
     plane2d_box_shifts,
     plane2d_membership,
@@ -62,8 +60,6 @@ from .regions import (
 )
 from .tilespace import (
     BOTTOM,
-    DIAG,
-    LEFT,
     UPPER,
     Cell,
     RoomPoint,
@@ -140,14 +136,7 @@ class QuotientDescription:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "pieces": list(self.pieces),
-            "identifications": [dict(d) for d in self.identifications],
-            "removed_points": list(self.removed_points),
-            "compact": self.compact,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -273,16 +262,15 @@ class System:
         finite_self_adjacency                  -> (report, overlap family or None)
         adjacency_audit, orbit_boundary        -> VerificationReport
         quotient                               -> (report, description or None)
-        fixed_points(cfg, transform)           -> VerificationReport
 
     plus ``name``, ``expected`` (property -> expected verdict, in battery
     order; the battery runs exactly these) and the compactness facts
     ``cocompact`` and ``closure_bounded``.  This base supplies, once, the
     inconclusive reports for an audit or orbit count without a
     certificate, the compactness check (which needs only the facts and
-    finite self-adjacency), fixed points of a translation action, and
-    ``_once``, the one memo a system keeps: the two profiles other checks
-    reuse, and whatever structures a system builds for several checks.
+    finite self-adjacency), and ``_once``, the one memo a system keeps:
+    the two profiles other checks reuse, and whatever structures a system
+    builds for several checks.
     """
 
     name: str
@@ -345,21 +333,6 @@ class System:
                 f"implication instance {'holds' if holds else 'fails'}"
                 + ("" if premise else " (vacuously)"),
             ],
-        )
-
-    def fixed_points(
-        self, cfg: RunConfig, transform: Union[int, tuple[int, int]]
-    ) -> VerificationReport:
-        """Integer translations: only the zero shift fixes anything."""
-        shift_is_zero = transform == 0 or transform == (0, 0)
-        return VerificationReport(
-            PROP_FIXED_POINTS,
-            VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [1 if shift_is_zero else 0],
-            ["zero shift fixes everything"]
-            if shift_is_zero
-            else ["nonzero shifts act freely"],
         )
 
 
@@ -454,14 +427,12 @@ class Free2HouseSystem(System):
     # -- region pieces -----------------------------------------------
 
     def region(self, radius: int) -> RoomSet:
-        def build() -> RoomSet:
-            cells = free2house_region_cells(radius)
-            out = RoomSet({})
-            for room in sorted(cells, key=ReducedWord.sort_key):
-                out = out.union(materialize_cell(room, cells[room]))
-            return out
-
-        return self._once(("region", radius), build)
+        """The open region: the open upper triangle of each spine room
+        r^i, |i| <= radius."""
+        return self._once(
+            ("region", radius),
+            lambda: RoomSet({r_power(i): {UPPER} for i in range(-radius, radius + 1)}),
+        )
 
     def closure(self, radius: int) -> RoomSet:
         return self._once(
@@ -855,8 +826,8 @@ class Free2HouseSystem(System):
 
 
 class LineSystem(System):
-    """Interval regions on the line under integer translation.  The kinds
-    are the keys of ``EXPECTED``."""
+    """Interval regions on the line under translation by multiples of
+    ``step``, 1 for the kinds that are the keys of ``EXPECTED``."""
 
     EXPECTED = {
         "line-standard": {
@@ -881,6 +852,7 @@ class LineSystem(System):
         },
     }
     cocompact = True
+    step: Rational = 1
 
     def __init__(self, kind: str) -> None:
         if kind not in self.EXPECTED:
@@ -953,7 +925,7 @@ class LineSystem(System):
         """One sweep, shared by disjointness and boundary containment."""
         return self._once(
             ("shift meetings", cfg.n_intervals, cfg.m_range),
-            lambda: self.region(cfg.n_intervals).shift_meetings(1, cfg.m_range),
+            lambda: self.region(cfg.n_intervals).shift_meetings(self.step, cfg.m_range),
         )
 
     # -- properties ----------------------------------------------------
@@ -1351,52 +1323,35 @@ class PlanePathologicalSystem(System):
         return report
 
 
-class CylinderSystem(System):
-    """Product band X x (0, c) under translation by multiples of c.
+class CylinderSystem(LineSystem):
+    """Product band X x (0, c) under translation by multiples of c: the
+    line with region (0, c) and step c, judged as the standard line.  Its
+    shift sweep, disjointness and budget are the line's.
 
     The X factor is carried symbolically; only its compactness flag
     matters to any operation here: the action is cocompact, and the
     closed band bounded, exactly when X is compact.
     """
 
-    name = "cylinder"
-    expected = LineSystem.EXPECTED["line-standard"]
-
     def __init__(self, shift: Rational = 1, x_compact: bool = True) -> None:
-        super().__init__()
-        self.shift = Fraction(shift)
-        if self.shift <= 0:
+        super().__init__("line-standard")
+        self.name = "cylinder"
+        self.step = Fraction(shift)
+        if self.step <= 0:
             raise ValueError("shift must be positive")
         self.x_compact = bool(x_compact)
         self.cocompact = self.closure_bounded = self.x_compact
 
-    def band(self) -> IntervalSet:
-        return IntervalSet([(Fraction(0), self.shift)])
-
-    def shift_meetings(self, cfg: RunConfig) -> dict[int, IntervalSet]:
-        """One sweep, shared by disjointness and boundary containment."""
-        return self._once(
-            ("shift meetings", cfg.m_range),
-            lambda: self.band().shift_meetings(self.shift, cfg.m_range),
-        )
-
-    def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        meetings = self.shift_meetings(cfg)
-        bad = [f"m = {m}" for m, overlap in meetings.items() if overlap]
-        return VerificationReport(
-            PROP_DISJOINTNESS,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [2 * cfg.m_range, len(bad)],
-            _cap(bad),
-        )
+    def region(self, n_intervals: int = 1) -> IntervalSet:
+        """The band (0, c), whatever ``n_intervals``."""
+        return IntervalSet([(Fraction(0), self.step)])
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
         """Band translates cover the window [-2c, 3c]."""
-        c = self.shift
+        c = self.step
         lo, hi = -2 * c, 3 * c
         reach = 5  # the window reaches 3 shifts up, plus a margin of 2
-        pieces = self.band().window_translates(c, lo, hi, reach)
+        pieces = self.region().window_translates(c, lo, hi, reach)
         gap = IntervalSet(()).union(*pieces.values()).coverage_gap(lo, hi)
         return VerificationReport(
             PROP_COVERAGE,
@@ -1423,8 +1378,8 @@ class CylinderSystem(System):
     def local_finiteness(
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, dict[str, list[int]]]:
-        c = self.shift
-        band = self.band()
+        c = self.step
+        band = self.region()
         counts = []
         last_hits: list[int] = []
         for k in cfg.schedule:
@@ -1444,7 +1399,7 @@ class CylinderSystem(System):
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, list[int]]:
         """The candidate neighbourhood is the open band (-c, 2c)."""
-        c = self.shift
+        c = self.step
         lo, hi = -c, 2 * c
         # the translate by m c meets the band, 3c wide, exactly when |m| < 3
         reach = min(2, cfg.m_range)
@@ -1501,8 +1456,8 @@ class CylinderSystem(System):
     def quotient(
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, QuotientDescription]:
-        c = self.shift
-        ends = self.band().endpoints()
+        c = self.step
+        ends = self.region().endpoints()
         lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
         desc = QuotientDescription(
             self.name,
@@ -1635,9 +1590,7 @@ def compactness_proxy(system: System, cfg: RunConfig) -> VerificationReport:
 
 
 def fixed_point_search(
-    system: System,
-    cfg: RunConfig,
-    transform: Union[ActionElement, int, tuple[int, int]],
+    system: Free2HouseSystem, cfg: RunConfig, transform: ActionElement
 ) -> VerificationReport:
     """Report everything the given transformation fixes at truncation."""
     return system.fixed_points(cfg, transform)
@@ -1646,22 +1599,12 @@ def fixed_point_search(
 # -------------------------------------------------------- orbit representatives
 
 
-def _closed_atoms(room: ReducedWord) -> tuple[int, ...]:
-    """The atoms of ``room`` that the closed region holds: the upper
-    triangle with its diagonal and left wall in a spine room, the bottom
-    wall in the room just above one, none elsewhere."""
-    if spine_exponent(room) is not None:
-        return (UPPER, DIAG, LEFT)
-    prefix = room * u_power(-1)
-    if spine_exponent(prefix) is not None and prefix * u_power(1) == room:
-        return (BOTTOM,)
-    return ()
-
-
-def in_closed_region(p: RoomPoint) -> bool:
-    """Exact membership of a canonical point in the closed region; serves
-    acceptance criterion 7, as the three helpers below do."""
-    return p.atom() in _closed_atoms(p.room)
+def in_closed_region(system: Free2HouseSystem, p: RoomPoint) -> bool:
+    """Exact membership of a canonical point in the system's closed
+    region, read off ``closure(len(room))``, which holds every closed
+    atom of a room of that length.  Serves acceptance criterion 7, as the
+    three helpers below do."""
+    return p.atom() in system.closure(len(p.room)).atoms_at(p.room)
 
 
 def orbit_representatives(
@@ -1677,12 +1620,11 @@ def orbit_representatives(
     its coordinates and tests its atom.
     """
 
-    def build() -> list[tuple[int, ReducedWord, tuple[int, ...]]]:
+    def build() -> list[tuple[int, ReducedWord, frozenset[int]]]:
         out = []
         for g in system.meeting_inverses(p.room):
             room = g.apply(p.room)
-            atoms = _closed_atoms(room)
-            if atoms:
+            if atoms := system.closure(len(room)).atoms_at(room):
                 out.append((g.parity, room, atoms))
         return out
 
@@ -1694,19 +1636,21 @@ def orbit_representatives(
     return [found[key] for key in sorted(found)]
 
 
-def normalize_representative(p: RoomPoint) -> RoomPoint:
+def normalize_representative(system: Free2HouseSystem, p: RoomPoint) -> RoomPoint:
     """Send a bottom-wall representative to its glued left-wall partner
     (criterion 7)."""
-    if in_closed_region(p) and p.atom() == BOTTOM:
+    if p.atom() == BOTTOM and in_closed_region(system, p):
         prefix = p.room * u_power(-1)
         return apply_to_point(room_reflection(prefix), p)
     return p
 
 
-def representative_class_count(reps: Sequence[RoomPoint]) -> int:
+def representative_class_count(
+    system: Free2HouseSystem, reps: Sequence[RoomPoint]
+) -> int:
     """Distinct representatives after resolving the edge gluing
     (criterion 7)."""
-    return len({normalize_representative(q).text() for q in reps})
+    return len({normalize_representative(system, q).text() for q in reps})
 
 
 # ------------------------------------------------------------------- battery

@@ -30,6 +30,7 @@ from . import checker
 from .checker import (
     QuotientDescription,
     RunConfig,
+    System,
     VerificationReport,
     battery_exit_code,
     make_system,
@@ -170,6 +171,19 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _system_within_budget(
+    cfg: RunConfig,
+    selector: str = "free2house",
+    shift: Fraction = Fraction(1),
+    x_compact: bool = True,
+) -> System:
+    """The selector's system, once ``cfg`` is found within its budget: every
+    command refuses an over-budget run the way the battery does."""
+    system = make_system(selector, shift=shift, x_compact=x_compact)
+    system.check_budget(cfg)
+    return system
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -199,8 +213,8 @@ def _report_text(report: VerificationReport) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    system = make_system(
-        args.selector, shift=args.c, x_compact=not args.x_noncompact
+    system = _system_within_budget(
+        cfg, args.selector, args.c, not args.x_noncompact
     )
     if args.property:
         report = _PROPERTY_RUNNERS[args.property](system, cfg)
@@ -246,15 +260,14 @@ def cmd_render(args: argparse.Namespace) -> int:
         ]
         svg = render_roomsets(layers)
     elif args.view == "spine":
-        system = make_system("free2house")
+        system = _system_within_budget(cfg)
         layers = [
             ("fundamental region", system.region(cfg.radius)),
             ("region boundary", system.boundary(cfg.radius)),
         ]
         svg = render_roomsets(layers)
     else:
-        system = make_system("free2house")
-        _, desc = quotient_build(system, cfg)
+        _, desc = quotient_build(_system_within_budget(cfg), cfg)
         assert desc is not None
         svg = quotient_strip_svg(desc)
     _emit(svg + "\n", args.out)
@@ -263,8 +276,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    system = make_system(
-        args.selector, shift=args.c, x_compact=not args.x_noncompact
+    system = _system_within_budget(
+        cfg, args.selector, args.c, not args.x_noncompact
     )
     report, desc = quotient_build(system, cfg)
     if args.format == "svg":
@@ -410,10 +423,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "conformal": cmd_conformal,
         }[args.command]
         return handler(args)
-    except UsageError as exc:
-        print(f"fundreg: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ValueError, KeyError, TruncationError) as exc:
+    except (UsageError, ValueError, KeyError, TruncationError) as exc:
         print(f"fundreg: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:

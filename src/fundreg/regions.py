@@ -1,11 +1,8 @@
 """Concrete fundamental-region constructions.
 
-Five region kinds are modelled, each with the exact data the verification
-ops need:
+The regions of the metric systems, each with the exact data the
+verification ops need:
 
-* ``free2house``: the spine-of-triangles region in the glued room space,
-  given per room as cells from :mod:`fundreg.tilespace`; its closure and
-  boundary are derived from it as room sets.
 * ``line-standard``: the unit interval (0, 1) under integer translation.
 * ``line-pathological``: an infinite union of shrinking open intervals,
   one near each natural number, whose fractional parts tile [0, 1).
@@ -25,9 +22,6 @@ from itertools import chain
 from math import ceil, floor, lcm
 from operator import le, lt
 from typing import Iterable, Optional, Union
-
-from .freegroup import ReducedWord, r_power
-from .tilespace import Cell
 
 Rational = Union[int, Fraction]
 
@@ -417,14 +411,3 @@ def plane2d_translate_meets_box(
     ``plane2d_box_shifts``."""
     return n in plane2d_box_shifts(m, abs(n), half_width, center)
 
-
-# ----------------------------------------------------- free-2-house cells
-
-
-def free2house_region_cells(radius: int) -> dict[ReducedWord, Cell]:
-    """Open region: one open upper triangle per spine room; rest empty."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return {
-        r_power(i): Cell.OPEN_UPPER_TRIANGLE for i in range(-radius, radius + 1)
-    }

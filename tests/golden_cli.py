@@ -85,6 +85,8 @@ def cases() -> list[list[str]]:
         ["verify", "cylinder", "--c", "5/7", "--N", "2", "--schedule", "1,2,3",
          "--format", "json"],
         ["verify", "cylinder", "--c", "7/3", "--N", "1", "--x-noncompact"],
+        ["verify", "cylinder", "--c", "2/3", "--format", "json"],
+        ["verify", "cylinder", "--c", "3", "--x-noncompact", "--format", "json"],
     ]
     return out
 
@@ -107,6 +109,25 @@ def record() -> list[dict]:
     return rows
 
 
+def changed_rows(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per row of ``new`` whose exit code or digest differs from
+    the row with the same argv in ``old``, or that ``old`` lacks."""
+    before = {tuple(row["argv"]): (row["exit"], row["sha256"]) for row in old}
+    lines = []
+    for row in new:
+        was = before.get(tuple(row["argv"]))
+        now = (row["exit"], row["sha256"])
+        if was != now:
+            lines.append(f"{' '.join(row['argv'])}: {was or 'new row'} -> {now}")
+    return lines
+
+
 if __name__ == "__main__":
-    DATA.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    old = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
+    rows = record()
+    changes = changed_rows(old, rows)
+    for line in changes:
+        print(line)
+    print(f"{len(changes)} rows changed")
+    DATA.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {DATA}")

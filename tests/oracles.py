@@ -32,9 +32,19 @@ from fundreg.freegroup import (
     enumerate_ball,
     invert_letters,
     r_power,
+    spine_exponent,
     swap_letters,
+    u_power,
 )
-from fundreg.tilespace import Cell, RoomSet, materialize_cell
+from fundreg.tilespace import (
+    BOTTOM,
+    DIAG,
+    LEFT,
+    UPPER,
+    Cell,
+    RoomSet,
+    materialize_cell,
+)
 
 
 def naive_reflection_image(root, v):
@@ -187,6 +197,18 @@ def spine_cells(radius, cell):
     return out
 
 
+def closed_atoms(room):
+    """The atoms of ``room`` that the closed free2house region holds, as
+    drawn: the upper triangle with its diagonal and left wall in a spine
+    room, the bottom wall in the room just above one, none elsewhere."""
+    if spine_exponent(room) is not None:
+        return {UPPER, DIAG, LEFT}
+    prefix = room * u_power(-1)
+    if spine_exponent(prefix) is not None and prefix * u_power(1) == room:
+        return {BOTTOM}
+    return set()
+
+
 def cell_closure(radius):
     """The free2house closure as drawn cell by cell."""
     return spine_cells(radius, Cell.CLOSED_UPPER_TRIANGLE)
@@ -284,7 +306,7 @@ class ScanningCylinder(CylinderSystem):
     ``Fraction`` arithmetic."""
 
     def finite_self_adjacency(self, cfg):
-        c = self.shift
+        c = self.step
         lo, hi = -c, 2 * c
         shifts = range(-cfg.m_range, cfg.m_range + 1)
         overlap = [m for m in shifts if abs(m) * c < hi - lo]
@@ -304,7 +326,7 @@ class ScanningCylinder(CylinderSystem):
     def adjacency_audit(self, cfg):
         _, overlap = self.cached_self_adjacency(cfg)
         bound = len(overlap)
-        c = self.shift
+        c = self.step
         worst = 0
         samples = [Fraction(j, 8) * c for j in range(-8, 17)]
         for t in samples:
@@ -326,7 +348,7 @@ class ScanningCylinder(CylinderSystem):
         )
 
     def orbit_boundary(self, cfg):
-        c = self.shift
+        c = self.step
         endpoints = {Fraction(0), c}
         hits = [m for m in range(-cfg.m_range, cfg.m_range + 1) if m * c in endpoints]
         return VerificationReport(

@@ -184,7 +184,7 @@ def test_criterion_07_quotient_gluing_and_representative_uniqueness():
                     point = canonical_point(room, x, y)
                     reps = orbit_representatives(system, point)
                     assert reps, point.text()
-                    assert representative_class_count(reps) == 1, point.text()
+                    assert representative_class_count(system, reps) == 1, point.text()
 
 
 def test_criterion_08_rescaling_tolerances_and_null_control():

@@ -60,6 +60,7 @@ from fundreg.tilespace import canonical_point, neighborhood_roomset
 from oracles import (
     CorruptedLine,
     ball_depth,
+    closed_atoms,
     plane2d_closure_membership,
     reference_half_ball,
     reference_min_depth,
@@ -471,7 +472,7 @@ def test_orbit_representatives_unique_classes(f2):
                 p = canonical_point(room, x, y)
                 reps = orbit_representatives(f2, p)
                 assert reps, f"no representative for {p.text()}"
-                assert representative_class_count(reps) == 1
+                assert representative_class_count(f2, reps) == 1
 
 
 def test_orbit_representative_wall_pair(f2):
@@ -479,15 +480,26 @@ def test_orbit_representative_wall_pair(f2):
     reps = orbit_representatives(f2, p)
     texts = [q.text() for q in reps]
     assert texts == ["(r, 0, 1/4)", "(u, 1/4, 0)"]
-    normalized = {normalize_representative(q).text() for q in reps}
+    normalized = {normalize_representative(f2, q).text() for q in reps}
     assert len(normalized) == 1
 
 
-def test_in_closed_region_examples():
-    assert in_closed_region(canonical_point(word("rr"), Fraction(1, 3), Fraction(1, 2)))
-    assert in_closed_region(canonical_point(word("ru"), Fraction(1, 2), Fraction(0)))
-    assert not in_closed_region(canonical_point(word("r"), Fraction(1, 2), Fraction(1, 3)))
-    assert not in_closed_region(canonical_point(word("ur"), Fraction(1, 2), Fraction(0)))
+def test_closed_atoms_of_the_closure_match_the_drawn_table(f2):
+    # closure(len(room)) is the only closure the criterion-7 helpers read
+    for room in enumerate_ball(6):
+        assert f2.closure(len(room)).atoms_at(room) == closed_atoms(room), room.text()
+        # and a wider closure adds no atom to the room
+        assert f2.closure(len(room) + 2).atoms_at(room) == closed_atoms(room)
+
+
+def test_in_closed_region_examples(f2):
+    def closed(room, x, y):
+        return in_closed_region(f2, canonical_point(word(room), x, y))
+
+    assert closed("rr", Fraction(1, 3), Fraction(1, 2))
+    assert closed("ru", Fraction(1, 2), Fraction(0))
+    assert not closed("r", Fraction(1, 2), Fraction(1, 3))
+    assert not closed("ur", Fraction(1, 2), Fraction(0))
 
 
 # ------------------------------------------------------------------ line ops
@@ -563,7 +575,7 @@ def test_quotient_gluing_is_computed_from_the_region(monkeypatch):
     assert desc.pieces == ["[0, 3/2]"]
 
     band = make_system("cylinder", shift=Fraction(3, 2))
-    monkeypatch.setattr(band, "band", lambda: IntervalSet([(0, 2)]))
+    monkeypatch.setattr(band, "region", lambda *_: IntervalSet([(0, 2)]))
     rep, _ = quotient_build(band, RunConfig())
     assert rep.verdict == REFUTED
     assert rep.witnesses == [

@@ -307,3 +307,34 @@ def test_line_scans_run_at_400_and_exit_64_just_over_the_budget(capsys, monkeypa
     assert code == USAGE_EXIT
     assert out == ""
     assert "line-pathological at 6462 intervals needs about 128 MiB" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "free2house"],
+        ["verify", "free2house", "--property", "disjointness"],
+        ["quotient", "free2house"],
+        ["render", "quotient"],
+        ["render", "spine"],
+    ],
+    ids=" ".join,
+)
+def test_every_command_refuses_the_radius_the_battery_refuses(capsys, argv):
+    # a property run, a quotient and a drawing at radius 13 would each be
+    # cheap, but the rule is the battery's: the room ball is over budget
+    code, out, err = run_cli(capsys, [*argv, "--radius", "13"])
+    assert (code, out) == (USAGE_EXIT, "")
+    assert err == (
+        "fundreg: error: radius 13 needs a ball of 3,188,645 rooms; "
+        "the budget is 2,000,000\n"
+    )
+
+
+def test_line_property_runs_refuse_the_schedule_the_battery_refuses(capsys):
+    argv = ["verify", "line-pathological", "--property", "disjointness"]
+    code, _, _ = run_cli(capsys, [*argv, "--schedule", "1,2,1615"])
+    assert code == 0
+    code, out, err = run_cli(capsys, [*argv, "--schedule", "1,2,1616"])
+    assert (code, out) == (USAGE_EXIT, "")
+    assert "line-pathological at schedule horizon 1616 (6464 intervals)" in err

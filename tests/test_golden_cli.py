@@ -10,7 +10,7 @@ import json
 import pytest
 
 from fundreg.cli import USAGE_EXIT, build_parser
-from golden_cli import DATA, run
+from golden_cli import DATA, changed_rows, run
 
 ROWS = json.loads(DATA.read_text(encoding="utf-8"))
 
@@ -35,3 +35,20 @@ def test_one_parser_serves_runs_in_turn():
     ]
     for argv, want in runs:
         assert run(argv) == (want or recorded[tuple(argv)]), argv
+
+
+def test_the_recorder_lists_each_changed_row():
+    old = [
+        {"argv": ["verify", "a"], "exit": 0, "sha256": "x"},
+        {"argv": ["verify", "b"], "exit": 1, "sha256": "y"},
+    ]
+    new = [
+        {"argv": ["verify", "a"], "exit": 0, "sha256": "x"},
+        {"argv": ["verify", "b"], "exit": 2, "sha256": "y"},
+        {"argv": ["verify", "c"], "exit": 0, "sha256": "z"},
+    ]
+    assert changed_rows(old, old) == []
+    assert changed_rows(old, new) == [
+        "verify b: (1, 'y') -> (2, 'y')",
+        "verify c: new row -> (0, 'z')",
+    ]

@@ -291,7 +291,7 @@ def test_line_and_cylinder_reports_match_the_oracle(monkeypatch, kind, shift, n)
     monkeypatch.setattr(regions, "IntervalSet", Oracle)
     monkeypatch.setattr(checker, "IntervalSet", Oracle)
     assert isinstance(_system("line-pathological", None).region(2), Oracle)
-    assert isinstance(_system("cylinder", "2").band(), Oracle)
+    assert isinstance(_system("cylinder", "2").region(), Oracle)
     slow = _reports(kind, shift, n)
     assert fast == slow
     if kind == "line-corrupted":

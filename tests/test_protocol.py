@@ -17,7 +17,9 @@ from fundreg import checker, cli
 from fundreg.checker import (
     SELECTORS,
     VERIFIED,
+    CylinderSystem,
     Free2HouseSystem,
+    LineSystem,
     RunConfig,
     make_system,
     run_battery,
@@ -207,3 +209,15 @@ def test_line_and_cylinder_batteries_sweep_the_shifts_once(
     assert all(report.verdict == want for report, want in results)
     # disjointness and boundary containment share the one sweep
     assert calls == Counter({"sweep": 1})
+
+
+def test_the_cylinder_is_the_line_with_step_c():
+    # the sweep, disjointness and budget are the line's, read at step c
+    assert issubclass(CylinderSystem, LineSystem)
+    for name in ("shift_meetings", "disjointness", "check_budget"):
+        assert name not in vars(CylinderSystem), name
+    band = CylinderSystem(Fraction(2, 3))
+    assert band.step == Fraction(2, 3)
+    assert band.region() == IntervalSet([(0, Fraction(2, 3))])
+    assert band.expected is LineSystem.EXPECTED["line-standard"]
+    assert list(band.shift_meetings(RunConfig(m_range=3))) == [-1, 1]

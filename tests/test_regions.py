@@ -10,7 +10,6 @@ from fundreg.freegroup import r_power
 from fundreg.regions import (
     IntervalSet,
     format_fraction,
-    free2house_region_cells,
     pathological_1d,
     pathological_interval,
     plane2d_membership,
@@ -25,6 +24,7 @@ from oracles import (
     cell_boundary,
     cell_closure,
     plane2d_closure_membership,
+    spine_cells,
 )
 
 
@@ -277,11 +277,14 @@ def test_cylinder_overlap_matches_interval_arithmetic(c, m):
 # ------------------------------------------------- free-2-house regions
 
 
+@pytest.mark.parametrize("radius", range(9))
+def test_free2house_region_is_the_open_spine_triangles(radius):
+    region = Free2HouseSystem().region(radius)
+    assert region == spine_cells(radius, Cell.OPEN_UPPER_TRIANGLE)
+    assert len(region.rooms) == 2 * radius + 1
+
+
 def test_free2house_cells_radius_zero_and_two():
-    assert free2house_region_cells(0) == {r_power(0): Cell.OPEN_UPPER_TRIANGLE}
-    cells = free2house_region_cells(2)
-    assert len(cells) == 5
-    assert cells[r_power(-2)] is Cell.OPEN_UPPER_TRIANGLE
     edge = materialize_cell(r_power(1), Cell.UPPER_BOUNDARY).atoms_at(r_power(1))
     assert Free2HouseSystem().boundary(1).atoms_at(r_power(1)) == edge
 

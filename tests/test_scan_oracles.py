@@ -13,9 +13,13 @@ room-pair candidate (``oracles.room_pair_candidates``).
 its closed box.  Its oracle walks every room to the spine and tests that
 room's own translated closed box, and the box decision is checked
 against the union and containment of the translated closure.
+
+The criterion-7 orbit representatives read the system's own closure, so
+a shrunk closure leaves points without one.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -33,9 +37,16 @@ from fundreg.checker import (
     boundary_containment,
     check_coverage,
     check_disjointness,
+    orbit_representatives,
 )
 from fundreg.freegroup import ReducedWord, enumerate_ball, r_power
-from fundreg.tilespace import ALL_ATOMS, Cell, RoomSet, materialize_cell
+from fundreg.tilespace import (
+    ALL_ATOMS,
+    Cell,
+    RoomSet,
+    canonical_point,
+    materialize_cell,
+)
 from golden_cli import DATA, run
 from oracles import reference_ball, room_pair_candidates
 
@@ -175,6 +186,28 @@ class ShrunkClosure(Free2HouseSystem):
 
     def closure(self, radius):
         return _TRUE.closure(max(radius - 3, 0))
+
+
+def quarter_grid_points_without_representative(system):
+    """The points of the quarter grid, in the rooms of the radius-2 ball,
+    with no translate in the system's closed region."""
+    quarters = [Fraction(k, 4) for k in range(4)]
+    points = [
+        canonical_point(room, x, y)
+        for room in enumerate_ball(2)
+        for x in quarters
+        for y in quarters
+        if (x, y) != (0, 0)
+    ]
+    assert len(points) == 255
+    return [p for p in points if not orbit_representatives(system, p)]
+
+
+def test_orbit_representatives_read_the_system_closure():
+    # every point of the true system has a representative; the shrunk
+    # closure loses the rooms of length 1 and 2, so most points have none
+    assert quarter_grid_points_without_representative(Free2HouseSystem()) == []
+    assert len(quarter_grid_points_without_representative(ShrunkClosure())) == 168
 
 
 @pytest.fixture(scope="module")
