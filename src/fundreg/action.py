@@ -124,6 +124,10 @@ def _decode(key: int) -> ActionElement:
 
 _EMPTY_SPINE = frozenset({_encode((), 0), _encode((), 1)})
 
+# A counted layer is enumerated in classes of its keys' low bits: the
+# parity and the first two letters (12 classes at depth 5).
+_CLASS_BITS = 5
+
 
 def _spread(pattern: int, n: int) -> int:
     """The XOR that applies ``pattern`` to every letter of a key of bit
@@ -166,9 +170,16 @@ class GroupBall:
     stored as one canonical key per orbit: the member whose last letter
     has the least code.  A nonempty spine's orbit has exactly
     ``len(symmetries)`` keys; an empty spine's has one.
+
+    With ``count_last`` the deepest layer (depth >= 1) is counted and never
+    held: its keys are enumerated one low-bit class at a time
+    (``_parts``), and membership in it is decided from the layers below
+    (``_depth``).  Reading its keys builds it anew on every call.
     """
 
-    def __init__(self, roots: Sequence[ReducedWord], depth: int):
+    def __init__(
+        self, roots: Sequence[ReducedWord], depth: int, count_last: bool = False
+    ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.roots = tuple(roots)
@@ -192,50 +203,93 @@ class GroupBall:
         width = self._width = max((len(s) for s, _ in self._spines), default=0)
         self._flag = 1 << 1 + 2 * width
         self._table: dict[int, list[tuple[int, int, int]]] = {}
-        # bit length of a key with `width` letters
-        short = 2 + 2 * width
-
-        def products(reps: set[int]) -> Iterator[int]:
-            # gen * elem = (gen spine * swap(elem spine), 1 ^ parity); the
-            # products of the orbit of elem are the orbits of the products
-            # of any one member.  A key with more letters than any spine
-            # keeps its last letter in every product, so turning it by the
-            # symmetry that makes its swapped last letter canonical makes
-            # every product canonical.  turn[n][c] swaps the letters and
-            # the parity of a key of bit length n and last-letter code c,
-            # then applies that symmetry.
-            top = max(reps, default=0).bit_length()
-            turn = [
-                [_spread(1 ^ self._choose[c ^ 1], n) | 1 for c in range(4)]
-                if n > short else None
-                for n in range(top + 1)
-            ]
-            for key in reps:
-                n = key.bit_length()
-                if n > short:
-                    swapped = key ^ turn[n][key >> n - 3 & 3]
-                    for head, drop, keep in self._row(swapped):
-                        yield swapped >> drop << keep | head
-                else:
-                    yield from map(self._canonical, self._neighbours(key))
-
         # Every generator has parity 1, so layer k holds parity k mod 2,
         # and gen * elem for elem in layer k - 1 lies in layer k - 2 or
-        # layer k.  Every element of layer k is tau(gen * s) for a
-        # representative s of layer k - 1, so its orbit meets the products
-        # of s: layer k is the canonical products less layer k - 2.
-        reps: list[set[int]] = [{_encode((), 0)}]
-        for k in range(1, depth + 1):
-            nxt = set(products(reps[-1]))
-            if k >= 2:
-                nxt -= reps[-2]
-            reps.append(nxt)
-        self._reps = reps
+        # layer k.
+        self._reps: list[set[int]] = [{_encode((), 0)}]
+        held = depth if count_last and depth else depth + 1
+        for k in range(1, held):
+            self._reps.append(next(self._parts(k, 0), set()))
         order = len(self.symmetries)
-        self._sizes = [
-            order * len(layer) - (order - 1) * len(layer & _EMPTY_SPINE)
-            for layer in reps
-        ]
+
+        def size(layer: set[int]) -> int:
+            return order * len(layer) - (order - 1) * len(layer & _EMPTY_SPINE)
+
+        self._sizes = [size(layer) for layer in self._reps]
+        if held == depth:
+            self._sizes.append(sum(map(size, self._parts(depth, _CLASS_BITS))))
+
+    def _parts(self, k: int, bits: int) -> Iterator[set[int]]:
+        """Layer k's canonical keys, one set per value of their low
+        ``bits`` bits, built one set at a time from held layers k - 1 and
+        k - 2 (``bits`` 0 gives the whole layer as one set).
+
+        Every element of layer k is tau(gen * s) for a representative s of
+        layer k - 1, so its orbit meets the products of s: layer k is the
+        canonical products less layer k - 2, class by class.  gen * elem =
+        (gen spine * swap(elem spine), 1 ^ parity), and the products of
+        the orbit of elem are the orbits of the products of any one
+        member.  A key with more letters than any spine keeps its last
+        letter in every product, so turning its swapped key by the
+        symmetry that makes that letter canonical makes every product
+        canonical.  Such keys are bucketed by lead.  Within a bucket the
+        bits a junction drops are the lead's own, so each (lead,
+        generator) entry is one shift plus a constant, and it fixes the
+        product's low ``keep + lead bits - drop`` bits: an entry fixing at
+        least ``bits`` of them is filed whole under its first product's
+        class, and the few that fix fewer (a spine that cancels whole)
+        are filed product by product, as are the products of the short
+        keys.
+        """
+        below = self._reps[k - 1]
+        below2 = self._reps[k - 2] if k >= 2 else set()
+        mask = (1 << bits) - 1
+        flag = self._flag
+        lead_bits = 1 + 2 * self._width
+        # per class: the (bucket, shift, constant) entries shifting left,
+        # and those shifting right
+        jobs: dict[int, tuple[list, list]] = {}
+        loose: dict[int, list[int]] = {}
+        buckets: dict[int, list[int]] = {}
+        long = flag << 1
+        for key in below:
+            if key >= long:
+                swapped = self._turn(key)
+                buckets.setdefault(swapped & flag - 1 | flag, []).append(swapped)
+            else:
+                for p in map(self._canonical, self._neighbours(key)):
+                    loose.setdefault(p & mask, []).append(p)
+        for lead, bucket in buckets.items():
+            for head, drop, keep in self._row(lead):
+                if keep + lead_bits - drop < bits:
+                    for s in bucket:
+                        p = s >> drop << keep | head
+                        loose.setdefault(p & mask, []).append(p)
+                    continue
+                # the dropped bits of every s in the bucket are the lead's
+                low = lead & (1 << drop) - 1
+                lefts, rights = jobs.setdefault(
+                    (bucket[0] >> drop << keep | head) & mask, ([], [])
+                )
+                if keep >= drop:
+                    lefts.append((bucket, keep - drop, head - (low << keep - drop)))
+                else:
+                    rights.append((bucket, drop - keep, head - (low >> drop - keep)))
+        for cls in jobs.keys() | loose.keys():
+            part = set(loose.get(cls, ()))
+            lefts, rights = jobs.get(cls, ((), ()))
+            part.update([(s << sh) + c for bucket, sh, c in lefts for s in bucket])
+            part.update([(s >> sh) + c for bucket, sh, c in rights for s in bucket])
+            part -= below2
+            yield part
+
+    def _turn(self, key: int) -> int:
+        """Swap the letters and the parity of a key with more letters than
+        any spine, then apply the symmetry that makes the swapped last
+        letter canonical: every generator product of the result keeps that
+        letter, so each is canonical."""
+        n = key.bit_length()
+        return key ^ (_spread(1 ^ self._choose[key >> n - 3 & 3 ^ 1], n) | 1)
 
     def _row(self, swapped: int) -> list[tuple[int, int, int]]:
         flag = self._flag
@@ -260,9 +314,30 @@ class GroupBall:
         return sum(self._sizes)
 
     def _depth(self, key: int) -> Optional[int]:
+        """The layer holding ``key``, or None.  A key of the counted layer
+        d has d's parity, is not in layer d - 2, and has a generator
+        product in layer d - 1: every generator is a parity-1 involution,
+        and a product of a layer d - 1 element lies in layer d - 2 or d.
+        The parity test only spares the products of a key of the other
+        parity, which all have d's parity and so miss layer d - 1."""
         rep = self._canonical(key)
-        ks = range(key & 1, len(self._reps), 2)
-        return next((k for k in ks if rep in self._reps[k]), None)
+        reps = self._reps
+        for k in range(key & 1, len(reps), 2):
+            if rep in reps[k]:
+                return k
+        d = self.depth
+        if len(reps) == d and (d ^ key) & 1 == 0:
+            if rep >= self._flag << 1:
+                swapped = self._turn(rep)
+                products = [
+                    swapped >> drop << keep | head
+                    for head, drop, keep in self._row(swapped)
+                ]
+            else:
+                products = map(self._canonical, self._neighbours(rep))
+            if not reps[-1].isdisjoint(products):
+                return d
+        return None
 
     def __contains__(self, g: ActionElement) -> bool:
         return self._depth(_encode(g.spine.letters, g.parity)) is not None
@@ -270,8 +345,16 @@ class GroupBall:
     def layer_sizes(self) -> list[int]:
         return list(self._sizes)
 
+    def _layer(self, k: int) -> set[int]:
+        """Layer k's canonical keys; the counted layer is built anew."""
+        if k < len(self._reps):
+            return self._reps[k]
+        if k > self.depth:
+            raise IndexError(f"layer {k} is past depth {self.depth}")
+        return next(self._parts(k, 0), set())
+
     def _layer_keys(self, k: int) -> Iterator[int]:
-        for rep in self._reps[k]:
+        for rep in self._layer(k):
             n = rep.bit_length()
             for p in self.symmetries if n > 2 else (0,):
                 yield rep ^ _spread(p, n)
@@ -282,7 +365,7 @@ class GroupBall:
 
     def representatives(self, k: int) -> Iterator[ActionElement]:
         """One element of each orbit in layer k."""
-        return map(_decode, self._reps[k])
+        return map(_decode, self._layer(k))
 
     def orbit(self, g: ActionElement) -> list[ActionElement]:
         """The distinct images of g under ``symmetries``."""
@@ -291,7 +374,7 @@ class GroupBall:
         return [_decode(key ^ _spread(p, n)) for p in self.symmetries if n > 2 or not p]
 
     def __iter__(self) -> Iterator[ActionElement]:
-        for k in range(len(self._reps)):
+        for k in range(self.depth + 1):
             yield from self.iter_layer(k)
 
     def nonidentity(self) -> Iterator[ActionElement]:
@@ -347,8 +430,10 @@ class GroupBall:
         return out
 
 
-def group_ball(roots: Sequence[ReducedWord], depth: int) -> GroupBall:
-    return GroupBall(roots, depth)
+def group_ball(
+    roots: Sequence[ReducedWord], depth: int, count_last: bool = False
+) -> GroupBall:
+    return GroupBall(roots, depth, count_last)
 
 
 # ------------------------------------------------------------- spine walk

@@ -225,11 +225,13 @@ def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
 
 # ------------------------------------------------------------------ budgets
 
-# Largest scan ball (or room ball) a run may build, in elements.  Depth 5
-# (604,850 elements in 151,214 orbit keys) fits: its layer sets take
-# about 9.3 MiB under CPython 3.11, and a depth-5 disjointness run peaks
-# at about 31 MiB RSS.  Depth 6 (about 8.7 million elements, some 135 MiB
-# at that rate) is over the budget.
+# Largest scan ball (or room ball) a run may enumerate, in elements.  The
+# scan ball counts its deepest layer without holding it, so this bounds
+# the elements enumerated, not those held.  Depth 5 (604,850 elements in
+# 151,214 orbit keys) fits: it holds the 11,276 keys of layers 0-4, and
+# its 139,938 keys of layer 5 one class at a time, at most 15,578; under
+# CPython 3.11 the build peaks at 2.9 MiB traced (10.1 MiB held whole).
+# Depth 6 (about 8.7 million elements) is over the budget.
 SCAN_BALL_BUDGET = 2_000_000
 
 
@@ -367,7 +369,14 @@ class Free2HouseSystem(System):
 
     def scan_ball(self, depth: int) -> GroupBall:
         """The scan ball; raises BudgetExceeded before building one whose
-        estimated size is over SCAN_BALL_BUDGET."""
+        estimated size is over SCAN_BALL_BUDGET.
+
+        Its deepest layer is counted, not held (``GroupBall`` with
+        ``count_last``): the scans ask the ball for its size and for a few
+        keys, which the layers below decide.  The half balls hold every
+        layer, since most of ``_min_depth``'s queries would otherwise be
+        decided from the layer below (480 of 585 in the default battery,
+        against 64 of the scan ball's 387)."""
 
         def build() -> GroupBall:
             estimate = self.scan_ball_estimate(depth)
@@ -376,7 +385,8 @@ class Free2HouseSystem(System):
                     f"depth {depth} needs a scan ball of about {estimate:,} "
                     f"elements; the budget is {SCAN_BALL_BUDGET:,}"
                 )
-            return group_ball(enumerate_ball(self.scan_root_len), depth)
+            roots = enumerate_ball(self.scan_root_len)
+            return group_ball(roots, depth, count_last=True)
 
         return self._once(("scan ball", depth), build)
 
@@ -562,7 +572,9 @@ class Free2HouseSystem(System):
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
         """Overlaps are read off the region's ``meet_index``, so no set is
         translated.  ``counts[0]`` is still the number of nonidentity ball
-        elements the scan covers."""
+        elements the scan covers, though the deepest layer is only
+        counted: an index key is tested for it from the layer below, and
+        witnesses from it are ranked without it (``GroupBall``)."""
         ball, meets = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
         bad = [
             f"{g.text()} overlaps: {'; '.join(meets[g].describe())}"
@@ -622,7 +634,8 @@ class Free2HouseSystem(System):
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
         """The overlaps are read off the closure's ``meet_index``, shared
         with ``overlapping_generators``, as for disjointness; ``counts[0]``
-        is still the number of nonidentity ball elements covered."""
+        is still the number of nonidentity ball elements covered, the
+        deepest layer counted and its keys decided from the layer below."""
         boundary = self.boundary(cfg.radius)
         ball, meets = self._ball_overlaps(self.closure(cfg.radius), cfg.depth)
         spills = {g: meet.difference(boundary) for g, meet in meets.items()}

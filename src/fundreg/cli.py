@@ -186,7 +186,10 @@ def _system_within_budget(
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -295,6 +295,63 @@ def test_spine_longer_than_every_member_is_not_in_the_ball():
         assert ActionElement(extended * word("r" * 9), parity) not in ball
 
 
+# ------------------------------------------------------ the counted layer
+
+# (root length, depth): the scan roots, the profile roots and the
+# eight-letter spines, each up to the deepest ball the suite builds
+COUNTED = (
+    [(2, d) for d in range(6)] + [(3, d) for d in range(4)] + [(4, d) for d in range(3)]
+)
+
+
+def longer_than_every_member(keys):
+    """Keys of both parities whose spine is the longest spine among
+    ``keys`` followed by code-0 letters (U)."""
+    # the largest key has the most letters
+    letters = _decode(max(keys)).spine.letters
+    tail = (-2,) * 5 if not letters or letters[-1] != 2 else (1,) + (-2,) * 5
+    return [_encode(letters + tail, parity) for parity in (0, 1)]
+
+
+@pytest.mark.parametrize("root_len,depth", COUNTED)
+def test_counted_layer_matches_the_held_layer(root_len, depth):
+    roots = enumerate_ball(root_len)
+    held = group_ball(roots, depth)
+    counted = group_ball(roots, depth, count_last=True)
+    assert counted.layer_sizes() == held.layer_sizes()
+    assert len(counted) == len(held)
+    # the deepest layer is never held, and layer 1 is counted from layer 0
+    assert len(counted._reps) == max(depth, 1)
+    top = held._reps[depth]
+    # members: every key of the layer, or one per orbit in a layer of more
+    # than 20,000 elements: the other keys of an orbit only add the
+    # canonicalisation, which the smaller layers cover
+    size = held.layer_sizes()[depth]
+    members = top if size > 20_000 else set(held._layer_keys(depth))
+    assert all(counted._depth(key) == depth for key in members)
+    # non-members in both parities: layers d - 2 and d - 1, products of
+    # layer d that lie in layer d + 1, and a spine longer than any member's
+    below = [
+        key for k in (depth - 2, depth - 1) if k >= 0 for key in held._layer_keys(k)
+    ]
+    rng = random.Random(root_len * 10 + depth)
+    sample = rng.sample(sorted(top), min(len(top), 200))
+    up = {p for key in sample for p in held._neighbours(key) if held._depth(p) is None}
+    assert up
+    stranger = longer_than_every_member(top)
+    for key in below + sorted(up) + stranger:
+        assert counted._depth(key) == held._depth(key) != depth
+    # reading the counted layer builds it: the held layer, key for key
+    assert counted._layer(depth) == top
+    # witness order: a few picks from layers d - 1 and d
+    near = sorted(top | held._reps[max(depth - 1, 0)])
+    picks = [_decode(key) for key in rng.sample(near, min(len(near), 50))]
+    assert counted.frontier_order(picks) == held.frontier_order(picks)
+    for ball in (held, counted):
+        with pytest.raises(IndexError):
+            next(ball.iter_layer(depth + 1))
+
+
 def test_walk_to_spine_examples():
     g, exp = walk_to_spine(word("rruuu"))
     assert exp == 5

@@ -319,9 +319,9 @@ def _recording_group_ball(monkeypatch):
     built = []
     group_ball = checker.group_ball
 
-    def recorded(roots, depth):
+    def recorded(roots, depth, **kwargs):
         built.append(depth)
-        return group_ball(roots, depth)
+        return group_ball(roots, depth, **kwargs)
 
     monkeypatch.setattr(checker, "group_ball", recorded)
     return built

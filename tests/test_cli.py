@@ -87,6 +87,17 @@ def test_verify_out_file(tmp_path, capsys):
     assert payload["selector"] == "line-standard"
 
 
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["verify", "line-standard", "--out", str(target)])
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err == (
+        f"fundreg: error: cannot write --out {target}: No such file or directory\n"
+    )
+    assert not target.parent.exists()
+
+
 # ------------------------------------------------------------------ render
 
 

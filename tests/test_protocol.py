@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from fundreg import checker, cli
+from fundreg.action import GroupBall
 from fundreg.checker import (
     SELECTORS,
     VERIFIED,
@@ -100,9 +101,9 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     balls, closures, indexed, calls = Counter(), Counter(), Counter(), Counter()
     group_ball = checker.group_ball
 
-    def recorded_ball(roots, depth):
+    def recorded_ball(roots, depth, **kwargs):
         balls[tuple(roots), depth] += 1
-        return group_ball(roots, depth)
+        return group_ball(roots, depth, **kwargs)
 
     closure = RoomSet.closure
 
@@ -143,6 +144,64 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     assert indexed == Counter({system.region(4): 1, system.closure(4): 1})
     # no set is translated: every overlap is read off an index
     assert calls == Counter({"overlapping_generators": 1})
+
+
+def test_deep_disjointness_counts_its_deepest_layer(monkeypatch, capsys):
+    # the f2h-deep benchmark op: one scan ball, whose layer 5 is counted
+    # class by class and never built as one set
+    balls, parts = [], Counter()
+    group_ball = checker.group_ball
+
+    def recorded_ball(roots, depth, **kwargs):
+        balls.append(group_ball(roots, depth, **kwargs))
+        return balls[-1]
+
+    split = GroupBall._parts
+
+    def recorded_parts(self, k, bits):
+        parts[k, bits] += 1
+        return split(self, k, bits)
+
+    monkeypatch.setattr(checker, "group_ball", recorded_ball)
+    monkeypatch.setattr(GroupBall, "_parts", recorded_parts)
+    argv = "verify free2house --property disjointness --depth 5 --radius 1"
+    assert cli.main(argv.split()) == 0
+    assert "counts: 604849, 0\n" in capsys.readouterr().out
+    [ball] = balls
+    assert ball.depth == 5 and len(ball._reps) == 5
+    # layers 1 and 2 also for the depth-2 ball the size estimate reads
+    assert parts == Counter({(1, 0): 2, (2, 0): 2, (3, 0): 1, (4, 0): 1, (5, 5): 1})
+
+
+def test_default_battery_holds_every_half_ball_layer():
+    system = make_system("free2house")
+    run_battery(system, RunConfig())
+    built = {key: ball for key, ball in system._memo.items() if "ball" in key[0]}
+    half = [ball for (kind, _), ball in built.items() if kind == "half ball"]
+    assert half and all(len(ball._reps) == ball.depth + 1 for ball in half)
+    scan = built["scan ball", 4]
+    assert len(scan._reps) == 4 and len(scan) == 45_098
+
+
+def test_depth_6_is_refused_before_any_layer_is_built(monkeypatch, capsys):
+    layers = []
+    split = GroupBall._parts
+
+    def recorded_parts(self, k, bits):
+        layers.append(k)
+        return split(self, k, bits)
+
+    monkeypatch.setattr(GroupBall, "_parts", recorded_parts)
+    argv = "verify free2house --property disjointness --depth 6 --radius 1"
+    assert cli.main(argv.split()) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fundreg: error: depth 6 needs a scan ball of about 8,686,060 elements; "
+        "the budget is 2,000,000\n"
+    )
+    # only the depth-2 ball the estimate extrapolates from
+    assert layers == [1, 2]
 
 
 def test_default_profile_builds_no_depth_3_half_ball(monkeypatch):

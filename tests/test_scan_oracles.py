@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from fundreg import checker
-from fundreg.action import ActionElement, room_reflection, walk_to_spine
+from fundreg.action import ActionElement, group_ball, room_reflection, walk_to_spine
 from fundreg.checker import (
     PROP_BOUNDARY,
     PROP_COVERAGE,
@@ -257,6 +257,53 @@ def test_overlapping_generators_match_per_root_scan(f2, radius):
         got = f2.overlapping_generators(horizon, radius)
         assert got[0][0] is None and got[0][1].is_identity()
         assert got[1:] == oracle_overlapping_generators(f2, horizon, radius)
+
+
+# The scan ball counts its deepest layer, and holds only the layers
+# below; the same scans on a ball that holds every layer must print the
+# same reports, with witnesses that sit in the counted layer in their order.
+HELD_GRID = [(d, r) for d in range(5) for r in range(6)] + [(5, 0), (5, 1), (5, 2)]
+
+
+@pytest.fixture(scope="module")
+def held_scan_balls():
+    return {}
+
+
+def on_a_held_scan_ball(system, balls):
+    """``system`` with its scan ball built holding every layer."""
+
+    def scan_ball(depth):
+        if depth not in balls:
+            balls[depth] = group_ball(enumerate_ball(system.scan_root_len), depth)
+        return balls[depth]
+
+    system.scan_ball = scan_ball
+    return system
+
+
+@pytest.mark.parametrize(
+    "fixture", [Free2HouseSystem, ClosureAsRegion, Blob, ShrunkClosure]
+)
+@pytest.mark.parametrize("depth,radius", HELD_GRID)
+def test_scans_on_the_counted_ball_match_the_held_ball(
+    held_scan_balls, fixture, depth, radius
+):
+    cfg = RunConfig(depth=depth, radius=radius)
+    counted, held = fixture(), on_a_held_scan_ball(fixture(), held_scan_balls)
+    for check in (check_disjointness, boundary_containment):
+        assert check(counted, cfg).to_dict() == check(held, cfg).to_dict()
+
+
+def test_boundary_witnesses_sit_in_the_counted_layer():
+    # the grid above is not vacuous: at depth 1 the counted layer is all of
+    # the scan, boundary containment at radius 2 meets 5 translates there,
+    # and the refuting blob lists several witnesses from it
+    system = Free2HouseSystem()
+    report = boundary_containment(system, RunConfig(depth=1, radius=2))
+    assert report.counts[1] == 5 and len(system.scan_ball(1)._reps) == 1
+    blob = check_disjointness(Blob(), RunConfig(depth=1, radius=2))
+    assert blob.verdict == REFUTED and len(blob.witnesses) > 1
 
 
 def test_room_pair_candidates_are_distinct_and_bounded(f2):
