@@ -8,10 +8,13 @@ saw no violation, ``refuted`` means a concrete witness was found and
 re-validated, ``inconclusive`` means the enumeration was too small to
 decide.  No operation extrapolates silently.
 
-Counting operations run over a growth schedule and apply one
-stabilization rule everywhere: a count profile is stable when its last
-three entries agree, and refuting when it grows strictly across the
-whole schedule.
+Three rules decide every verdict.  A scan (``_scan_report``) refutes
+exactly when it found a violating translate, lists at most eight, and
+otherwise verifies.  A count over a growth schedule (``_profile_report``)
+is stable when its last three entries agree, and refuting when it grows
+strictly across the whole schedule.  A property without a certificate
+is inconclusive (``_inconclusive``).  Only the compactness implication
+and the plane's profile-derived self-adjacency build a report otherwise.
 
 Each system class owns its property checks, its expected battery
 verdicts and its compactness facts (see ``System``).  The module-level
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .action import (
@@ -204,6 +207,26 @@ def _profile_report(
         ]
     return VerificationReport(
         prop, profile_verdict(counts), truncation, counts, witnesses
+    )
+
+
+def _scan_report(
+    prop: str,
+    depth: Optional[int],
+    radius: Optional[int],
+    counts: list[int],
+    bad: list[str],
+    ok: Sequence[str] = (),
+) -> VerificationReport:
+    """Report judged by the scan rule: any violation found refutes, and
+    the first eight of them are listed; otherwise the scan verifies and
+    lists ``ok``.  A check that cannot refute passes ``bad=[]``."""
+    return VerificationReport(
+        prop,
+        REFUTED if bad else VERIFIED,
+        {"depth": depth, "radius": radius},
+        counts,
+        _cap(bad or ok),
     )
 
 
@@ -580,13 +603,8 @@ class Free2HouseSystem(System):
             f"{g.text()} overlaps: {'; '.join(meets[g].describe())}"
             for g in ball.frontier_order(meets)
         ]
-        return VerificationReport(
-            PROP_DISJOINTNESS,
-            REFUTED if bad else VERIFIED,
-            {"depth": cfg.depth, "radius": cfg.radius},
-            [len(ball) - 1, len(bad)],
-            _cap(bad),
-        )
+        counts = [len(ball) - 1, len(bad)]
+        return _scan_report(PROP_DISJOINTNESS, cfg.depth, cfg.radius, counts, bad)
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
         """Walk certificates: the walk g of room v lands on the spine room
@@ -609,17 +627,12 @@ class Free2HouseSystem(System):
         ]
         # the first six rooms of any ball lie within radius 2
         first = enumerate_ball(min(cfg.radius, 2))[:6]
-        witnesses = _cap(failures) if failures else [
+        ok = [
             f"room {v.text() or 'e'}: walk {g.text()} lands on spine power {m}"
             for v, (g, m) in zip(first, map(walk_to_spine, first))
         ] + [f"all {rooms} rooms certified"]
-        return VerificationReport(
-            PROP_COVERAGE,
-            REFUTED if failures else VERIFIED,
-            {"depth": cfg.depth, "radius": cfg.radius},
-            [rooms, len(failures)],
-            witnesses,
-        )
+        counts = [rooms, len(failures)]
+        return _scan_report(PROP_COVERAGE, cfg.depth, cfg.radius, counts, failures, ok)
 
     def _box_covered(self, ext: RoomSet, m: int) -> bool:
         """box(r^m) ⊆ ext ∪ ρ·ext, ρ = room_reflection(r^m), room by room: ρ
@@ -646,13 +659,8 @@ class Free2HouseSystem(System):
                 g for g, spill in spills.items() if not spill.is_empty()
             )
         ]
-        return VerificationReport(
-            PROP_BOUNDARY,
-            REFUTED if bad else VERIFIED,
-            {"depth": cfg.depth, "radius": cfg.radius},
-            [len(ball) - 1, len(meets), len(bad)],
-            _cap(bad),
-        )
+        counts = [len(ball) - 1, len(meets), len(bad)]
+        return _scan_report(PROP_BOUNDARY, cfg.depth, cfg.radius, counts, bad)
 
     def local_finiteness(
         self, cfg: RunConfig, centers: Optional[Sequence[ReducedWord]] = None
@@ -786,56 +794,34 @@ class Free2HouseSystem(System):
                 "strip; each diagonal is fixed pointwise by its reflection"
             ],
         )
-        return (
-            VerificationReport(
-                PROP_QUOTIENT,
-                REFUTED if bad else VERIFIED,
-                {"depth": None, "radius": radius},
-                [len(pieces), len(idents), checked, len(bad)],
-                _cap(bad)
-                if bad
-                else [
-                    f"{len(idents)} edge gluings re-validated on {checked} samples",
-                    "orientation along each glued edge is the identity in the "
-                    "edge parameter",
-                ],
-            ),
-            desc,
-        )
+        ok = [
+            f"{len(idents)} edge gluings re-validated on {checked} samples",
+            "orientation along each glued edge is the identity in the edge parameter",
+        ]
+        counts = [len(pieces), len(idents), checked, len(bad)]
+        return _scan_report(PROP_QUOTIENT, None, radius, counts, bad, ok), desc
 
     def fixed_points(
         self, cfg: RunConfig, transform: ActionElement
     ) -> VerificationReport:
+        """A parity-0 element other than the identity fixes no room, so a
+        fixed room refutes it; a reflection's fixed diagonals are listed."""
         if not isinstance(transform, ActionElement):
             raise TypeError("expected a group element")
         rooms = self.rooms(cfg.radius)
-        if transform.is_identity():
-            return VerificationReport(
-                PROP_FIXED_POINTS,
-                VERIFIED,
-                {"depth": None, "radius": cfg.radius},
-                [len(rooms), len(rooms)],
-                ["identity fixes the whole truncated space"],
-            )
         fixed = [v for v in rooms if transform.apply(v) == v]
-        if transform.parity == 0:
-            witnesses = (
-                ["no fixed rooms: nontrivial room permutation"]
-                if not fixed
-                else [f"unexpected fixed room {v.text()}" for v in fixed]
-            )
+        names = [v.text() or "e" for v in fixed]
+        bad = []
+        if transform.is_identity():
+            ok = ["identity fixes the whole truncated space"]
+        elif transform.parity == 0:
+            bad = [f"unexpected fixed room {name}" for name in names]
+            ok = ["no fixed rooms: nontrivial room permutation"]
         else:
-            witnesses = [
-                f"diagonal of room {v.text() or 'e'} is fixed pointwise"
-                for v in fixed
-            ] or ["no fixed rooms at this truncation"]
-        return VerificationReport(
-            PROP_FIXED_POINTS,
-            VERIFIED,
-            {"depth": None, "radius": cfg.radius},
-            [len(rooms), len(fixed)],
-            _cap(witnesses),
-        )
+            ok = [f"diagonal of room {name} is fixed pointwise" for name in names]
+            ok = ok or ["no fixed rooms at this truncation"]
+        counts = [len(rooms), len(fixed)]
+        return _scan_report(PROP_FIXED_POINTS, None, cfg.radius, counts, bad, ok)
 
 
 class LineSystem(System):
@@ -951,13 +937,8 @@ class LineSystem(System):
             for m, overlap in meetings.items()
             for lo, hi in overlap.pairs[:1]
         ]
-        return VerificationReport(
-            PROP_DISJOINTNESS,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [2 * cfg.m_range, len(bad)],
-            _cap(bad),
-        )
+        counts = [2 * cfg.m_range, len(bad)]
+        return _scan_report(PROP_DISJOINTNESS, None, cfg.m_range, counts, bad)
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
         if self.name == "line-standard":
@@ -968,21 +949,12 @@ class LineSystem(System):
         reach = cfg.n_intervals + 2
         pieces = region.window_translates(1, lo, hi, reach)
         gap = IntervalSet(()).union(*pieces.values()).coverage_gap(lo, hi)
-        witnesses = (
-            [f"uncovered point {format_fraction(gap)}"]
-            if gap is not None
-            else [
-                f"window [{format_fraction(lo)}, {format_fraction(hi)}] covered "
-                f"by translates |m| <= {reach}"
-            ]
-        )
-        return VerificationReport(
-            PROP_COVERAGE,
-            REFUTED if gap is not None else VERIFIED,
-            {"depth": None, "radius": reach},
-            [2 * reach + 1],
-            witnesses,
-        )
+        bad = [] if gap is None else [f"uncovered point {format_fraction(gap)}"]
+        ok = [
+            f"window [{format_fraction(lo)}, {format_fraction(hi)}] covered "
+            f"by translates |m| <= {reach}"
+        ]
+        return _scan_report(PROP_COVERAGE, None, reach, [2 * reach + 1], bad, ok)
 
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
         meetings = self.shift_meetings(cfg)
@@ -994,13 +966,8 @@ class LineSystem(System):
             for m, overlap in meetings.items()
             for lo, hi in overlap.pairs
         ]
-        return VerificationReport(
-            PROP_BOUNDARY,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [2 * cfg.m_range, len(meetings), len(bad)],
-            _cap(bad),
-        )
+        counts = [2 * cfg.m_range, len(meetings), len(bad)]
+        return _scan_report(PROP_BOUNDARY, None, cfg.m_range, counts, bad)
 
     def local_finiteness(
         self, cfg: RunConfig
@@ -1036,10 +1003,12 @@ class LineSystem(System):
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, list[int]]:
         """The candidate neighbourhood is the closure inflated by
-        ``margin()``; one scan to the last horizon counts every horizon."""
+        ``margin()``; one scan to the last horizon counts every horizon.
+        A translate by the inflated span or more cannot overlap it, so the
+        scan stops below the span, whatever the horizon."""
         eps = self.margin()
         inflated = self.region(cfg.n_intervals).inflate(eps)
-        top = cfg.schedule[-1]
+        top = min(cfg.schedule[-1], ceil(inflated.span()) - 1)
         last_hits = [
             m
             for m in range(-top, top + 1)
@@ -1074,16 +1043,13 @@ class LineSystem(System):
             hits = region.window_translates(1, lo, hi, abs(base) + 4)
             seen = sum(1 for m in hits if base - 4 <= m <= base + 4)
             worst = max(worst, seen)
-        return VerificationReport(
-            PROP_ADJACENCY_AUDIT,
-            VERIFIED if worst <= bound else REFUTED,
-            {"depth": None, "radius": cfg.m_range},
-            [len(samples), bound, worst],
-            [
-                f"certified overlap family size {bound}",
-                f"max translates meeting a sampled point's patch: {worst}",
-            ],
-        )
+        found = [
+            f"certified overlap family size {bound}",
+            f"max translates meeting a sampled point's patch: {worst}",
+        ]
+        bad = found if worst > bound else []
+        counts = [len(samples), bound, worst]
+        return _scan_report(PROP_ADJACENCY_AUDIT, None, cfg.m_range, counts, bad, found)
 
     def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
         """Count orbit points of 0 landing on the region boundary."""
@@ -1092,13 +1058,8 @@ class LineSystem(System):
             for e in self.region(cfg.n_intervals).endpoints()
             if e.denominator == 1 and -cfg.m_range <= e <= cfg.m_range
         ]
-        return VerificationReport(
-            PROP_ORBIT_BOUNDARY,
-            VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [len(hits)],
-            [f"orbit of 0 meets the boundary at shifts {hits}"],
-        )
+        ok = [f"orbit of 0 meets the boundary at shifts {hits}"]
+        return _scan_report(PROP_ORBIT_BOUNDARY, None, cfg.m_range, [len(hits)], [], ok)
 
     def quotient(
         self, cfg: RunConfig
@@ -1117,22 +1078,12 @@ class LineSystem(System):
             )
             # the generator must carry the left end onto the right end
             image = ends[0] + 1
-            ok = image == ends[-1]
-            return (
-                VerificationReport(
-                    PROP_QUOTIENT,
-                    VERIFIED if ok else REFUTED,
-                    {"depth": None, "radius": 1},
-                    [1, 1, 1],
-                    [f"gluing m = 1 maps {lo} to {hi}; sample re-validated"]
-                    if ok
-                    else [
-                        f"gluing m = 1 maps {lo} to {format_fraction(image)}, "
-                        f"not to the right end {hi}"
-                    ],
-                ),
-                desc,
-            )
+            bad = [] if image == ends[-1] else [
+                f"gluing m = 1 maps {lo} to {format_fraction(image)}, "
+                f"not to the right end {hi}"
+            ]
+            ok = [f"gluing m = 1 maps {lo} to {hi}; sample re-validated"]
+            return _scan_report(PROP_QUOTIENT, None, 1, [1, 1, 1], bad, ok), desc
         # tile n ends at ends[2n + 1] / den; m = 1 glues it to tile n + 1
         den, ends = region.den, region.ends
         glued, bad = [], []
@@ -1166,16 +1117,9 @@ class LineSystem(System):
                 "continuous bijection but not a homeomorphism"
             ],
         )
-        return (
-            VerificationReport(
-                PROP_QUOTIENT,
-                REFUTED if bad else VERIFIED,
-                {"depth": None, "radius": cfg.n_intervals},
-                [len(region), len(glued) + len(bad), len(bad)],
-                _cap(bad) if bad else ["all consecutive tiles glue by m = 1"],
-            ),
-            desc,
-        )
+        counts = [len(region), len(glued) + len(bad), len(bad)]
+        ok = ["all consecutive tiles glue by m = 1"]
+        return _scan_report(PROP_QUOTIENT, None, cfg.n_intervals, counts, bad, ok), desc
 
 
 class PlanePathologicalSystem(System):
@@ -1225,13 +1169,8 @@ class PlanePathologicalSystem(System):
                         f"also lies in the (0, {n}) translate"
                     )
         checked = len(points) * ((2 * reach + 1) ** 2 - 1)
-        return VerificationReport(
-            PROP_DISJOINTNESS,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": reach},
-            [len(points), checked, len(bad)],
-            _cap(bad),
-        )
+        counts = [len(points), checked, len(bad)]
+        return _scan_report(PROP_DISJOINTNESS, None, reach, counts, bad)
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
         return _inconclusive(
@@ -1256,13 +1195,8 @@ class PlanePathologicalSystem(System):
                     bad.append(f"fiber x = {format_fraction(x)}, n = {n}")
                 elif lo not in (base_lo, base_hi):
                     bad.append(f"fiber x = {format_fraction(x)}: interior touch")
-        return VerificationReport(
-            PROP_BOUNDARY,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": 1},
-            [checked, len(bad)],
-            _cap(bad) if bad else ["vertical translates touch along graph edges only"],
-        )
+        ok = ["vertical translates touch along graph edges only"]
+        return _scan_report(PROP_BOUNDARY, None, 1, [checked, len(bad)], bad, ok)
 
     def local_finiteness(
         self, cfg: RunConfig
@@ -1366,27 +1300,17 @@ class CylinderSystem(LineSystem):
         reach = 5  # the window reaches 3 shifts up, plus a margin of 2
         pieces = self.region().window_translates(c, lo, hi, reach)
         gap = IntervalSet(()).union(*pieces.values()).coverage_gap(lo, hi)
-        return VerificationReport(
-            PROP_COVERAGE,
-            REFUTED if gap is not None else VERIFIED,
-            {"depth": None, "radius": reach},
-            [2 * reach + 1],
-            [f"uncovered point {format_fraction(gap)}"]
-            if gap is not None
-            else [f"band translates |m| <= {reach} cover the window"],
-        )
+        bad = [] if gap is None else [f"uncovered point {format_fraction(gap)}"]
+        ok = [f"band translates |m| <= {reach} cover the window"]
+        return _scan_report(PROP_COVERAGE, None, reach, [2 * reach + 1], bad, ok)
 
     def boundary_containment(self, cfg: RunConfig) -> VerificationReport:
         meetings = self.shift_meetings(cfg)
         # touch points are band endpoints; each interior overlap is bad
         bad = [f"m = {m}" for m, overlap in meetings.items() for _ in overlap.pairs]
-        return VerificationReport(
-            PROP_BOUNDARY,
-            REFUTED if bad else VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [2 * cfg.m_range, len(bad)],
-            _cap(bad) if bad else ["band translates touch only at 0 and the shift"],
-        )
+        counts = [2 * cfg.m_range, len(bad)]
+        ok = ["band translates touch only at 0 and the shift"]
+        return _scan_report(PROP_BOUNDARY, None, cfg.m_range, counts, bad, ok)
 
     def local_finiteness(
         self, cfg: RunConfig
@@ -1440,31 +1364,20 @@ class CylinderSystem(LineSystem):
             sum(1 for m in range(base - 4, base + 5) if base - 2 < m < base + 2)
             for base in (j // 8 for j in samples)
         )
-        return VerificationReport(
-            PROP_ADJACENCY_AUDIT,
-            VERIFIED if worst <= bound else REFUTED,
-            {"depth": None, "radius": cfg.m_range},
-            [len(samples), bound, worst],
-            [
-                f"certified overlap family size {bound}",
-                f"max translates meeting a sampled patch: {worst}",
-            ],
-        )
+        found = [
+            f"certified overlap family size {bound}",
+            f"max translates meeting a sampled patch: {worst}",
+        ]
+        bad = found if worst > bound else []
+        counts = [len(samples), bound, worst]
+        return _scan_report(PROP_ADJACENCY_AUDIT, None, cfg.m_range, counts, bad, found)
 
     def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
         # m c is a band end (0 or c) exactly at m = 0 and m = 1, and
         # m_range is at least 1
         hits = [0, 1]
-        return VerificationReport(
-            PROP_ORBIT_BOUNDARY,
-            VERIFIED,
-            {"depth": None, "radius": cfg.m_range},
-            [len(hits)],
-            [
-                "orbit of the 0 section meets the band boundary at shifts "
-                f"{hits}"
-            ],
-        )
+        ok = [f"orbit of the 0 section meets the band boundary at shifts {hits}"]
+        return _scan_report(PROP_ORBIT_BOUNDARY, None, cfg.m_range, [len(hits)], [], ok)
 
     def quotient(
         self, cfg: RunConfig
@@ -1488,22 +1401,12 @@ class CylinderSystem(LineSystem):
         )
         # the generator (shift by c) must carry the lower edge onto the upper
         image = ends[0] + c
-        ok = image == ends[-1]
-        return (
-            VerificationReport(
-                PROP_QUOTIENT,
-                VERIFIED if ok else REFUTED,
-                {"depth": None, "radius": 1},
-                [1, 1, 1],
-                [f"gluing m = 1 maps the {lo} section to the {hi} section"]
-                if ok
-                else [
-                    f"gluing m = 1 maps the {lo} section to the "
-                    f"{format_fraction(image)} section, not to the upper edge {hi}"
-                ],
-            ),
-            desc,
-        )
+        bad = [] if image == ends[-1] else [
+            f"gluing m = 1 maps the {lo} section to the "
+            f"{format_fraction(image)} section, not to the upper edge {hi}"
+        ]
+        ok = [f"gluing m = 1 maps the {lo} section to the {hi} section"]
+        return _scan_report(PROP_QUOTIENT, None, 1, [1, 1, 1], bad, ok), desc
 
 
 SELECTORS = (
@@ -1554,17 +1457,13 @@ def boundary_containment(system: System, cfg: RunConfig) -> VerificationReport:
 
 
 def local_finiteness_profile(
-    system: System,
-    cfg: RunConfig,
-    centers: Optional[Sequence[ReducedWord]] = None,
+    system: System, cfg: RunConfig
 ) -> tuple[VerificationReport, dict[str, list[int]]]:
     """Count enumerated translates meeting a shrinking neighbourhood.
 
     The profile is per schedule horizon; the verdicts come from the
-    stabilization rule.  ``centers`` picks the free2house patches.
+    stabilization rule.
     """
-    if centers is not None:
-        return system.local_finiteness(cfg, centers)
     return system.cached_local_finiteness(cfg)
 
 

@@ -21,6 +21,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -308,17 +309,27 @@ def build_rescaling(*args, **kwargs):
 
 
 def cmd_conformal(args: argparse.Namespace) -> int:
+    """Exit 0 within tolerance, 1 out of it; a scale whose diagnostics
+    are not finite numbers decides neither, and is refused."""
+    import numpy as np
+
     from .conformal import rescaling_report
 
+    if not math.isfinite(args.s):
+        raise UsageError(f"--s must be a finite scaling step, not {args.s}")
     if args.s <= 0:
         raise UsageError("scaling step must be positive")
-    try:
-        resc = build_rescaling(
-            args.s, grid=args.grid, reach=args.reach, null=args.null_rescaling
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    report = rescaling_report(resc)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        try:
+            resc = build_rescaling(
+                args.s, grid=args.grid, reach=args.reach, null=args.null_rescaling
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        report = rescaling_report(resc)
+    diagnostics = [report["equivariance_defect"], report["isometry_rel_error"]]
+    if not all(map(math.isfinite, diagnostics + [*report["partition"].values()])):
+        raise UsageError(f"--s {args.s} is too large: its diagnostics overflow")
     if args.format == "csv":
         import csv  # only this output needs it
 

@@ -127,6 +127,10 @@ class IntervalSet:
         den = self.den
         return tuple(Fraction(e, den) for e in sorted(set(self.ends)))
 
+    def span(self) -> Fraction:
+        """Distance from the first endpoint to the last."""
+        return Fraction(self.ends[-1] - self.ends[0], self.den)
+
     def first_overlap(
         self, other: "IntervalSet"
     ) -> Optional[tuple[Fraction, Fraction]]:

@@ -95,6 +95,9 @@ class IntervalSet:
     def endpoints(self) -> tuple[Fraction, ...]:
         return tuple(sorted({value for pair in self.pairs for value in pair}))
 
+    def span(self) -> Fraction:
+        return self.pairs[-1][1] - self.pairs[0][0]
+
     def first_overlap(
         self, other: "IntervalSet"
     ) -> Optional[tuple[Fraction, Fraction]]:

@@ -387,9 +387,7 @@ def test_local_finiteness_profiles_free2house(f2, small_cfg):
 
 def test_local_finiteness_needs_room(f2):
     with pytest.raises(ValueError):
-        local_finiteness_profile(
-            f2, RunConfig(depth=3, radius=2), centers=[word("uu")]
-        )
+        f2.local_finiteness(RunConfig(depth=3, radius=2), [word("uu")])
 
 
 def test_local_finiteness_past_the_depth_cap_is_inconclusive(f2):
@@ -397,7 +395,7 @@ def test_local_finiteness_past_the_depth_cap_is_inconclusive(f2):
     # cap of 6 (or outside the group): the count of 1 is stable only
     # because of the cap
     cfg = RunConfig(radius=6, schedule=tuple(range(2, 13)))
-    rep, profiles = local_finiteness_profile(f2, cfg, centers=[word("rurur")])
+    rep, profiles = f2.local_finiteness(cfg, [word("rurur")])
     assert profiles["rurur"] == [0] + [1] * 10
     assert rep.verdict == INCONCLUSIVE
     assert rep.witnesses[-1] == (
@@ -405,7 +403,7 @@ def test_local_finiteness_past_the_depth_cap_is_inconclusive(f2):
         "reflections, and horizon 12 is past that cap"
     )
     # up to the cap the same counts are exact
-    rep, _ = local_finiteness_profile(f2, RunConfig(radius=6), centers=[word("rurur")])
+    rep, _ = f2.local_finiteness(RunConfig(radius=6), [word("rurur")])
     assert rep.verdict == VERIFIED and rep.counts == [0, 1, 1, 1, 1]
     # the default centers resolve every candidate, past the cap too
     cfg = RunConfig(depth=3, radius=5, schedule=(2, 4, 6, 8))

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import warnings
 import xml.dom.minidom
 
 import pytest
@@ -172,6 +173,25 @@ def test_conformal_csv_rows(capsys):
     lines = out.splitlines()
     assert lines[0] == "t,f"
     assert len(lines) == 1 + (2 * 6 + 1) * 64 + 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "1e3"])
+def test_conformal_refuses_a_scale_without_finite_diagnostics(capsys, scale, fmt):
+    # a numpy warning raised as an error would exit INTERNAL_EXIT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["conformal", "--s", scale, "--format", fmt])
+    assert code == USAGE_EXIT and out == ""
+    assert err.startswith("fundreg: error: --s ")
+
+
+def test_conformal_largest_passing_scale_still_passes(capsys):
+    # the isometry check overflows one float above this scale
+    code, out, _ = run_cli(capsys, ["conformal", "--s", "64.5257011721258"])
+    assert code == 0 and json.loads(out)["within_tolerance"] is True
+    code, out, _ = run_cli(capsys, ["conformal", "--s", "64.52570117212582"])
+    assert code == USAGE_EXIT and out == ""
 
 
 # ------------------------------------------------------------- exit codes

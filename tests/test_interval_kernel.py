@@ -74,6 +74,8 @@ def same(new, old):
     assert repr(new) == repr(old)
     assert interval_oracle.serialize(new) == interval_oracle.serialize(old)
     assert new.endpoints() == old.endpoints()
+    if len(old):
+        assert new.span() == old.span()
 
 
 @given(pair_lists(valid=False))

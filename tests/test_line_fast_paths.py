@@ -1,18 +1,20 @@
 """The line system's shortcuts against the loops they replaced.
 
-Finite self-adjacency tests the shifts of the last horizon once and counts
-every horizon from them; the family's quotient compares integer endpoints;
+Finite self-adjacency tests the shifts of the last horizon once, and
+only those below the inflated region's span, and counts every horizon
+from them; the family's quotient compares integer endpoints;
 ``pathological_interval`` builds each endpoint as one ``Fraction``.  Each
 is compared with the straightforward version in ``tests/oracles.py``, or
 with the defining formula, report for report.
 """
 
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
 from fundreg.checker import REFUTED, VERIFIED, LineSystem, RunConfig
-from fundreg.regions import pathological_interval
+from fundreg.regions import IntervalSet, pathological_interval
 from oracles import (
     CorruptedLine,
     GappedLine,
@@ -41,6 +43,49 @@ def test_self_adjacency_matches_the_per_horizon_scan(kind, n, schedule):
     want, want_hits = per_horizon_self_adjacency(_line(kind), cfg)
     assert report.to_dict() == want.to_dict()
     assert hits == want_hits
+
+
+def _span_schedules(kind, n):
+    """Schedules (1, 2, K) whose last horizon K lies below, at and above
+    the span of the inflated region, where K > 2 allows it."""
+    system = LineSystem(kind)
+    ends = system.region(n).inflate(system.margin()).endpoints()
+    span = ends[-1] - ends[0]
+    lasts = {floor(span) - 1, floor(span), ceil(span), ceil(span) + 1}
+    return [(kind, n, (1, 2, k)) for k in sorted(lasts) if k > 2]
+
+
+SPAN_CASES = [
+    case
+    for kind in ("line-standard", "line-pathological")
+    for n in (1, 2, 48, 200)
+    for case in _span_schedules(kind, n) + [(kind, n, (2, 3, 4, 5, 6))]
+]
+
+
+@pytest.mark.parametrize("kind,n,schedule", SPAN_CASES)
+def test_self_adjacency_below_the_span_matches_the_unbounded_scan(kind, n, schedule):
+    cfg = RunConfig(schedule=schedule, n_intervals=n)
+    report, hits = LineSystem(kind).finite_self_adjacency(cfg)
+    want, want_hits = per_horizon_self_adjacency(LineSystem(kind), cfg)
+    assert report.to_dict() == want.to_dict()
+    assert hits == want_hits
+
+
+def test_self_adjacency_translates_only_below_the_span(monkeypatch):
+    shifts = []
+    translate = IntervalSet.translate
+
+    def recorded(self, shift):
+        shifts.append(shift)
+        return translate(self, shift)
+
+    monkeypatch.setattr(IntervalSet, "translate", recorded)
+    cfg = RunConfig(schedule=(1, 2, 10**6))
+    report, hits = LineSystem("line-standard").finite_self_adjacency(cfg)
+    # the inflated interval [-1/4, 5/4] is 3/2 wide
+    assert shifts == [-1, 0, 1] and hits == [-1, 0, 1]
+    assert report.counts == [3, 3, 3]
 
 
 def _quotients(system, n):
