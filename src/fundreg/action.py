@@ -339,6 +339,10 @@ class GroupBall:
                 return d
         return None
 
+    def depth_of(self, letters: tuple[int, ...], parity: int) -> Optional[int]:
+        """The layer holding the element (``letters``, ``parity``), or None."""
+        return self._depth(_encode(letters, parity))
+
     def __contains__(self, g: ActionElement) -> bool:
         return self._depth(_encode(g.spine.letters, g.parity)) is not None
 

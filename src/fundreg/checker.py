@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .action import (
     ActionElement,
     GroupBall,
-    _encode,
     generator_text,
     group_ball,
     identity,
@@ -196,15 +195,20 @@ def profile_verdict(counts: Sequence[int]) -> str:
 
 
 def _profile_report(
-    prop: str, truncation: dict, counts: list[int], witnesses: list[str]
+    prop: str,
+    cfg: RunConfig,
+    radius: Optional[int],
+    counts: list[int],
+    witnesses: list[str],
 ) -> VerificationReport:
-    """Report judged by ``profile_verdict``; a non-monotone profile says
-    so in its last witness."""
+    """Report judged by ``profile_verdict`` at depth ``cfg.schedule[-1]``; a
+    non-monotone profile says so in its last witness."""
     if not _monotone(counts):
         witnesses = witnesses + [
             f"counts {counts} are not monotone in the horizon: "
             "neither the stable nor the growth rule applies"
         ]
+    truncation = {"depth": cfg.schedule[-1], "radius": radius}
     return VerificationReport(
         prop, profile_verdict(counts), truncation, counts, witnesses
     )
@@ -581,12 +585,12 @@ class Free2HouseSystem(System):
         self, s: RoomSet, depth: int
     ) -> tuple[GroupBall, dict[ActionElement, RoomSet]]:
         """The scan ball, and each nonidentity ball member g among the keys
-        of ``meet_index(s)`` (tested on its packed key), mapped to g.s ∩ s."""
+        of ``meet_index(s)`` (tested by ``depth_of``), mapped to g.s ∩ s."""
         ball = self.scan_ball(depth)
         meets = {
             ActionElement(ReducedWord._trusted(spine), parity): RoomSet(rooms)
             for (spine, parity), rooms in self.meet_index(s).items()
-            if (spine or parity) and ball._depth(_encode(spine, parity)) is not None
+            if (spine or parity) and ball.depth_of(spine, parity) is not None
         }
         return ball, meets
 
@@ -621,14 +625,14 @@ class Free2HouseSystem(System):
         covered = {m: self._box_covered(ext, m) for m in spine_powers}
         rooms = ball_size(cfg.radius)
         failures = [] if all(covered.values()) else [
-            f"room {v.text() or 'e'} escapes its walk cover"
+            f"room {v.text()} escapes its walk cover"
             for v in self.rooms(cfg.radius)
             if not covered[v.exponent_sum()]
         ]
         # the first six rooms of any ball lie within radius 2
         first = enumerate_ball(min(cfg.radius, 2))[:6]
         ok = [
-            f"room {v.text() or 'e'}: walk {g.text()} lands on spine power {m}"
+            f"room {v.text()}: walk {g.text()} lands on spine power {m}"
             for v, (g, m) in zip(first, map(walk_to_spine, first))
         ] + [f"all {rooms} rooms certified"]
         counts = [rooms, len(failures)]
@@ -690,11 +694,11 @@ class Free2HouseSystem(System):
                 sum(1 for d in depths if d is not None and d <= t)
                 for t in cfg.schedule
             ]
-            profiles[w.text() or "e"] = counts
+            profiles[w.text()] = counts
             totals = [a + b for a, b in zip(totals, counts)]
             if len(witnesses) < 6:
                 witnesses.append(
-                    f"center {w.text() or 'e'}: {counts[-1]} translates, "
+                    f"center {w.text()}: {counts[-1]} translates, "
                     f"depths {sorted(d for d in depths if d is not None)}"
                 )
         tail = (
@@ -704,10 +708,7 @@ class Free2HouseSystem(System):
         )
         witnesses.append(f"{len(profiles)} centers, {tail}")
         report = _profile_report(
-            PROP_LOCAL_FINITENESS,
-            {"depth": bound, "radius": cfg.radius},
-            totals,
-            witnesses,
+            PROP_LOCAL_FINITENESS, cfg, cfg.radius, totals, witnesses
         )
         if bound > self.depth_cap and unresolved:
             report.verdict = INCONCLUSIVE
@@ -737,10 +738,7 @@ class Free2HouseSystem(System):
             "overlapping elements: " + ", ".join(_cap(names, 12)),
         ]
         report = _profile_report(
-            PROP_SELF_ADJACENCY,
-            {"depth": cfg.schedule[-1], "radius": cfg.radius},
-            counts,
-            witnesses,
+            PROP_SELF_ADJACENCY, cfg, cfg.radius, counts, witnesses
         )
         return report, [g for _, g in last_hits]
 
@@ -750,7 +748,7 @@ class Free2HouseSystem(System):
         radius = cfg.radius
         samples = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
         pieces = [
-            f"closed triangle in room {r_power(i).text() or 'e'}"
+            f"closed triangle in room {r_power(i).text()}"
             for i in range(-radius, radius + 1)
         ]
         idents: list[dict[str, str]] = []
@@ -770,7 +768,7 @@ class Free2HouseSystem(System):
                 checked += 1
                 on_diag = canonical_point(r_power(i), t, t)
                 if apply_to_point(mirror, on_diag) != on_diag:
-                    bad.append(f"diagonal of room {r_power(i).text() or 'e'} moved")
+                    bad.append(f"diagonal of room {r_power(i).text()} moved")
                     break
             idents.append(
                 {
@@ -810,7 +808,7 @@ class Free2HouseSystem(System):
             raise TypeError("expected a group element")
         rooms = self.rooms(cfg.radius)
         fixed = [v for v in rooms if transform.apply(v) == v]
-        names = [v.text() or "e" for v in fixed]
+        names = [v.text() for v in fixed]
         bad = []
         if transform.is_identity():
             ok = ["identity fixes the whole truncated space"]
@@ -852,6 +850,9 @@ class LineSystem(System):
     }
     cocompact = True
     step: Rational = 1
+    # witness wording, which the cylinder words for its band
+    PATCH = "sampled point's patch"
+    ORBIT = "orbit of 0 meets the boundary"
 
     def __init__(self, kind: str) -> None:
         if kind not in self.EXPECTED:
@@ -991,12 +992,7 @@ class LineSystem(System):
             "meeting shifts at the last horizon: "
             + ", ".join(str(m) for m in _cap(map(str, last_hits), 10)),
         ]
-        report = _profile_report(
-            PROP_LOCAL_FINITENESS,
-            {"depth": cfg.schedule[-1], "radius": None},
-            counts,
-            witnesses,
-        )
+        report = _profile_report(PROP_LOCAL_FINITENESS, cfg, None, counts, witnesses)
         return report, {format_fraction(point): counts}
 
     def finite_self_adjacency(
@@ -1005,60 +1001,57 @@ class LineSystem(System):
         """The candidate neighbourhood is the closure inflated by
         ``margin()``; one scan to the last horizon counts every horizon.
         A translate by the inflated span or more cannot overlap it, so the
-        scan stops below the span, whatever the horizon."""
-        eps = self.margin()
-        inflated = self.region(cfg.n_intervals).inflate(eps)
-        top = min(cfg.schedule[-1], ceil(inflated.span()) - 1)
+        scan stops below the span, in steps, and at ``m_range``."""
+        inflated = self.region(cfg.n_intervals).inflate(self.margin())
+        top = min(cfg.schedule[-1], ceil(inflated.span() / self.step) - 1, cfg.m_range)
         last_hits = [
             m
             for m in range(-top, top + 1)
-            if inflated.first_overlap(inflated.translate(m)) is not None
+            if inflated.first_overlap(inflated.translate(m * self.step)) is not None
         ]
         counts = [sum(1 for m in last_hits if abs(m) <= k) for k in cfg.schedule]
+        witnesses = self._candidate(inflated, last_hits)
         report = _profile_report(
-            PROP_SELF_ADJACENCY,
-            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
-            counts,
-            [
-                f"candidate: closure inflated by {format_fraction(eps)}",
-                f"overlapping shifts at the last horizon: {last_hits}",
-            ],
+            PROP_SELF_ADJACENCY, cfg, cfg.m_range, counts, witnesses
         )
         return report, last_hits
 
+    def _candidate(self, inflated: IntervalSet, hits: list[int]) -> list[str]:
+        return [
+            f"candidate: closure inflated by {format_fraction(self.margin())}",
+            f"overlapping shifts at the last horizon: {hits}",
+        ]
+
     def adjacency_audit(self, cfg: RunConfig) -> VerificationReport:
-        """Where the overlap family is finite (the standard interval),
-        every sampled point sees at most that many translates."""
-        if self.name != "line-standard":
+        """Where the overlap family is finite (every kind but the family),
+        the patch of each sampled point, its closed tile widened by
+        ``margin()``, meets at most that many translates.  Sample j step / 8
+        lies in tile j // 8, so each of the four tiles is queried once."""
+        if self.name == "line-pathological":
             return super().adjacency_audit(cfg)
         _, overlap = self.cached_self_adjacency(cfg)
         bound = len(overlap)
-        region = self.region(cfg.n_intervals)
-        eps = self.margin()
+        region, step, eps = self.region(cfg.n_intervals), self.step, self.margin()
+        samples = range(-8, 17)
         worst = 0
-        samples = [Fraction(j, 8) for j in range(-8, 17)]
-        for t in samples:
-            base = floor(t)  # t lies in the base-th closure tile
-            lo, hi = base - eps, base + 1 + eps
-            hits = region.window_translates(1, lo, hi, abs(base) + 4)
-            seen = sum(1 for m in hits if base - 4 <= m <= base + 4)
-            worst = max(worst, seen)
+        for base in {j // 8 for j in samples}:
+            lo, hi = base * step - eps, (base + 1) * step + eps
+            hits = region.window_translates(step, lo, hi, abs(base) + 4)
+            worst = max(worst, sum(1 for m in hits if abs(m - base) <= 4))
         found = [
             f"certified overlap family size {bound}",
-            f"max translates meeting a sampled point's patch: {worst}",
+            f"max translates meeting a {self.PATCH}: {worst}",
         ]
         bad = found if worst > bound else []
         counts = [len(samples), bound, worst]
         return _scan_report(PROP_ADJACENCY_AUDIT, None, cfg.m_range, counts, bad, found)
 
     def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
-        """Count orbit points of 0 landing on the region boundary."""
-        hits = [
-            int(e)
-            for e in self.region(cfg.n_intervals).endpoints()
-            if e.denominator == 1 and -cfg.m_range <= e <= cfg.m_range
-        ]
-        ok = [f"orbit of 0 meets the boundary at shifts {hits}"]
+        """Count the shifts m, |m| <= m_range, that carry 0 onto a region
+        endpoint m * step."""
+        shifts = (e / self.step for e in self.region(cfg.n_intervals).endpoints())
+        hits = [int(m) for m in shifts if m.denominator == 1 and abs(m) <= cfg.m_range]
+        ok = [f"{self.ORBIT} at shifts {hits}"]
         return _scan_report(PROP_ORBIT_BOUNDARY, None, cfg.m_range, [len(hits)], [], ok)
 
     def quotient(
@@ -1117,6 +1110,9 @@ class LineSystem(System):
                 "continuous bijection but not a homeomorphism"
             ],
         )
+        if len(region) < 2:
+            reason = "one tile: no consecutive pair whose gluing could be tested"
+            return _inconclusive(PROP_QUOTIENT, reason), desc
         counts = [len(region), len(glued) + len(bad), len(bad)]
         ok = ["all consecutive tiles glue by m = 1"]
         return _scan_report(PROP_QUOTIENT, None, cfg.n_intervals, counts, bad, ok), desc
@@ -1218,12 +1214,7 @@ class PlanePathologicalSystem(System):
             "meeting shifts at the last horizon: "
             + ", ".join(str(p) for p in _cap(map(str, last_pairs), 8)),
         ]
-        report = _profile_report(
-            PROP_LOCAL_FINITENESS,
-            {"depth": cfg.schedule[-1], "radius": None},
-            counts,
-            witnesses,
-        )
+        report = _profile_report(PROP_LOCAL_FINITENESS, cfg, None, counts, witnesses)
         return report, {"(0, 1/2)": counts}
 
     def finite_self_adjacency(self, cfg: RunConfig) -> tuple[VerificationReport, None]:
@@ -1272,13 +1263,17 @@ class PlanePathologicalSystem(System):
 
 class CylinderSystem(LineSystem):
     """Product band X x (0, c) under translation by multiples of c: the
-    line with region (0, c) and step c, judged as the standard line.  Its
-    shift sweep, disjointness and budget are the line's.
+    line with region (0, c), step c and margin c, judged as the standard
+    line.  Its shift sweep, disjointness, self-adjacency, audit, orbit
+    count and budget are the line's; only their wording is its own.
 
     The X factor is carried symbolically; only its compactness flag
     matters to any operation here: the action is cocompact, and the
     closed band bounded, exactly when X is compact.
     """
+
+    PATCH = "sampled patch"
+    ORBIT = "orbit of the 0 section meets the band boundary"
 
     def __init__(self, shift: Rational = 1, x_compact: bool = True) -> None:
         super().__init__("line-standard")
@@ -1292,6 +1287,16 @@ class CylinderSystem(LineSystem):
     def region(self, n_intervals: int = 1) -> IntervalSet:
         """The band (0, c), whatever ``n_intervals``."""
         return IntervalSet([(Fraction(0), self.step)])
+
+    def margin(self) -> Fraction:
+        return self.step
+
+    def _candidate(self, inflated: IntervalSet, hits: list[int]) -> list[str]:
+        ((lo, hi),) = inflated.pairs
+        return [
+            f"candidate band ({format_fraction(lo)}, {format_fraction(hi)})",
+            f"overlapping shifts: {hits}",
+        ]
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
         """Band translates cover the window [-2c, 3c]."""
@@ -1324,60 +1329,11 @@ class CylinderSystem(LineSystem):
             hits = list(band.window_translates(c, lo, hi, cfg.m_range))
             counts.append(len(hits))
             last_hits = hits
+        witnesses = ["band point 0", f"meeting shifts: {last_hits}"]
         report = _profile_report(
-            PROP_LOCAL_FINITENESS,
-            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
-            counts,
-            ["band point 0", f"meeting shifts: {last_hits}"],
+            PROP_LOCAL_FINITENESS, cfg, cfg.m_range, counts, witnesses
         )
         return report, {"0": counts}
-
-    def finite_self_adjacency(
-        self, cfg: RunConfig
-    ) -> tuple[VerificationReport, list[int]]:
-        """The candidate neighbourhood is the open band (-c, 2c)."""
-        c = self.step
-        lo, hi = -c, 2 * c
-        # the translate by m c meets the band, 3c wide, exactly when |m| < 3
-        reach = min(2, cfg.m_range)
-        overlap = list(range(-reach, reach + 1))
-        counts = [2 * min(k, reach) + 1 for k in cfg.schedule]
-        report = _profile_report(
-            PROP_SELF_ADJACENCY,
-            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
-            counts,
-            [
-                f"candidate band ({format_fraction(lo)}, {format_fraction(hi)})",
-                f"overlapping shifts: {overlap}",
-            ],
-        )
-        return report, overlap
-
-    def adjacency_audit(self, cfg: RunConfig) -> VerificationReport:
-        _, overlap = self.cached_self_adjacency(cfg)
-        bound = len(overlap)
-        # Sample t = j c / 8 lies in [base c, (base + 1) c) with base = j // 8.
-        # In units of c its patch is (base - 1, base + 2), and the closed
-        # translate [m, m + 1] meets it exactly when base - 2 < m < base + 2.
-        samples = range(-8, 17)
-        worst = max(
-            sum(1 for m in range(base - 4, base + 5) if base - 2 < m < base + 2)
-            for base in (j // 8 for j in samples)
-        )
-        found = [
-            f"certified overlap family size {bound}",
-            f"max translates meeting a sampled patch: {worst}",
-        ]
-        bad = found if worst > bound else []
-        counts = [len(samples), bound, worst]
-        return _scan_report(PROP_ADJACENCY_AUDIT, None, cfg.m_range, counts, bad, found)
-
-    def orbit_boundary(self, cfg: RunConfig) -> VerificationReport:
-        # m c is a band end (0 or c) exactly at m = 0 and m = 1, and
-        # m_range is at least 1
-        hits = [0, 1]
-        ok = [f"orbit of the 0 section meets the band boundary at shifts {hits}"]
-        return _scan_report(PROP_ORBIT_BOUNDARY, None, cfg.m_range, [len(hits)], [], ok)
 
     def quotient(
         self, cfg: RunConfig

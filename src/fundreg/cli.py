@@ -258,7 +258,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     cfg = RunConfig(radius=args.radius)
     if args.view == "nbhd":
         center = word(args.center)
-        name = center.text() or "e"
+        name = center.text()
         layers = [
             (f"neighbourhood of {name}", neighborhood_roomset(center, cfg.radius))
         ]

@@ -31,6 +31,8 @@ __all__ = [
     "equivariance_defect",
     "isometry_rel_error",
     "rescaling_report",
+    "partition_estimate",
+    "PARTITION_BUDGET",
     "PARTITION_TOL",
     "EQUIVARIANCE_TOL",
     "ISOMETRY_REL_TOL",
@@ -39,6 +41,9 @@ __all__ = [
 PARTITION_TOL = 1e-12
 EQUIVARIANCE_TOL = 1e-10
 ISOMETRY_REL_TOL = 1e-9
+
+# Largest partition a run may build (``partition_estimate``), as for line scans.
+PARTITION_BUDGET = 128 * 2**20
 
 
 def smooth_step(u: np.ndarray) -> np.ndarray:
@@ -66,6 +71,17 @@ def plateau_bump(t: np.ndarray, s: float) -> np.ndarray:
     rising = smooth_step((t + half) / half)
     falling = smooth_step((1.5 * s - t) / half)
     return np.minimum(rising, falling)
+
+
+def partition_estimate(grid: int, reach: int) -> int:
+    """Upper estimate of the bytes of samples a partition and its report hold
+    at once: the fields and their unnormalised copy, 2 reach + 1 rows of
+    (2 reach + 1) grid + 1 floats, beside four arrays over the bump's
+    (4 reach + 1) grid + 1 points, plus 64 KiB.  Csv text is not counted."""
+    rows = 2 * reach + 1
+    samples = rows * grid + 1
+    bump = (4 * reach + 1) * grid + 1
+    return 8 * (2 * rows * samples + 4 * bump) + 2**16
 
 
 @dataclass
@@ -105,6 +121,12 @@ def build_partition(s: float, grid: int = 64, reach: int = 6) -> PartitionData:
         raise ValueError("grid must be an even count of at least 4")
     if reach < 2:
         raise ValueError("reach must be at least 2")
+    size = partition_estimate(grid, reach)
+    if size > PARTITION_BUDGET:
+        raise ValueError(
+            f"grid {grid} and K {reach} need about {size / 2**20:,.0f} MiB of "
+            f"samples; the budget is {PARTITION_BUDGET / 2**20:,.0f} MiB"
+        )
     h = s / grid
     j_lo, j_hi = -reach * grid, (reach + 1) * grid
     js = np.arange(j_lo, j_hi + 1)

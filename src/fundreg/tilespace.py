@@ -360,7 +360,7 @@ def render_roomsets(
             f'<rect x="{px(ox)}" y="{py(oy + 1)}" width="{unit}" height="{unit}" '
             f'fill="none" stroke="#cccccc" stroke-width="1"/>'
         )
-        name = room.text() or "e"
+        name = room.text()
         parts.append(
             f'<text x="{px(ox + 0.5)}" y="{py(oy + 0.78)}" font-size="{unit // 5}" '
             f'text-anchor="middle" fill="#999999" '

@@ -14,6 +14,7 @@ from fundreg.checker import (
     PROP_COVERAGE,
     PROP_ORBIT_BOUNDARY,
     PROP_QUOTIENT,
+    INCONCLUSIVE,
     PROP_SELF_ADJACENCY,
     REFUTED,
     VERIFIED,
@@ -291,19 +292,15 @@ class ScanningPlane(PlanePathologicalSystem):
             + ", ".join(str(p) for p in last_pairs[:8])
             + (", ..." if len(last_pairs) > 8 else ""),
         ]
-        report = _profile_report(
-            "local-finiteness",
-            {"depth": cfg.schedule[-1], "radius": None},
-            counts,
-            witnesses,
-        )
+        report = _profile_report("local-finiteness", cfg, None, counts, witnesses)
         return report, {"(0, 1/2)": counts}
 
 
 class ScanningCylinder(CylinderSystem):
-    """The cylinder's self-adjacency, audit and orbit count by the loops
-    they replaced: every shift |m| <= m_range, and every sample, tested in
-    ``Fraction`` arithmetic."""
+    """The cylinder's self-adjacency, audit and orbit count by per-shift
+    loops over the band (0, c), independent of the line code they run:
+    every shift |m| <= m_range, and every sample, tested in ``Fraction``
+    arithmetic."""
 
     def finite_self_adjacency(self, cfg):
         c = self.step
@@ -313,7 +310,8 @@ class ScanningCylinder(CylinderSystem):
         counts = [sum(1 for m in overlap if abs(m) <= k) for k in cfg.schedule]
         report = _profile_report(
             PROP_SELF_ADJACENCY,
-            {"depth": cfg.schedule[-1], "radius": cfg.m_range},
+            cfg,
+            cfg.m_range,
             counts,
             [
                 f"candidate band ({regions.format_fraction(lo)}, "
@@ -377,7 +375,8 @@ def per_horizon_self_adjacency(system, cfg):
         last_hits = hits
     report = _profile_report(
         PROP_SELF_ADJACENCY,
-        {"depth": cfg.schedule[-1], "radius": cfg.m_range},
+        cfg,
+        cfg.m_range,
         counts,
         [
             f"candidate: closure inflated by {regions.format_fraction(eps)}",
@@ -389,7 +388,8 @@ def per_horizon_self_adjacency(system, cfg):
 
 def pairwise_line_quotient(system, cfg):
     """The family's quotient check as it first ran: the region's
-    ``Fraction`` pairs, every consecutive pair compared by value."""
+    ``Fraction`` pairs, every consecutive pair compared by value.  One
+    tile has no pair to compare, so its verdict is inconclusive."""
     fmt = regions.format_fraction
     pairs = system.region(cfg.n_intervals).pairs
     idents = []
@@ -420,6 +420,12 @@ def pairwise_line_quotient(system, cfg):
             "continuous bijection but not a homeomorphism"
         ],
     )
+    if len(pairs) == 1:
+        reason = "one tile: no consecutive pair whose gluing could be tested"
+        report = VerificationReport(
+            PROP_QUOTIENT, INCONCLUSIVE, {"depth": None, "radius": None}, [], [reason]
+        )
+        return report, desc
     report = VerificationReport(
         PROP_QUOTIENT,
         REFUTED if bad else VERIFIED,

@@ -144,6 +144,22 @@ def test_quotient_json_includes_description(capsys):
     assert payload["report"]["property"] == "quotient-structure"
 
 
+def test_a_one_tile_family_quotient_is_inconclusive(capsys):
+    # one tile has no consecutive pair, so no gluing was tested
+    reason = "one tile: no consecutive pair whose gluing could be tested"
+    argv = ["line-pathological", "--N", "1"]
+    code, out, _ = run_cli(capsys, ["quotient", *argv])
+    payload = json.loads(out)
+    assert code == 2 and payload["report"]["witnesses"] == [reason]
+    assert payload["description"]["pieces"] == ["[0, 1/2]", "... 1 tiles in total"]
+    prop = "quotient-structure"
+    code, out, _ = run_cli(capsys, ["verify", *argv, "--property", prop])
+    assert code == 2 and f"witness: {reason}" in out
+    code, out, _ = run_cli(capsys, ["verify", *argv])
+    assert code == 2
+    assert f"{prop}: expected verified-at-truncation, got inconclusive" in out
+
+
 def test_quotient_svg_only_for_free2house(capsys):
     code, _, err = run_cli(capsys, ["quotient", "cylinder", "--format", "svg"])
     assert code == USAGE_EXIT
@@ -192,6 +208,31 @@ def test_conformal_largest_passing_scale_still_passes(capsys):
     assert code == 0 and json.loads(out)["within_tolerance"] is True
     code, out, _ = run_cli(capsys, ["conformal", "--s", "64.52570117212582"])
     assert code == USAGE_EXIT and out == ""
+
+
+@pytest.mark.parametrize(
+    "sizes, named",
+    [
+        (["--grid", "40000"], "grid 40000 and K 6"),
+        (["--grid", "4", "--K", "2000"], "grid 4 and K 2000"),
+    ],
+)
+def test_conformal_refuses_an_over_budget_grid_before_sampling(
+    capsys, monkeypatch, sizes, named
+):
+    # each partition would hold over 128 MiB, most of it in the fields; a
+    # refusal samples no bump, and without one a run fails at the bump
+    # having allocated only its coordinates (about 24 MB and 1 MB)
+    from fundreg import conformal
+
+    def unreachable(*args):
+        raise AssertionError("the bump was sampled")
+
+    monkeypatch.setattr(conformal, "plateau_bump", unreachable)
+    code, out, err = run_cli(capsys, ["conformal", "--s", "0.3", *sizes])
+    assert code == USAGE_EXIT and out == ""
+    assert err.startswith(f"fundreg: error: {named} need about ")
+    assert err.rstrip().endswith("the budget is 128 MiB")
 
 
 # ------------------------------------------------------------- exit codes

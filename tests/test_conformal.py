@@ -1,6 +1,7 @@
 """Tests for the smooth rescaling fields."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fundreg.conformal import (
     equivariance_defect,
     isometry_rel_error,
     partition_diagnostics,
+    partition_estimate,
     plateau_bump,
     rescaling_report,
     smooth_step,
@@ -98,6 +100,21 @@ def test_partition_window_coordinates():
 def test_partition_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         build_partition(**kwargs)
+
+
+@pytest.mark.parametrize("grid, reach", [(64, 6), (256, 2), (512, 4), (64, 20)])
+def test_partition_estimate_bounds_the_traced_peak(grid, reach):
+    # the budget refuses by this estimate, so it must not undercount, and
+    # a loose one would refuse what fits
+    np.ones(1)  # numpy's first allocations are not the partition's
+    tracemalloc.start()
+    try:
+        rescaling_report(build_rescaling(0.3, grid=grid, reach=reach))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = partition_estimate(grid, reach)
+    assert 0.8 * estimate < peak <= estimate
 
 
 # --------------------------------------------------------------- rescaling

@@ -7,6 +7,8 @@ finds one, and ``RECORDED`` holds the full report, byte for byte, that
 the check returned there before its verdict went through the shared
 rule.  A check that no perturbation of its inputs can refute is in
 ``KNOWN_TAUTOLOGIES`` with the reason; that list may only shrink.
+``CALL_OF`` names, for each entry, the function whose scan-rule call it
+covers: the cylinder's audit and orbit count run the line's.
 
 The module also guards the rules themselves: ``VerificationReport`` is
 built only by the three rule helpers and the two checks with a rule of
@@ -15,6 +17,7 @@ their own.
 
 import ast
 import inspect
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -320,13 +323,36 @@ KNOWN_TAUTOLOGIES = {
         "are findings, and a parity-0 element fixes no room: s.v = v forces s = e"
     ),
     "line orbit-boundary-finiteness": (
-        "counts integer endpoints within m_range, finitely many by construction"
+        "counts the shifts within m_range that carry 0 onto a region "
+        "endpoint, finitely many by construction; the cylinder's count is "
+        "the same code at step c"
     ),
     "plane boundary-containment": (
         "a closed form in x: the fibers [1/x, 1/x + 1] shifted by +-1 only "
         "touch, and no input of the system enters it"
     ),
-    "cylinder orbit-boundary-finiteness": "the shifts 0 and 1, a constant",
+}
+
+# entry -> the function around the scan-rule call it covers
+CALL_OF = {
+    "free2house disjointness": "Free2HouseSystem.disjointness",
+    "free2house coverage": "Free2HouseSystem.coverage",
+    "free2house boundary-containment": "Free2HouseSystem.boundary_containment",
+    "free2house quotient-structure": "Free2HouseSystem.quotient",
+    "free2house fixed-points": "Free2HouseSystem.fixed_points",
+    "line disjointness": "LineSystem.disjointness",
+    "line coverage": "LineSystem.coverage",
+    "line boundary-containment": "LineSystem.boundary_containment",
+    "line-standard quotient-structure": "LineSystem.quotient",
+    "line-pathological quotient-structure": "LineSystem.quotient",
+    "line self-adjacency-implies-local-finiteness": "LineSystem.adjacency_audit",
+    "line orbit-boundary-finiteness": "LineSystem.orbit_boundary",
+    "plane disjointness": "PlanePathologicalSystem.disjointness",
+    "plane boundary-containment": "PlanePathologicalSystem.boundary_containment",
+    "cylinder coverage": "CylinderSystem.coverage",
+    "cylinder boundary-containment": "CylinderSystem.boundary_containment",
+    "cylinder self-adjacency-implies-local-finiteness": "LineSystem.adjacency_audit",
+    "cylinder quotient-structure": "CylinderSystem.quotient",
 }
 
 # where VerificationReport may be built: the three rule helpers, the
@@ -350,9 +376,27 @@ def test_the_perturbed_check_refutes_with_the_recorded_report(site, monkeypatch)
 def test_every_scan_check_is_refuted_or_a_known_tautology():
     assert set(RECORDED) == set(SITES)
     assert set(SITES).isdisjoint(KNOWN_TAUTOLOGIES)
-    # one entry per call of the scan rule; the tautologies may only shrink
-    assert len(SITES) + len(KNOWN_TAUTOLOGIES) == len(_calls_of("_scan_report"))
-    assert len(KNOWN_TAUTOLOGIES) <= 4
+    assert set(CALL_OF) == set(SITES) | set(KNOWN_TAUTOLOGIES)
+    # every call of the scan rule is covered by an entry, and every entry
+    # names a call; the tautologies may only shrink
+    calls = Counter(_calls_of("_scan_report"))
+    assert not calls - Counter(CALL_OF.values())
+    assert set(CALL_OF.values()) <= set(calls)
+    assert len(KNOWN_TAUTOLOGIES) <= 3
+
+
+def test_the_cylinder_checks_read_a_wider_band():
+    # the band (0, 3c/2) widened by c is (-c, 5c/2): translates by |m| <= 3
+    # meet it, the orbit of 0 reaches only the end 0, and a tile's patch
+    # (-c, 2c) from it meets four closed translates
+    band, cfg = Band(Fraction(3, 2)), RunConfig()
+    _, overlap = band.finite_self_adjacency(cfg)
+    assert overlap == [-3, -2, -1, 0, 1, 2, 3]
+    orbit = band.orbit_boundary(cfg)
+    assert orbit.witnesses == [
+        "orbit of the 0 section meets the band boundary at shifts [0]"
+    ]
+    assert band.adjacency_audit(cfg).counts == [25, 7, 4]
 
 
 def test_a_parity_0_element_fixing_a_room_refutes():

@@ -1,13 +1,16 @@
-"""Plane and cylinder closed forms against the per-shift scans they
-replaced.
+"""Plane closed forms, and the cylinder's line code, against per-shift
+scans.
 
 Plane local finiteness reads each column's meeting shifts off
 ``plane2d_box_shifts`` instead of testing all 5 (8k + 1) pairs one by
 one, as ``oracles.plane2d_meets_box_by_bands`` still does.  The
-cylinder's self-adjacency, audit and orbit count are read off c > 0
-instead of a loop over the shift range.  Agreement covers the pair lists in order, the counts, the witness caps
-and whole reports.  ``plane2d_membership`` compares integers; its oracle
-is the defining ``Fraction`` formula.
+cylinder's self-adjacency, audit and orbit count run the line's code at
+step c: a shift sweep that stops below the inflated band's span, one
+window query per sampled tile, and the endpoints divided by c.
+``oracles.ScanningCylinder`` tests every shift |m| <= m_range and every
+sample instead.  Agreement covers the pair lists in order, the counts,
+the witness caps and whole reports.  ``plane2d_membership`` compares
+integers; its oracle is the defining ``Fraction`` formula.
 """
 
 from fractions import Fraction
