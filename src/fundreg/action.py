@@ -12,7 +12,7 @@ so equality of elements is equality of the pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .freegroup import (
     IDENTITY_WORD,
@@ -385,53 +385,6 @@ class GroupBall:
         for g in self:
             if not g.is_identity():
                 yield g
-
-    def frontier_order(
-        self, elements: Iterable[ActionElement]
-    ) -> list[ActionElement]:
-        """The ball members among ``elements`` in breadth-first order: by
-        layer, and within layer k by the least (rank of the parent,
-        generator index) over the parents in layer k - 1, the order in
-        which a frontier build first reaches them.
-
-        Walking down, a layer needs the parents of what the layer above
-        needs, or all of it once that is no larger.  Each needed layer is
-        then replayed from the one below, in order, as the build did.
-        """
-        wanted: dict[int, dict[int, ActionElement]] = {}
-        for g in elements:
-            key = _encode(g.spine.letters, g.parity)
-            if (k := self._depth(key)) is not None:
-                wanted.setdefault(k, {})[key] = g
-        if not wanted:
-            return []
-        need = [set(wanted.get(k, ())) for k in range(max(wanted) + 1)]
-        # canonical key: key ^ spread[bit length][last letter code]
-        spread = [
-            [_spread(t, n) for t in self._choose] if n > 2 else None
-            for n in range(3 + 2 * self._width * (len(need) + 1))
-        ]
-        k = len(need) - 1
-        while k and len(need[k]) < self._sizes[k - 1]:
-            below = self._reps[k - 1]
-            for key in need[k]:
-                for p in self._neighbours(key):
-                    n = p.bit_length()
-                    if (p ^ spread[n][p >> n - 3 & 3] if n > 2 else p) in below:
-                        need[k - 1].add(p)
-            k -= 1
-        for j in range(k):
-            need[j] = set(self._layer_keys(j))
-        out: list[ActionElement] = []
-        frontier = list(need[0])
-        for k, keys in enumerate(need):
-            if k:
-                frontier = list(dict.fromkeys(
-                    p for key in frontier for p in self._neighbours(key) if p in keys
-                ))
-            picks = wanted.get(k, {})
-            out.extend(picks[key] for key in frontier if key in picks)
-        return out
 
 
 def group_ball(

@@ -12,9 +12,10 @@ Three rules decide every verdict.  A scan (``_scan_report``) refutes
 exactly when it found a violating translate, lists at most eight, and
 otherwise verifies.  A count over a growth schedule (``_profile_report``)
 is stable when its last three entries agree, and refuting when it grows
-strictly across the whole schedule.  A property without a certificate
-is inconclusive (``_inconclusive``).  Only the compactness implication
-and the plane's profile-derived self-adjacency build a report otherwise.
+strictly across the whole schedule, unless some candidate went uncounted.
+A property without a certificate is inconclusive (``_inconclusive``).
+Only the compactness implication and the plane's profile-derived
+self-adjacency build a report otherwise.
 
 Each system class owns its property checks, its expected battery
 verdicts and its compactness facts (see ``System``).  The module-level
@@ -200,18 +201,22 @@ def _profile_report(
     radius: Optional[int],
     counts: list[int],
     witnesses: list[str],
+    unresolved: Optional[str] = None,
 ) -> VerificationReport:
     """Report judged by ``profile_verdict`` at depth ``cfg.schedule[-1]``; a
-    non-monotone profile says so in its last witness."""
+    non-monotone profile says so in a witness.  ``unresolved`` is the reason
+    some candidates went uncounted: it makes the verdict inconclusive and
+    is the last witness."""
     if not _monotone(counts):
         witnesses = witnesses + [
             f"counts {counts} are not monotone in the horizon: "
             "neither the stable nor the growth rule applies"
         ]
+    verdict = profile_verdict(counts)
+    if unresolved:
+        verdict, witnesses = INCONCLUSIVE, witnesses + [unresolved]
     truncation = {"depth": cfg.schedule[-1], "radius": radius}
-    return VerificationReport(
-        prop, profile_verdict(counts), truncation, counts, witnesses
-    )
+    return VerificationReport(prop, verdict, truncation, counts, witnesses)
 
 
 def _scan_report(
@@ -583,16 +588,19 @@ class Free2HouseSystem(System):
 
     def _ball_overlaps(
         self, s: RoomSet, depth: int
-    ) -> tuple[GroupBall, dict[ActionElement, RoomSet]]:
+    ) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
         """The scan ball, and each nonidentity ball member g among the keys
-        of ``meet_index(s)`` (tested by ``depth_of``), mapped to g.s ∩ s."""
+        of ``meet_index(s)`` with g.s ∩ s, in witness order: by the layer
+        that holds g (``depth_of``: the fewest reflections that produce
+        g), then by ``ActionElement.sort_key``."""
         ball = self.scan_ball(depth)
-        meets = {
-            ActionElement(ReducedWord._trusted(spine), parity): RoomSet(rooms)
+        members = [
+            (k, ActionElement(ReducedWord._trusted(spine), parity), RoomSet(rooms))
             for (spine, parity), rooms in self.meet_index(s).items()
-            if (spine or parity) and ball.depth_of(spine, parity) is not None
-        }
-        return ball, meets
+            if (spine or parity) and (k := ball.depth_of(spine, parity)) is not None
+        ]
+        members.sort(key=lambda member: (member[0], member[1].sort_key()))
+        return ball, [(g, meet) for _, g, meet in members]
 
     # -- properties ----------------------------------------------------
 
@@ -600,12 +608,11 @@ class Free2HouseSystem(System):
         """Overlaps are read off the region's ``meet_index``, so no set is
         translated.  ``counts[0]`` is still the number of nonidentity ball
         elements the scan covers, though the deepest layer is only
-        counted: an index key is tested for it from the layer below, and
-        witnesses from it are ranked without it (``GroupBall``)."""
+        counted: an index key is tested for it from the layer below
+        (``GroupBall``)."""
         ball, meets = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
         bad = [
-            f"{g.text()} overlaps: {'; '.join(meets[g].describe())}"
-            for g in ball.frontier_order(meets)
+            f"{g.text()} overlaps: {'; '.join(meet.describe())}" for g, meet in meets
         ]
         counts = [len(ball) - 1, len(bad)]
         return _scan_report(PROP_DISJOINTNESS, cfg.depth, cfg.radius, counts, bad)
@@ -655,13 +662,12 @@ class Free2HouseSystem(System):
         deepest layer counted and its keys decided from the layer below."""
         boundary = self.boundary(cfg.radius)
         ball, meets = self._ball_overlaps(self.closure(cfg.radius), cfg.depth)
-        spills = {g: meet.difference(boundary) for g, meet in meets.items()}
+        spills = [(g, meet.difference(boundary)) for g, meet in meets]
         bad = [
             f"{g.text()} meets the closure off the boundary: "
-            f"{'; '.join(spills[g].describe())}"
-            for g in ball.frontier_order(
-                g for g, spill in spills.items() if not spill.is_empty()
-            )
+            f"{'; '.join(spill.describe())}"
+            for g, spill in spills
+            if not spill.is_empty()
         ]
         counts = [len(ball) - 1, len(meets), len(bad)]
         return _scan_report(PROP_BOUNDARY, cfg.depth, cfg.radius, counts, bad)
@@ -707,17 +713,16 @@ class Free2HouseSystem(System):
             else "total still growing"
         )
         witnesses.append(f"{len(profiles)} centers, {tail}")
-        report = _profile_report(
-            PROP_LOCAL_FINITENESS, cfg, cfg.radius, totals, witnesses
-        )
+        reason = None
         if bound > self.depth_cap and unresolved:
-            report.verdict = INCONCLUSIVE
-            report.witnesses.append(
+            reason = (
                 f"{unresolved} candidates unresolved: minimum depths are exact "
                 f"only up to {self.depth_cap} reflections, and horizon {bound} "
                 "is past that cap"
             )
-        return report, profiles
+        return _profile_report(
+            PROP_LOCAL_FINITENESS, cfg, cfg.radius, totals, witnesses, reason
+        ), profiles
 
     def finite_self_adjacency(
         self, cfg: RunConfig
@@ -908,8 +913,10 @@ class LineSystem(System):
     def _refuse_over_budget(self, n_intervals: int, what: str) -> None:
         estimate = self.scan_estimate(n_intervals)
         if estimate > LINE_SCAN_BUDGET:
+            # rounded up, so a need just over the budget reads above it
+            need = -(-estimate * 10 // 2**20) / 10
             raise BudgetExceeded(
-                f"{self.name} at {what} needs about {estimate / 2**20:,.0f} MiB of "
+                f"{self.name} at {what} needs about {need:,.1f} MiB of "
                 f"interval endpoints; the budget is {LINE_SCAN_BUDGET / 2**20:,.0f} MiB"
             )
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
+import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import checker
 from .checker import (
@@ -185,14 +185,20 @@ def _system_within_budget(
     return system
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
+    """Write ``text``, or its pieces one at a time, to ``out`` or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as stream:
+                stream.writelines(pieces)
         except OSError as exc:
             raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+        except BrokenPipeError:  # the reader stopped early; the exit code stands
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _dumps(payload: dict) -> str:
@@ -331,14 +337,13 @@ def cmd_conformal(args: argparse.Namespace) -> int:
     if not all(map(math.isfinite, diagnostics + [*report["partition"].values()])):
         raise UsageError(f"--s {args.s} is too large: its diagnostics overflow")
     if args.format == "csv":
-        import csv  # only this output needs it
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["t", "f"])
-        for t, value in zip(resc.partition.ts, resc.values):
-            writer.writerow([repr(float(t)), repr(float(value))])
-        _emit(buffer.getvalue(), args.out)
+        # row by row, so the text is never held whole: the budget counts
+        # only the samples (no float repr needs csv quoting)
+        rows = (
+            f"{float(t)!r},{float(value)!r}\n"
+            for t, value in zip(resc.partition.ts, resc.values)
+        )
+        _emit(itertools.chain(["t,f\n"], rows), args.out)
     else:
         _emit(_dumps(report), args.out)
     return 0 if report["within_tolerance"] else 1

@@ -77,7 +77,8 @@ def partition_estimate(grid: int, reach: int) -> int:
     """Upper estimate of the bytes of samples a partition and its report hold
     at once: the fields and their unnormalised copy, 2 reach + 1 rows of
     (2 reach + 1) grid + 1 floats, beside four arrays over the bump's
-    (4 reach + 1) grid + 1 points, plus 64 KiB.  Csv text is not counted."""
+    (4 reach + 1) grid + 1 points, plus 64 KiB.  Output text is not
+    counted: csv rows are written one at a time."""
     rows = 2 * reach + 1
     samples = rows * grid + 1
     bump = (4 * reach + 1) * grid + 1
@@ -123,8 +124,10 @@ def build_partition(s: float, grid: int = 64, reach: int = 6) -> PartitionData:
         raise ValueError("reach must be at least 2")
     size = partition_estimate(grid, reach)
     if size > PARTITION_BUDGET:
+        # rounded up, so a need just over the budget reads above it
+        need = -(-size * 10 // 2**20) / 10
         raise ValueError(
-            f"grid {grid} and K {reach} need about {size / 2**20:,.0f} MiB of "
+            f"grid {grid} and K {reach} need about {need:,.1f} MiB of "
             f"samples; the budget is {PARTITION_BUDGET / 2**20:,.0f} MiB"
         )
     h = s / grid

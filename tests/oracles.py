@@ -65,8 +65,8 @@ class ReferenceBall:
     """The breadth-first ball build, as ``GroupBall`` first did it.  It
     holds each new layer twice: as keys in insertion order, and as a
     frontier of ``(letters, parity)`` tuples that the next layer is built
-    from.  Its insertion order is the witness order that
-    ``GroupBall.frontier_order`` recovers."""
+    from.  ``depth_of`` maps each key to its layer: the scans list
+    witnesses by that layer, then by ``ActionElement.sort_key``."""
 
     def __init__(self, roots, depth):
         gens = []

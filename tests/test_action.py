@@ -126,10 +126,9 @@ def test_group_ball_layers_and_membership():
     assert keys == sorted(keys)
 
 
-def assert_matches_the_frontier_build(roots, depth, seed):
-    """Same layers as the frontier build, no element twice, and both a
-    few picks and the whole ball ranked in the frontier build's insertion
-    order."""
+def assert_matches_the_reference_build(roots, depth, seed):
+    """Same layers as the reference build, no element twice, and a few
+    picks and a non-member each found in the reference layer."""
     ball = group_ball(roots, depth)
     ref = ReferenceBall(roots, depth)
     assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
@@ -138,30 +137,26 @@ def assert_matches_the_frontier_build(roots, depth, seed):
         assert len(got) == len(set(got))
         assert set(got) == keys
     assert len(ball) == len(ref.depth_of)
-    order = ref.elements()
-    # pick a few members and a non-member, shuffled
-    rng = random.Random(seed)
-    picks = rng.sample(order, min(len(order), 25))
+    # a few members and a non-member
+    elements = ref.elements()
+    picks = random.Random(seed).sample(elements, min(len(elements), 25))
     # a 20-letter spine: longer than any product of two length-4 roots
     stranger = room_reflection(word("rrrrr")) * room_reflection(word("uuuuu"))
     assert stranger not in ball
-    query = picks + [stranger]
-    rng.shuffle(query)
-    wanted = set(picks)
-    assert ball.frontier_order(query) == [g for g in order if g in wanted]
-    assert ball.frontier_order(rng.sample(order, len(order))) == order
+    for g in picks + [stranger]:
+        assert ball.depth_of(g.spine.letters, g.parity) == ball_depth(ref, g)
     return ball
 
 
 @pytest.mark.parametrize("root_len", [1, 2, 3])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_group_ball_matches_the_frontier_build(root_len, depth):
+def test_group_ball_matches_the_reference_build(root_len, depth):
     seed = root_len * 10 + depth
-    assert_matches_the_frontier_build(enumerate_ball(root_len), depth, seed)
+    assert_matches_the_reference_build(enumerate_ball(root_len), depth, seed)
 
 
-def test_scan_ball_matches_the_frontier_build():
-    ball = assert_matches_the_frontier_build(enumerate_ball(2), 4, 24)
+def test_scan_ball_matches_the_reference_build():
+    ball = assert_matches_the_reference_build(enumerate_ball(2), 4, 24)
     assert len(ball) == 45_098
 
 
@@ -173,22 +168,22 @@ def test_depth_5_scan_ball_layer_sizes():
 
 
 @pytest.mark.parametrize("roots", [[], [IDENTITY_WORD]], ids=["none", "e"])
-def test_ball_without_spine_letters_matches_the_frontier_build(roots):
+def test_ball_without_spine_letters_matches_the_reference_build(roots):
     # no generator spine has a letter, so the product table's prefix is
     # the parity header alone
-    ball = assert_matches_the_frontier_build(roots, 3, len(roots))
+    ball = assert_matches_the_reference_build(roots, 3, len(roots))
     assert ball.layer_sizes() == [1, len(roots), 0, 0]
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_ball_over_random_roots_matches_the_frontier_build(seed):
+def test_ball_over_random_roots_matches_the_reference_build(seed):
     # a random subset of the length-<=3 roots, some of them repeated, in
     # shuffled order: spines of mixed lengths from 0 to 6 letters
     rng = random.Random(20261018 + seed)
     roots = rng.sample(enumerate_ball(3), rng.randint(1, 10))
     roots += rng.choices(roots, k=3)
     rng.shuffle(roots)
-    assert_matches_the_frontier_build(roots, 3, seed)
+    assert_matches_the_reference_build(roots, 3, seed)
 
 
 # ------------------------------------------------------ letter symmetries
@@ -237,10 +232,10 @@ def test_symmetries_are_automorphisms_of_the_action():
     [(["", "r", "u"], (0, 1)), (["r", "ru"], (0,))],
     ids=["swap only", "none"],
 )
-def test_ball_over_asymmetric_roots_matches_the_frontier_build(texts, symmetries):
+def test_ball_over_asymmetric_roots_matches_the_reference_build(texts, symmetries):
     roots = [word(t) for t in texts]
     assert group_ball(roots, 0).symmetries == symmetries
-    assert_matches_the_frontier_build(roots, 4, len(texts))
+    assert_matches_the_reference_build(roots, 4, len(texts))
 
 
 # words need not be reduced to be packed; -2 (U) is letter code 0
@@ -274,9 +269,9 @@ def test_packed_keys_keep_trailing_code0_letters():
     assert len(keys) == 24
 
 
-def test_ball_over_eight_letter_spines_matches_the_frontier_build():
+def test_ball_over_eight_letter_spines_matches_the_reference_build():
     # roots of length <= 4: 161 generators, spines of up to 8 letters
-    ball = assert_matches_the_frontier_build(enumerate_ball(4), 2, 42)
+    ball = assert_matches_the_reference_build(enumerate_ball(4), 2, 42)
     assert ball.layer_sizes()[:2] == [1, 161]
 
 
@@ -343,10 +338,12 @@ def test_counted_layer_matches_the_held_layer(root_len, depth):
         assert counted._depth(key) == held._depth(key) != depth
     # reading the counted layer builds it: the held layer, key for key
     assert counted._layer(depth) == top
-    # witness order: a few picks from layers d - 1 and d
+    # witness rank: the layer of a few picks from layers d - 1 and d
     near = sorted(top | held._reps[max(depth - 1, 0)])
     picks = [_decode(key) for key in rng.sample(near, min(len(near), 50))]
-    assert counted.frontier_order(picks) == held.frontier_order(picks)
+    for g in picks:
+        letters, parity = g.spine.letters, g.parity
+        assert counted.depth_of(letters, parity) == held.depth_of(letters, parity)
     for ball in (held, counted):
         with pytest.raises(IndexError):
             next(ball.iter_layer(depth + 1))

@@ -1,8 +1,12 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,24 @@ def test_conformal_csv_rows(capsys):
     assert len(lines) == 1 + (2 * 6 + 1) * 64 + 1
 
 
+@pytest.mark.parametrize("null, want", [([], 0), (["--null-rescaling"], 1)])
+def test_csv_rows_to_a_reader_that_stops_early_keep_the_exit_code(null, want):
+    # the rows are written one at a time, so a reader that closes the pipe
+    # after the header leaves the later writes without a reader
+    argv = ["conformal", "--s", "0.3", "--grid", "2000", "--format", "csv", *null]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fundreg.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(4) == b"t,f\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == want
+    assert proc.stderr.read() == b""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("scale", ["nan", "inf", "1e3"])
 def test_conformal_refuses_a_scale_without_finite_diagnostics(capsys, scale, fmt):
@@ -233,6 +255,16 @@ def test_conformal_refuses_an_over_budget_grid_before_sampling(
     assert code == USAGE_EXIT and out == ""
     assert err.startswith(f"fundreg: error: {named} need about ")
     assert err.rstrip().endswith("the budget is 128 MiB")
+
+
+def test_conformal_just_over_the_budget_reads_above_it(capsys):
+    # grid 38284 fits; 38286 is over by under 0.1 MiB and is rounded up
+    code, out, err = run_cli(capsys, ["conformal", "--s", "0.3", "--grid", "38286"])
+    assert code == USAGE_EXIT and out == ""
+    assert err == (
+        "fundreg: error: grid 38286 and K 6 need about 128.1 MiB of samples; "
+        "the budget is 128 MiB\n"
+    )
 
 
 # ------------------------------------------------------------- exit codes
@@ -378,7 +410,8 @@ def test_line_scans_run_at_400_and_exit_64_just_over_the_budget(capsys, monkeypa
     code, out, err = run_cli(capsys, ["verify", "line-pathological", "--N", "6462"])
     assert code == USAGE_EXIT
     assert out == ""
-    assert "line-pathological at 6462 intervals needs about 128 MiB" in err
+    # the need is rounded up to 0.1 MiB, so it reads above the budget
+    assert "line-pathological at 6462 intervals needs about 128.1 MiB" in err
 
 
 @pytest.mark.parametrize(

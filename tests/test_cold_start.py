@@ -3,8 +3,8 @@
 Only the rescaling fields use floating point, so importing the package,
 importing the CLI and running the exact battery must leave numpy
 unimported.  Likewise ``hashlib``, which only the drawings use, and
-``csv``, which only ``conformal --format csv`` uses, stay unimported.  The probe runs in a fresh interpreter: this test process
-has numpy loaded already.
+``csv``, which nothing uses, stay unimported.  The probe runs in a fresh
+interpreter: this test process has numpy loaded already.
 """
 
 import os

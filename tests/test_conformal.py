@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fundreg import cli
 from fundreg.conformal import (
     EQUIVARIANCE_TOL,
     ISOMETRY_REL_TOL,
@@ -102,14 +103,19 @@ def test_partition_rejects_bad_parameters(kwargs):
         build_partition(**kwargs)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("grid, reach", [(64, 6), (256, 2), (512, 4), (64, 20)])
-def test_partition_estimate_bounds_the_traced_peak(grid, reach):
+def test_partition_estimate_bounds_the_traced_peak(grid, reach, fmt, tmp_path):
     # the budget refuses by this estimate, so it must not undercount, and
-    # a loose one would refuse what fits
+    # a loose one would refuse what fits; the whole command is traced, so
+    # the output text counts too
+    argv = ["conformal", "--s", "0.3", "--grid", str(grid), "--K", str(reach)]
+    argv += ["--format", fmt, "--out", str(tmp_path / f"out.{fmt}")]
     np.ones(1)  # numpy's first allocations are not the partition's
+    cli.build_parser()  # built once per process
     tracemalloc.start()
     try:
-        rescaling_report(build_rescaling(0.3, grid=grid, reach=reach))
+        assert cli.main(argv) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

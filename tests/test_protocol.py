@@ -5,6 +5,7 @@ the battery must reach every check through its ``checker`` module name
 so that such a patch sees each call.
 """
 
+import ast
 import importlib
 import importlib.util
 from collections import Counter
@@ -29,7 +30,9 @@ from fundreg.freegroup import enumerate_ball
 from fundreg.regions import IntervalSet
 from fundreg.tilespace import RoomSet
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fundreg"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 CHECK_NAMES = {
     "disjointness": "check_disjointness",
@@ -57,9 +60,13 @@ def _owner(path):
     return getattr(mod, cls) if cls else mod
 
 
+def _traced_names(tracer):
+    return tracer.SPANS + tracer.LEAVES + [tracer.CACHED_LEAF, tracer.ITERATED]
+
+
 def test_every_traced_name_resolves():
     tracer = _tracer()
-    names = tracer.SPANS + tracer.LEAVES + [tracer.CACHED_LEAF, tracer.ITERATED]
+    names = _traced_names(tracer)
     missing = [
         f"{path}.{attr}"
         for path, attr, _ in names
@@ -69,6 +76,62 @@ def test_every_traced_name_resolves():
     # ``verify --property`` dispatches through this table
     assert set(cli._PROPERTY_RUNNERS) == set(CHECK_NAMES)
     assert all(callable(fn) for fn in cli._PROPERTY_RUNNERS.values())
+
+
+# Functions, methods and classes that only the tests reach.  The list may
+# only shrink: code that no CLI path runs is wired to one, or goes.
+TEST_ONLY = {"orbit_representatives", "representative_class_count"}
+
+
+def _unnamed_definitions():
+    """The names defined in ``src/fundreg`` that its code never uses (as a
+    name, an attribute, an imported name, or a string constant: check
+    functions are reached by string), and every name defined there.
+    Dunder methods and overrides of a method from outside the package are
+    called by the protocol or the base class, and count as used."""
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = importlib.import_module(
+            "fundreg" if path.stem == "__init__" else f"fundreg.{path.stem}"
+        )
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                outside = {
+                    name
+                    for base in getattr(module, node.name).__mro__[1:]
+                    if not base.__module__.startswith("fundreg")
+                    for name in vars(base)
+                }
+                used.update(
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in outside
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return {
+        name
+        for name in defined - used
+        if not (name.startswith("__") and name.endswith("__"))
+    }, defined
+
+
+def test_only_the_listed_code_is_reached_by_tests_alone():
+    unnamed, defined = _unnamed_definitions()
+    # the tracer patches some names that no src/ code calls, to count them
+    traced = {attr for _, attr, _ in _traced_names(_tracer())}
+    assert unnamed - traced <= TEST_ONLY <= defined
+    assert len(TEST_ONLY) <= 2
 
 
 def _counting(calls, key, fn):

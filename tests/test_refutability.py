@@ -12,7 +12,7 @@ covers: the cylinder's audit and orbit count run the line's.
 
 The module also guards the rules themselves: ``VerificationReport`` is
 built only by the three rule helpers and the two checks with a rule of
-their own.
+their own, and no code sets a report's verdict afterwards.
 """
 
 import ast
@@ -439,3 +439,17 @@ def _calls_of(name):
 
 def test_reports_are_built_only_by_the_verdict_rules():
     assert sorted(_calls_of("VerificationReport")) == RULE_OWNERS
+    # and no verdict is set after a rule has returned
+    tree = ast.parse(inspect.getsource(checker))
+    targets = [
+        target
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    assert not [
+        ast.unparse(t)
+        for t in targets
+        for sub in ast.walk(t)
+        if isinstance(sub, ast.Attribute) and sub.attr == "verdict"
+    ]

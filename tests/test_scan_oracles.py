@@ -48,27 +48,34 @@ from fundreg.tilespace import (
     materialize_cell,
 )
 from golden_cli import DATA, run
-from oracles import reference_ball, room_pair_candidates
+from oracles import ball_depth, reference_ball, room_pair_candidates
 
 
 _TRUE = Free2HouseSystem()
 
 
 def capped(items, limit=8):
-    return items[:limit] + ["..."] if len(items) > limit else items
+    """The first ``limit`` items and "...", or every item if ``limit`` is
+    None."""
+    if limit is None or len(items) <= limit:
+        return items
+    return items[:limit] + ["..."]
 
 
-def scan_ball_in_frontier_order(system, depth):
-    """The nonidentity elements of the scan ball, in the frontier build's
-    insertion order, which is the order witnesses are listed in."""
-    return reference_ball(system.scan_root_len, depth).elements()[1:]
+def scan_ball_in_witness_order(system, depth):
+    """The nonidentity elements of the scan ball in the order witnesses are
+    listed in: by reference layer, then by ``sort_key``."""
+    ref = reference_ball(system.scan_root_len, depth)
+    return sorted(
+        ref.elements()[1:], key=lambda g: (ball_depth(ref, g), g.sort_key())
+    )
 
 
-def oracle_disjointness(system, cfg):
+def oracle_disjointness(system, cfg, limit=8):
     region = system.region(cfg.radius)
     checked = 0
     bad = []
-    for g in scan_ball_in_frontier_order(system, cfg.depth):
+    for g in scan_ball_in_witness_order(system, cfg.depth):
         checked += 1
         meet = region.translate(g).intersect(region)
         if not meet.is_empty():
@@ -78,17 +85,17 @@ def oracle_disjointness(system, cfg):
         REFUTED if bad else VERIFIED,
         {"depth": cfg.depth, "radius": cfg.radius},
         [checked, len(bad)],
-        capped(bad),
+        capped(bad, limit),
     )
 
 
-def oracle_boundary(system, cfg):
+def oracle_boundary(system, cfg, limit=8):
     closure = system.closure(cfg.radius)
     boundary = system.boundary(cfg.radius)
     checked = 0
     nonempty = 0
     bad = []
-    for g in scan_ball_in_frontier_order(system, cfg.depth):
+    for g in scan_ball_in_witness_order(system, cfg.depth):
         checked += 1
         meet = closure.translate(g).intersect(closure)
         if meet.is_empty():
@@ -105,7 +112,7 @@ def oracle_boundary(system, cfg):
         REFUTED if bad else VERIFIED,
         {"depth": cfg.depth, "radius": cfg.radius},
         [checked, nonempty, len(bad)],
-        capped(bad),
+        capped(bad, limit),
     )
 
 
@@ -251,6 +258,20 @@ def test_refuting_scans_keep_witness_order_and_cap(depth):
     assert disjoint["witnesses"][-1] == boundary["witnesses"][-1] == "..."
 
 
+def test_every_witness_is_listed_by_layer_then_sort_key(monkeypatch):
+    # uncapped, the blob at depth 2 lists 49 witnesses in each scan; the
+    # rank is (layer, sort_key) all the way, past the eight that print
+    monkeypatch.setattr(checker, "_cap", list)
+    system, cfg = Blob(), RunConfig(depth=2, radius=2)
+    for check, oracle in (
+        (check_disjointness, oracle_disjointness),
+        (boundary_containment, oracle_boundary),
+    ):
+        got = check(system, cfg).to_dict()
+        assert len(got["witnesses"]) == 49
+        assert got == oracle(system, cfg, limit=None).to_dict()
+
+
 @pytest.mark.parametrize("radius", range(9))
 def test_overlapping_generators_match_per_root_scan(f2, radius):
     for horizon in range(5):
@@ -333,7 +354,9 @@ def assert_index_matches_the_translates(system, s, depth):
     # and the scan keeps exactly the nonidentity ball members among them
     ball, meets = system._ball_overlaps(s, depth)
     kept = {g: m for g, m in want.items() if not g.is_identity() and g in ball}
-    assert meets == kept
+    assert dict(meets) == kept
+    ranks = [(ball.depth_of(g.spine.letters, g.parity), g.sort_key()) for g, _ in meets]
+    assert ranks == sorted(ranks)
     return index
 
 
