@@ -62,10 +62,8 @@ from .regions import (
     standard_interval,
 )
 from .tilespace import (
-    BOTTOM,
     UPPER,
     Cell,
-    RoomPoint,
     RoomSet,
     apply_to_point,
     canonical_point,
@@ -257,25 +255,23 @@ def _cap(items: Iterable[str], limit: int = 8) -> list[str]:
 
 # ------------------------------------------------------------------ budgets
 
-# Largest scan ball (or room ball) a run may enumerate, in elements.  The
-# scan ball counts its deepest layer without holding it, so this bounds
-# the elements enumerated, not those held.  Depth 5 (604,850 elements in
-# 151,214 orbit keys) fits: it holds the 11,276 keys of layers 0-4, and
-# its 139,938 keys of layer 5 one class at a time, at most 15,578; under
-# CPython 3.11 the build peaks at 2.9 MiB traced (10.1 MiB held whole).
-# Depth 6 (about 8.7 million elements) is over the budget.
-SCAN_BALL_BUDGET = 2_000_000
-
-
-# Largest line scan a run may make, in estimated bytes of interval
-# endpoints (``LineSystem.scan_estimate``, an upper bound on what the shift
-# sweeps and window queries hold).  The pathological family with 200
-# intervals is estimated at about 0.4 MiB; up to 6,461 intervals fit.
-LINE_SCAN_BUDGET = 128 * 2**20
+# The most bytes one enumeration may hold, by its own upper estimate.
+BUDGET = 128 * 2**20
 
 
 class BudgetExceeded(ValueError):
-    """A run would enumerate more than its budget allows."""
+    """An enumeration would hold more than ``BUDGET`` bytes."""
+
+
+def refuse_over_budget(need: int, what: str) -> None:
+    """Raise BudgetExceeded when ``need``, the estimated bytes ``what``
+    would hold, is over BUDGET; each enumeration asks before it starts.
+    The need is rounded up, so one just over the budget reads above it."""
+    if need > BUDGET:
+        mib, budget = -(-need * 10 // 2**20) / 10, BUDGET / 2**20
+        raise BudgetExceeded(
+            f"{what} needs about {mib:,.1f} MiB; the budget is {budget:,.0f} MiB"
+        )
 
 
 MeetIndex = dict[tuple[tuple[int, ...], int], dict[ReducedWord, frozenset[int]]]
@@ -321,9 +317,6 @@ class System:
         if key not in self._memo:
             self._memo[key] = make()
         return self._memo[key]
-
-    def check_budget(self, cfg: RunConfig) -> None:
-        """Refuse, before anything is built, a run over budget."""
 
     def cached_local_finiteness(self, cfg: RunConfig) -> tuple:
         """``local_finiteness(cfg)``, computed once per configuration."""
@@ -400,8 +393,7 @@ class Free2HouseSystem(System):
     # -- enumeration -------------------------------------------------
 
     def scan_ball(self, depth: int) -> GroupBall:
-        """The scan ball; raises BudgetExceeded before building one whose
-        estimated size is over SCAN_BALL_BUDGET.
+        """The scan ball, refused over budget by ``scan_ball_estimate``.
 
         Its deepest layer is counted, not held (``GroupBall`` with
         ``count_last``): the scans ask the ball for its size and for a few
@@ -411,54 +403,43 @@ class Free2HouseSystem(System):
         against 64 of the scan ball's 387)."""
 
         def build() -> GroupBall:
-            estimate = self.scan_ball_estimate(depth)
-            if estimate > SCAN_BALL_BUDGET:
-                raise BudgetExceeded(
-                    f"depth {depth} needs a scan ball of about {estimate:,} "
-                    f"elements; the budget is {SCAN_BALL_BUDGET:,}"
-                )
+            need = self.scan_ball_estimate(depth)
+            refuse_over_budget(need, f"the scan ball at depth {depth}")
             roots = enumerate_ball(self.scan_root_len)
             return group_ball(roots, depth, count_last=True)
 
         return self._once(("scan ball", depth), build)
 
     def scan_ball_estimate(self, depth: int) -> int:
-        """Size of ``scan_ball(depth)`` from the layers of the depth-2 ball.
+        """Upper estimate of the bytes building ``scan_ball(depth)`` holds
+        at its peak: 24 an element of the held layers (an orbit key and
+        its set slot, about 66 bytes, stand for four elements), 40 an
+        element of the counted layer's largest low-bit class (its key, list
+        and set slots, and the layer below turned for its products), which
+        is under an eighth of the layer, and 256 KiB for the product table.
+        Traced peaks at depths 4, 5 and 6: 0.38, 3.11 and 41.05 MiB.
 
-        Exact up to depth 2.  Deeper layers are extrapolated with the
-        layer-2/layer-1 growth ratio 232/17 = 13.65.  The true ratio falls
-        to 13.41 from layer 3 on, so this overestimates: 636,478 against
-        604,850 at depth 5.
-        """
+        The layer sizes are those of the depth-2 ball, read once per
+        system; deeper layers grow by its layer-2/layer-1 ratio 232/17 =
+        13.65, over the true 13.41 from layer 3 on."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        roots = enumerate_ball(self.scan_root_len)
-        sizes = GroupBall(roots, min(depth, 2)).layer_sizes()
-        total = sum(sizes)
-        layer = sizes[-1]
-        for _ in range(2, depth):
-            layer = -(-layer * sizes[2] // sizes[1])  # rounded up
-            total += layer
-        return total
+        sizes = self._once(
+            ("scan layers",),
+            lambda: GroupBall(enumerate_ball(self.scan_root_len), 2).layer_sizes(),
+        )
+        layers = sizes[: depth + 1]
+        while len(layers) <= depth:
+            layers.append(-(-layers[-1] * sizes[2] // sizes[1]))  # rounded up
+        return 24 * sum(layers[:-1]) + 5 * layers[-1] + 2**18
 
     def rooms(self, radius: int) -> tuple[ReducedWord, ...]:
-        """The room words of length <= ``radius``; raises BudgetExceeded
-        before enumerating more than SCAN_BALL_BUDGET of them."""
-        self._refuse_room_ball(radius)
+        """The room words of length <= ``radius``, refused over budget at
+        160 bytes a room (its word, letter tuple and ball slot), 8 a letter
+        and 1 KiB; 206 and 214 bytes a room were traced at radii 8 and 9."""
+        need = ball_size(radius) * (160 + 8 * radius) + 2**10
+        refuse_over_budget(need, f"the room ball at radius {radius}")
         return enumerate_ball(radius)
-
-    def check_budget(self, cfg: RunConfig) -> None:
-        """Refuse an over-budget room ball before a battery builds the
-        scan ball for its first check."""
-        self._refuse_room_ball(cfg.radius)
-
-    def _refuse_room_ball(self, radius: int) -> None:
-        size = ball_size(radius)
-        if size > SCAN_BALL_BUDGET:
-            raise BudgetExceeded(
-                f"radius {radius} needs a ball of {size:,} rooms; "
-                f"the budget is {SCAN_BALL_BUDGET:,}"
-            )
 
     def half_ball(self, depth: int) -> GroupBall:
         return self._once(
@@ -468,13 +449,24 @@ class Free2HouseSystem(System):
 
     # -- region pieces -----------------------------------------------
 
+    def spine_estimate(self, radius: int) -> int:
+        """Upper estimate of the bytes the region, its closure and its
+        boundary hold together: 24 (R + 1)^2 for their letters and
+        4 KiB (R + 1) for their rooms (18.4 MiB traced at R = 1000).  It
+        also bounds the quotient's description, which names every spine
+        room (2.9 MiB traced at R = 1000)."""
+        return 24 * (radius + 1) ** 2 + 4096 * (radius + 1)
+
     def region(self, radius: int) -> RoomSet:
         """The open region: the open upper triangle of each spine room
-        r^i, |i| <= radius."""
-        return self._once(
-            ("region", radius),
-            lambda: RoomSet({r_power(i): {UPPER} for i in range(-radius, radius + 1)}),
-        )
+        r^i, |i| <= radius, refused over budget by ``spine_estimate``."""
+
+        def build() -> RoomSet:
+            need = self.spine_estimate(radius)
+            refuse_over_budget(need, f"the spine region at radius {radius}")
+            return RoomSet({r_power(i): {UPPER} for i in range(-radius, radius + 1)})
+
+        return self._once(("region", radius), build)
 
     def closure(self, radius: int) -> RoomSet:
         return self._once(
@@ -509,13 +501,6 @@ class Free2HouseSystem(System):
 
         return self._once(("meeting candidates", center), build)
 
-    def meeting_inverses(self, center: ReducedWord) -> list[ActionElement]:
-        """The inverses of ``meeting_candidates(center)``, in its order."""
-        return self._once(
-            ("meeting inverses", center),
-            lambda: [g.inverse() for g in self.meeting_candidates(center)],
-        )
-
     def candidate_min_depth(self, g: ActionElement, bound: int) -> Optional[int]:
         """Smallest reflection count producing ``g``, or None above ``bound``.
 
@@ -547,9 +532,20 @@ class Free2HouseSystem(System):
         (spine, p) moves rooms bijectively, and spine = b * swap^p(a)^-1
         sends room a onto b, so g.s ∩ s in room b is swap^p(atoms(a)) ∩
         atoms(b): one pass over the room pairs of s, and pairs whose atoms
-        miss make no key."""
+        miss make no key.
+
+        Refused over budget at 2 n^2 keys for n rooms, 224 bytes each plus
+        2 a letter of the longest room, and 8 KiB.  That is calibrated on
+        the region and the closure, the only sets the checks index: 62% of
+        their room pairs meet, in at most three atoms, and the closure's
+        index is traced at 0.45, 1.77 and 7.38 MiB for R = 8, 16 and 32.
+        A set whose pairs all meet in five atoms holds up to 3.5 times as
+        much."""
 
         def build() -> MeetIndex:
+            n, longest = len(s.rooms), max(map(len, s.rooms), default=0)
+            need = 2 * n * n * (224 + 2 * longest) + 2**13
+            refuse_over_budget(need, f"the meet index of {n} rooms")
             index: MeetIndex = {}
             for parity in (0, 1):
                 for a, atoms in s.rooms.items():
@@ -626,7 +622,6 @@ class Free2HouseSystem(System):
         preserves the exponent sum, so m == v.exponent_sum().  The rooms
         are enumerated only when some m fails; otherwise they are counted,
         and walks are taken only for the six certificate lines."""
-        self._refuse_room_ball(cfg.radius)
         ext = self.closure(cfg.radius + 1)
         spine_powers = range(-cfg.radius, cfg.radius + 1)
         covered = {m: self._box_covered(ext, m) for m in spine_powers}
@@ -751,6 +746,8 @@ class Free2HouseSystem(System):
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, QuotientDescription]:
         radius = cfg.radius
+        need = self.spine_estimate(radius)
+        refuse_over_budget(need, f"the quotient at radius {radius}")
         samples = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
         pieces = [
             f"closed triangle in room {r_power(i).text()}"
@@ -869,9 +866,9 @@ class LineSystem(System):
         self.closure_bounded = kind == "line-standard"
 
     def region(self, n_intervals: int) -> IntervalSet:
-        """The region; raises BudgetExceeded before building one whose
-        scans are estimated over LINE_SCAN_BUDGET."""
-        self._refuse_over_budget(n_intervals, f"{n_intervals} intervals")
+        """The region, refused over budget by ``scan_estimate``."""
+        need = self.scan_estimate(n_intervals)
+        refuse_over_budget(need, f"{self.name} at {n_intervals} intervals")
         if self.name == "line-standard":
             return standard_interval()
         return self._once(
@@ -901,24 +898,6 @@ class LineSystem(System):
         den_bits = -(-3 * (n_intervals + 1) // 2) if family else 2
         bits = den_bits + n_intervals.bit_length() + 8
         return 6 * (n_intervals if family else 1) * (224 + bits // 3)
-
-    def check_budget(self, cfg: RunConfig) -> None:
-        """Refuse, before anything is built, a run whose regions would be
-        over budget: ``n_intervals`` and the last schedule horizon."""
-        self._refuse_over_budget(cfg.n_intervals, f"{cfg.n_intervals} intervals")
-        k = cfg.schedule[-1]
-        n = self.profile_tiles(k, cfg.n_intervals)
-        self._refuse_over_budget(n, f"schedule horizon {k} ({n} intervals)")
-
-    def _refuse_over_budget(self, n_intervals: int, what: str) -> None:
-        estimate = self.scan_estimate(n_intervals)
-        if estimate > LINE_SCAN_BUDGET:
-            # rounded up, so a need just over the budget reads above it
-            need = -(-estimate * 10 // 2**20) / 10
-            raise BudgetExceeded(
-                f"{self.name} at {what} needs about {need:,.1f} MiB of "
-                f"interval endpoints; the budget is {LINE_SCAN_BUDGET / 2**20:,.0f} MiB"
-            )
 
     def cluster_point(self) -> Fraction:
         # integer translates of the unbounded family pile up at 1
@@ -985,7 +964,6 @@ class LineSystem(System):
         point = self.cluster_point()
         counts = []
         last_hits: list[int] = []
-        self.check_budget(cfg)
         for k in cfg.schedule:
             n_tiles = self.profile_tiles(k, cfg.n_intervals)
             region = self.region(n_tiles)
@@ -1271,8 +1249,8 @@ class PlanePathologicalSystem(System):
 class CylinderSystem(LineSystem):
     """Product band X x (0, c) under translation by multiples of c: the
     line with region (0, c), step c and margin c, judged as the standard
-    line.  Its shift sweep, disjointness, self-adjacency, audit, orbit
-    count and budget are the line's; only their wording is its own.
+    line.  Its shift sweep, disjointness, self-adjacency, audit and orbit
+    count are the line's; only their wording is its own.
 
     The X factor is carried symbolically; only its compactness flag
     matters to any operation here: the action is cocompact, and the
@@ -1471,63 +1449,6 @@ def fixed_point_search(
     return system.fixed_points(cfg, transform)
 
 
-# -------------------------------------------------------- orbit representatives
-
-
-def in_closed_region(system: Free2HouseSystem, p: RoomPoint) -> bool:
-    """Exact membership of a canonical point in the system's closed
-    region, read off ``closure(len(room))``, which holds every closed
-    atom of a room of that length.  Serves acceptance criterion 7, as the
-    three helpers below do."""
-    return p.atom() in system.closure(len(p.room)).atoms_at(p.room)
-
-
-def orbit_representatives(
-    system: Free2HouseSystem, p: RoomPoint
-) -> list[RoomPoint]:
-    """All translates of ``p`` landing in the closed region (criterion 7).
-
-    Completeness rests on the six-candidate enumeration: any element
-    moving ``p`` into the closure must place a closure room onto the
-    coordinate patch at ``p``'s room.  Where each candidate sends the
-    room, and which atoms of the image room are closed, depend on the
-    room alone, so they are found once per room; a point then only swaps
-    its coordinates and tests its atom.
-    """
-
-    def build() -> list[tuple[int, ReducedWord, frozenset[int]]]:
-        out = []
-        for g in system.meeting_inverses(p.room):
-            room = g.apply(p.room)
-            if atoms := system.closure(len(room)).atoms_at(room):
-                out.append((g.parity, room, atoms))
-        return out
-
-    found: dict[str, RoomPoint] = {}
-    for parity, room, atoms in system._once(("closed images", p.room), build):
-        q = RoomPoint(room, p.y, p.x) if parity else RoomPoint(room, p.x, p.y)
-        if q.atom() in atoms:
-            found.setdefault(q.text(), q)
-    return [found[key] for key in sorted(found)]
-
-
-def normalize_representative(system: Free2HouseSystem, p: RoomPoint) -> RoomPoint:
-    """Send a bottom-wall representative to its glued left-wall partner
-    (criterion 7)."""
-    if p.atom() == BOTTOM and in_closed_region(system, p):
-        prefix = p.room * u_power(-1)
-        return apply_to_point(room_reflection(prefix), p)
-    return p
-
-
-def representative_class_count(
-    system: Free2HouseSystem, reps: Sequence[RoomPoint]
-) -> int:
-    """Distinct representatives after resolving the edge gluing
-    (criterion 7)."""
-    return len({normalize_representative(system, q).text() for q in reps})
-
-
 # ------------------------------------------------------------------- battery
 
 # Property -> the module-level check that decides it.
@@ -1562,7 +1483,6 @@ def run_battery(
     """Run the system's expected properties in order; pair each report
     with the expected verdict.  An expected refutation that arrives is a
     pass."""
-    system.check_budget(cfg)
     return [
         (property_check(prop)(system, cfg), want)
         for prop, want in system.expected.items()

@@ -8,11 +8,11 @@ Four subcommands:
     conformal  build the smooth rescaling fields and report diagnostics
 
 Exit codes: 0 verified / as expected, 1 refuted or out of tolerance,
-2 inconclusive, 64 usage or configuration error (including a run over
-the scan-ball budget, refused before any enumeration), 70 internal
-error (a fault in fundreg itself, never a verdict; the traceback goes to
-stderr).  All output is deterministic; repeated runs with equal
-arguments produce equal bytes.
+2 inconclusive, 64 usage or configuration error (including a run one of
+whose enumerations would hold more than the memory budget, refused
+before that enumeration starts), 70 internal error (a fault in fundreg
+itself, never a verdict; the traceback goes to stderr).  All output is
+deterministic; repeated runs with equal arguments produce equal bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from . import checker
 from .checker import (
     QuotientDescription,
     RunConfig,
-    System,
     VerificationReport,
     battery_exit_code,
     make_system,
@@ -172,19 +171,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _system_within_budget(
-    cfg: RunConfig,
-    selector: str = "free2house",
-    shift: Fraction = Fraction(1),
-    x_compact: bool = True,
-) -> System:
-    """The selector's system, once ``cfg`` is found within its budget: every
-    command refuses an over-budget run the way the battery does."""
-    system = make_system(selector, shift=shift, x_compact=x_compact)
-    system.check_budget(cfg)
-    return system
-
-
 def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
     """Write ``text``, or its pieces one at a time, to ``out`` or stdout."""
     pieces = [text] if isinstance(text, str) else text
@@ -223,9 +209,7 @@ def _report_text(report: VerificationReport) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    system = _system_within_budget(
-        cfg, args.selector, args.c, not args.x_noncompact
-    )
+    system = make_system(args.selector, args.c, not args.x_noncompact)
     if args.property:
         report = _PROPERTY_RUNNERS[args.property](system, cfg)
         if args.format == "json":
@@ -270,14 +254,14 @@ def cmd_render(args: argparse.Namespace) -> int:
         ]
         svg = render_roomsets(layers)
     elif args.view == "spine":
-        system = _system_within_budget(cfg)
+        system = make_system("free2house")
         layers = [
             ("fundamental region", system.region(cfg.radius)),
             ("region boundary", system.boundary(cfg.radius)),
         ]
         svg = render_roomsets(layers)
     else:
-        _, desc = quotient_build(_system_within_budget(cfg), cfg)
+        _, desc = quotient_build(make_system("free2house"), cfg)
         assert desc is not None
         svg = quotient_strip_svg(desc)
     _emit(svg + "\n", args.out)
@@ -286,9 +270,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    system = _system_within_budget(
-        cfg, args.selector, args.c, not args.x_noncompact
-    )
+    system = make_system(args.selector, args.c, not args.x_noncompact)
     report, desc = quotient_build(system, cfg)
     if args.format == "svg":
         if desc is None or args.selector != "free2house":
@@ -442,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "conformal": cmd_conformal,
         }[args.command]
         return handler(args)
-    except (UsageError, ValueError, KeyError, TruncationError) as exc:
+    except (UsageError, ValueError, TruncationError) as exc:
         print(f"fundreg: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:

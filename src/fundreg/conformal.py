@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checker import refuse_over_budget
+
 __all__ = [
     "PartitionData",
     "RescalingData",
@@ -32,7 +34,6 @@ __all__ = [
     "isometry_rel_error",
     "rescaling_report",
     "partition_estimate",
-    "PARTITION_BUDGET",
     "PARTITION_TOL",
     "EQUIVARIANCE_TOL",
     "ISOMETRY_REL_TOL",
@@ -41,9 +42,6 @@ __all__ = [
 PARTITION_TOL = 1e-12
 EQUIVARIANCE_TOL = 1e-10
 ISOMETRY_REL_TOL = 1e-9
-
-# Largest partition a run may build (``partition_estimate``), as for line scans.
-PARTITION_BUDGET = 128 * 2**20
 
 
 def smooth_step(u: np.ndarray) -> np.ndarray:
@@ -122,14 +120,8 @@ def build_partition(s: float, grid: int = 64, reach: int = 6) -> PartitionData:
         raise ValueError("grid must be an even count of at least 4")
     if reach < 2:
         raise ValueError("reach must be at least 2")
-    size = partition_estimate(grid, reach)
-    if size > PARTITION_BUDGET:
-        # rounded up, so a need just over the budget reads above it
-        need = -(-size * 10 // 2**20) / 10
-        raise ValueError(
-            f"grid {grid} and K {reach} need about {need:,.1f} MiB of "
-            f"samples; the budget is {PARTITION_BUDGET / 2**20:,.0f} MiB"
-        )
+    need = partition_estimate(grid, reach)
+    refuse_over_budget(need, f"the partition at grid {grid} and K {reach}")
     h = s / grid
     j_lo, j_hi = -reach * grid, (reach + 1) * grid
     js = np.arange(j_lo, j_hi + 1)

@@ -5,18 +5,23 @@ sha256 of its stdout and its exit code.  ``tests/test_golden_cli.py``
 re-runs every case in-process and compares.  The free2house runs use
 ``--depth 3 --radius 5`` so that the whole sweep stays a few seconds.
 
-Re-record (only when a change of output is intended and named in
-CHANGES.md):
+Compare every case with its recording, writing nothing; the changed
+rows are listed, and the exit code is 1 if there are any:
 
     PYTHONPATH=src python tests/golden_cli.py
+
+Re-record with ``--record`` (only when a change of output is intended and
+named in CHANGES.md).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 DATA = Path(__file__).with_name("golden_cli.json")
@@ -87,6 +92,12 @@ def cases() -> list[list[str]]:
         ["verify", "cylinder", "--c", "7/3", "--N", "1", "--x-noncompact"],
         ["verify", "cylinder", "--c", "2/3", "--format", "json"],
         ["verify", "cylinder", "--c", "3", "--x-noncompact", "--format", "json"],
+        # the deepest scan ball the budget admits, and coverage past the
+        # radius whose room ball it refuses
+        ["verify", "free2house", "--depth", "6"],
+        ["verify", "free2house", "--depth", "6", "--format", "json"],
+        ["verify", "free2house", "--property", "coverage", "--radius", "13",
+         "--format", "json"],
     ]
     return out
 
@@ -122,12 +133,24 @@ def changed_rows(old: list[dict], new: list[dict]) -> list[str]:
     return lines
 
 
-if __name__ == "__main__":
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--record", action="store_true", help=f"write the runs to {DATA.name}"
+    )
+    args = parser.parse_args(argv)
     old = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
     rows = record()
     changes = changed_rows(old, rows)
     for line in changes:
         print(line)
     print(f"{len(changes)} rows changed")
+    if not args.record:
+        return 1 if changes else 0
     DATA.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {DATA}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

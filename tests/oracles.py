@@ -43,7 +43,9 @@ from fundreg.tilespace import (
     LEFT,
     UPPER,
     Cell,
+    RoomPoint,
     RoomSet,
+    apply_to_point,
     materialize_cell,
 )
 
@@ -450,3 +452,58 @@ class GappedLine(LineSystem):
             for n in range(n_intervals)
             if n != self.gap
         )
+
+
+# ------------------------------------------- orbit representatives (criterion 7)
+
+
+def meeting_inverses(system, center):
+    """The inverses of ``system.meeting_candidates(center)``, in its order."""
+    return [g.inverse() for g in system.meeting_candidates(center)]
+
+
+def in_closed_region(system, p):
+    """Exact membership of a canonical point in the system's closed
+    region, read off ``closure(len(room))``, which holds every closed
+    atom of a room of that length."""
+    return p.atom() in system.closure(len(p.room)).atoms_at(p.room)
+
+
+def orbit_representatives(system, p):
+    """All translates of ``p`` landing in the closed region.
+
+    Completeness rests on the six-candidate enumeration: any element
+    moving ``p`` into the closure must place a closure room onto the
+    coordinate patch at ``p``'s room.  Where each candidate sends the
+    room, and which atoms of the image room are closed, depend on the
+    room alone, so they are found once per room; a point then only swaps
+    its coordinates and tests its atom.
+    """
+
+    def build():
+        out = []
+        for g in meeting_inverses(system, p.room):
+            room = g.apply(p.room)
+            if atoms := system.closure(len(room)).atoms_at(room):
+                out.append((g.parity, room, atoms))
+        return out
+
+    found = {}
+    for parity, room, atoms in system._once(("closed images", p.room), build):
+        q = RoomPoint(room, p.y, p.x) if parity else RoomPoint(room, p.x, p.y)
+        if q.atom() in atoms:
+            found.setdefault(q.text(), q)
+    return [found[key] for key in sorted(found)]
+
+
+def normalize_representative(system, p):
+    """Send a bottom-wall representative to its glued left-wall partner."""
+    if p.atom() == BOTTOM and in_closed_region(system, p):
+        prefix = p.room * u_power(-1)
+        return apply_to_point(room_reflection(prefix), p)
+    return p
+
+
+def representative_class_count(system, reps):
+    """Distinct representatives after resolving the edge gluing."""
+    return len({normalize_representative(system, q).text() for q in reps})

@@ -28,9 +28,7 @@ from fundreg.checker import (
     compactness_proxy,
     fsa_check,
     local_finiteness_profile,
-    orbit_representatives,
     quotient_build,
-    representative_class_count,
 )
 from fundreg.cli import main as cli_main
 from fundreg.conformal import (
@@ -41,6 +39,7 @@ from fundreg.conformal import (
 )
 from fundreg.freegroup import enumerate_ball, r_power
 from fundreg.tilespace import canonical_point
+from oracles import orbit_representatives, representative_class_count
 
 
 @contextlib.contextmanager

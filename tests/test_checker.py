@@ -14,9 +14,8 @@ import pytest
 from fundreg.action import identity, room_reflection
 from fundreg import checker, regions
 from fundreg.checker import (
+    BUDGET,
     EXIT_CODES,
-    LINE_SCAN_BUDGET,
-    SCAN_BALL_BUDGET,
     BudgetExceeded,
     INCONCLUSIVE,
     REFUTED,
@@ -35,15 +34,11 @@ from fundreg.checker import (
     fixed_point_search,
     fsa_check,
     fsa_implies_lf_audit,
-    in_closed_region,
     local_finiteness_profile,
     make_system,
-    normalize_representative,
     orbit_boundary_finiteness,
-    orbit_representatives,
     profile_verdict,
     quotient_build,
-    representative_class_count,
     run_battery,
     stabilized,
 )
@@ -61,9 +56,13 @@ from oracles import (
     CorruptedLine,
     ball_depth,
     closed_atoms,
+    in_closed_region,
+    normalize_representative,
+    orbit_representatives,
     plane2d_closure_membership,
     reference_half_ball,
     reference_min_depth,
+    representative_class_count,
 )
 
 
@@ -247,28 +246,6 @@ def test_coverage_free2house_certificates(f2):
     assert any("certified" in w for w in rep.witnesses)
 
 
-def test_scan_ball_estimate_is_exact_then_over(f2):
-    for depth in range(3):
-        assert f2.scan_ball_estimate(depth) == len(f2.scan_ball(depth))
-    for depth in (3, 4):
-        assert f2.scan_ball_estimate(depth) >= len(f2.scan_ball(depth))
-
-
-def test_scan_ball_budget_admits_depth_5_only(f2):
-    # estimates only: the depth-6 ball is never built
-    assert f2.scan_ball_estimate(5) <= SCAN_BALL_BUDGET < f2.scan_ball_estimate(6)
-
-
-def test_line_scan_budget_admits_the_defaults():
-    # estimates only: nothing over the budget is built
-    family = LineSystem("line-pathological")
-    for n in (48, 200, 4 * 6):
-        assert family.scan_estimate(n) <= LINE_SCAN_BUDGET
-    # the largest family the budget admits
-    assert family.scan_estimate(6461) <= LINE_SCAN_BUDGET < family.scan_estimate(6462)
-    assert LineSystem("line-standard").scan_estimate(200) < family.scan_estimate(200)
-
-
 def _traced_peak(run) -> int:
     import tracemalloc
 
@@ -278,6 +255,67 @@ def _traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _recorded_needs(monkeypatch) -> dict[str, int]:
+    """The byte estimates handed to ``refuse_over_budget``, by what."""
+    needs = {}
+    refuse = checker.refuse_over_budget
+
+    def recorded(need, what):
+        needs[what] = need
+        refuse(need, what)
+
+    monkeypatch.setattr(checker, "refuse_over_budget", recorded)
+    return needs
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_scan_ball_estimate_bounds_the_traced_peak(depth):
+    system = Free2HouseSystem()
+    peak = _traced_peak(lambda: system.scan_ball(depth))
+    assert peak <= system.scan_ball_estimate(depth)
+
+
+def test_scan_ball_budget_admits_depth_6_only(f2):
+    # estimates only: the depth-7 ball is never built
+    assert f2.scan_ball_estimate(6) <= BUDGET < f2.scan_ball_estimate(7)
+
+
+def test_room_ball_estimate_bounds_the_traced_peak(monkeypatch):
+    needs = _recorded_needs(monkeypatch)
+    for radius in range(10):
+        peak = _traced_peak(lambda: Free2HouseSystem().rooms(radius))
+        assert peak <= needs[f"the room ball at radius {radius}"], radius
+
+
+@pytest.mark.parametrize("radius", [8, 16, 32])
+def test_meet_index_estimate_bounds_the_traced_peak(monkeypatch, radius):
+    needs = _recorded_needs(monkeypatch)
+    system = Free2HouseSystem()
+    closure = system.closure(radius)
+    peak = _traced_peak(lambda: system.meet_index(closure))
+    assert peak <= needs[f"the meet index of {len(closure.rooms)} rooms"]
+
+
+@pytest.mark.parametrize("radius", [1, 8, 50, 100])
+def test_spine_estimate_bounds_the_region_and_the_quotient(radius):
+    system = Free2HouseSystem()
+    peak = _traced_peak(lambda: system.boundary(radius))
+    assert peak <= system.spine_estimate(radius)
+    cfg = RunConfig(radius=radius)
+    peak = _traced_peak(lambda: Free2HouseSystem().quotient(cfg))
+    assert peak <= system.spine_estimate(radius)
+
+
+def test_line_scan_budget_admits_the_defaults():
+    # estimates only: nothing over the budget is built
+    family = LineSystem("line-pathological")
+    for n in (48, 200, 4 * 6):
+        assert family.scan_estimate(n) <= BUDGET
+    # the largest family the budget admits
+    assert family.scan_estimate(6461) <= BUDGET < family.scan_estimate(6462)
+    assert LineSystem("line-standard").scan_estimate(200) < family.scan_estimate(200)
 
 
 def test_line_scan_estimate_bounds_the_coverage_union():
@@ -293,25 +331,26 @@ def test_line_scan_estimate_bounds_the_coverage_union():
 
 def test_line_scan_over_budget_is_refused_before_building(monkeypatch):
     family = LineSystem("line-pathological")
-    monkeypatch.setattr(checker, "LINE_SCAN_BUDGET", family.scan_estimate(8))
+    built = []
+    family_of = checker.pathological_1d
 
-    def never(count):
-        raise AssertionError("built a region over the budget")
+    def recorded(count):
+        if count > 6461:
+            raise AssertionError("built a region over the budget")
+        built.append(count)
+        return family_of(count)
 
-    with pytest.raises(BudgetExceeded, match="9 intervals"):
-        family.region(9)
-    assert len(family.region(8)) == 8
-    monkeypatch.setattr(checker, "pathological_1d", never)
-    with pytest.raises(BudgetExceeded, match="schedule horizon 3 \\(12 intervals\\)"):
-        run_battery(family, RunConfig(n_intervals=8, schedule=(1, 2, 3)))
-    with pytest.raises(BudgetExceeded, match="9 intervals"):
-        run_battery(family, RunConfig(n_intervals=9))
-    # just over the real budget: 6,462 intervals, or horizon 1,616 (4 each)
-    monkeypatch.setattr(checker, "LINE_SCAN_BUDGET", LINE_SCAN_BUDGET)
+    monkeypatch.setattr(checker, "pathological_1d", recorded)
+    # just over the budget: 6,462 intervals, or horizon 1,616 (4 each)
+    with pytest.raises(BudgetExceeded, match="6462 intervals"):
+        family.region(6462)
     with pytest.raises(BudgetExceeded, match="6462 intervals"):
         run_battery(family, RunConfig(n_intervals=6462))
-    with pytest.raises(BudgetExceeded, match="horizon 1616 \\(6464 intervals\\)"):
+    assert built == []
+    # the battery is refused at the first region over budget: the horizon's
+    with pytest.raises(BudgetExceeded, match="at 6464 intervals"):
         run_battery(family, RunConfig(n_intervals=8, schedule=(1, 2, 1616)))
+    assert built == [8, 4]
 
 
 def _recording_group_ball(monkeypatch):
@@ -328,21 +367,17 @@ def _recording_group_ball(monkeypatch):
 
 
 def test_scan_ball_over_budget_is_refused_before_building(monkeypatch):
-    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", 1000)
     built = _recording_group_ball(monkeypatch)
     system = Free2HouseSystem()
-    with pytest.raises(BudgetExceeded, match="depth 3"):
-        system.scan_ball(3)
-    assert built == [] and system._memo == {}
+    with pytest.raises(BudgetExceeded, match="the scan ball at depth 7"):
+        system.scan_ball(7)
+    assert built == [] and ("scan ball", 7) not in system._memo
     assert len(system.scan_ball(2)) == 250
     assert built == [2]
 
 
 def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):
-    # estimates only: radius 16 would need 86 million rooms
-    assert ball_size(12) <= SCAN_BALL_BUDGET < ball_size(13)
-    assert ball_size(16) == 86_093_441
-    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", ball_size(3))
+    # radius 12 would hold about 260 MiB of rooms
     radii = []
 
     def counted(radius):
@@ -350,18 +385,20 @@ def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):
         return enumerate_ball(radius)
 
     monkeypatch.setattr(checker, "enumerate_ball", counted)
-    built = _recording_group_ball(monkeypatch)
     system = Free2HouseSystem()
-    with pytest.raises(BudgetExceeded, match="radius 4 needs a ball of 161 rooms"):
-        check_coverage(system, RunConfig(depth=1, radius=4))
-    with pytest.raises(BudgetExceeded, match="radius 4"):
-        fixed_point_search(system, RunConfig(radius=4), identity())
-    assert 4 not in radii
-    # a battery is refused before its first check builds the scan ball
-    with pytest.raises(BudgetExceeded, match="radius 4"):
-        run_battery(system, RunConfig(depth=1, radius=4))
-    assert built == [] and system._memo == {}
-    assert check_coverage(system, RunConfig(depth=1, radius=3)).verdict == VERIFIED
+    refused = "the room ball at radius 12 needs about 259.5 MiB"
+    with pytest.raises(BudgetExceeded, match=refused):
+        fixed_point_search(system, RunConfig(radius=12), identity())
+    # a coverage that fails (here on the rooms of exponent sum 0) enumerates
+    # the room ball; a battery runs until then, its scan ball built
+    monkeypatch.setattr(Free2HouseSystem, "_box_covered", lambda self, ext, m: m)
+    with pytest.raises(BudgetExceeded, match=refused):
+        check_coverage(system, RunConfig(depth=1, radius=12))
+    with pytest.raises(BudgetExceeded, match=refused):
+        run_battery(Free2HouseSystem(), RunConfig(depth=1, radius=12))
+    assert 12 not in radii
+    rep = check_coverage(system, RunConfig(depth=1, radius=3))
+    assert rep.verdict == REFUTED and rep.counts == [53, 5]
     rep = fixed_point_search(system, RunConfig(radius=3), identity())
     assert rep.counts == [53, 53]
 

@@ -13,6 +13,7 @@ import pytest
 from fundreg import checker, cli, regions
 from fundreg.cli import INTERNAL_EXIT, USAGE_EXIT, main, quotient_strip_svg
 from fundreg.checker import Free2HouseSystem, RunConfig, quotient_build
+from fundreg.freegroup import enumerate_ball
 
 
 def run_cli(capsys, argv):
@@ -253,7 +254,7 @@ def test_conformal_refuses_an_over_budget_grid_before_sampling(
     monkeypatch.setattr(conformal, "plateau_bump", unreachable)
     code, out, err = run_cli(capsys, ["conformal", "--s", "0.3", *sizes])
     assert code == USAGE_EXIT and out == ""
-    assert err.startswith(f"fundreg: error: {named} need about ")
+    assert err.startswith(f"fundreg: error: the partition at {named} needs about ")
     assert err.rstrip().endswith("the budget is 128 MiB")
 
 
@@ -262,8 +263,8 @@ def test_conformal_just_over_the_budget_reads_above_it(capsys):
     code, out, err = run_cli(capsys, ["conformal", "--s", "0.3", "--grid", "38286"])
     assert code == USAGE_EXIT and out == ""
     assert err == (
-        "fundreg: error: grid 38286 and K 6 need about 128.1 MiB of samples; "
-        "the budget is 128 MiB\n"
+        "fundreg: error: the partition at grid 38286 and K 6 needs about "
+        "128.1 MiB; the budget is 128 MiB\n"
     )
 
 
@@ -327,26 +328,53 @@ def test_internal_error_exits_70(capsys, monkeypatch):
     assert "fundreg: internal error: RuntimeError('broken battery')" in err
 
 
+def test_internal_key_error_exits_70(capsys, monkeypatch):
+    # no argument can raise KeyError (the choices guard every lookup), so
+    # one from inside is a fault, not a usage error
+    def broken(self, cfg):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(Free2HouseSystem, "disjointness", broken)
+    argv = ["verify", "free2house", "--depth", "1", "--radius", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == INTERNAL_EXIT and out == ""
+    assert "Traceback" in err
+    assert err.endswith("fundreg: internal error: KeyError('missing')\n")
+
+
 def test_over_budget_depth_exits_64_before_enumerating(capsys, monkeypatch):
-    # a small budget stands in for depth 6: a broken guard builds a
-    # depth-3 ball here, never the 8-million-element one
-    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", 1000)
-    code, out, err = run_cli(capsys, ["verify", "free2house", "--depth", "3"])
-    assert code == USAGE_EXIT
-    assert out == ""
-    assert "budget is 1,000" in err
+    def never(*args, **kwargs):
+        raise AssertionError("built a scan ball over the budget")
+
+    monkeypatch.setattr(checker, "group_ball", never)
+    code, out, err = run_cli(capsys, ["verify", "free2house", "--depth", "7"])
+    assert (code, out) == (USAGE_EXIT, "")
+    assert err == (
+        "fundreg: error: the scan ball at depth 7 needs about 722.9 MiB; "
+        "the budget is 128 MiB\n"
+    )
 
 
-def test_over_budget_radius_exits_64_before_enumerating(capsys, monkeypatch):
-    # a budget lowered to radius 3 stands in for a huge --radius
-    monkeypatch.setattr(checker, "SCAN_BALL_BUDGET", 53)
+def test_failing_coverage_over_budget_exits_64_before_enumerating(
+    capsys, monkeypatch
+):
+    # a coverage that fails (here on the rooms of exponent sum 0) needs the
+    # room ball, about 260 MiB at radius 12
+    def counted(radius):
+        assert radius < 12, "enumerated the radius-12 room ball"
+        return enumerate_ball(radius)
+
+    monkeypatch.setattr(checker, "enumerate_ball", counted)
+    monkeypatch.setattr(Free2HouseSystem, "_box_covered", lambda self, ext, m: m)
     argv = ["verify", "free2house", "--property", "coverage", "--depth", "1"]
-    code, out, err = run_cli(capsys, [*argv, "--radius", "4"])
-    assert code == USAGE_EXIT
-    assert out == ""
-    assert "radius 4 needs a ball of 161 rooms; the budget is 53" in err
+    code, out, err = run_cli(capsys, [*argv, "--radius", "12"])
+    assert (code, out) == (USAGE_EXIT, "")
+    assert err == (
+        "fundreg: error: the room ball at radius 12 needs about 259.5 MiB; "
+        "the budget is 128 MiB\n"
+    )
     code, _, _ = run_cli(capsys, [*argv, "--radius", "3"])
-    assert code == 0
+    assert code == 1
 
 
 def test_long_plane_schedule_exits_0_without_a_shift_scan(capsys, monkeypatch):
@@ -384,18 +412,18 @@ def test_cylinder_at_a_trillion_shifts_exits_0(capsys):
 
 
 def test_over_budget_line_scans_exit_64_before_building(capsys, monkeypatch):
-    # a budget lowered to N = 8 stands in for a huge --N or --schedule; a
-    # broken guard builds a 9-interval region here, never a huge one
-    family = checker.LineSystem("line-pathological")
-    monkeypatch.setattr(checker, "LINE_SCAN_BUDGET", family.scan_estimate(8))
-    for argv, what in (
-        (["--N", "9"], "9 intervals"),
-        (["--N", "8", "--schedule", "1,2,3"], "schedule horizon 3 (12 intervals)"),
-    ):
-        code, out, err = run_cli(capsys, ["verify", "line-pathological", *argv])
-        assert code == USAGE_EXIT
-        assert out == ""
-        assert f"line-pathological at {what} needs about" in err
+    family_of = checker.pathological_1d
+
+    def guarded(count):
+        assert count <= 6461, "built a region over the budget"
+        return family_of(count)
+
+    monkeypatch.setattr(checker, "pathological_1d", guarded)
+    # a horizon of 1,616 builds 6,464 intervals (4 each), just over the budget
+    argv = ["verify", "line-pathological", "--N", "8", "--schedule", "1,2,1616"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (USAGE_EXIT, "")
+    assert "line-pathological at 6464 intervals needs about 128.1 MiB" in err
 
 
 def test_line_scans_run_at_400_and_exit_64_just_over_the_budget(capsys, monkeypatch):
@@ -415,31 +443,36 @@ def test_line_scans_run_at_400_and_exit_64_just_over_the_budget(capsys, monkeypa
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, what",
     [
-        ["verify", "free2house"],
-        ["verify", "free2house", "--property", "disjointness"],
-        ["quotient", "free2house"],
-        ["render", "quotient"],
-        ["render", "spine"],
+        (["verify", "free2house"], "spine region"),
+        (["verify", "free2house", "--property", "disjointness"], "spine region"),
+        (["quotient", "free2house"], "quotient"),
+        (["render", "quotient"], "quotient"),
+        (["render", "spine"], "spine region"),
     ],
-    ids=" ".join,
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
-def test_every_command_refuses_the_radius_the_battery_refuses(capsys, argv):
-    # a property run, a quotient and a drawing at radius 13 would each be
-    # cheap, but the rule is the battery's: the room ball is over budget
+def test_every_command_runs_at_radius_13_and_refuses_an_over_budget_spine(
+    capsys, monkeypatch, argv, what
+):
+    # no command past radius 12 is refused for a room ball it never builds
     code, out, err = run_cli(capsys, [*argv, "--radius", "13"])
+    assert (code, err) == (0, "") and out
+    # a spine room is named, for the region or the quotient, only in budget
+    monkeypatch.setattr(checker, "r_power", None)
+    code, out, err = run_cli(capsys, [*argv, "--radius", "2300"])
     assert (code, out) == (USAGE_EXIT, "")
     assert err == (
-        "fundreg: error: radius 13 needs a ball of 3,188,645 rooms; "
-        "the budget is 2,000,000\n"
+        f"fundreg: error: the {what} at radius 2300 needs about 130.2 MiB; "
+        "the budget is 128 MiB\n"
     )
 
 
-def test_line_property_runs_refuse_the_schedule_the_battery_refuses(capsys):
-    argv = ["verify", "line-pathological", "--property", "disjointness"]
-    code, _, _ = run_cli(capsys, [*argv, "--schedule", "1,2,1615"])
+def test_line_property_runs_refuse_only_the_regions_they_build(capsys):
+    argv = ["verify", "line-pathological", "--schedule", "1,2,1616"]
+    code, _, _ = run_cli(capsys, [*argv, "--property", "disjointness"])
     assert code == 0
-    code, out, err = run_cli(capsys, [*argv, "--schedule", "1,2,1616"])
+    code, out, err = run_cli(capsys, [*argv, "--property", "local-finiteness"])
     assert (code, out) == (USAGE_EXIT, "")
-    assert "line-pathological at schedule horizon 1616 (6464 intervals)" in err
+    assert "line-pathological at 6464 intervals" in err

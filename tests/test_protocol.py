@@ -78,9 +78,9 @@ def test_every_traced_name_resolves():
     assert all(callable(fn) for fn in cli._PROPERTY_RUNNERS.values())
 
 
-# Functions, methods and classes that only the tests reach.  The list may
-# only shrink: code that no CLI path runs is wired to one, or goes.
-TEST_ONLY = {"orbit_representatives", "representative_class_count"}
+# Functions, methods and classes that only the tests reach: none.  Code
+# that no CLI path runs is wired to one, or moves to the tests.
+TEST_ONLY: set[str] = set()
 
 
 def _unnamed_definitions():
@@ -131,7 +131,7 @@ def test_only_the_listed_code_is_reached_by_tests_alone():
     # the tracer patches some names that no src/ code calls, to count them
     traced = {attr for _, attr, _ in _traced_names(_tracer())}
     assert unnamed - traced <= TEST_ONLY <= defined
-    assert len(TEST_ONLY) <= 2
+    assert TEST_ONLY == set()
 
 
 def _counting(calls, key, fn):
@@ -246,7 +246,7 @@ def test_default_battery_holds_every_half_ball_layer():
     assert len(scan._reps) == 4 and len(scan) == 45_098
 
 
-def test_depth_6_is_refused_before_any_layer_is_built(monkeypatch, capsys):
+def test_depth_7_is_refused_before_any_layer_is_built(monkeypatch, capsys):
     layers = []
     split = GroupBall._parts
 
@@ -255,13 +255,13 @@ def test_depth_6_is_refused_before_any_layer_is_built(monkeypatch, capsys):
         return split(self, k, bits)
 
     monkeypatch.setattr(GroupBall, "_parts", recorded_parts)
-    argv = "verify free2house --property disjointness --depth 6 --radius 1"
+    argv = "verify free2house --property disjointness --depth 7 --radius 1"
     assert cli.main(argv.split()) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "fundreg: error: depth 6 needs a scan ball of about 8,686,060 elements; "
-        "the budget is 2,000,000\n"
+        "fundreg: error: the scan ball at depth 7 needs about 722.9 MiB; "
+        "the budget is 128 MiB\n"
     )
     # only the depth-2 ball the estimate extrapolates from
     assert layers == [1, 2]
@@ -334,9 +334,9 @@ def test_line_and_cylinder_batteries_sweep_the_shifts_once(
 
 
 def test_the_cylinder_is_the_line_with_step_c():
-    # the sweep, disjointness and budget are the line's, read at step c
+    # the sweep, disjointness and self-adjacency are the line's, at step c
     assert issubclass(CylinderSystem, LineSystem)
-    for name in ("shift_meetings", "disjointness", "check_budget"):
+    for name in ("shift_meetings", "disjointness", "finite_self_adjacency"):
         assert name not in vars(CylinderSystem), name
     band = CylinderSystem(Fraction(2, 3))
     assert band.step == Fraction(2, 3)

@@ -31,13 +31,13 @@ from fundreg.checker import (
     PROP_DISJOINTNESS,
     REFUTED,
     VERIFIED,
+    BudgetExceeded,
     Free2HouseSystem,
     RunConfig,
     VerificationReport,
     boundary_containment,
     check_coverage,
     check_disjointness,
-    orbit_representatives,
 )
 from fundreg.freegroup import ReducedWord, enumerate_ball, r_power
 from fundreg.tilespace import (
@@ -48,7 +48,12 @@ from fundreg.tilespace import (
     materialize_cell,
 )
 from golden_cli import DATA, run
-from oracles import ball_depth, reference_ball, room_pair_candidates
+from oracles import (
+    ball_depth,
+    orbit_representatives,
+    reference_ball,
+    room_pair_candidates,
+)
 
 
 _TRUE = Free2HouseSystem()
@@ -413,7 +418,7 @@ def test_refuting_coverage_keeps_witness_order_and_cap(radius, counts):
 
 def test_verified_coverage_builds_no_room_ball(monkeypatch):
     # Only the root list of the profile half balls (radius 3) may be
-    # enumerated; every room ball of these runs has radius 5 or 8.
+    # enumerated; every room ball of these runs has radius 5, 8 or 13.
     def guard(fn, limit):
         def guarded(*args):
             if args[-1] > limit:
@@ -424,9 +429,8 @@ def test_verified_coverage_builds_no_room_ball(monkeypatch):
 
     roots = Free2HouseSystem.profile_root_len
     monkeypatch.setattr(checker, "enumerate_ball", guard(enumerate_ball, roots))
-    monkeypatch.setattr(
-        Free2HouseSystem, "rooms", guard(Free2HouseSystem.rooms, 2)
-    )
+    rooms = Free2HouseSystem.rooms
+    monkeypatch.setattr(Free2HouseSystem, "rooms", guard(rooms, 2))
     golden = {
         " ".join(row["argv"]): (row["exit"], row["sha256"])
         for row in json.loads(DATA.read_text(encoding="utf-8"))
@@ -434,11 +438,14 @@ def test_verified_coverage_builds_no_room_ball(monkeypatch):
     for argv in (
         "verify free2house --format json --depth 3 --radius 5",
         "verify free2house --property coverage --format json",
+        # past radius 12, whose room ball is over budget
+        "verify free2house --property coverage --radius 13 --format json",
     ):
         assert run(argv.split()) == golden[argv]
-    # over budget, refused before any enumeration
-    code, _ = run("verify free2house --property coverage --radius 13".split())
-    assert code == 64
+    # a failing coverage asks for its room ball, refused before enumerating
+    monkeypatch.setattr(Free2HouseSystem, "rooms", rooms)
+    with pytest.raises(BudgetExceeded, match="the room ball at radius 12"):
+        check_coverage(ShrunkClosure(), RunConfig(radius=12))
 
 
 def test_walks_carry_closed_boxes_onto_the_spine_power_of_the_exponent_sum(f2):
