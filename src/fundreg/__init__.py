@@ -7,7 +7,9 @@ quotient structure mechanically.  All tiling arithmetic is exact
 (reduced words and rationals); only the smooth rescaling module uses
 floating point.  numpy is needed by that module alone: ``build_partition``,
 ``build_rescaling`` and ``rescaling_report`` import it on first access, so
-the exact battery, ``render`` and ``quotient`` never load it.
+the exact battery, ``render`` and ``quotient`` never load it.  Likewise
+``render_roomsets`` loads the drawing code, ``fundreg.render``, on first
+access.
 """
 
 from .action import (
@@ -38,20 +40,25 @@ from .tilespace import (
     canonical_point,
     materialize_cell,
     neighborhood_roomset,
-    render_roomsets,
 )
 
 __version__ = "0.1.0"
 
-# Only the rescaling needs numpy: its names load ``conformal`` on first access.
-_CONFORMAL = frozenset({"build_partition", "build_rescaling", "rescaling_report"})
+# Names whose modules load on first access (PEP 562): only the rescaling
+# needs numpy, and only drawing needs the SVG code.
+_LAZY = {
+    "build_partition": "conformal",
+    "build_rescaling": "conformal",
+    "rescaling_report": "conformal",
+    "render_roomsets": "render",
+}
 
 
 def __getattr__(name: str):
-    if name in _CONFORMAL:
-        from . import conformal
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(conformal, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -25,7 +25,6 @@ check functions hand each call to the system, and the battery and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import ceil
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -61,6 +60,7 @@ from .regions import (
     plane2d_translate_meets_box,
     standard_interval,
 )
+from .record import FrozenRecord, Record, set_field
 from .tilespace import (
     UPPER,
     Cell,
@@ -91,8 +91,7 @@ PROP_COMPACTNESS = "compactness-proxy"
 PROP_FIXED_POINTS = "fixed-points"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verification operation.
 
     ``counts`` is the enumeration profile the verdict was judged on (one
@@ -102,11 +101,21 @@ class VerificationReport:
     re-validated exactly before being reported.
     """
 
-    property_name: str
-    verdict: str
-    truncation: dict
-    counts: list[int] = field(default_factory=list)
-    witnesses: list[str] = field(default_factory=list)
+    __slots__ = ("property_name", "verdict", "truncation", "counts", "witnesses")
+
+    def __init__(
+        self,
+        property_name: str,
+        verdict: str,
+        truncation: dict,
+        counts: Optional[list[int]] = None,
+        witnesses: Optional[list[str]] = None,
+    ) -> None:
+        self.property_name = property_name
+        self.verdict = verdict
+        self.truncation = truncation
+        self.counts = [] if counts is None else counts
+        self.witnesses = [] if witnesses is None else witnesses
 
     def to_dict(self) -> dict:
         return {
@@ -125,24 +134,47 @@ class VerificationReport:
         return EXIT_CODES[self.verdict]
 
 
-@dataclass
-class QuotientDescription:
+class QuotientDescription(Record):
     """Identification structure of the closure modulo the action."""
 
-    system: str
-    pieces: list[str]
-    identifications: list[dict[str, str]]
-    removed_points: list[str]
-    compact: bool
-    notes: list[str] = field(default_factory=list)
+    __slots__ = (
+        "system",
+        "pieces",
+        "identifications",
+        "removed_points",
+        "compact",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        system: str,
+        pieces: list[str],
+        identifications: list[dict[str, str]],
+        removed_points: list[str],
+        compact: bool,
+        notes: Optional[list[str]] = None,
+    ) -> None:
+        self.system = system
+        self.pieces = pieces
+        self.identifications = identifications
+        self.removed_points = removed_points
+        self.compact = compact
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "system": self.system,
+            "pieces": list(self.pieces),
+            "identifications": [dict(d) for d in self.identifications],
+            "removed_points": list(self.removed_points),
+            "compact": self.compact,
+            "notes": list(self.notes),
+        }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared truncation knobs.
+class RunConfig(FrozenRecord):
+    """Shared truncation knobs, immutable and hashable.
 
     depth        word length bound for enumerated group elements
     radius       room-word length bound for the tiled space
@@ -151,23 +183,31 @@ class RunConfig:
     m_range      translation range for line and plane scans
     """
 
-    depth: int = 4
-    radius: int = 8
-    schedule: tuple[int, ...] = (2, 3, 4, 5, 6)
-    n_intervals: int = 200
-    m_range: int = 200
+    __slots__ = ("depth", "radius", "schedule", "n_intervals", "m_range")
 
-    def __post_init__(self) -> None:
-        if self.depth < 0 or self.radius < 0:
+    def __init__(
+        self,
+        depth: int = 4,
+        radius: int = 8,
+        schedule: tuple[int, ...] = (2, 3, 4, 5, 6),
+        n_intervals: int = 200,
+        m_range: int = 200,
+    ) -> None:
+        if depth < 0 or radius < 0:
             raise ValueError("depth and radius must be nonnegative")
-        if len(self.schedule) < 3:
+        if len(schedule) < 3:
             raise ValueError("schedule needs at least three horizons")
-        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
+        if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("schedule must be strictly increasing")
-        if any(k < 1 for k in self.schedule):
+        if any(k < 1 for k in schedule):
             raise ValueError("schedule horizons must be positive")
-        if self.n_intervals < 1 or self.m_range < 1:
+        if n_intervals < 1 or m_range < 1:
             raise ValueError("n_intervals and m_range must be positive")
+        set_field(self, "depth", depth)
+        set_field(self, "radius", radius)
+        set_field(self, "schedule", schedule)
+        set_field(self, "n_intervals", n_intervals)
+        set_field(self, "m_range", m_range)
 
 
 def stabilized(counts: Sequence[int]) -> bool:

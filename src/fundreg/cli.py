@@ -17,15 +17,15 @@ deterministic; repeated runs with equal arguments produce equal bytes.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import checker
 from .checker import (
@@ -37,13 +37,7 @@ from .checker import (
     quotient_build,
     run_battery,
 )
-from .freegroup import word
-from .tilespace import (
-    TruncationError,
-    label_color,
-    neighborhood_roomset,
-    render_roomsets,
-)
+from .tilespace import TruncationError
 
 USAGE_EXIT = 64
 INTERNAL_EXIT = 70
@@ -51,11 +45,6 @@ INTERNAL_EXIT = 70
 
 class UsageError(Exception):
     """Bad arguments or configuration; mapped to exit code 64."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
 
 
 # ``verify --property`` runs each check as the checker module holds it at
@@ -83,85 +72,276 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> _Parser:
-    """The process's one parser: parsing never changes it."""
-    parser = _Parser(
-        prog="fundreg",
-        description="Exact tiling verification at truncation scale.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------- option table
 
-    def radius_and_out(p: _Parser) -> None:
-        p.add_argument("--radius", type=int, default=8, help="word ball radius")
-        p.add_argument("--out", help="write output to this file instead of stdout")
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--depth", type=int, default=4, help="group ball depth")
-        radius_and_out(p)
-        p.add_argument(
-            "--schedule",
-            type=_parse_schedule,
-            default=(2, 3, 4, 5, 6),
-            help="comma-separated growth horizons, e.g. 2,3,4,5,6",
+class Arg:
+    """One argument of a subcommand: a positional, or an option if its
+    name starts with a dash.  ``dest`` names its attribute, ``type`` reads
+    its text; a ``flag`` takes no value and defaults to False, and an
+    ``optional`` positional may be left out."""
+
+    __slots__ = ("name", "help", "dest", "type", "default", "choices", "flag",
+                 "required", "optional", "option")
+
+    def __init__(
+        self,
+        name: str,
+        help: str = "",
+        *,
+        dest: Optional[str] = None,
+        type: Optional[Callable[[str], Any]] = None,
+        default: Any = None,
+        choices: Optional[Sequence[str]] = None,
+        flag: bool = False,
+        required: bool = False,
+        optional: bool = False,
+    ) -> None:
+        self.name = name
+        self.help = help
+        self.dest = dest or name.lstrip("-").replace("-", "_")
+        self.type = type
+        self.default = False if flag else default
+        self.choices = choices
+        self.flag = flag
+        self.required = required
+        self.optional = optional
+        self.option = name.startswith("-")
+
+    def label(self) -> str:
+        """The argument's name in an error message, as argparse gave it."""
+        return self.name if self.option else self.dest
+
+
+_HELP = Arg("--help", "show this help and exit", flag=True)
+_HELP_OPTIONS = {"-h": _HELP, "--help": _HELP}
+_OUT = Arg("--out", "write output to this file instead of stdout")
+_RADIUS = Arg("--radius", "word ball radius", type=int, default=8)
+
+# verify and quotient: the truncation and the systems' parameters
+_SYSTEM_OPTIONS = (
+    Arg("--depth", "group ball depth", type=int, default=4),
+    _RADIUS,
+    _OUT,
+    Arg("--schedule", "comma-separated growth horizons, e.g. 2,3,4,5,6",
+        type=_parse_schedule, default=(2, 3, 4, 5, 6)),
+    Arg("--N", "interval count for the line systems", dest="n_intervals", type=int,
+        default=200),
+    Arg("--c", "cylinder shift (rational)", type=_parse_fraction, default=Fraction(1)),
+    Arg("--x-noncompact", "model the cylinder cross-section as non-compact", flag=True),
+)
+
+# subcommand -> (help line, arguments in help order)
+COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
+    "verify": ("run checks against expectations", (
+        Arg("selector", choices=checker.SELECTORS),
+        Arg("--property", "run a single property instead of the battery",
+            choices=sorted(_PROPERTY_RUNNERS)),
+        Arg("--format", choices=("text", "json"), default="text"),
+        *_SYSTEM_OPTIONS,
+    )),
+    "render": ("draw an SVG picture", (
+        Arg("view", choices=("nbhd", "spine", "quotient")),
+        Arg("center", "room word, e.g. ru", default="", optional=True),
+        _RADIUS,
+        _OUT,
+    )),
+    "quotient": ("emit the identification structure", (
+        Arg("selector", choices=checker.SELECTORS),
+        Arg("--format", choices=("json", "svg"), default="json"),
+        *_SYSTEM_OPTIONS,
+    )),
+    "conformal": ("smooth rescaling diagnostics", (
+        Arg("--s", "scaling step", type=float, required=True),
+        Arg("--grid", "samples per period", type=int, default=64),
+        Arg("--K", "periods modelled each side", dest="reach", type=int, default=6),
+        Arg("--null-rescaling",
+            "use the zero field: a control that must fail the isometry check",
+            flag=True),
+        Arg("--format", choices=("json", "csv"), default="json"),
+        _OUT,
+    )),
+}
+
+# argparse reads a token that looks like a negative number as a value
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _read_token(
+    token: str, options: dict[str, Arg]
+) -> Optional[tuple[Optional[Arg], Optional[str]]]:
+    """How argparse reads ``token``: None for a value or a positional,
+    else the option it names (None for an unknown one) and the value
+    attached to it, after ``=`` or after ``-h``."""
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    if token in options:
+        return options[token], None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return options[head], value
+    if token.startswith("--"):  # a unique prefix of a long option names it
+        named = [name for name in options if name.startswith(head)]
+        if len(named) > 1:
+            matches = ", ".join(named)
+            raise UsageError(f"ambiguous option: {token} could match {matches}")
+        if named:
+            return options[named[0]], value if eq else None
+    elif token[:2] in options:
+        return options[token[:2]], token[2:]
+    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
+        return None
+    return None, None
+
+
+def _convert(arg: Arg, text: str) -> Any:
+    value = text
+    if arg.type is not None:
+        try:
+            value = arg.type(text)
+        except (TypeError, ValueError):
+            raise UsageError(
+                f"argument {arg.label()}: invalid {arg.type.__name__} value: {text!r}"
+            )
+    if arg.choices is not None and value not in arg.choices:
+        raise UsageError(
+            f"argument {arg.label()}: invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, arg.choices))})"
         )
-        p.add_argument(
-            "--N",
-            dest="n_intervals",
-            type=int,
-            default=200,
-            help="interval count for the line systems",
+    return value
+
+
+def _help(command: Optional[str] = None) -> None:
+    """Print the help of ``fundreg`` or of one subcommand, built from
+    ``COMMANDS``, and exit 0."""
+    import textwrap  # only help needs it
+
+    if command is None:
+        usage = "fundreg <command> [options]"
+        summary = "Exact tiling verification at truncation scale."
+        rows = [(name, help) for name, (help, _) in COMMANDS.items()]
+    else:
+        summary, args = COMMANDS[command]
+        shown = [f"[{a.name}]" if a.optional else a.name for a in args if not a.option]
+        shown += [f"{a.name} {a.dest.upper()}" for a in args if a.required]
+        usage = " ".join(["fundreg", command, *shown, "[options]"])
+        rows = []
+        for arg in (*args, _HELP):
+            notes = [arg.help] if arg.help else []
+            if arg.choices:
+                notes.append("one of " + ", ".join(arg.choices))
+            if arg.default not in (None, False, ""):
+                default = arg.default
+                if isinstance(default, tuple):
+                    default = ",".join(map(str, default))
+                notes.append(f"default {default}")
+            left = arg.name
+            if arg.option and not arg.flag:
+                left += " " + arg.dest.upper()
+            rows.append((left, "; ".join(notes)))
+    width = max(len(left) for left, _ in rows) + 4
+    lines = [f"usage: {usage}", "", summary, ""]
+    for left, note in rows:
+        lines.append(textwrap.fill(
+            note, 79, initial_indent=f"  {left:<{width - 2}}",
+            subsequent_indent=" " * width, break_on_hyphens=False,
+        ))
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _parse_command(command: str, tokens: list[str]) -> dict[str, Any]:
+    """Read a subcommand's tokens as argparse did: left to right, each
+    value checked where it is read, the last of a repeated option winning,
+    and unknown arguments refused at the end.  A run of positionals fills
+    the open positionals in order; an optional one that the run does not
+    reach is closed with its default."""
+    args = COMMANDS[command][1]
+    options = {arg.name: arg for arg in args if arg.option} | _HELP_OPTIONS
+    waiting = [arg for arg in args if not arg.option]
+    values = {arg.dest: arg.default for arg in args}
+    given, extras = set(), []
+    if "--" in tokens:  # everything after it is positional
+        cut = tokens.index("--")
+        tokens = tokens[:cut] + tokens[cut + 1 :]
+    else:
+        cut = len(tokens)
+    reads = [_read_token(t, options) if k < cut else None for k, t in enumerate(tokens)]
+    i = 0
+    while i < len(tokens):
+        if reads[i] is None:
+            run = i
+            while run < len(tokens) and reads[run] is None:
+                run += 1
+            while waiting and (i < run or waiting[0].optional):
+                arg = waiting.pop(0)
+                if i < run:
+                    values[arg.dest] = _convert(arg, tokens[i])
+                    i += 1
+            extras += tokens[i:run]
+            i = run
+            continue
+        arg, value = reads[i]
+        if arg is None:
+            extras.append(tokens[i])
+        elif arg.flag:
+            if value is not None:
+                raise UsageError(
+                    f"argument {arg.label()}: ignored explicit argument {value!r}"
+                )
+            if arg is _HELP:
+                _help(command)
+            values[arg.dest] = True
+        else:
+            if value is None:
+                if i + 1 == len(tokens) or reads[i + 1] is not None:
+                    raise UsageError(f"argument {arg.label()}: expected one argument")
+                i += 1
+                value = tokens[i]
+            values[arg.dest] = _convert(arg, value)
+            given.add(arg.dest)
+        i += 1
+    missing = [
+        arg.label()
+        for arg in args
+        if arg.required and arg.dest not in given or arg in waiting and not arg.optional
+    ]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return values
+
+
+def parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The arguments of one ``fundreg`` command line, under argparse's
+    attribute names.  A usage error raises ``UsageError``; ``-h`` or
+    ``--help`` prints the help and exits 0."""
+    tokens = list(argv)
+    extras = []
+    while tokens and (read := _read_token(tokens[0], _HELP_OPTIONS)):
+        if read[0] is _HELP:
+            if read[1] is not None:
+                raise UsageError(
+                    f"argument -h/--help: ignored explicit argument {read[1]!r}"
+                )
+            _help()
+        extras.append(tokens.pop(0))
+    if not tokens:
+        raise UsageError("the following arguments are required: command")
+    command = tokens[0]
+    if command not in COMMANDS:
+        raise UsageError(
+            f"argument command: invalid choice: {command!r} "
+            f"(choose from {', '.join(map(repr, COMMANDS))})"
         )
-        p.add_argument(
-            "--c",
-            type=_parse_fraction,
-            default=Fraction(1),
-            help="cylinder shift (rational)",
-        )
-        p.add_argument(
-            "--x-noncompact",
-            action="store_true",
-            help="model the cylinder cross-section as non-compact",
-        )
-
-    p_verify = sub.add_parser("verify", help="run checks against expectations")
-    p_verify.add_argument("selector", choices=checker.SELECTORS)
-    p_verify.add_argument(
-        "--property",
-        choices=sorted(_PROPERTY_RUNNERS),
-        help="run a single property instead of the battery",
-    )
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    common(p_verify)
-
-    p_render = sub.add_parser("render", help="draw an SVG picture")
-    p_render.add_argument("view", choices=("nbhd", "spine", "quotient"))
-    p_render.add_argument("center", nargs="?", default="", help="room word, e.g. ru")
-    radius_and_out(p_render)
-
-    p_quot = sub.add_parser("quotient", help="emit the identification structure")
-    p_quot.add_argument("selector", choices=checker.SELECTORS)
-    p_quot.add_argument("--format", choices=("json", "svg"), default="json")
-    common(p_quot)
-
-    p_conf = sub.add_parser("conformal", help="smooth rescaling diagnostics")
-    p_conf.add_argument("--s", type=float, required=True, help="scaling step")
-    p_conf.add_argument("--grid", type=int, default=64, help="samples per period")
-    p_conf.add_argument(
-        "--K", dest="reach", type=int, default=6, help="periods modelled each side"
-    )
-    p_conf.add_argument(
-        "--null-rescaling",
-        action="store_true",
-        help="use the zero field: a control that must fail the isometry check",
-    )
-    p_conf.add_argument("--format", choices=("json", "csv"), default="json")
-    p_conf.add_argument("--out", help="write output to this file instead of stdout")
-
-    return parser
+    values = _parse_command(command, tokens[1:])
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, **values)
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
+def _config_from(args: SimpleNamespace) -> RunConfig:
     return RunConfig(
         depth=args.depth,
         radius=args.radius,
@@ -207,7 +387,7 @@ def _report_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     cfg = _config_from(args)
     system = make_system(args.selector, args.c, not args.x_noncompact)
     if args.property:
@@ -244,38 +424,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return battery_exit_code(results)
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    cfg = RunConfig(radius=args.radius)
-    if args.view == "nbhd":
-        center = word(args.center)
-        name = center.text()
-        layers = [
-            (f"neighbourhood of {name}", neighborhood_roomset(center, cfg.radius))
-        ]
-        svg = render_roomsets(layers)
-    elif args.view == "spine":
-        system = make_system("free2house")
-        layers = [
-            ("fundamental region", system.region(cfg.radius)),
-            ("region boundary", system.boundary(cfg.radius)),
-        ]
-        svg = render_roomsets(layers)
-    else:
-        _, desc = quotient_build(make_system("free2house"), cfg)
-        assert desc is not None
-        svg = quotient_strip_svg(desc)
-    _emit(svg + "\n", args.out)
+def cmd_render(args: SimpleNamespace) -> int:
+    from .render import draw  # the drawing code loads only to draw
+
+    _emit(draw(args.view, args.center, args.radius), args.out)
     return 0
 
 
-def cmd_quotient(args: argparse.Namespace) -> int:
+def cmd_quotient(args: SimpleNamespace) -> int:
     cfg = _config_from(args)
     system = make_system(args.selector, args.c, not args.x_noncompact)
     report, desc = quotient_build(system, cfg)
     if args.format == "svg":
         if desc is None or args.selector != "free2house":
             raise UsageError("svg output is only drawn for the free2house quotient")
-        _emit(quotient_strip_svg(desc) + "\n", args.out)
+        from .render import quotient_svg
+
+        _emit(quotient_svg(desc), args.out)
         return report.exit_code
     payload = {
         "report": report.to_dict(),
@@ -296,7 +461,7 @@ def build_rescaling(*args, **kwargs):
     return build_rescaling(*args, **kwargs)
 
 
-def cmd_conformal(args: argparse.Namespace) -> int:
+def cmd_conformal(args: SimpleNamespace) -> int:
     """Exit 0 within tolerance, 1 out of it; a scale whose diagnostics
     are not finite numbers decides neither, and is refused."""
     import numpy as np
@@ -331,92 +496,12 @@ def cmd_conformal(args: argparse.Namespace) -> int:
     return 0 if report["within_tolerance"] else 1
 
 
-# ---------------------------------------------------------- quotient svg
-
-
-def quotient_strip_svg(desc: QuotientDescription) -> str:
-    """Row of closed triangles with arrowed edge identifications.
-
-    Triangle k's top edge carries the same arrow colour as triangle
-    k+1's left edge; both arrows point in the direction of increasing
-    edge parameter, which is how the gluing matches them up.
-    """
-    rooms = [piece.rsplit(" ", 1)[-1] for piece in desc.pieces]
-    count = len(rooms)
-    unit, gap, pad = 72, 30, 20
-    top = pad + 26
-    bottom = top + unit
-    width = pad * 2 + count * unit + (count - 1) * gap
-    height = bottom + 40 + 18 * (len(desc.notes) + 1)
-
-    defs = []
-    body = []
-    for k, via in enumerate(d["via"] for d in desc.identifications):
-        color = label_color(via)
-        defs.append(
-            f'<marker id="arrow{k}" viewBox="0 0 10 10" refX="9" refY="5" '
-            f'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
-            f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{color}"/></marker>'
-        )
-
-    for k, room in enumerate(rooms):
-        x0 = pad + k * (unit + gap)
-        points = f"{x0},{bottom} {x0},{top} {x0 + unit},{top}"
-        body.append(
-            f'<polygon points="{points}" fill="{label_color(room)}" '
-            f'fill-opacity="0.35" stroke="#444444" stroke-width="1"/>'
-        )
-        body.append(
-            f'<text x="{x0 + unit // 3}" y="{bottom + 16}" font-size="13" '
-            f'text-anchor="middle" font-family="monospace" '
-            f'fill="#333333">{room}</text>'
-        )
-
-    for k, ident in enumerate(desc.identifications):
-        color = label_color(ident["via"])
-        x_from = pad + k * (unit + gap)
-        body.append(
-            f'<line x1="{x_from}" y1="{top}" x2="{x_from + unit}" y2="{top}" '
-            f'stroke="{color}" stroke-width="3" marker-end="url(#arrow{k})"/>'
-        )
-        body.append(
-            f'<text x="{x_from + unit // 2}" y="{top - 8}" font-size="11" '
-            f'text-anchor="middle" font-family="monospace" '
-            f'fill="{color}">{ident["via"]}</text>'
-        )
-        x_to = pad + (k + 1) * (unit + gap)
-        body.append(
-            f'<line x1="{x_to}" y1="{bottom}" x2="{x_to}" y2="{top}" '
-            f'stroke="{color}" stroke-width="3" marker-end="url(#arrow{k})"/>'
-        )
-
-    captions = [f"orientation: {d['orientation']}" for d in desc.identifications[:1]]
-    captions += desc.notes
-    for i, caption in enumerate(captions):
-        body.append(
-            f'<text x="{pad}" y="{bottom + 40 + 18 * i}" font-size="12" '
-            f'font-family="monospace" fill="#555555">{caption}</text>'
-        )
-
-    return "\n".join(
-        [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
-            "<defs>" + "".join(defs) + "</defs>",
-            *body,
-            "</svg>",
-        ]
-    )
-
-
 # ----------------------------------------------------------------- entry
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse(sys.argv[1:] if argv is None else argv)
         handler = {
             "verify": cmd_verify,
             "render": cmd_render,

@@ -16,11 +16,10 @@ error enters the diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .checker import refuse_over_budget
+from .record import Record
 
 __all__ = [
     "PartitionData",
@@ -83,8 +82,7 @@ def partition_estimate(grid: int, reach: int) -> int:
     return 8 * (2 * rows * samples + 4 * bump) + 2**16
 
 
-@dataclass
-class PartitionData:
+class PartitionData(Record):
     """Normalized partition of unity on the sample grid.
 
     fields[k] samples the field with shift index ``indices[k]``; the
@@ -93,14 +91,27 @@ class PartitionData:
     holds inclusive array positions, not coordinates.
     """
 
-    s: float
-    step: float
-    grid: int
-    reach: int
-    ts: np.ndarray
-    indices: list[int]
-    fields: np.ndarray
-    window: tuple[int, int]
+    __slots__ = ("s", "step", "grid", "reach", "ts", "indices", "fields", "window")
+
+    def __init__(
+        self,
+        s: float,
+        step: float,
+        grid: int,
+        reach: int,
+        ts: np.ndarray,
+        indices: list[int],
+        fields: np.ndarray,
+        window: tuple[int, int],
+    ) -> None:
+        self.s = s
+        self.step = step
+        self.grid = grid
+        self.reach = reach
+        self.ts = ts
+        self.indices = indices
+        self.fields = fields
+        self.window = window
 
     def window_slice(self) -> slice:
         lo, hi = self.window
@@ -147,11 +158,15 @@ def build_partition(s: float, grid: int = 64, reach: int = 6) -> PartitionData:
     return PartitionData(s, h, grid, reach, ts, indices, fields, (w_lo, w_hi))
 
 
-@dataclass
-class RescalingData:
-    partition: PartitionData
-    values: np.ndarray
-    null: bool = False
+class RescalingData(Record):
+    __slots__ = ("partition", "values", "null")
+
+    def __init__(
+        self, partition: PartitionData, values: np.ndarray, null: bool = False
+    ) -> None:
+        self.partition = partition
+        self.values = values
+        self.null = null
 
 
 def build_rescaling(

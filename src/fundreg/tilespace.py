@@ -22,13 +22,13 @@ materialized, which is exactly the gluing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .action import ActionElement
-from .freegroup import IDENTITY_WORD, ReducedWord, word
+from .freegroup import ReducedWord, word
+from .record import FrozenRecord, set_field
 
 
 class TruncationError(Exception):
@@ -223,13 +223,15 @@ def materialize_cell(room: ReducedWord, cell: Cell) -> RoomSet:
 # ------------------------------------------------------------------ points
 
 
-@dataclass(frozen=True)
-class RoomPoint:
+class RoomPoint(FrozenRecord):
     """A canonical point: x, y in [0, 1) as exact fractions, not both 0."""
 
-    room: ReducedWord
-    x: Fraction
-    y: Fraction
+    __slots__ = ("room", "x", "y")
+
+    def __init__(self, room: ReducedWord, x: Fraction, y: Fraction) -> None:
+        set_field(self, "room", room)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
     def atom(self) -> int:
         if self.x == 0:
@@ -296,117 +298,3 @@ def neighborhood_roomset(center: ReducedWord, radius: int) -> RoomSet:
     for room, cell in cells:
         out = out.union(materialize_cell(room, cell))
     return out
-
-
-# ------------------------------------------------------------------ svg
-
-
-def label_color(label: str) -> str:
-    """Stable mid-range hex color derived from the label text."""
-    import hashlib  # only drawing needs it
-
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    r, g, b = (48 + v % 160 for v in digest[:3])
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def _svg_num(value: float) -> str:
-    text = f"{float(value):.3f}".rstrip("0").rstrip(".")
-    return "0" if text in ("", "-0") else text
-
-
-def render_roomsets(
-    layers: Iterable[tuple[str, RoomSet]], unit: int = 48, pad: int = 16
-) -> str:
-    """Standalone SVG of room-set layers drawn in the covering plane.
-
-    Rooms sit at their exponent-vector offsets; distinct words with equal
-    offsets overprint, which is the honest picture of the covering shadow.
-    Output is deterministic byte for byte: fixed ordering, fixed number
-    formatting, colors hashed from layer labels.
-    """
-    layer_list = list(layers)
-    rooms: set[ReducedWord] = set()
-    for _, roomset in layer_list:
-        rooms.update(room for room, _ in roomset.items())
-    if not rooms:
-        rooms.add(IDENTITY_WORD)
-    offsets = {room: room.exponent_vector() for room in rooms}
-    xs = [o[0] for o in offsets.values()]
-    ys = [o[1] for o in offsets.values()]
-    min_x, max_x = min(xs), max(xs) + 1
-    min_y, max_y = min(ys), max(ys) + 1
-
-    legend_h = 22 * len(layer_list) + 8 if layer_list else 0
-    width = pad * 2 + (max_x - min_x) * unit
-    height = pad * 2 + (max_y - min_y) * unit + legend_h
-
-    def px(x: float) -> str:
-        return _svg_num(pad + (x - min_x) * unit)
-
-    def py(y: float) -> str:
-        return _svg_num(pad + (max_y - y) * unit)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-
-    sorted_rooms = sorted(rooms, key=lambda w: w.sort_key())
-    for room in sorted_rooms:
-        ox, oy = offsets[room]
-        parts.append(
-            f'<rect x="{px(ox)}" y="{py(oy + 1)}" width="{unit}" height="{unit}" '
-            f'fill="none" stroke="#cccccc" stroke-width="1"/>'
-        )
-        name = room.text()
-        parts.append(
-            f'<text x="{px(ox + 0.5)}" y="{py(oy + 0.78)}" font-size="{unit // 5}" '
-            f'text-anchor="middle" fill="#999999" '
-            f'font-family="monospace">{name}</text>'
-        )
-
-    for label, roomset in layer_list:
-        color = label_color(label)
-        parts.append('<g stroke-linecap="round">')
-        for room, atoms in sorted(roomset.items(), key=lambda kv: kv[0].sort_key()):
-            ox, oy = offsets[room]
-            for atom in sorted(atoms):
-                if atom == UPPER:
-                    pts = f"{px(ox)},{py(oy)} {px(ox)},{py(oy + 1)} {px(ox + 1)},{py(oy + 1)}"
-                    parts.append(
-                        f'<polygon points="{pts}" fill="{color}" fill-opacity="0.45" stroke="none"/>'
-                    )
-                elif atom == LOWER:
-                    pts = f"{px(ox)},{py(oy)} {px(ox + 1)},{py(oy)} {px(ox + 1)},{py(oy + 1)}"
-                    parts.append(
-                        f'<polygon points="{pts}" fill="{color}" fill-opacity="0.45" stroke="none"/>'
-                    )
-                else:
-                    if atom == DIAG:
-                        x1, y1, x2, y2 = ox, oy, ox + 1, oy + 1
-                    elif atom == LEFT:
-                        x1, y1, x2, y2 = ox, oy, ox, oy + 1
-                    else:
-                        x1, y1, x2, y2 = ox, oy, ox + 1, oy
-                    parts.append(
-                        f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" y2="{py(y2)}" '
-                        f'stroke="{color}" stroke-width="2.5"/>'
-                    )
-        parts.append("</g>")
-
-    legend_y = pad * 2 + (max_y - min_y) * unit
-    for i, (label, _) in enumerate(layer_list):
-        color = label_color(label)
-        y = legend_y + 22 * i
-        parts.append(
-            f'<rect x="{pad}" y="{y}" width="14" height="14" fill="{color}" fill-opacity="0.65"/>'
-        )
-        parts.append(
-            f'<text x="{pad + 20}" y="{y + 12}" font-size="12" fill="#333333" '
-            f'font-family="monospace">{label}</text>'
-        )
-
-    parts.append("</svg>")
-    return "\n".join(parts)

@@ -3,11 +3,12 @@ pictures, the per-shift scans that closed forms replaced, the
 ``Fraction`` loops that integer comparisons replaced, and deliberately
 broken systems for refutation tests."""
 
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
 
-from fundreg import regions
+from fundreg import checker, regions
 from fundreg.action import IDENTITY, ActionElement, _decode, _encode, room_reflection
 from fundreg.checker import (
     PROP_ADJACENCY_AUDIT,
@@ -27,6 +28,7 @@ from fundreg.checker import (
     _inconclusive,
     _profile_report,
 )
+from fundreg.cli import UsageError, _PROPERTY_RUNNERS, _parse_fraction, _parse_schedule
 from fundreg.freegroup import (
     ReducedWord,
     concat_reduced,
@@ -507,3 +509,90 @@ def normalize_representative(system, p):
 def representative_class_count(system, reps):
     """Distinct representatives after resolving the edge gluing."""
     return len({normalize_representative(system, q).text() for q in reps})
+
+
+# ------------------------------------------------------------- argparse
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise UsageError(message)
+
+
+@lru_cache(maxsize=None)
+def reference_parser() -> _Parser:
+    """The argparse parser that ``fundreg.cli.parse`` replaced, kept
+    verbatim as its oracle."""
+    parser = _Parser(
+        prog="fundreg",
+        description="Exact tiling verification at truncation scale.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def radius_and_out(p: _Parser) -> None:
+        p.add_argument("--radius", type=int, default=8, help="word ball radius")
+        p.add_argument("--out", help="write output to this file instead of stdout")
+
+    def common(p: _Parser) -> None:
+        p.add_argument("--depth", type=int, default=4, help="group ball depth")
+        radius_and_out(p)
+        p.add_argument(
+            "--schedule",
+            type=_parse_schedule,
+            default=(2, 3, 4, 5, 6),
+            help="comma-separated growth horizons, e.g. 2,3,4,5,6",
+        )
+        p.add_argument(
+            "--N",
+            dest="n_intervals",
+            type=int,
+            default=200,
+            help="interval count for the line systems",
+        )
+        p.add_argument(
+            "--c",
+            type=_parse_fraction,
+            default=Fraction(1),
+            help="cylinder shift (rational)",
+        )
+        p.add_argument(
+            "--x-noncompact",
+            action="store_true",
+            help="model the cylinder cross-section as non-compact",
+        )
+
+    p_verify = sub.add_parser("verify", help="run checks against expectations")
+    p_verify.add_argument("selector", choices=checker.SELECTORS)
+    p_verify.add_argument(
+        "--property",
+        choices=sorted(_PROPERTY_RUNNERS),
+        help="run a single property instead of the battery",
+    )
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    common(p_verify)
+
+    p_render = sub.add_parser("render", help="draw an SVG picture")
+    p_render.add_argument("view", choices=("nbhd", "spine", "quotient"))
+    p_render.add_argument("center", nargs="?", default="", help="room word, e.g. ru")
+    radius_and_out(p_render)
+
+    p_quot = sub.add_parser("quotient", help="emit the identification structure")
+    p_quot.add_argument("selector", choices=checker.SELECTORS)
+    p_quot.add_argument("--format", choices=("json", "svg"), default="json")
+    common(p_quot)
+
+    p_conf = sub.add_parser("conformal", help="smooth rescaling diagnostics")
+    p_conf.add_argument("--s", type=float, required=True, help="scaling step")
+    p_conf.add_argument("--grid", type=int, default=64, help="samples per period")
+    p_conf.add_argument(
+        "--K", dest="reach", type=int, default=6, help="periods modelled each side"
+    )
+    p_conf.add_argument(
+        "--null-rescaling",
+        action="store_true",
+        help="use the zero field: a control that must fail the isometry check",
+    )
+    p_conf.add_argument("--format", choices=("json", "csv"), default="json")
+    p_conf.add_argument("--out", help="write output to this file instead of stdout")
+
+    return parser

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.dom.minidom
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from fundreg import checker, cli, regions
-from fundreg.cli import INTERNAL_EXIT, USAGE_EXIT, main, quotient_strip_svg
+from fundreg.cli import INTERNAL_EXIT, USAGE_EXIT, main
+from fundreg.render import quotient_strip_svg
 from fundreg.checker import Free2HouseSystem, RunConfig, quotient_build
 from fundreg.freegroup import enumerate_ball
 
@@ -131,11 +133,27 @@ def test_render_is_deterministic(capsys):
 
 def test_strip_svg_shows_gluing_arrows():
     _, desc = quotient_build(Free2HouseSystem(), RunConfig(radius=3))
-    svg = quotient_strip_svg(desc)
+    svg = "\n".join(quotient_strip_svg(desc))
     assert svg.count("<polygon") == 7  # spine rooms at radius 3
     assert svg.count("marker-end") == 12  # two arrowed edges per gluing
     assert ">g[e]</text>" in svg
     assert "orientation: t -&gt; t" in svg or "orientation: t -> t" in svg
+
+
+@pytest.mark.parametrize("radius", [50, 300])
+def test_render_spine_stays_within_the_spine_estimate(radius, tmp_path):
+    # the SVG is written line by line, so beside the region, closure and
+    # boundary that the estimate bounds the command holds only a few
+    # words per room; the whole command is traced, its text included
+    out = str(tmp_path / "spine.svg")
+    assert main(["render", "spine", "--radius", "1", "--out", out]) == 0  # imports
+    tracemalloc.start()
+    try:
+        assert main(["render", "spine", "--radius", str(radius), "--out", out]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= Free2HouseSystem().spine_estimate(radius)
 
 
 # ---------------------------------------------------------------- quotient

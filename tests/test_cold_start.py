@@ -1,10 +1,12 @@
-"""numpy is loaded only by ``fundreg conformal``.
+"""Each command loads only what it runs.
 
 Only the rescaling fields use floating point, so importing the package,
 importing the CLI and running the exact battery must leave numpy
 unimported.  Likewise ``hashlib``, which only the drawings use, and
-``csv``, which nothing uses, stay unimported.  The probe runs in a fresh
-interpreter: this test process has numpy loaded already.
+``csv``, which nothing uses, stay unimported.  The drawing code itself,
+``fundreg.render``, loads only to draw, and no command loads
+``dataclasses`` or ``argparse`` (with what they import).  The probes run
+in a fresh interpreter: this test process has all of these loaded already.
 """
 
 import os
@@ -58,3 +60,39 @@ def test_numpy_is_imported_only_by_conformal():
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+START_UP_PROBE = """
+import contextlib, io, sys
+
+import fundreg
+import fundreg.cli as cli
+
+runs = [["verify", selector] for selector in (
+    "free2house", "line-standard", "line-pathological", "plane-pathological",
+    "cylinder",
+)] + [["quotient", "line-pathological"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+unwanted = {
+    "dataclasses", "inspect", "argparse", "gettext", "locale",
+    "fundreg.render", "fundreg.conformal", "numpy",
+}
+print(sorted(unwanted & set(sys.modules)))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["render", "spine", "--radius", "3"]) == 0
+assert "fundreg.render" in sys.modules, "render spine"
+import fundreg.render
+assert fundreg.render_roomsets is fundreg.render.render_roomsets
+print("ok")
+"""
+
+
+def test_verify_and_quotient_load_neither_drawing_nor_dataclasses_nor_argparse():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\nok\n"), proc.stderr

@@ -112,7 +112,6 @@ def test_partition_estimate_bounds_the_traced_peak(grid, reach, fmt, tmp_path):
     argv = ["conformal", "--s", "0.3", "--grid", str(grid), "--K", str(reach)]
     argv += ["--format", fmt, "--out", str(tmp_path / f"out.{fmt}")]
     np.ones(1)  # numpy's first allocations are not the partition's
-    cli.build_parser()  # built once per process
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from fundreg.cli import USAGE_EXIT, build_parser
+from fundreg.cli import USAGE_EXIT
 from golden_cli import DATA, changed_rows, run
 
 ROWS = json.loads(DATA.read_text(encoding="utf-8"))
@@ -21,9 +21,8 @@ def test_cli_output_matches_the_recording(row):
 
 
 def test_one_parser_serves_runs_in_turn():
-    """The cached parser serves every run in a process, a usage error in
+    """The parser serves every run in a process, a usage error in
     between included, and each run still prints its recorded bytes."""
-    assert build_parser() is build_parser()
     recorded = {tuple(r["argv"]): (r["exit"], r["sha256"]) for r in ROWS}
     nothing = hashlib.sha256(b"").hexdigest()
     runs = [

@@ -219,7 +219,7 @@ def test_neighborhood_requires_radius():
 
 
 def test_render_roomsets_is_deterministic():
-    from fundreg.tilespace import render_roomsets
+    from fundreg.render import render_roomsets
 
     layers = [("patch", neighborhood_roomset(IDENTITY_WORD, 2))]
     assert render_roomsets(layers) == render_roomsets(layers)
@@ -228,7 +228,7 @@ def test_render_roomsets_is_deterministic():
 def test_render_roomsets_is_valid_xml_with_legend():
     import xml.dom.minidom
 
-    from fundreg.tilespace import render_roomsets
+    from fundreg.render import render_roomsets
 
     svg = render_roomsets(
         [
@@ -243,7 +243,7 @@ def test_render_roomsets_is_valid_xml_with_legend():
 
 
 def test_label_color_is_stable_hex():
-    from fundreg.tilespace import label_color
+    from fundreg.render import label_color
 
     assert label_color("boundary") == label_color("boundary")
     assert label_color("boundary") != label_color("region")
@@ -253,7 +253,7 @@ def test_label_color_is_stable_hex():
 
 
 def test_render_roomsets_handles_empty_layer_list():
-    from fundreg.tilespace import render_roomsets
+    from fundreg.render import render_roomsets
 
     svg = render_roomsets([])
     assert svg.startswith("<svg ") and svg.endswith("</svg>")
