@@ -21,15 +21,13 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Optional, Sequence
 
 from . import checker
 from .checker import (
-    QuotientDescription,
     RunConfig,
     VerificationReport,
     battery_exit_code,
@@ -76,45 +74,22 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 class Arg:
-    """One argument of a subcommand: a positional, or an option if its
-    name starts with a dash.  ``dest`` names its attribute, ``type`` reads
-    its text; a ``flag`` takes no value and defaults to False, and an
-    ``optional`` positional may be left out."""
+    """One argument of a subcommand, a positional or (if its name starts
+    with a dash) an option, with the keywords that ``add_argument`` takes:
+    ``dest``, ``type``, ``default``, ``choices``, ``required``, and
+    ``nargs="?"`` or ``action="store_true"``."""
 
-    __slots__ = ("name", "help", "dest", "type", "default", "choices", "flag",
-                 "required", "optional", "option")
+    __slots__ = ("name", "spec", "dest", "option", "flag", "default")
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        *,
-        dest: Optional[str] = None,
-        type: Optional[Callable[[str], Any]] = None,
-        default: Any = None,
-        choices: Optional[Sequence[str]] = None,
-        flag: bool = False,
-        required: bool = False,
-        optional: bool = False,
-    ) -> None:
+    def __init__(self, name: str, help: Optional[str] = None, **spec: Any) -> None:
         self.name = name
-        self.help = help
-        self.dest = dest or name.lstrip("-").replace("-", "_")
-        self.type = type
-        self.default = False if flag else default
-        self.choices = choices
-        self.flag = flag
-        self.required = required
-        self.optional = optional
+        self.spec = {"help": help, **spec}
+        self.dest = spec.get("dest") or name.lstrip("-").replace("-", "_")
         self.option = name.startswith("-")
-
-    def label(self) -> str:
-        """The argument's name in an error message, as argparse gave it."""
-        return self.name if self.option else self.dest
+        self.flag = spec.get("action") == "store_true"
+        self.default = spec.get("default", False if self.flag else None)
 
 
-_HELP = Arg("--help", "show this help and exit", flag=True)
-_HELP_OPTIONS = {"-h": _HELP, "--help": _HELP}
 _OUT = Arg("--out", "write output to this file instead of stdout")
 _RADIUS = Arg("--radius", "word ball radius", type=int, default=8)
 
@@ -128,7 +103,8 @@ _SYSTEM_OPTIONS = (
     Arg("--N", "interval count for the line systems", dest="n_intervals", type=int,
         default=200),
     Arg("--c", "cylinder shift (rational)", type=_parse_fraction, default=Fraction(1)),
-    Arg("--x-noncompact", "model the cylinder cross-section as non-compact", flag=True),
+    Arg("--x-noncompact", "model the cylinder cross-section as non-compact",
+        action="store_true"),
 )
 
 # subcommand -> (help line, arguments in help order)
@@ -142,7 +118,7 @@ COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
     )),
     "render": ("draw an SVG picture", (
         Arg("view", choices=("nbhd", "spine", "quotient")),
-        Arg("center", "room word, e.g. ru", default="", optional=True),
+        Arg("center", "room word, e.g. ru", nargs="?", default=""),
         _RADIUS,
         _OUT,
     )),
@@ -157,188 +133,89 @@ COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
         Arg("--K", "periods modelled each side", dest="reach", type=int, default=6),
         Arg("--null-rescaling",
             "use the zero field: a control that must fail the isometry check",
-            flag=True),
+            action="store_true"),
         Arg("--format", choices=("json", "csv"), default="json"),
         _OUT,
     )),
 }
 
-# argparse reads a token that looks like a negative number as a value
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
+def _parse_plain(argv: Sequence[str]) -> Optional[dict[str, Any]]:
+    """The values of a plain command line, or None for any other line.
 
-def _read_token(
-    token: str, options: dict[str, Arg]
-) -> Optional[tuple[Optional[Arg], Optional[str]]]:
-    """How argparse reads ``token``: None for a value or a positional,
-    else the option it names (None for an unknown one) and the value
-    attached to it, after ``=`` or after ``-h``."""
-    if not token.startswith("-") or token in ("-", "--"):
+    A plain line is a command, its positionals, then options by their
+    full names as ``--opt value`` or ``--opt=value``, with no value that
+    starts with a dash, and every value reads under its type and choices.
+    On such a line argparse's corner cases (prefixes, ``--``, negative
+    numbers, help, errors) cannot arise, so it reads the line alike."""
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if token in options:
-        return options[token], None
-    head, eq, value = token.partition("=")
-    if eq and head in options:
-        return options[head], value
-    if token.startswith("--"):  # a unique prefix of a long option names it
-        named = [name for name in options if name.startswith(head)]
-        if len(named) > 1:
-            matches = ", ".join(named)
-            raise UsageError(f"ambiguous option: {token} could match {matches}")
-        if named:
-            return options[named[0]], value if eq else None
-    elif token[:2] in options:
-        return options[token[:2]], token[2:]
-    if re.match(_NEGATIVE_NUMBER, token) or " " in token:
-        return None
-    return None, None
+    args = COMMANDS[argv[0]][1]
+    values = {"command": argv[0]} | {arg.dest: arg.default for arg in args}
+    options = {arg.name: arg for arg in args if arg.option}
+    positionals = [arg for arg in args if not arg.option]
+    tokens, given = list(argv[1:]), set()
 
-
-def _convert(arg: Arg, text: str) -> Any:
-    value = text
-    if arg.type is not None:
+    def read(arg: Arg, text: str) -> bool:
+        kind, choices = arg.spec.get("type"), arg.spec.get("choices")
+        if text.startswith("-"):
+            return False
         try:
-            value = arg.type(text)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"argument {arg.label()}: invalid {arg.type.__name__} value: {text!r}"
-            )
-    if arg.choices is not None and value not in arg.choices:
-        raise UsageError(
-            f"argument {arg.label()}: invalid choice: {value!r} "
-            f"(choose from {', '.join(map(repr, arg.choices))})"
-        )
-    return value
+            value = text if kind is None else kind(text)
+        except (UsageError, TypeError, ValueError):
+            return False
+        values[arg.dest] = value
+        return choices is None or value in choices
 
-
-def _help(command: Optional[str] = None) -> None:
-    """Print the help of ``fundreg`` or of one subcommand, built from
-    ``COMMANDS``, and exit 0."""
-    import textwrap  # only help needs it
-
-    if command is None:
-        usage = "fundreg <command> [options]"
-        summary = "Exact tiling verification at truncation scale."
-        rows = [(name, help) for name, (help, _) in COMMANDS.items()]
-    else:
-        summary, args = COMMANDS[command]
-        shown = [f"[{a.name}]" if a.optional else a.name for a in args if not a.option]
-        shown += [f"{a.name} {a.dest.upper()}" for a in args if a.required]
-        usage = " ".join(["fundreg", command, *shown, "[options]"])
-        rows = []
-        for arg in (*args, _HELP):
-            notes = [arg.help] if arg.help else []
-            if arg.choices:
-                notes.append("one of " + ", ".join(arg.choices))
-            if arg.default not in (None, False, ""):
-                default = arg.default
-                if isinstance(default, tuple):
-                    default = ",".join(map(str, default))
-                notes.append(f"default {default}")
-            left = arg.name
-            if arg.option and not arg.flag:
-                left += " " + arg.dest.upper()
-            rows.append((left, "; ".join(notes)))
-    width = max(len(left) for left, _ in rows) + 4
-    lines = [f"usage: {usage}", "", summary, ""]
-    for left, note in rows:
-        lines.append(textwrap.fill(
-            note, 79, initial_indent=f"  {left:<{width - 2}}",
-            subsequent_indent=" " * width, break_on_hyphens=False,
-        ))
-    sys.stdout.write("\n".join(lines) + "\n")
-    raise SystemExit(0)
-
-
-def _parse_command(command: str, tokens: list[str]) -> dict[str, Any]:
-    """Read a subcommand's tokens as argparse did: left to right, each
-    value checked where it is read, the last of a repeated option winning,
-    and unknown arguments refused at the end.  A run of positionals fills
-    the open positionals in order; an optional one that the run does not
-    reach is closed with its default."""
-    args = COMMANDS[command][1]
-    options = {arg.name: arg for arg in args if arg.option} | _HELP_OPTIONS
-    waiting = [arg for arg in args if not arg.option]
-    values = {arg.dest: arg.default for arg in args}
-    given, extras = set(), []
-    if "--" in tokens:  # everything after it is positional
-        cut = tokens.index("--")
-        tokens = tokens[:cut] + tokens[cut + 1 :]
-    else:
-        cut = len(tokens)
-    reads = [_read_token(t, options) if k < cut else None for k, t in enumerate(tokens)]
-    i = 0
-    while i < len(tokens):
-        if reads[i] is None:
-            run = i
-            while run < len(tokens) and reads[run] is None:
-                run += 1
-            while waiting and (i < run or waiting[0].optional):
-                arg = waiting.pop(0)
-                if i < run:
-                    values[arg.dest] = _convert(arg, tokens[i])
-                    i += 1
-            extras += tokens[i:run]
-            i = run
-            continue
-        arg, value = reads[i]
-        if arg is None:
-            extras.append(tokens[i])
-        elif arg.flag:
-            if value is not None:
-                raise UsageError(
-                    f"argument {arg.label()}: ignored explicit argument {value!r}"
-                )
-            if arg is _HELP:
-                _help(command)
+    while tokens and positionals and not tokens[0].startswith("-"):
+        if not read(positionals.pop(0), tokens.pop(0)):
+            return None
+    while tokens:
+        name, eq, text = tokens.pop(0).partition("=")
+        arg = options.get(name)
+        if arg is None or arg.flag and eq:
+            return None
+        if arg.flag:
             values[arg.dest] = True
-        else:
-            if value is None:
-                if i + 1 == len(tokens) or reads[i + 1] is not None:
-                    raise UsageError(f"argument {arg.label()}: expected one argument")
-                i += 1
-                value = tokens[i]
-            values[arg.dest] = _convert(arg, value)
-            given.add(arg.dest)
-        i += 1
-    missing = [
-        arg.label()
-        for arg in args
-        if arg.required and arg.dest not in given or arg in waiting and not arg.optional
-    ]
-    if missing:
-        raise UsageError("the following arguments are required: " + ", ".join(missing))
-    if extras:
-        raise UsageError("unrecognized arguments: " + " ".join(extras))
+        elif not (eq or tokens) or not read(arg, text if eq else tokens.pop(0)):
+            return None
+        given.add(arg)
+    missing = [arg for arg in positionals if arg.spec.get("nargs") != "?"]
+    if missing or any(arg.spec.get("required") and arg not in given for arg in args):
+        return None
     return values
 
 
+def _refuse(parser: Any, message: str) -> NoReturn:
+    raise UsageError(message)
+
+
+def argparse_parser() -> Any:
+    """An argparse parser built from ``COMMANDS``; its errors raise
+    ``UsageError``.  Only a line that is not plain imports argparse."""
+    import argparse
+
+    parser_class = type("Parser", (argparse.ArgumentParser,), {"error": _refuse})
+    parser = parser_class(
+        prog="fundreg", description="Exact tiling verification at truncation scale."
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help, args) in COMMANDS.items():
+        sub = commands.add_parser(command, help=help)
+        for arg in args:
+            sub.add_argument(arg.name, **arg.spec)
+    return parser
+
+
 def parse(argv: Sequence[str]) -> SimpleNamespace:
-    """The arguments of one ``fundreg`` command line, under argparse's
-    attribute names.  A usage error raises ``UsageError``; ``-h`` or
-    ``--help`` prints the help and exits 0."""
-    tokens = list(argv)
-    extras = []
-    while tokens and (read := _read_token(tokens[0], _HELP_OPTIONS)):
-        if read[0] is _HELP:
-            if read[1] is not None:
-                raise UsageError(
-                    f"argument -h/--help: ignored explicit argument {read[1]!r}"
-                )
-            _help()
-        extras.append(tokens.pop(0))
-    if not tokens:
-        raise UsageError("the following arguments are required: command")
-    command = tokens[0]
-    if command not in COMMANDS:
-        raise UsageError(
-            f"argument command: invalid choice: {command!r} "
-            f"(choose from {', '.join(map(repr, COMMANDS))})"
-        )
-    values = _parse_command(command, tokens[1:])
-    if extras:
-        raise UsageError("unrecognized arguments: " + " ".join(extras))
-    return SimpleNamespace(command=command, **values)
+    """The arguments of one ``fundreg`` command line.  A plain line is
+    read from ``COMMANDS`` directly; any other goes to argparse, whose
+    usage error raises ``UsageError`` and whose ``-h`` or ``--help``
+    prints the help and exits 0."""
+    values = _parse_plain(argv)
+    if values is None:
+        values = vars(argparse_parser().parse_args(list(argv)))
+    return SimpleNamespace(**values)
 
 
 def _config_from(args: SimpleNamespace) -> RunConfig:

@@ -82,7 +82,23 @@ def partition_estimate(grid: int, reach: int) -> int:
     return 8 * (2 * rows * samples + 4 * bump) + 2**16
 
 
-class PartitionData(Record):
+class _SampledRecord(Record):
+    """A record some of whose fields are numpy arrays, compared by value."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            else a == b
+            for a, b in zip(self._values(), other._values())
+        )
+
+
+class PartitionData(_SampledRecord):
     """Normalized partition of unity on the sample grid.
 
     fields[k] samples the field with shift index ``indices[k]``; the
@@ -158,7 +174,7 @@ def build_partition(s: float, grid: int = 64, reach: int = 6) -> PartitionData:
     return PartitionData(s, h, grid, reach, ts, indices, fields, (w_lo, w_hi))
 
 
-class RescalingData(Record):
+class RescalingData(_SampledRecord):
     __slots__ = ("partition", "values", "null")
 
     def __init__(

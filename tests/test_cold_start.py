@@ -4,8 +4,9 @@ Only the rescaling fields use floating point, so importing the package,
 importing the CLI and running the exact battery must leave numpy
 unimported.  Likewise ``hashlib``, which only the drawings use, and
 ``csv``, which nothing uses, stay unimported.  The drawing code itself,
-``fundreg.render``, loads only to draw, and no command loads
-``dataclasses`` or ``argparse`` (with what they import).  The probes run
+``fundreg.render``, loads only to draw, no command loads ``dataclasses``
+(with what it imports), and argparse loads only for a command line that
+is not plain.  The probes run
 in a fresh interpreter: this test process has all of these loaded already.
 """
 
@@ -80,6 +81,10 @@ unwanted = {
     "fundreg.render", "fundreg.conformal", "numpy",
 }
 print(sorted(unwanted & set(sys.modules)))
+
+# argparse reads only a line that is not plain, such as a prefix
+assert cli.parse(["verify", "line-standard", "--dep", "3"]).depth == 3
+assert "argparse" in sys.modules, "verify line-standard --dep 3"
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["render", "spine", "--radius", "3"]) == 0

@@ -161,3 +161,15 @@ def test_rescaling_values_are_finite_and_bounded():
     assert np.all(np.isfinite(resc.values))
     # weighted sum of a probability vector over indices -6..6, scaled by s
     assert np.max(np.abs(resc.values)) <= 6 * 1.5 + 1e-9
+
+
+def test_fields_built_alike_compare_equal():
+    """Equality reads the sample arrays by value, as two builds hold
+    equal arrays in distinct objects."""
+    assert build_partition(0.3, grid=8, reach=2) == build_partition(0.3, grid=8, reach=2)
+    assert build_partition(0.3, grid=8, reach=2) != build_partition(0.3, grid=8, reach=3)
+    assert build_partition(0.3, grid=8, reach=2) != build_partition(0.4, grid=8, reach=2)
+    one = build_rescaling(0.3, grid=8, reach=2)
+    assert one == build_rescaling(0.3, grid=8, reach=2)
+    assert one != build_rescaling(0.3, grid=8, reach=2, null=True)
+    assert one != build_rescaling(0.4, grid=8, reach=2)

@@ -1,9 +1,12 @@
 """Oracles for the start-up path's hand-written replacements.
 
-``fundreg.cli.parse`` replaced an argparse parser, kept verbatim as
-``oracles.reference_parser``: both must read every argv alike, or both
-refuse it.  The record classes replaced ``@dataclass``es: each must
-compare, hash, print, freeze and serialise as a dataclass twin does.
+``fundreg.cli.parse`` reads a plain command line from its option table
+and hands any other to an argparse parser built from the same table.
+The argparse parser that the table replaced, kept verbatim as
+``oracles.reference_parser``, must read every argv alike, refuse it with
+the same message, or print the same help.  The record classes replaced
+``@dataclass``es: each must compare, hash, print, freeze and serialise
+as a dataclass twin does.
 """
 
 import contextlib
@@ -16,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from fundreg.checker import QuotientDescription, RunConfig, VerificationReport
-from fundreg.cli import UsageError, parse
+from fundreg import cli
+from fundreg.cli import COMMANDS, UsageError, parse
 from fundreg.conformal import PartitionData, RescalingData, build_rescaling
 from fundreg.freegroup import word
 from fundreg.tilespace import RoomPoint
@@ -164,14 +168,47 @@ def test_the_edge_grid_reaches_every_outcome():
     assert sum(kind == "namespace" for kind, *_ in outcomes) >= 20
 
 
-def test_help_comes_from_the_option_table(capsys):
-    with pytest.raises(SystemExit) as exc:
-        parse(["verify", "--help"])
-    assert exc.value.code == 0
-    text = capsys.readouterr().out
-    assert text.startswith("usage: fundreg verify selector [options]\n")
-    for name in ("--property", "--schedule", "--N", "--c", "--x-noncompact"):
-        assert f"\n  {name} " in text
+def refusal(parser, argv):
+    """The message of the usage error that ``parser`` raises, if any."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            parser(list(argv))
+        except UsageError as exc:
+            return str(exc)
+        except SystemExit:
+            pass
+
+
+def test_a_usage_error_reads_as_argparse_wrote_it():
+    reference = reference_parser().parse_args
+    messages = [refusal(parse, argv) for argv in EDGE_GRID]
+    assert messages == [refusal(reference, argv) for argv in EDGE_GRID]
+    assert sum(message is not None for message in messages) >= 30
+
+
+def test_plain_lines_never_build_the_argparse_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("argparse read a plain line")
+
+    monkeypatch.setattr(cli, "argparse_parser", refuse)
+    for argv in [*cases(), *PERFBENCH_OPS]:
+        parse(argv)
+    with pytest.raises(AssertionError):
+        parse([*LS, "--dep", "3"])
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([name, "-h"] for name in COMMANDS)],
+                         ids=" ".join)
+def test_help_is_argparse_text(argv):
+    texts = []
+    for parser in (parse, reference_parser().parse_args):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            with pytest.raises(SystemExit) as exc:
+                parser(argv)
+        assert exc.value.code == 0
+        texts.append(out.getvalue().encode())
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(b"usage: fundreg")
 
 
 # ------------------------------------------------------------------ records
@@ -230,7 +267,9 @@ TWINS = {
 
 FROZEN = {RunConfig, RoomPoint}
 
-RESCALING = build_rescaling(0.3, grid=8, reach=2)
+# Two builds alike: equal arrays in distinct objects, which the records
+# compare by value (the dataclass twins' equality raised on them).
+RESCALING, AGAIN = (build_rescaling(0.3, grid=8, reach=2) for _ in range(2))
 
 # per class: argument tuples, the first two equal, the third different
 SAMPLES = {
@@ -251,11 +290,12 @@ SAMPLES = {
         (word("ru"), Fraction(0), Fraction(1, 3)),
     ],
     PartitionData: [
-        tuple(getattr(RESCALING.partition, name) for name in PartitionData.__slots__)
-    ] * 2 + [(1.0, 0.5, 2, 2, None, [0], None, (0, 1))],
+        tuple(getattr(resc.partition, name) for name in PartitionData.__slots__)
+        for resc in (RESCALING, AGAIN)
+    ] + [(1.0, 0.5, 2, 2, None, [0], None, (0, 1))],
     RescalingData: [
         (RESCALING.partition, RESCALING.values),
-        (RESCALING.partition, RESCALING.values),
+        (AGAIN.partition, AGAIN.values),
         (RESCALING.partition, RESCALING.values, True),
     ],
 }
