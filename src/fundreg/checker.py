@@ -14,8 +14,8 @@ otherwise verifies.  A count over a growth schedule (``_profile_report``)
 is stable when its last three entries agree, and refuting when it grows
 strictly across the whole schedule, unless some candidate went uncounted.
 A property without a certificate is inconclusive (``_inconclusive``).
-Only the compactness implication and the plane's profile-derived
-self-adjacency build a report otherwise.
+Only the plane's profile-derived self-adjacency builds a report
+otherwise.
 
 Each system class owns its property checks, its expected battery
 verdicts and its compactness facts (see ``System``).  The module-level
@@ -388,19 +388,16 @@ class System:
         fsa_report, _ = self.cached_self_adjacency(cfg)
         premise = fsa_report.verdict == VERIFIED and self.cocompact
         holds = (not premise) or self.closure_bounded
-        return VerificationReport(
-            PROP_COMPACTNESS,
-            VERIFIED if holds else REFUTED,
-            fsa_report.truncation,
-            [],
-            [
-                f"finite self-adjacency: {fsa_report.verdict}",
-                f"action cocompact: {self.cocompact}",
-                f"closure bounded: {self.closure_bounded}",
-                f"implication instance {'holds' if holds else 'fails'}"
-                + ("" if premise else " (vacuously)"),
-            ],
-        )
+        lines = [
+            f"finite self-adjacency: {fsa_report.verdict}",
+            f"action cocompact: {self.cocompact}",
+            f"closure bounded: {self.closure_bounded}",
+            f"implication instance {'holds' if holds else 'fails'}"
+            + ("" if premise else " (vacuously)"),
+        ]
+        depth, radius = (fsa_report.truncation[key] for key in ("depth", "radius"))
+        bad = [] if holds else lines
+        return _scan_report(PROP_COMPACTNESS, depth, radius, [], bad, lines)
 
 
 class Free2HouseSystem(System):
@@ -865,60 +862,35 @@ class Free2HouseSystem(System):
 
 
 class LineSystem(System):
-    """Interval regions on the line under translation by multiples of
-    ``step``, 1 for the kinds that are the keys of ``EXPECTED``."""
+    """The standard line: the interval (0, ``step``) under translation by
+    multiples of ``step``, 1 here.  ``PathologicalLineSystem`` and
+    ``CylinderSystem`` override what differs."""
 
-    EXPECTED = {
-        "line-standard": {
-            PROP_DISJOINTNESS: VERIFIED,
-            PROP_COVERAGE: VERIFIED,
-            PROP_BOUNDARY: VERIFIED,
-            PROP_LOCAL_FINITENESS: VERIFIED,
-            PROP_SELF_ADJACENCY: VERIFIED,
-            PROP_ADJACENCY_AUDIT: VERIFIED,
-            PROP_ORBIT_BOUNDARY: VERIFIED,
-            PROP_QUOTIENT: VERIFIED,
-            PROP_COMPACTNESS: VERIFIED,
-        },
-        "line-pathological": {
-            PROP_DISJOINTNESS: VERIFIED,
-            PROP_COVERAGE: VERIFIED,
-            PROP_BOUNDARY: VERIFIED,
-            PROP_LOCAL_FINITENESS: REFUTED,
-            PROP_SELF_ADJACENCY: REFUTED,
-            PROP_QUOTIENT: VERIFIED,
-            PROP_COMPACTNESS: VERIFIED,
-        },
+    name = "line-standard"
+    expected = {
+        PROP_DISJOINTNESS: VERIFIED,
+        PROP_COVERAGE: VERIFIED,
+        PROP_BOUNDARY: VERIFIED,
+        PROP_LOCAL_FINITENESS: VERIFIED,
+        PROP_SELF_ADJACENCY: VERIFIED,
+        PROP_ADJACENCY_AUDIT: VERIFIED,
+        PROP_ORBIT_BOUNDARY: VERIFIED,
+        PROP_QUOTIENT: VERIFIED,
+        PROP_COMPACTNESS: VERIFIED,
     }
     cocompact = True
+    closure_bounded = True
     step: Rational = 1
     # witness wording, which the cylinder words for its band
     PATCH = "sampled point's patch"
     ORBIT = "orbit of 0 meets the boundary"
 
-    def __init__(self, kind: str) -> None:
-        if kind not in self.EXPECTED:
-            raise ValueError(f"unknown line system: {kind!r}")
-        super().__init__()
-        self.name = kind
-        self.expected = self.EXPECTED[kind]
-        # the family's tiles accumulate at 1, so its closure is unbounded
-        self.closure_bounded = kind == "line-standard"
-
-    def region(self, n_intervals: int) -> IntervalSet:
-        """The region, refused over budget by ``scan_estimate``."""
+    def region(self, n_intervals: int = 1) -> IntervalSet:
+        """The region at ``n_intervals`` tiles, refused over budget by
+        ``scan_estimate``: here (0, step), whatever the count."""
         need = self.scan_estimate(n_intervals)
         refuse_over_budget(need, f"{self.name} at {n_intervals} intervals")
-        if self.name == "line-standard":
-            return standard_interval()
-        return self._once(
-            ("region", n_intervals), lambda: pathological_1d(n_intervals)
-        )
-
-    def profile_tiles(self, k: int, n_intervals: int) -> int:
-        """Intervals of the region the local-finiteness scan builds at
-        horizon ``k``."""
-        return 4 * k if self.name == "line-pathological" else n_intervals
+        return standard_interval(self.step)
 
     def scan_estimate(self, n_intervals: int) -> int:
         """Upper estimate, in bytes, of the endpoints one scan over
@@ -928,24 +900,20 @@ class LineSystem(System):
         than the step; that is six region-sized sets of endpoints.  The
         window query, the coverage union and the self-adjacency translates
         hold fewer.  Each interval costs about 224 bytes of objects plus a
-        third of a byte per bit of its integers.  The family's denominator
-        lcm(1, ..., n + 1) has under 1.5 (n + 1) bits, since
-        log lcm(1, ..., x) < 1.03883 x (Rosser and Schoenfeld); the integer
-        parts add the bits of n, and 8 more bits cover the inflation and
-        window denominators.  The standard region is one interval over
-        denominator 1, whatever n."""
-        family = self.name == "line-pathological"
-        den_bits = -(-3 * (n_intervals + 1) // 2) if family else 2
-        bits = den_bits + n_intervals.bit_length() + 8
-        return 6 * (n_intervals if family else 1) * (224 + bits // 3)
+        third of a byte per bit of its integers: those of its denominator
+        (2 here), the bits of n for the integer parts, and 8 more for the
+        inflation and window denominators.  Here there is one interval."""
+        return 6 * (224 + (2 + n_intervals.bit_length() + 8) // 3)
 
     def cluster_point(self) -> Fraction:
-        # integer translates of the unbounded family pile up at 1
-        return Fraction(1) if self.name == "line-pathological" else Fraction(0)
+        return Fraction(0)
 
     def margin(self) -> Fraction:
         """How far the self-adjacency candidate widens each closed tile."""
-        return Fraction(1, 16) if self.name == "line-pathological" else Fraction(1, 4)
+        return Fraction(1, 4)
+
+    def coverage_window(self, cfg: RunConfig) -> tuple[Fraction, Fraction]:
+        return Fraction(-2), Fraction(3)
 
     def shift_meetings(self, cfg: RunConfig) -> dict[int, IntervalSet]:
         """One sweep, shared by disjointness and boundary containment."""
@@ -968,10 +936,7 @@ class LineSystem(System):
         return _scan_report(PROP_DISJOINTNESS, None, cfg.m_range, counts, bad)
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
-        if self.name == "line-standard":
-            lo, hi = Fraction(-2), Fraction(3)
-        else:
-            lo, hi = Fraction(0), 1 - Fraction(1, cfg.schedule[-1])
+        lo, hi = self.coverage_window(cfg)
         region = self.region(cfg.n_intervals)
         reach = cfg.n_intervals + 2
         pieces = region.window_translates(1, lo, hi, reach)
@@ -1000,16 +965,14 @@ class LineSystem(System):
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, dict[str, list[int]]]:
         """A window around the cluster point shrinks with the horizon
-        while the region grows."""
+        while the region grows: 4k tiles at horizon k."""
         point = self.cluster_point()
         counts = []
         last_hits: list[int] = []
         for k in cfg.schedule:
-            n_tiles = self.profile_tiles(k, cfg.n_intervals)
-            region = self.region(n_tiles)
-            reach = n_tiles + 2
+            region = self.region(4 * k)
             lo, hi = point - Fraction(1, k), point + Fraction(1, k)
-            hits = list(region.window_translates(1, lo, hi, reach))
+            hits = list(region.window_translates(1, lo, hi, 4 * k + 2))
             counts.append(len(hits))
             last_hits = hits
         witnesses = [
@@ -1048,12 +1011,10 @@ class LineSystem(System):
         ]
 
     def adjacency_audit(self, cfg: RunConfig) -> VerificationReport:
-        """Where the overlap family is finite (every kind but the family),
-        the patch of each sampled point, its closed tile widened by
-        ``margin()``, meets at most that many translates.  Sample j step / 8
-        lies in tile j // 8, so each of the four tiles is queried once."""
-        if self.name == "line-pathological":
-            return super().adjacency_audit(cfg)
+        """The patch of each sampled point, its closed tile widened by
+        ``margin()``, meets at most as many translates as the certified
+        overlap family holds.  Sample j step / 8 lies in tile j // 8, so
+        each of the four tiles is queried once."""
         _, overlap = self.cached_self_adjacency(cfg)
         bound = len(overlap)
         region, step, eps = self.region(cfg.n_intervals), self.step, self.margin()
@@ -1082,26 +1043,73 @@ class LineSystem(System):
     def quotient(
         self, cfg: RunConfig
     ) -> tuple[VerificationReport, QuotientDescription]:
+        ends = self.region(cfg.n_intervals).endpoints()
+        lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
+        desc = QuotientDescription(
+            self.name,
+            [f"[{lo}, {hi}]"],
+            [{"from": f"point {lo}", "to": f"point {hi}", "via": "m = 1"}],
+            [],
+            True,
+            ["endpoints glued: a circle"],
+        )
+        # the generator must carry the left end onto the right end
+        image = ends[0] + 1
+        bad = [] if image == ends[-1] else [
+            f"gluing m = 1 maps {lo} to {format_fraction(image)}, "
+            f"not to the right end {hi}"
+        ]
+        ok = [f"gluing m = 1 maps {lo} to {hi}; sample re-validated"]
+        return _scan_report(PROP_QUOTIENT, None, 1, [1, 1, 1], bad, ok), desc
+
+
+class PathologicalLineSystem(LineSystem):
+    """The accumulating family: tile n is (n + n/(n+1), n + (n+1)/(n+2)),
+    n < ``n_intervals``, under integer shifts.  Its translates pile up at
+    1, so it is not locally finite and its closure is unbounded."""
+
+    name = "line-pathological"
+    expected = {
+        PROP_DISJOINTNESS: VERIFIED,
+        PROP_COVERAGE: VERIFIED,
+        PROP_BOUNDARY: VERIFIED,
+        PROP_LOCAL_FINITENESS: REFUTED,
+        PROP_SELF_ADJACENCY: REFUTED,
+        PROP_QUOTIENT: VERIFIED,
+        PROP_COMPACTNESS: VERIFIED,
+    }
+    closure_bounded = False
+    # no finite overlap family to audit
+    adjacency_audit = System.adjacency_audit
+
+    def region(self, n_intervals: int = 1) -> IntervalSet:
+        need = self.scan_estimate(n_intervals)
+        refuse_over_budget(need, f"{self.name} at {n_intervals} intervals")
+        return self._once(
+            ("region", n_intervals), lambda: pathological_1d(n_intervals)
+        )
+
+    def scan_estimate(self, n_intervals: int) -> int:
+        """The line's estimate over n intervals, whose denominator
+        lcm(1, ..., n + 1) has under 1.5 (n + 1) bits, since
+        log lcm(1, ..., x) < 1.03883 x (Rosser and Schoenfeld)."""
+        den_bits = -(-3 * (n_intervals + 1) // 2)
+        bits = den_bits + n_intervals.bit_length() + 8
+        return 6 * n_intervals * (224 + bits // 3)
+
+    def cluster_point(self) -> Fraction:
+        return Fraction(1)
+
+    def margin(self) -> Fraction:
+        return Fraction(1, 16)
+
+    def coverage_window(self, cfg: RunConfig) -> tuple[Fraction, Fraction]:
+        return Fraction(0), 1 - Fraction(1, cfg.schedule[-1])
+
+    def quotient(
+        self, cfg: RunConfig
+    ) -> tuple[VerificationReport, QuotientDescription]:
         region = self.region(cfg.n_intervals)
-        if self.name == "line-standard":
-            ends = region.endpoints()
-            lo, hi = format_fraction(ends[0]), format_fraction(ends[-1])
-            desc = QuotientDescription(
-                self.name,
-                [f"[{lo}, {hi}]"],
-                [{"from": f"point {lo}", "to": f"point {hi}", "via": "m = 1"}],
-                [],
-                True,
-                ["endpoints glued: a circle"],
-            )
-            # the generator must carry the left end onto the right end
-            image = ends[0] + 1
-            bad = [] if image == ends[-1] else [
-                f"gluing m = 1 maps {lo} to {format_fraction(image)}, "
-                f"not to the right end {hi}"
-            ]
-            ok = [f"gluing m = 1 maps {lo} to {hi}; sample re-validated"]
-            return _scan_report(PROP_QUOTIENT, None, 1, [1, 1, 1], bad, ok), desc
         # tile n ends at ends[2n + 1] / den; m = 1 glues it to tile n + 1
         den, ends = region.den, region.ends
         glued, bad = [], []
@@ -1288,30 +1296,26 @@ class PlanePathologicalSystem(System):
 
 class CylinderSystem(LineSystem):
     """Product band X x (0, c) under translation by multiples of c: the
-    line with region (0, c), step c and margin c, judged as the standard
-    line.  Its shift sweep, disjointness, self-adjacency, audit and orbit
-    count are the line's; only their wording is its own.
+    line at step c, whose region (0, c) is the band, with margin c, judged
+    as the standard line.  Its shift sweep, disjointness, self-adjacency,
+    audit and orbit count are the line's; only their wording is its own.
 
     The X factor is carried symbolically; only its compactness flag
     matters to any operation here: the action is cocompact, and the
     closed band bounded, exactly when X is compact.
     """
 
+    name = "cylinder"
     PATCH = "sampled patch"
     ORBIT = "orbit of the 0 section meets the band boundary"
 
     def __init__(self, shift: Rational = 1, x_compact: bool = True) -> None:
-        super().__init__("line-standard")
-        self.name = "cylinder"
+        super().__init__()
         self.step = Fraction(shift)
         if self.step <= 0:
             raise ValueError("shift must be positive")
         self.x_compact = bool(x_compact)
         self.cocompact = self.closure_bounded = self.x_compact
-
-    def region(self, n_intervals: int = 1) -> IntervalSet:
-        """The band (0, c), whatever ``n_intervals``."""
-        return IntervalSet([(Fraction(0), self.step)])
 
     def margin(self) -> Fraction:
         return self.step
@@ -1390,27 +1394,28 @@ class CylinderSystem(LineSystem):
         return _scan_report(PROP_QUOTIENT, None, 1, [1, 1, 1], bad, ok), desc
 
 
-SELECTORS = (
-    "free2house",
-    "line-standard",
-    "line-pathological",
-    "plane-pathological",
-    "cylinder",
-)
+# selector -> system class
+SYSTEMS: dict[str, type[System]] = {
+    cls.name: cls
+    for cls in (
+        Free2HouseSystem,
+        LineSystem,
+        PathologicalLineSystem,
+        PlanePathologicalSystem,
+        CylinderSystem,
+    )
+}
+SELECTORS = tuple(SYSTEMS)
 
 
 def make_system(
     selector: str, shift: Rational = 1, x_compact: bool = True
 ) -> System:
-    if selector == "free2house":
-        return Free2HouseSystem()
-    if selector in ("line-standard", "line-pathological"):
-        return LineSystem(selector)
-    if selector == "plane-pathological":
-        return PlanePathologicalSystem()
-    if selector == "cylinder":
-        return CylinderSystem(shift, x_compact)
-    raise KeyError(f"unknown system selector: {selector!r}")
+    """The system ``selector`` names; only the cylinder takes parameters."""
+    cls = SYSTEMS.get(selector)
+    if cls is None:
+        raise KeyError(f"unknown system selector: {selector!r}")
+    return CylinderSystem(shift, x_compact) if cls is CylinderSystem else cls()
 
 
 # ------------------------------------------------------------------- checks

@@ -90,18 +90,20 @@ class Arg:
         self.default = spec.get("default", False if self.flag else None)
 
 
+_DEFAULTS = RunConfig()  # the truncation of the options left at their defaults
+
 _OUT = Arg("--out", "write output to this file instead of stdout")
-_RADIUS = Arg("--radius", "word ball radius", type=int, default=8)
+_RADIUS = Arg("--radius", "word ball radius", type=int, default=_DEFAULTS.radius)
 
 # verify and quotient: the truncation and the systems' parameters
 _SYSTEM_OPTIONS = (
-    Arg("--depth", "group ball depth", type=int, default=4),
+    Arg("--depth", "group ball depth", type=int, default=_DEFAULTS.depth),
     _RADIUS,
     _OUT,
     Arg("--schedule", "comma-separated growth horizons, e.g. 2,3,4,5,6",
-        type=_parse_schedule, default=(2, 3, 4, 5, 6)),
+        type=_parse_schedule, default=_DEFAULTS.schedule),
     Arg("--N", "interval count for the line systems", dest="n_intervals", type=int,
-        default=200),
+        default=_DEFAULTS.n_intervals),
     Arg("--c", "cylinder shift (rational)", type=_parse_fraction, default=Fraction(1)),
     Arg("--x-noncompact", "model the cylinder cross-section as non-compact",
         action="store_true"),
@@ -224,7 +226,7 @@ def _config_from(args: SimpleNamespace) -> RunConfig:
         radius=args.radius,
         schedule=args.schedule,
         n_intervals=args.n_intervals,
-        m_range=max(200, args.n_intervals),
+        m_range=max(_DEFAULTS.m_range, args.n_intervals),
     )
 
 

@@ -337,8 +337,9 @@ def _checked(den: int, ends: tuple[int, ...]) -> tuple[int, ...]:
     return ends
 
 
-def standard_interval() -> IntervalSet:
-    return IntervalSet([(0, 1)])
+def standard_interval(step: Rational = 1) -> IntervalSet:
+    """The interval (0, step), one period of the shift by ``step``."""
+    return IntervalSet([(0, step)])
 
 
 def pathological_interval(n: int) -> tuple[Fraction, Fraction]:

@@ -233,15 +233,6 @@ class RoomPoint(FrozenRecord):
         set_field(self, "x", x)
         set_field(self, "y", y)
 
-    def atom(self) -> int:
-        if self.x == 0:
-            return LEFT
-        if self.y == 0:
-            return BOTTOM
-        if self.x == self.y:
-            return DIAG
-        return UPPER if self.x < self.y else LOWER
-
     def text(self) -> str:
         return f"({self.room.text()}, {self.x}, {self.y})"
 

@@ -21,6 +21,7 @@ from fundreg.checker import (
     VERIFIED,
     CylinderSystem,
     LineSystem,
+    PathologicalLineSystem,
     PlanePathologicalSystem,
     QuotientDescription,
     VerificationReport,
@@ -43,6 +44,7 @@ from fundreg.tilespace import (
     BOTTOM,
     DIAG,
     LEFT,
+    LOWER,
     UPPER,
     Cell,
     RoomPoint,
@@ -202,6 +204,17 @@ def spine_cells(radius, cell):
     return out
 
 
+def point_atom(p):
+    """The atom of its room that the canonical point ``p`` lies in."""
+    if p.x == 0:
+        return LEFT
+    if p.y == 0:
+        return BOTTOM
+    if p.x == p.y:
+        return DIAG
+    return UPPER if p.x < p.y else LOWER
+
+
 def closed_atoms(room):
     """The atoms of ``room`` that the closed free2house region holds, as
     drawn: the upper triangle with its diagonal and left wall in a spine
@@ -226,13 +239,13 @@ def cell_boundary(radius):
 
 class CorruptedLine(LineSystem):
     """The line with an oversized interval (0, 3/2): its translates
-    overlap, so disjointness and boundary containment must refute.  It
-    keeps the standard interval's windows and margin; its coverage union
-    would overlap, so coverage is inconclusive."""
+    overlap, so disjointness and boundary containment must refute, and the
+    generator carries its left end to 1, short of the right end, so the
+    quotient must refute.  It keeps the standard interval's windows and
+    margin; its coverage union would overlap, so coverage is
+    inconclusive."""
 
-    def __init__(self):
-        super().__init__("line-standard")
-        self.name = "line-corrupted"
+    name = "line-corrupted"
 
     def region(self, n_intervals):
         # looked up at the call, so that a test can swap the interval class
@@ -440,12 +453,12 @@ def pairwise_line_quotient(system, cfg):
     return report, desc
 
 
-class GappedLine(LineSystem):
+class GappedLine(PathologicalLineSystem):
     """The pathological family with tile ``gap`` left out: the tiles on
     either side of the hole do not glue, so the quotient must refute."""
 
     def __init__(self, gap):
-        super().__init__("line-pathological")
+        super().__init__()
         self.gap = gap
 
     def region(self, n_intervals):
@@ -468,7 +481,7 @@ def in_closed_region(system, p):
     """Exact membership of a canonical point in the system's closed
     region, read off ``closure(len(room))``, which holds every closed
     atom of a room of that length."""
-    return p.atom() in system.closure(len(p.room)).atoms_at(p.room)
+    return point_atom(p) in system.closure(len(p.room)).atoms_at(p.room)
 
 
 def orbit_representatives(system, p):
@@ -493,14 +506,14 @@ def orbit_representatives(system, p):
     found = {}
     for parity, room, atoms in system._once(("closed images", p.room), build):
         q = RoomPoint(room, p.y, p.x) if parity else RoomPoint(room, p.x, p.y)
-        if q.atom() in atoms:
+        if point_atom(q) in atoms:
             found.setdefault(q.text(), q)
     return [found[key] for key in sorted(found)]
 
 
 def normalize_representative(system, p):
     """Send a bottom-wall representative to its glued left-wall partner."""
-    if p.atom() == BOTTOM and in_closed_region(system, p):
+    if point_atom(p) == BOTTOM and in_closed_region(system, p):
         prefix = p.room * u_power(-1)
         return apply_to_point(room_reflection(prefix), p)
     return p

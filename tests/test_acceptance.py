@@ -21,6 +21,7 @@ from fundreg.checker import (
     CylinderSystem,
     Free2HouseSystem,
     LineSystem,
+    PathologicalLineSystem,
     RunConfig,
     boundary_containment,
     check_coverage,
@@ -127,7 +128,7 @@ def test_criterion_05_cylinder_overlaps_and_compactness_flags():
 
 def test_criterion_06_pathological_line_diagnosis():
     with criterion(6, "pathological line: disjoint, not locally finite"):
-        system = LineSystem("line-pathological")
+        system = PathologicalLineSystem()
         assert (
             check_disjointness(system, RunConfig(n_intervals=200, m_range=200)).verdict
             == VERIFIED
@@ -165,7 +166,7 @@ def test_criterion_07_quotient_gluing_and_representative_uniqueness():
         assert froms == list(range(-4, 4))
 
         line_report, line_desc = quotient_build(
-            LineSystem("line-standard"), RunConfig()
+            LineSystem(), RunConfig()
         )
         assert line_report.verdict == VERIFIED
         assert line_desc.compact is True

@@ -23,6 +23,7 @@ from fundreg.checker import (
     CylinderSystem,
     Free2HouseSystem,
     LineSystem,
+    PathologicalLineSystem,
     PlanePathologicalSystem,
     RunConfig,
     VerificationReport,
@@ -310,27 +311,27 @@ def test_spine_estimate_bounds_the_region_and_the_quotient(radius):
 
 def test_line_scan_budget_admits_the_defaults():
     # estimates only: nothing over the budget is built
-    family = LineSystem("line-pathological")
+    family = PathologicalLineSystem()
     for n in (48, 200, 4 * 6):
         assert family.scan_estimate(n) <= BUDGET
     # the largest family the budget admits
     assert family.scan_estimate(6461) <= BUDGET < family.scan_estimate(6462)
-    assert LineSystem("line-standard").scan_estimate(200) < family.scan_estimate(200)
+    assert LineSystem().scan_estimate(200) < family.scan_estimate(200)
 
 
 def test_line_scan_estimate_bounds_the_coverage_union():
-    family = LineSystem("line-pathological")
+    family = PathologicalLineSystem()
     peak = _traced_peak(lambda: check_coverage(family, RunConfig(n_intervals=40)))
     assert peak <= family.scan_estimate(40)
     # the whole battery, shift sweeps included, on a fresh system each time
     for n in (40, 200, 395, 800):
         cfg = RunConfig(n_intervals=n, m_range=max(200, n))
-        peak = _traced_peak(lambda: run_battery(LineSystem("line-pathological"), cfg))
+        peak = _traced_peak(lambda: run_battery(PathologicalLineSystem(), cfg))
         assert peak <= family.scan_estimate(n), n
 
 
 def test_line_scan_over_budget_is_refused_before_building(monkeypatch):
-    family = LineSystem("line-pathological")
+    family = PathologicalLineSystem()
     built = []
     family_of = checker.pathological_1d
 
@@ -764,7 +765,7 @@ def test_cylinder_compactness_both_flags():
 def test_refuted_compactness_says_the_instance_fails():
     # one interval: finite self-adjacency verifies on a cocompact action
     # whose closure is declared unbounded, so the instance fails
-    system = LineSystem("line-pathological")
+    system = PathologicalLineSystem()
     rep = compactness_proxy(system, RunConfig(n_intervals=1, schedule=(1, 2, 3)))
     assert rep.verdict == REFUTED
     assert rep.witnesses[-1] == "implication instance fails"

@@ -2,22 +2,50 @@
 
 The digests in ``golden_cli.json`` were recorded before the system
 protocol refactor; see ``golden_cli.py`` for the cases and the recorder.
+The benchmark's ops are held to ``perfbench/reference.json`` here too,
+so that a changed byte shows in the suite, not only in the benchmark.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+from fundreg import cli
 from fundreg.cli import USAGE_EXIT
 from golden_cli import DATA, changed_rows, run
 
 ROWS = json.loads(DATA.read_text(encoding="utf-8"))
 
+# the benchmark's ops, keyed by their space-joined argv, with the exit
+# code, byte count and sha256 of stdout each must keep
+BENCH_OPS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text(
+        encoding="utf-8"
+    )
+)["ops"]
+
 
 @pytest.mark.parametrize("row", ROWS, ids=[" ".join(r["argv"]) for r in ROWS])
 def test_cli_output_matches_the_recording(row):
     assert run(row["argv"]) == (row["exit"], row["sha256"])
+
+
+@pytest.mark.parametrize("op", sorted(BENCH_OPS))
+def test_benchmark_op_prints_its_reference_bytes(op):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(op.split())
+    data = out.getvalue().encode("utf-8")
+    want = BENCH_OPS[op]
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        want["exit_code"],
+        want["bytes"],
+        want["sha256"],
+    )
 
 
 def test_one_parser_serves_runs_in_turn():

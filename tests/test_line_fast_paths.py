@@ -18,7 +18,9 @@ from fundreg.checker import (
     REFUTED,
     VERIFIED,
     LineSystem,
+    PathologicalLineSystem,
     RunConfig,
+    make_system,
 )
 from fundreg.regions import IntervalSet, pathological_interval
 from oracles import (
@@ -38,7 +40,7 @@ LINES = (
 
 
 def _line(kind):
-    return CorruptedLine() if kind == "line-corrupted" else LineSystem(kind)
+    return CorruptedLine() if kind == "line-corrupted" else make_system(kind)
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=str)
@@ -54,7 +56,7 @@ def test_self_adjacency_matches_the_per_horizon_scan(kind, n, schedule):
 def _span_schedules(kind, n):
     """Schedules (1, 2, K) whose last horizon K lies below, at and above
     the span of the inflated region, where K > 2 allows it."""
-    system = LineSystem(kind)
+    system = make_system(kind)
     ends = system.region(n).inflate(system.margin()).endpoints()
     span = ends[-1] - ends[0]
     lasts = {floor(span) - 1, floor(span), ceil(span), ceil(span) + 1}
@@ -72,8 +74,8 @@ SPAN_CASES = [
 @pytest.mark.parametrize("kind,n,schedule", SPAN_CASES)
 def test_self_adjacency_below_the_span_matches_the_unbounded_scan(kind, n, schedule):
     cfg = RunConfig(schedule=schedule, n_intervals=n)
-    report, hits = LineSystem(kind).finite_self_adjacency(cfg)
-    want, want_hits = per_horizon_self_adjacency(LineSystem(kind), cfg)
+    report, hits = make_system(kind).finite_self_adjacency(cfg)
+    want, want_hits = per_horizon_self_adjacency(make_system(kind), cfg)
     assert report.to_dict() == want.to_dict()
     assert hits == want_hits
 
@@ -88,7 +90,7 @@ def test_self_adjacency_translates_only_below_the_span(monkeypatch):
 
     monkeypatch.setattr(IntervalSet, "translate", recorded)
     cfg = RunConfig(schedule=(1, 2, 10**6))
-    report, hits = LineSystem("line-standard").finite_self_adjacency(cfg)
+    report, hits = LineSystem().finite_self_adjacency(cfg)
     # the inflated interval [-1/4, 5/4] is 3/2 wide
     assert shifts == [-1, 0, 1] and hits == [-1, 0, 1]
     assert report.counts == [3, 3, 3]
@@ -107,7 +109,7 @@ def _quotients(system, n):
 def test_integer_quotient_matches_the_fraction_pairs(n):
     # one tile has no gluing to test
     want = INCONCLUSIVE if n == 1 else VERIFIED
-    assert _quotients(LineSystem("line-pathological"), n).verdict == want
+    assert _quotients(PathologicalLineSystem(), n).verdict == want
 
 
 @pytest.mark.parametrize("gap", [1, 3, 100])

@@ -11,8 +11,8 @@ rule.  A check that no perturbation of its inputs can refute is in
 covers: the cylinder's audit and orbit count run the line's.
 
 The module also guards the rules themselves: ``VerificationReport`` is
-built only by the three rule helpers and the two checks with a rule of
-their own, and no code sets a report's verdict afterwards.
+built only by the three rule helpers and the one check with a rule of
+its own, and no code sets a report's verdict afterwards.
 """
 
 import ast
@@ -35,17 +35,6 @@ from fundreg.freegroup import r_power, u_power
 from fundreg.regions import IntervalSet
 from oracles import CorruptedLine, GappedLine
 from test_scan_oracles import Blob, ClosureAsRegion, ShrunkClosure
-
-
-class WideLine(LineSystem):
-    """The standard line with the tile (0, 3/2): the generator carries its
-    left end to 1, short of the right end, so the quotient must refute."""
-
-    def __init__(self):
-        super().__init__("line-standard")
-
-    def region(self, n_intervals):
-        return IntervalSet([(0, Fraction(3, 2))])
 
 
 class Band(CylinderSystem):
@@ -72,12 +61,19 @@ class ThinCertificate:
 
 
 class ThinLine(ThinCertificate, LineSystem):
-    def __init__(self):
-        super().__init__("line-standard")
+    pass
 
 
 class ThinCylinder(ThinCertificate, CylinderSystem):
     pass
+
+
+class UnboundedLine(LineSystem):
+    """The standard line with its closure declared unbounded: finite
+    self-adjacency verifies on a cocompact action, so the compactness
+    implication must fail."""
+
+    closure_bounded = False
 
 
 def _off_root_reflection(root):
@@ -120,7 +116,7 @@ SITES = {
         lambda mp: CorruptedLine().boundary_containment(RunConfig())
     ),
     "line-standard quotient-structure": (
-        lambda mp: WideLine().quotient(RunConfig())[0]
+        lambda mp: CorruptedLine().quotient(RunConfig())[0]
     ),
     "line-pathological quotient-structure": (
         lambda mp: GappedLine(3).quotient(RunConfig(n_intervals=12))[0]
@@ -128,6 +124,7 @@ SITES = {
     "line self-adjacency-implies-local-finiteness": (
         lambda mp: ThinLine().adjacency_audit(RunConfig())
     ),
+    "line compactness-proxy": lambda mp: UnboundedLine().compactness(RunConfig()),
     "plane disjointness": _plane_disjointness,
     "cylinder coverage": lambda mp: Band(Fraction(1, 2)).coverage(RunConfig()),
     "cylinder boundary-containment": (
@@ -251,6 +248,18 @@ RECORDED = {
         "counts": [11, 10, 1],
         "witnesses": ["tiles 2 and 3 fail to glue"],
     },
+    "line compactness-proxy": {
+        "property": "compactness-proxy",
+        "verdict": "refuted",
+        "truncation": {"depth": 6, "radius": 200},
+        "counts": [],
+        "witnesses": [
+            "finite self-adjacency: verified-at-truncation",
+            "action cocompact: True",
+            "closure bounded: False",
+            "implication instance fails",
+        ],
+    },
     "line self-adjacency-implies-local-finiteness": {
         "property": "self-adjacency-implies-local-finiteness",
         "verdict": "refuted",
@@ -344,8 +353,9 @@ CALL_OF = {
     "line coverage": "LineSystem.coverage",
     "line boundary-containment": "LineSystem.boundary_containment",
     "line-standard quotient-structure": "LineSystem.quotient",
-    "line-pathological quotient-structure": "LineSystem.quotient",
+    "line-pathological quotient-structure": "PathologicalLineSystem.quotient",
     "line self-adjacency-implies-local-finiteness": "LineSystem.adjacency_audit",
+    "line compactness-proxy": "System.compactness",
     "line orbit-boundary-finiteness": "LineSystem.orbit_boundary",
     "plane disjointness": "PlanePathologicalSystem.disjointness",
     "plane boundary-containment": "PlanePathologicalSystem.boundary_containment",
@@ -355,11 +365,10 @@ CALL_OF = {
     "cylinder quotient-structure": "CylinderSystem.quotient",
 }
 
-# where VerificationReport may be built: the three rule helpers, the
-# compactness implication and the plane's profile-derived self-adjacency
+# where VerificationReport may be built: the three rule helpers and the
+# plane's profile-derived self-adjacency
 RULE_OWNERS = [
     "PlanePathologicalSystem.finite_self_adjacency",
-    "System.compactness",
     "_inconclusive",
     "_profile_report",
     "_scan_report",

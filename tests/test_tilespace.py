@@ -25,7 +25,7 @@ from fundreg.tilespace import (
     neighborhood_roomset,
     swap_atoms,
 )
-from oracles import covering_point, reflect_across_diagonal
+from oracles import covering_point, point_atom, reflect_across_diagonal
 
 half = Fraction(1, 2)
 third = Fraction(1, 3)
@@ -58,11 +58,11 @@ def test_canonicalize_is_idempotent_on_canonical_points():
 
 
 def test_atom_classification():
-    assert canonical_point(IDENTITY_WORD, third, half).atom() == UPPER
-    assert canonical_point(IDENTITY_WORD, half, third).atom() == LOWER
-    assert canonical_point(IDENTITY_WORD, half, half).atom() == DIAG
-    assert canonical_point(IDENTITY_WORD, 0, half).atom() == LEFT
-    assert canonical_point(IDENTITY_WORD, half, 0).atom() == BOTTOM
+    assert point_atom(canonical_point(IDENTITY_WORD, third, half)) == UPPER
+    assert point_atom(canonical_point(IDENTITY_WORD, half, third)) == LOWER
+    assert point_atom(canonical_point(IDENTITY_WORD, half, half)) == DIAG
+    assert point_atom(canonical_point(IDENTITY_WORD, 0, half)) == LEFT
+    assert point_atom(canonical_point(IDENTITY_WORD, half, 0)) == BOTTOM
 
 
 def test_apply_to_point_examples():
