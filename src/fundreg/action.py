@@ -140,26 +140,6 @@ def _image(key: int, pattern: int) -> int:
     return key ^ _spread(pattern, key.bit_length())
 
 
-def _junctions(spines: list[tuple[tuple, int]], lead: int) -> list[tuple]:
-    """One row of the product table: for a swapped key whose parity and
-    first letters are those of ``lead``, each generator's product as
-    ``(head, drop, keep)``.  The product key ``swapped >> drop << keep |
-    head`` is the swapped key less its parity and the letters the junction
-    cancels, under the parity and the surviving spine head: the low
-    ``keep`` bits of the spine's parity-0 key."""
-    body = _letters(lead)
-    row = []
-    for spine, key in spines:
-        i = len(spine)
-        j = 0
-        while i and j < len(body) and spine[i - 1] == -body[j]:
-            i -= 1
-            j += 1
-        keep = 1 + 2 * i
-        row.append((key & (1 << keep) - 1 | lead & 1, 1 + 2 * j, keep))
-    return row
-
-
 class GroupBall:
     """Products of at most `depth` reflection generators, deduplicated.
 
@@ -203,6 +183,17 @@ class GroupBall:
         width = self._width = max((len(s) for s, _ in self._spines), default=0)
         self._flag = 1 << 1 + 2 * width
         self._table: dict[int, list[tuple[int, int, int]]] = {}
+        # A row holds each product as (head, drop, keep): its key is
+        # ``swapped >> drop << keep | head``, the swapped key less what the
+        # junction cancels under the parity and the surviving spine head.
+        # Only a spine ending in the inverse of the lead's first letter
+        # can cancel; every other keeps its whole spine.
+        keeps = [(key, key.bit_length() - 1) for _, key in self._spines]
+        self._plain = [[(key - (1 << k) | p, 1, k) for key, k in keeps] for p in (0, 1)]
+        self._ending: dict[int, list] = {}
+        for n, (spine, key) in enumerate(self._spines):
+            if spine:
+                self._ending.setdefault(-spine[-1], []).append((n, spine, key))
         # Every generator has parity 1, so layer k holds parity k mod 2,
         # and gen * elem for elem in layer k - 1 lies in layer k - 2 or
         # layer k.
@@ -296,7 +287,15 @@ class GroupBall:
         lead = swapped if swapped < flag else swapped & flag - 1 | flag
         row = self._table.get(lead)
         if row is None:
-            row = self._table[lead] = _junctions(self._spines, lead)
+            row = self._table[lead] = self._plain[lead & 1].copy()
+            body = _letters(lead)
+            for n, spine, key in self._ending.get(body[0], ()) if body else ():
+                i, j = len(spine), 0
+                while i and j < len(body) and spine[i - 1] == -body[j]:
+                    i -= 1
+                    j += 1
+                keep = 1 + 2 * i
+                row[n] = (key & (1 << keep) - 1 | lead & 1, 1 + 2 * j, keep)
         return row
 
     def _neighbours(self, key: int) -> list[int]:
@@ -313,20 +312,22 @@ class GroupBall:
     def __len__(self) -> int:
         return sum(self._sizes)
 
-    def _depth(self, key: int) -> Optional[int]:
-        """The layer holding ``key``, or None.  A key of the counted layer
-        d has d's parity, is not in layer d - 2, and has a generator
-        product in layer d - 1: every generator is a parity-1 involution,
-        and a product of a layer d - 1 element lies in layer d - 2 or d.
-        The parity test only spares the products of a key of the other
-        parity, which all have d's parity and so miss layer d - 1."""
+    def _depth(self, key: int, past: bool = False) -> Optional[int]:
+        """The layer holding ``key``, or None; with ``past``, a fully held
+        ball also decides the layer one past its depth.  A key of the
+        first layer d not held (the counted layer, or that one) has d's
+        parity, is not in layer d - 2, and has a generator product in
+        layer d - 1: every generator is a parity-1 involution, and a
+        product of a layer d - 1 element lies in layer d - 2 or d.  The
+        parity test only spares the products of a key of the other parity,
+        which all have d's parity and so miss layer d - 1."""
         rep = self._canonical(key)
         reps = self._reps
         for k in range(key & 1, len(reps), 2):
             if rep in reps[k]:
                 return k
-        d = self.depth
-        if len(reps) == d and (d ^ key) & 1 == 0:
+        d = len(reps)
+        if d <= self.depth + past and (d ^ key) & 1 == 0:
             if rep >= self._flag << 1:
                 swapped = self._turn(rep)
                 products = [
@@ -339,9 +340,12 @@ class GroupBall:
                 return d
         return None
 
-    def depth_of(self, letters: tuple[int, ...], parity: int) -> Optional[int]:
-        """The layer holding the element (``letters``, ``parity``), or None."""
-        return self._depth(_encode(letters, parity))
+    def depth_of(
+        self, letters: tuple[int, ...], parity: int, past: bool = False
+    ) -> Optional[int]:
+        """The layer holding the element (``letters``, ``parity``), or None;
+        ``past`` as for ``_depth``."""
+        return self._depth(_encode(letters, parity), past)
 
     def __contains__(self, g: ActionElement) -> bool:
         return self._depth(_encode(g.spine.letters, g.parity)) is not None

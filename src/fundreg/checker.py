@@ -45,6 +45,7 @@ from .freegroup import (
     enumerate_ball,
     invert_letters,
     r_power,
+    swap_letters,
     u_power,
 )
 from .regions import (
@@ -413,7 +414,8 @@ class Free2HouseSystem(System):
     name = "free2house"
     scan_root_len = 2
     profile_root_len = 3
-    # midpoint splits reach depth 6 with half balls of depth at most 3
+    # the depth-2 half ball decides depths up to 3, and midpoint splits
+    # over half balls of depth at most 3 reach 6
     depth_cap = 6
     expected = {
         PROP_DISJOINTNESS: VERIFIED,
@@ -435,9 +437,9 @@ class Free2HouseSystem(System):
         Its deepest layer is counted, not held (``GroupBall`` with
         ``count_last``): the scans ask the ball for its size and for a few
         keys, which the layers below decide.  The half balls hold every
-        layer, since most of ``_min_depth``'s queries would otherwise be
-        decided from the layer below (480 of 585 in the default battery,
-        against 64 of the scan ball's 387)."""
+        layer: ``_min_depth`` decides layer 3 from the depth-2 ball's
+        layer 2, one lookup a candidate, and a midpoint split past depth 3
+        asks its ball for one product per left factor and image."""
 
         def build() -> GroupBall:
             need = self.scan_ball_estimate(depth)
@@ -541,20 +543,25 @@ class Free2HouseSystem(System):
     def candidate_min_depth(self, g: ActionElement, bound: int) -> Optional[int]:
         """Smallest reflection count producing ``g``, or None above ``bound``.
 
-        Exact up to ``depth_cap``.  Generators have parity 1, so only totals
-        t of g's parity can be minimal.  Scanning them upward, t is found
-        when some a of minimal depth floor(t/2) has a^-1 g within ceil(t/2):
-        a minimal product splits so at its midpoint.  Each t needs only the
-        half ball of depth ceil(t/2), built on first need.  Past the cap: None.
+        Exact up to ``depth_cap``.  Depths up to 3 are one lookup in the
+        depth-2 half ball, which decides layer 3 from layer 2.  Past 3,
+        only totals t of g's parity can be minimal (generators have parity
+        1).  Scanning them upward, t is found when some a of minimal depth
+        floor(t/2) has a^-1 g within ceil(t/2), in the half ball of depth
+        ceil(t/2): a minimal product splits so at its midpoint.  Past the
+        cap: None.
         """
         found = self._once(("min depth", g), lambda: self._min_depth(g))
         return found if found is not None and found <= bound else None
 
     def _min_depth(self, g: ActionElement) -> Optional[int]:
+        found = self.half_ball(2).depth_of(g.spine.letters, g.parity, past=True)
+        if found is not None:
+            return found
         # a symmetry tau of the ball maps its layers onto themselves, so
         # tau(a)^-1 g lies in the ball exactly when a^-1 tau^-1(g) does:
         # one left factor per orbit, against every image of g
-        for total in range(g.parity, self.depth_cap + 1, 2):
+        for total in range(4 + g.parity, self.depth_cap + 1, 2):
             ball = self.half_ball(total - total // 2)
             images = ball.orbit(g)
             for a in ball.representatives(total // 2):
@@ -604,18 +611,21 @@ class Free2HouseSystem(System):
         whose closure translate meets the closure, tagged by root, roots
         in ``enumerate_ball`` order.
 
-        The reflection rooted at w has spine w * swap(w)^-1, of length
-        2|w| with w as its first half, so a parity-1 key of the closure's
-        ``meet_index`` is such a reflection exactly when its spine
-        rebuilds from its first half.
+        The reflection rooted at w has spine w * swap(w)^-1, which never
+        cancels (swap sends r-letters to u-letters), so a parity-1 key of
+        the closure's ``meet_index`` is such a reflection exactly when the
+        second half of its spine is the swapped inverse of the first.
         """
         hits: list[tuple[Optional[ReducedWord], ActionElement]] = []
         for spine, parity in self.meet_index(self.closure(radius)):
-            if parity and len(spine) <= 2 * horizon:
-                root = ReducedWord._trusted(spine[: len(spine) // 2])
-                g = room_reflection(root)
-                if g.spine.letters == spine:
-                    hits.append((root, g))
+            half = len(spine) // 2
+            if (
+                parity
+                and len(spine) <= 2 * horizon
+                and spine[half:] == swap_letters(invert_letters(spine[:half]))
+            ):
+                g = ActionElement(ReducedWord._trusted(spine), 1)
+                hits.append((ReducedWord._trusted(spine[:half]), g))
         hits.sort(key=lambda hit: hit[0].sort_key())
         return [(None, identity())] + hits
 

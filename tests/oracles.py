@@ -9,7 +9,14 @@ from functools import lru_cache
 from math import floor
 
 from fundreg import checker, regions
-from fundreg.action import IDENTITY, ActionElement, _decode, _encode, room_reflection
+from fundreg.action import (
+    IDENTITY,
+    ActionElement,
+    _decode,
+    _encode,
+    _letters,
+    room_reflection,
+)
 from fundreg.checker import (
     PROP_ADJACENCY_AUDIT,
     PROP_COVERAGE,
@@ -133,6 +140,27 @@ def reference_ball(root_len, depth):
 def reference_half_ball():
     """The depth-3 ball over the length-<=3 roots (about 0.6 s to build)."""
     return reference_ball(3, 3)
+
+
+def junction_row(spines, lead):
+    """The product-table row oracle: for a swapped key whose parity and
+    first letters are those of ``lead``, each generator's product as
+    ``(head, drop, keep)``, every spine walked through the junction.  The
+    product key ``swapped >> drop << keep | head`` is the swapped key less
+    its parity and the letters the junction cancels, under the parity and
+    the surviving spine head: the low ``keep`` bits of the spine's
+    parity-0 key.  ``spines`` are ``GroupBall._spines``."""
+    body = _letters(lead)
+    row = []
+    for spine, key in spines:
+        i = len(spine)
+        j = 0
+        while i and j < len(body) and spine[i - 1] == -body[j]:
+            i -= 1
+            j += 1
+        keep = 1 + 2 * i
+        row.append((key & (1 << keep) - 1 | lead & 1, 1 + 2 * j, keep))
+    return row
 
 
 def reference_min_depth(g):

@@ -31,7 +31,9 @@ from oracles import (
     ball_depth,
     ball_keys,
     compose_all,
+    junction_row,
     naive_reflection_image,
+    reference_half_ball,
 )
 
 letters_st = st.lists(st.sampled_from(LETTERS), max_size=10)
@@ -347,6 +349,58 @@ def test_counted_layer_matches_the_held_layer(root_len, depth):
     for ball in (held, counted):
         with pytest.raises(IndexError):
             next(ball.iter_layer(depth + 1))
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_every_filled_row_matches_the_junction_walk(depth):
+    # the scan balls of the battery and the deep scan: rows start from the
+    # no-cancellation row, and only some spines walk the junction (the
+    # profile half ball's rows are checked with its layer-3 decisions)
+    ball = group_ball(enumerate_ball(2), depth, count_last=True)
+    assert ball._table
+    for lead, row in ball._table.items():
+        assert row == junction_row(ball._spines, lead), lead
+
+
+def test_a_held_scan_ball_decides_the_layer_past_it():
+    roots = enumerate_ball(2)
+    held = group_ball(roots, 3)
+    deeper = group_ball(roots, 4)
+    for k in range(5):
+        keys = list(deeper._layer_keys(k))
+        assert keys and all(held._depth(key, past=True) == k for key in keys)
+    assert all(held._depth(key) is None for key in deeper._layer_keys(4))
+    # non-members of layers 5 and 6: products of 5 or 6 generators outside
+    # the depth-4 ball have exactly that depth
+    rng = random.Random(25)
+    gens = [room_reflection(root) for root in roots]
+    far = {5: [], 6: []}
+    for n, found in far.items():
+        while len(found) < 300:
+            g = compose_all(rng.choices(gens, k=n))
+            if g not in deeper:
+                found.append(g)
+    for g in far[5] + far[6]:
+        assert held.depth_of(g.spine.letters, g.parity, past=True) is None
+
+
+def test_the_profile_half_ball_decides_layer_3():
+    ref = reference_half_ball()
+    half = group_ball(enumerate_ball(3), 2)
+    rng = random.Random(3)
+    layer3 = rng.sample(ref.layers[3], 3000)
+    assert all(half._depth(key, past=True) == 3 for key in layer3)
+    for k in range(3):
+        assert all(half._depth(key, past=True) == k for key in ref.layers[k])
+    # products of the sample that the reference does not hold are in
+    # layer 4, which has layer 2's parity and must not pass for layer 3
+    up = {p for key in layer3[:300] for p in half._neighbours(key)}
+    up -= ref.depth_of.keys()
+    assert up and all(half._depth(key, past=True) is None for key in up)
+    # and the rows those decisions filled
+    assert len(half._table) > 100
+    for lead, row in half._table.items():
+        assert row == junction_row(half._spines, lead), lead
 
 
 def test_walk_to_spine_examples():

@@ -217,12 +217,12 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     monkeypatch.setattr(Free2HouseSystem, "overlapping_generators", counted)
     system = make_system("free2house")
     run_battery(system, RunConfig(depth=2, radius=4))
-    # one scan ball, and the profile half balls only as deep as the
-    # candidates need: each built once, none deeper than 2
+    # one scan ball, and one profile half ball, of depth 2: it decides
+    # the depths up to 3 and the split of the two candidates of depth 4
     scan = [d for roots, d in balls if roots == enumerate_ball(2)]
     half = [d for roots, d in balls if roots == enumerate_ball(3)]
-    assert scan == [2] and len(balls) == 1 + len(half)
-    assert half and max(half) <= 2 and set(balls.values()) == {1}
+    assert scan == [2] and half == [2] and len(balls) == 2
+    assert set(balls.values()) == {1}
     # the closures at radius 4 (scans) and 5 (coverage)
     assert len(closures) == 2 and set(closures.values()) == {1}
     # one meet index built for the region (disjointness) and one for the
@@ -291,7 +291,7 @@ def test_depth_7_is_refused_before_any_layer_is_built(monkeypatch, capsys):
 
 
 def test_default_profile_builds_no_depth_3_half_ball(monkeypatch):
-    depths = []
+    depths, calls = [], Counter()
     group_ball = checker.group_ball
 
     def recorded_ball(roots, depth):
@@ -299,11 +299,28 @@ def test_default_profile_builds_no_depth_3_half_ball(monkeypatch):
             depths.append(depth)
         return group_ball(roots, depth)
 
+    representatives = GroupBall.representatives
+
+    def recorded_split(self, k):
+        calls[self.depth, k] += 1
+        return representatives(self, k)
+
     monkeypatch.setattr(checker, "group_ball", recorded_ball)
-    report, _ = checker.local_finiteness_profile(Free2HouseSystem(), RunConfig())
+    monkeypatch.setattr(GroupBall, "representatives", recorded_split)
+    system = Free2HouseSystem()
+    report, _ = checker.local_finiteness_profile(system, RunConfig())
     assert report.verdict == VERIFIED
-    # every default candidate has depth at most 4 = 2 + 2
-    assert depths and max(depths) <= 2
+    # depths up to 3 take one lookup in the depth-2 half ball, which
+    # decides layer 3; only the two candidates of depth 4 split, each at
+    # total 4 over that same ball
+    assert depths == [2]
+    deep = {
+        key[1].text(): depth
+        for key, depth in system._memo.items()
+        if key[0] == "min depth" and (depth is None or depth > 3)
+    }
+    assert deep == {"(uruRRR, 0)": 4, "(URUrrr, 0)": 4}
+    assert calls == Counter({(2, 2): 2})
 
 
 def test_free2house_coverage_decides_each_spine_power_once(monkeypatch):
