@@ -571,35 +571,47 @@ class Free2HouseSystem(System):
         return None
 
     def meet_index(self, s: RoomSet) -> MeetIndex:
-        """g.s ∩ s, room by room, for every g whose translate meets s,
-        keyed by g's (spine letters, parity) and built once per set.  g =
-        (spine, p) moves rooms bijectively, and spine = b * swap^p(a)^-1
-        sends room a onto b, so g.s ∩ s in room b is swap^p(atoms(a)) ∩
-        atoms(b): one pass over the room pairs of s, and pairs whose atoms
-        miss make no key.
+        """g.s ∩ s, room by room, for every group element g whose
+        translate meets s, keyed by g's (spine letters, parity) and built
+        once per set.  g = (spine, p) moves rooms bijectively, and spine =
+        b * swap^p(a)^-1 sends room a onto b, so g.s ∩ s in room b is
+        swap^p(atoms(a)) ∩ atoms(b), and pairs whose atoms miss make no key.
+
+        Every reflection's spine w * swap(w)^-1 has exponent sum 0, the sum
+        adds under products and swap keeps it, so every group element has
+        ε(spine) = ε(b) - ε(a) = 0: only rooms of equal exponent sum pair.
+        The rooms are bucketed by ε once, and each room meets, at each
+        parity, only its own bucket: sum 2 n_k^2 pairs over the buckets'
+        sizes n_k, not 2 n^2.  The keys' readers ask only for group
+        elements (scan-ball members and reflections), so no key they can
+        accept is left out.
 
         Refused over budget at 2 n^2 keys for n rooms, 224 bytes each plus
-        2 a letter of the longest room, and 8 KiB.  That is calibrated on
-        the region and the closure, the only sets the checks index: 62% of
-        their room pairs meet, in at most three atoms, and the closure's
-        index is traced at 0.45, 1.77 and 7.38 MiB for R = 8, 16 and 32.
-        A set whose pairs all meet in five atoms holds up to 3.5 times as
-        much."""
+        2 a letter of the longest room, and 8 KiB, as if every pair met:
+        an upper bound far above what the index holds.  The closure's
+        index has 2R + 2 keys, traced at 0.04, 0.08 and 0.16 MiB for R =
+        8, 16 and 32, against 0.54, 2.15 and 9.36 MiB estimated.  A set
+        of one exponent sum whose pairs all meet in five atoms would hold
+        up to 3.5 times the estimate."""
 
         def build() -> MeetIndex:
             n, longest = len(s.rooms), max(map(len, s.rooms), default=0)
             need = 2 * n * n * (224 + 2 * longest) + 2**13
             refuse_over_budget(need, f"the meet index of {n} rooms")
+            buckets: dict[int, list[tuple[ReducedWord, frozenset[int]]]] = {}
+            for b, here in s.rooms.items():
+                buckets.setdefault(b.exponent_sum(), []).append((b, here))
             index: MeetIndex = {}
             for parity in (0, 1):
-                for a, atoms in s.rooms.items():
-                    if parity:
-                        a, atoms = a.swapped(), swap_atoms(atoms)
-                    a_inv = invert_letters(a.letters)
-                    for b, here in s.rooms.items():
-                        if meet := atoms & here:
-                            key = (concat_reduced(b.letters, a_inv), parity)
-                            index.setdefault(key, {})[b] = meet
+                for pairs in buckets.values():
+                    for a, atoms in pairs:
+                        if parity:
+                            a, atoms = a.swapped(), swap_atoms(atoms)
+                        a_inv = invert_letters(a.letters)
+                        for b, here in pairs:
+                            if meet := atoms & here:
+                                key = (concat_reduced(b.letters, a_inv), parity)
+                                index.setdefault(key, {})[b] = meet
             return index
 
         return self._once(("meet index", s), build)

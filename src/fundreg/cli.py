@@ -145,11 +145,12 @@ COMMANDS: dict[str, tuple[str, tuple[Arg, ...]]] = {
 def _parse_plain(argv: Sequence[str]) -> Optional[dict[str, Any]]:
     """The values of a plain command line, or None for any other line.
 
-    A plain line is a command, its positionals, then options by their
-    full names as ``--opt value`` or ``--opt=value``, with no value that
-    starts with a dash, and every value reads under its type and choices.
-    On such a line argparse's corner cases (prefixes, ``--``, negative
-    numbers, help, errors) cannot arise, so it reads the line alike."""
+    A plain line is a command, then its positionals in order and options
+    by their full names as ``--opt value`` or ``--opt=value``, in any mix,
+    with no value that starts with a dash, and every value reads under its
+    type and choices.  On such a line argparse's corner cases (prefixes,
+    ``--``, negative numbers, help, errors) cannot arise, so it reads the
+    line alike."""
     if not argv or argv[0] not in COMMANDS:
         return None
     args = COMMANDS[argv[0]][1]
@@ -169,11 +170,13 @@ def _parse_plain(argv: Sequence[str]) -> Optional[dict[str, Any]]:
         values[arg.dest] = value
         return choices is None or value in choices
 
-    while tokens and positionals and not tokens[0].startswith("-"):
-        if not read(positionals.pop(0), tokens.pop(0)):
-            return None
     while tokens:
-        name, eq, text = tokens.pop(0).partition("=")
+        token = tokens.pop(0)
+        if not token.startswith("-"):
+            if not (positionals and read(positionals.pop(0), token)):
+                return None
+            continue
+        name, eq, text = token.partition("=")
         arg = options.get(name)
         if arg is None or arg.flag and eq:
             return None
@@ -197,8 +200,24 @@ def argparse_parser() -> Any:
     ``UsageError``.  Only a line that is not plain imports argparse."""
     import argparse
 
-    parser_class = type("Parser", (argparse.ArgumentParser,), {"error": _refuse})
-    parser = parser_class(
+    class Parser(argparse.ArgumentParser):
+        error = _refuse
+        mixing = False
+
+        def parse_known_args(self, args=None, namespace=None):
+            """A command with an optional positional reads its positionals
+            wherever they stand among its options, so that one may follow
+            them, as on a plain line."""
+            optional = any(a.nargs == "?" for a in self._get_positional_actions())
+            if self.mixing or not optional:
+                return super().parse_known_args(args, namespace)
+            self.mixing = True  # the two passes of the intermixed parse
+            try:
+                return self.parse_known_intermixed_args(args, namespace)
+            finally:
+                self.mixing = False
+
+    parser = Parser(
         prog="fundreg", description="Exact tiling verification at truncation scale."
     )
     commands = parser.add_subparsers(dest="command", required=True)

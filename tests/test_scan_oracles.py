@@ -7,7 +7,8 @@ pairs of s.  Their oracles below translate the set by every element of
 the ball (or by the reflection at every root), so agreement covers
 completeness of the index, the counts, and the order and cap of the
 witnesses.  The index itself is checked against translating s by each
-room-pair candidate (``oracles.room_pair_candidates``).
+room-pair candidate (``oracles.room_pair_candidates``) whose spine has
+exponent sum 0, the only candidates that can be group elements.
 
 ``check_coverage`` decides each spine power once, on the three rooms of
 its closed box.  Its oracle walks every room to the spine and tests that
@@ -24,7 +25,13 @@ from fractions import Fraction
 import pytest
 
 from fundreg import checker
-from fundreg.action import ActionElement, group_ball, room_reflection, walk_to_spine
+from fundreg.action import (
+    ActionElement,
+    _decode,
+    group_ball,
+    room_reflection,
+    walk_to_spine,
+)
 from fundreg.checker import (
     PROP_BOUNDARY,
     PROP_COVERAGE,
@@ -354,33 +361,61 @@ def index_meets(index):
 
 def assert_index_matches_the_translates(system, s, depth):
     index = system.meet_index(s)
-    want = translated_meets(s, room_pair_candidates(s))
-    assert index_meets(index) == want
+    every = translated_meets(s, room_pair_candidates(s))
+    want = {g: meet for g, meet in every.items() if g.spine.exponent_sum() == 0}
+    got = index_meets(index)
+    assert got == want
+    # what the index leaves out is no group element: its exponent sum is not 0
+    assert all(g.spine.exponent_sum() != 0 for g in every.keys() - got.keys())
     # and the scan keeps exactly the nonidentity ball members among them
     ball, meets = system._ball_overlaps(s, depth)
     kept = {g: m for g, m in want.items() if not g.is_identity() and g in ball}
     assert dict(meets) == kept
     ranks = [(ball.depth_of(g.spine.letters, g.parity), g.sort_key()) for g, _ in meets]
     assert ranks == sorted(ranks)
-    return index
 
 
 @pytest.mark.parametrize("radius", range(9))
 def test_meet_index_matches_translates_of_the_room_pair_candidates(f2, radius):
-    region = assert_index_matches_the_translates(f2, f2.region(radius), 3)
-    closure = assert_index_matches_the_translates(f2, f2.closure(radius), 3)
-    if radius == 8:
-        # 33 keys for the region and 356 for the closure, against 322 and
-        # 1,223 room-pair candidates
-        assert (len(region), len(closure)) == (33, 356)
+    assert_index_matches_the_translates(f2, f2.region(radius), 3)
+    assert_index_matches_the_translates(f2, f2.closure(radius), 3)
 
 
-@pytest.mark.parametrize("radius", [1, 2, 5])
+@pytest.mark.parametrize("radius", range(9))
 @pytest.mark.parametrize("fixture", [ClosureAsRegion, Blob])
 def test_meet_index_of_refuting_sets_matches_the_translates(fixture, radius):
     system = fixture()
     for s in (system.region(radius), system.closure(radius)):
         assert_index_matches_the_translates(system, s, 2)
+
+
+@pytest.mark.parametrize("radius", [*range(9), 16, 32])
+def test_the_region_meets_only_itself_and_the_closure_its_spine_reflections(radius):
+    # the counts of the whole-group verdicts: the open region's index is the
+    # identity alone, and the closure's the identity plus the reflection
+    # rooted at each spine room r^i, |i| <= R, 2R + 2 keys
+    system = Free2HouseSystem()
+    assert set(system.meet_index(system.region(radius))) == {((), 0)}
+    mirrors = {
+        (room_reflection(r_power(i)).spine.letters, 1)
+        for i in range(-radius, radius + 1)
+    }
+    closure = system.meet_index(system.closure(radius))
+    assert set(closure) == {((), 0)} | mirrors
+    assert len(closure) == 2 * radius + 2
+
+
+def test_every_enumerated_group_element_has_exponent_sum_zero(f2):
+    # the invariant that lets the index pair only rooms of equal exponent
+    # sum: the held layers of the scan and half balls, and the meeting
+    # candidates of the default centres, all have spines of sum 0
+    for ball in (f2.scan_ball(4), f2.half_ball(2)):
+        keys = [key for layer in ball._reps for key in layer]
+        assert keys and all(_decode(key).spine.exponent_sum() == 0 for key in keys)
+    centers = enumerate_ball(min(2, max(RunConfig().radius - 1, 0)))
+    cands = [g for w in centers for g in f2.meeting_candidates(w)]
+    assert len(cands) == 6 * len(centers)
+    assert all(g.spine.exponent_sum() == 0 for g in cands)
 
 
 @pytest.mark.parametrize("system", [_TRUE, ShrunkClosure()], ids=["true", "shrunk"])
