@@ -328,14 +328,7 @@ class GroupBall:
                 return k
         d = len(reps)
         if d <= self.depth + past and (d ^ key) & 1 == 0:
-            if rep >= self._flag << 1:
-                swapped = self._turn(rep)
-                products = [
-                    swapped >> drop << keep | head
-                    for head, drop, keep in self._row(swapped)
-                ]
-            else:
-                products = map(self._canonical, self._neighbours(rep))
+            products = map(self._canonical, self._neighbours(rep))
             if not reps[-1].isdisjoint(products):
                 return d
         return None

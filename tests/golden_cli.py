@@ -10,8 +10,14 @@ rows are listed, and the exit code is 1 if there are any:
 
     PYTHONPATH=src python tests/golden_cli.py
 
-Re-record with ``--record`` (only when a change of output is intended and
-named in CHANGES.md).
+Re-record with ``--record``, naming by its space-joined argv each row
+whose change of output is intended (and named in CHANGES.md):
+
+    PYTHONPATH=src python tests/golden_cli.py --record \
+        "verify plane-pathological --property coverage --format json"
+
+If any row not named changed, it writes nothing, lists those rows and
+exits 1.
 """
 
 from __future__ import annotations
@@ -120,23 +126,31 @@ def record() -> list[dict]:
     return rows
 
 
-def changed_rows(old: list[dict], new: list[dict]) -> list[str]:
+def changed_rows(
+    old: list[dict], new: list[dict], named: frozenset[str] = frozenset()
+) -> list[str]:
     """One line per row of ``new`` whose exit code or digest differs from
-    the row with the same argv in ``old``, or that ``old`` lacks."""
+    the row with the same argv in ``old``, or that ``old`` lacks, less the
+    rows whose space-joined argv is in ``named``."""
     before = {tuple(row["argv"]): (row["exit"], row["sha256"]) for row in old}
     lines = []
     for row in new:
+        text = " ".join(row["argv"])
         was = before.get(tuple(row["argv"]))
         now = (row["exit"], row["sha256"])
-        if was != now:
-            lines.append(f"{' '.join(row['argv'])}: {was or 'new row'} -> {now}")
+        if was != now and text not in named:
+            lines.append(f"{text}: {was or 'new row'} -> {now}")
     return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--record", action="store_true", help=f"write the runs to {DATA.name}"
+        "--record",
+        nargs="+",
+        metavar="ARGV",
+        help=f"write the runs to {DATA.name}; each ARGV names, as its "
+        "space-joined text, a row that may change",
     )
     args = parser.parse_args(argv)
     old = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
@@ -147,6 +161,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(changes)} rows changed")
     if not args.record:
         return 1 if changes else 0
+    unnamed = changed_rows(old, rows, frozenset(args.record))
+    if unnamed:
+        print(f"{len(unnamed)} changed rows not named; wrote nothing:")
+        for line in unnamed:
+            print(line)
+        return 1
     DATA.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {DATA}")
     return 0

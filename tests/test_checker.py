@@ -7,6 +7,7 @@ plane counts are validated against closed forms derived by hand.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,14 @@ def test_min_depth_matches_the_reference_on_the_half_ball_and_at_rurur(f2):
     depths = [f2.candidate_min_depth(g, 6) for g in rurur]
     assert depths == [reference_min_depth(g) for g in rurur]
     assert depths.count(None) == 5
+
+
+def test_the_default_candidates_have_depths_0_to_4(f2):
+    # the 102 candidates of the 17 default centers, by minimum depth
+    cands = [g for w in enumerate_ball(2) for g in f2.meeting_candidates(w)]
+    depths = Counter(f2.candidate_min_depth(g, 6) for g in cands)
+    assert len(cands) == 102
+    assert depths == {0: 11, 1: 35, 2: 38, 3: 16, 4: 2}
 
 
 def test_min_depth_parity_invariant(f2):

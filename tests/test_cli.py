@@ -67,7 +67,7 @@ def test_refuted_property_exits_one(capsys):
 
 def test_inconclusive_property_exits_two(capsys):
     code, _, _ = run_cli(
-        capsys, ["verify", "plane-pathological", "--property", "coverage"]
+        capsys, ["verify", "plane-pathological", "--property", "quotient-structure"]
     )
     assert code == 2
 

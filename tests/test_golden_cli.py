@@ -16,6 +16,7 @@ import pytest
 
 from fundreg import cli
 from fundreg.cli import USAGE_EXIT
+import golden_cli
 from golden_cli import DATA, changed_rows, run
 
 ROWS = json.loads(DATA.read_text(encoding="utf-8"))
@@ -79,3 +80,33 @@ def test_the_recorder_lists_each_changed_row():
         "verify b: (1, 'y') -> (2, 'y')",
         "verify c: new row -> (0, 'z')",
     ]
+
+
+def test_a_re_record_writes_nothing_when_a_row_it_does_not_name_changed(
+    tmp_path, monkeypatch, capsys
+):
+    old = [
+        {"argv": ["verify", "a"], "exit": 0, "sha256": "x"},
+        {"argv": ["verify", "b"], "exit": 1, "sha256": "y"},
+    ]
+    new = [
+        {"argv": ["verify", "a"], "exit": 0, "sha256": "w"},
+        {"argv": ["verify", "b"], "exit": 2, "sha256": "y"},
+    ]
+    data = tmp_path / "golden.json"
+    data.write_text(json.dumps(old), encoding="utf-8")
+    monkeypatch.setattr(golden_cli, "DATA", data)
+    monkeypatch.setattr(golden_cli, "record", lambda: new)
+    assert changed_rows(old, new, frozenset({"verify a"})) == [
+        "verify b: (1, 'y') -> (2, 'y')"
+    ]
+    # one changed row named, the other not: refused, the file untouched
+    assert golden_cli.main(["--record", "verify a"]) == 1
+    assert json.loads(data.read_text(encoding="utf-8")) == old
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "1 changed rows not named; wrote nothing:\nverify b: (1, 'y') -> (2, 'y')\n"
+    )
+    # both named: written
+    assert golden_cli.main(["--record", "verify a", "verify b"]) == 0
+    assert json.loads(data.read_text(encoding="utf-8")) == new

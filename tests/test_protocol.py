@@ -22,12 +22,14 @@ from fundreg.checker import (
     CylinderSystem,
     Free2HouseSystem,
     LineSystem,
+    PlanePathologicalSystem,
     RunConfig,
+    System,
     make_system,
     run_battery,
 )
 from fundreg.freegroup import enumerate_ball
-from fundreg.regions import IntervalSet
+from fundreg.regions import IntervalSet, plane2d_membership
 from fundreg.tilespace import RoomSet
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -383,6 +385,33 @@ def test_the_cylinder_is_the_line_with_step_c():
     assert band.region() == IntervalSet([(0, Fraction(2, 3))])
     assert band.expected is LineSystem.expected
     assert list(band.shift_meetings(RunConfig(m_range=3))) == [-1, 1]
+
+
+def test_the_plane_is_the_line_on_its_unit_fiber():
+    # boundary containment and coverage are the line's, on the unit fiber
+    # (0, 1); the audit and the orbit count have no certificate
+    assert issubclass(PlanePathologicalSystem, LineSystem)
+    for name in ("region", "shift_meetings", "boundary_containment", "coverage"):
+        assert name not in vars(PlanePathologicalSystem), name
+    assert PlanePathologicalSystem.adjacency_audit is System.adjacency_audit
+    assert PlanePathologicalSystem.orbit_boundary is System.orbit_boundary
+    plane, line, cfg = PlanePathologicalSystem(), LineSystem(), RunConfig(m_range=3)
+    assert plane.region() == IntervalSet([(0, 1)])
+    for check in ("boundary_containment", "coverage"):
+        got, want = getattr(plane, check)(cfg), getattr(line, check)(cfg)
+        assert got.to_dict() == want.to_dict(), check
+    unit = plane.shift_meetings(cfg)
+    for p in range(1, 17):
+        x = Fraction(p, 16)
+        # the band's fiber over x < 1 is the unit fiber moved up by 1/x,
+        # the closed fiber over x = 1 its edge ...
+        for j in range(-8, 17):
+            t = Fraction(j, 8)
+            want = x < 1 and 0 < t < 1
+            assert plane2d_membership(x, 1 / x + t) == want, (x, t)
+        # ... and its (0, n) translates meet it as the unit fiber's do
+        fiber = IntervalSet([(1 / x, 1 / x + 1)]).shift_meetings(1, cfg.m_range)
+        assert fiber == {m: meet.translate(1 / x) for m, meet in unit.items()}
 
 
 def test_each_selector_builds_its_own_class():
