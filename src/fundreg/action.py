@@ -17,10 +17,12 @@ from typing import Iterator, Optional, Sequence
 from .freegroup import (
     IDENTITY_WORD,
     ReducedWord,
+    invert_letters,
     leading_r_run,
     r_power,
     run_count,
     spine_exponent,
+    swap_letters,
 )
 
 
@@ -79,12 +81,28 @@ def identity() -> ActionElement:
 
 
 def room_reflection(root: ReducedWord) -> ActionElement:
-    """The order-two element fixing the diagonal of the room at `root`."""
-    return ActionElement(root * root.inverse().swapped(), 1)
+    """The order-two element fixing the diagonal of the room at `root`;
+    its spine root * swap(root)^-1 never cancels, as swap moves letters."""
+    tail = swap_letters(invert_letters(root.letters))
+    return ActionElement(ReducedWord._trusted(root.letters + tail), 1)
 
 
 def generator_text(root: ReducedWord) -> str:
     return f"g[{root.text()}]"
+
+
+def in_root_subgroup(letters: tuple[int, ...], k: int) -> bool:
+    """Whether (``letters``, p) lies in H_k, which the reflections rooted
+    at words of length <= k generate.  Its Stallings graph is the segment
+    -k .. k with an r and a u edge from each x to x + 1, and it holds
+    (e, 1): so exactly when ε(letters) = 0 and every prefix has |ε| <= k
+    (ε the exponent sum), for either parity p."""
+    level = 0
+    for a in letters:
+        level += 1 if a > 0 else -1
+        if not -k <= level <= k:
+            return False
+    return level == 0
 
 
 # ----------------------------------------------------------- ball storage
@@ -112,6 +130,21 @@ def _letters(key: int) -> tuple[int, ...]:
 
 def _decode(key: int) -> ActionElement:
     return ActionElement(ReducedWord._trusted(_letters(key)), key & 1)
+
+
+def _product(x: int, y: int) -> int:
+    """The key of the product of the elements keyed ``x`` and ``y``: x's
+    letters, then y's (swapped when x has parity 1), less the letters the
+    junction cancels (inverse letters have codes c and c ^ 3), under the
+    XOR of the parities."""
+    if x & 1:
+        y ^= _spread(1, y.bit_length())
+    n = x.bit_length()
+    while n > 2 and y > 3 and (x >> n - 3 ^ y >> 1) & 3 == 3:
+        n -= 2
+        x = x & (1 << n - 1) - 1 | 1 << n - 1
+        y = y >> 3 << 1 | y & 1
+    return (x & (1 << n - 1) - 1 ^ y & 1) | y >> 1 << n - 1
 
 
 # The letter maps that commute with swap act on a key letterwise, as one
@@ -174,6 +207,9 @@ class GroupBall:
         )
         # choose[c]: the symmetry that takes last-letter code c lowest
         self._choose = [min(self.symmetries, key=c.__xor__) for c in range(4)]
+        # the letter pattern of the turn in ``_parts``, the same for every
+        # canonical key: 0 when swap is a symmetry (the default root sets)
+        self._turn = 1 ^ self._choose[1]
         # the cancellation in gen * elem depends only on the parity and the
         # first `width` letters of the swapped key, so the products come
         # from one table row per such lead, filled the first time the lead
@@ -223,14 +259,18 @@ class GroupBall:
         member.  A key with more letters than any spine keeps its last
         letter in every product, so turning its swapped key by the
         symmetry that makes that letter canonical makes every product
-        canonical.  Such keys are bucketed by lead.  Within a bucket the
-        bits a junction drops are the lead's own, so each (lead,
-        generator) entry is one shift plus a constant, and it fixes the
-        product's low ``keep + lead bits - drop`` bits: an entry fixing at
-        least ``bits`` of them is filed whole under its first product's
-        class, and the few that fix fewer (a spine that cancels whole)
-        are filed product by product, as are the products of the short
-        keys.
+        canonical.  A canonical last code c is least in its orbit: with
+        swap a symmetry, c ^ 1 is in that orbit and the turn undoes the
+        swap; without it ({0}, {0, 2}, {0, 3}) c ^ 1 is least in its own,
+        and the turn is the swap.  So every key turns by one XOR, ``key ^
+        1`` for the default root sets.  Such keys are bucketed by lead.
+        Within a bucket the bits a junction drops are the lead's own, so
+        each (lead, generator) entry is one shift plus a constant, and it
+        fixes the product's low ``keep + lead bits - drop`` bits: an entry
+        fixing at least ``bits`` of them is filed whole under its first
+        product's class, and the few that fix fewer (a spine that cancels
+        whole) are filed product by product, as are the products of the
+        short keys.
         """
         below = self._reps[k - 1]
         below2 = self._reps[k - 2] if k >= 2 else set()
@@ -243,10 +283,12 @@ class GroupBall:
         loose: dict[int, list[int]] = {}
         buckets: dict[int, list[int]] = {}
         long = flag << 1
+        low = flag - 1
+        turn = self._turn
         for key in below:
             if key >= long:
-                swapped = self._turn(key)
-                buckets.setdefault(swapped & flag - 1 | flag, []).append(swapped)
+                swapped = key ^ (_spread(turn, key.bit_length()) | 1 if turn else 1)
+                buckets.setdefault(swapped & low | flag, []).append(swapped)
             else:
                 for p in map(self._canonical, self._neighbours(key)):
                     loose.setdefault(p & mask, []).append(p)
@@ -273,14 +315,6 @@ class GroupBall:
             part.update([(s >> sh) + c for bucket, sh, c in rights for s in bucket])
             part -= below2
             yield part
-
-    def _turn(self, key: int) -> int:
-        """Swap the letters and the parity of a key with more letters than
-        any spine, then apply the symmetry that makes the swapped last
-        letter canonical: every generator product of the result keeps that
-        letter, so each is canonical."""
-        n = key.bit_length()
-        return key ^ (_spread(1 ^ self._choose[key >> n - 3 & 3 ^ 1], n) | 1)
 
     def _row(self, swapped: int) -> list[tuple[int, int, int]]:
         flag = self._flag
@@ -364,15 +398,18 @@ class GroupBall:
         """Every element of layer k once, in no specified order."""
         return map(_decode, self._layer_keys(k))
 
-    def representatives(self, k: int) -> Iterator[ActionElement]:
-        """One element of each orbit in layer k."""
-        return map(_decode, self._layer(k))
-
-    def orbit(self, g: ActionElement) -> list[ActionElement]:
-        """The distinct images of g under ``symmetries``."""
-        key = _encode(g.spine.letters, g.parity)
+    def splits(self, g: ActionElement, k: int) -> bool:
+        """Whether g = a * b for some a of layer k and b in the ball.
+        Generators are involutions, so layers are closed under inverses
+        and symmetries: one a per orbit is tried against every image of
+        g^-1, each product g^-1 a taken on packed keys."""
+        key = _encode(g.inverse().spine.letters, g.parity)
         n = key.bit_length()
-        return [_decode(key ^ _spread(p, n)) for p in self.symmetries if n > 2 or not p]
+        images = [key ^ _spread(p, n) for p in self.symmetries if n > 2 or not p]
+        depth = self._depth
+        return any(
+            depth(_product(h, a)) is not None for a in self._layer(k) for h in images
+        )
 
     def __iter__(self) -> Iterator[ActionElement]:
         for k in range(self.depth + 1):

@@ -35,10 +35,13 @@ from .action import (
     generator_text,
     group_ball,
     identity,
+    in_root_subgroup,
     room_reflection,
     walk_to_spine,
 )
 from .freegroup import (
+    R,
+    U,
     ReducedWord,
     ball_size,
     concat_reduced,
@@ -46,7 +49,6 @@ from .freegroup import (
     invert_letters,
     r_power,
     swap_letters,
-    u_power,
 )
 from .regions import (
     IntervalSet,
@@ -63,6 +65,7 @@ from .regions import (
 )
 from .record import FrozenRecord, Record, set_field
 from .tilespace import (
+    NO_ATOMS,
     UPPER,
     Cell,
     RoomSet,
@@ -355,9 +358,11 @@ class System:
     def _once(self, key: tuple, make: Callable[[], Any]) -> Any:
         """``make()``, called the first time ``key`` is asked for and held
         for later calls.  Callers share the result, so none may mutate it."""
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+        # the memo marks a miss: it is never one of its own values
+        found = self._memo.get(key, self._memo)
+        if found is self._memo:
+            found = self._memo[key] = make()
+        return found
 
     def cached_local_finiteness(self, cfg: RunConfig) -> tuple:
         """``local_finiteness(cfg)``, computed once per configuration."""
@@ -529,15 +534,24 @@ class Free2HouseSystem(System):
         Each comes from one coset constraint: the translate must place a
         triangle-bearing room onto a specific room of the neighbourhood,
         and the exponent-sum invariant pins a single element per
-        placement.  Exactly six placements are geometrically possible.
+        placement.  Exactly six placements are geometrically possible:
+        at each parity, v = center * step^s for s in 0, 1, -1, and the
+        spine v * back^-ε(v).  The spines are built as letter tuples, and
+        ε(v) = ε(center) + s, so ε is read once per center.
         """
 
         def build() -> list[ActionElement]:
-            cands = set()
+            letters = center.letters
+            level = center.exponent_sum()
+            spines = set()
             # parity 0 steps along u and returns along r; parity 1 swaps them
-            for parity, step, back in ((0, u_power, r_power), (1, r_power, u_power)):
-                for v in (center, center * step(1), center * step(-1)):
-                    cands.add(ActionElement(v * back(-v.exponent_sum()), parity))
+            for parity, step, back in ((0, U, R), (1, R, U)):
+                for s in (0, 1, -1):
+                    v = concat_reduced(letters, (step * s,)) if s else letters
+                    n = level + s
+                    home = (back if n < 0 else -back,) * abs(n)
+                    spines.add((concat_reduced(v, home), parity))
+            cands = [ActionElement(ReducedWord._trusted(w), p) for w, p in spines]
             return sorted(cands, key=ActionElement.sort_key)
 
         return self._once(("meeting candidates", center), build)
@@ -545,31 +559,27 @@ class Free2HouseSystem(System):
     def candidate_min_depth(self, g: ActionElement, bound: int) -> Optional[int]:
         """Smallest reflection count producing ``g``, or None above ``bound``.
 
-        Exact up to ``depth_cap``.  Depths up to 3 are one lookup in the
-        depth-2 half ball, which decides layer 3 from layer 2.  Past 3,
-        only totals t of g's parity can be minimal (generators have parity
-        1).  Scanning them upward, t is found when some a of minimal depth
-        floor(t/2) has a^-1 g within ceil(t/2), in the half ball of depth
-        ceil(t/2): a minimal product splits so at its midpoint.  Past the
-        cap: None.
+        Exact up to ``depth_cap``.  A g outside H_3, the group of the half
+        balls' roots, is None at once (``in_root_subgroup``).  Depths up
+        to 3 are one lookup in the depth-2 half ball, which decides layer
+        3 from layer 2.  Past 3, only totals t of g's parity can be
+        minimal (generators have parity 1).  Scanning them upward, t is
+        found when some a of minimal depth floor(t/2) has a^-1 g within
+        ceil(t/2), in the half ball of depth ceil(t/2) (``splits``): a
+        minimal product splits so at its midpoint.  Past the cap: None.
         """
         found = self._once(("min depth", g), lambda: self._min_depth(g))
         return found if found is not None and found <= bound else None
 
     def _min_depth(self, g: ActionElement) -> Optional[int]:
+        if not in_root_subgroup(g.spine.letters, self.profile_root_len):
+            return None
         found = self.half_ball(2).depth_of(g.spine.letters, g.parity, past=True)
         if found is not None:
             return found
-        # a symmetry tau of the ball maps its layers onto themselves, so
-        # tau(a)^-1 g lies in the ball exactly when a^-1 tau^-1(g) does:
-        # one left factor per orbit, against every image of g
         for total in range(4 + g.parity, self.depth_cap + 1, 2):
-            ball = self.half_ball(total - total // 2)
-            images = ball.orbit(g)
-            for a in ball.representatives(total // 2):
-                a_inv = a.inverse()
-                if any(a_inv * h in ball for h in images):
-                    return total
+            if self.half_ball(total - total // 2).splits(g, total // 2):
+                return total
         return None
 
     def meet_index(self, s: RoomSet) -> MeetIndex:
@@ -607,9 +617,10 @@ class Free2HouseSystem(System):
             for parity in (0, 1):
                 for pairs in buckets.values():
                     for a, atoms in pairs:
+                        letters = a.letters
                         if parity:
-                            a, atoms = a.swapped(), swap_atoms(atoms)
-                        a_inv = invert_letters(a.letters)
+                            letters, atoms = swap_letters(letters), swap_atoms(atoms)
+                        a_inv = invert_letters(letters)
                         for b, here in pairs:
                             if meet := atoms & here:
                                 key = (concat_reduced(b.letters, a_inv), parity)
@@ -649,12 +660,15 @@ class Free2HouseSystem(System):
         """The scan ball, and each nonidentity ball member g among the keys
         of ``meet_index(s)`` with g.s ∩ s, in witness order: by the layer
         that holds g (``depth_of``: the fewest reflections that produce
-        g), then by ``ActionElement.sort_key``."""
+        g), then by ``ActionElement.sort_key``.  The ball lies in H_2, so
+        a key outside it is dropped before any lookup."""
         ball = self.scan_ball(depth)
         members = [
             (k, ActionElement(ReducedWord._trusted(spine), parity), RoomSet(rooms))
             for (spine, parity), rooms in self.meet_index(s).items()
-            if (spine or parity) and (k := ball.depth_of(spine, parity)) is not None
+            if (spine or parity)
+            and in_root_subgroup(spine, self.scan_root_len)
+            and (k := ball.depth_of(spine, parity)) is not None
         ]
         members.sort(key=lambda member: (member[0], member[1].sort_key()))
         return ball, [(g, meet) for _, g, meet in members]
@@ -706,8 +720,10 @@ class Free2HouseSystem(System):
         is a parity-1 involution, so ρ·ext is swap(ext(ρ·b)) in room b."""
         spine = r_power(m)
         mirror = room_reflection(spine)
+        held = ext.rooms
         return all(
-            atoms <= ext.atoms_at(b) | swap_atoms(ext.atoms_at(mirror.apply(b)))
+            atoms
+            <= held.get(b, NO_ATOMS) | swap_atoms(held.get(mirror.apply(b), NO_ATOMS))
             for b, atoms in materialize_cell(spine, Cell.CLOSED_BOX).rooms.items()
         )
 
@@ -810,6 +826,7 @@ class Free2HouseSystem(System):
         need = self.spine_estimate(radius)
         refuse_over_budget(need, f"the quotient at radius {radius}")
         samples = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+        zero, one = Fraction(0), Fraction(1)
         pieces = [
             f"closed triangle in room {r_power(i).text()}"
             for i in range(-radius, radius + 1)
@@ -817,27 +834,29 @@ class Free2HouseSystem(System):
         idents: list[dict[str, str]] = []
         checked = 0
         bad: list[str] = []
+        glued = r_power(-radius)
         for i in range(-radius, radius):
-            mirror = room_reflection(r_power(i))
+            spine, glued = glued, r_power(i + 1)
+            mirror = room_reflection(spine)
             for t in samples:
                 checked += 1
-                start = canonical_point(r_power(i), t, Fraction(1))
+                start = canonical_point(spine, t, one)
                 image = apply_to_point(mirror, start)
-                expect = canonical_point(r_power(i + 1), Fraction(0), t)
+                expect = canonical_point(glued, zero, t)
                 if image != expect:
                     bad.append(f"edge gluing {i} -> {i + 1} moved a sample point")
                     break
             for t in samples:
                 checked += 1
-                on_diag = canonical_point(r_power(i), t, t)
+                on_diag = canonical_point(spine, t, t)
                 if apply_to_point(mirror, on_diag) != on_diag:
-                    bad.append(f"diagonal of room {r_power(i).text()} moved")
+                    bad.append(f"diagonal of room {spine.text()} moved")
                     break
             idents.append(
                 {
                     "from": f"top edge of triangle {i}",
                     "to": f"left edge of triangle {i + 1}",
-                    "via": generator_text(r_power(i)),
+                    "via": generator_text(spine),
                     "orientation": "t -> t",
                 }
             )

@@ -8,6 +8,7 @@ hashing work on the raw letter tuple.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import neg
 from typing import Iterable
 
 R = 1
@@ -37,24 +38,40 @@ def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
 def concat_reduced(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Concatenate two already-reduced letter tuples.
 
-    Only the junction can cancel, so this is O(cancellation) plus a slice.
+    Only the junction can cancel, letter t of it when a[-1 - t] == -b[t].
+    The first 32 letters are compared one at a time.  Past them, a read
+    backwards and b negated are compared as whole slices, bisecting the
+    count on the letters still in doubt, so long words cancel at C speed.
     """
     i = len(a)
-    j = 0
-    nb = len(b)
-    while i > 0 and j < nb and a[i - 1] == -b[j]:
-        i -= 1
+    if not i or not b or a[-1] != -b[0]:
+        return a + b
+    n = len(b)
+    if i < n:
+        n = i
+    short = n if n < 32 else 32
+    j = 1
+    while j < short and a[i - 1 - j] == -b[j]:
         j += 1
-    return a[:i] + b[j:]
+    if j == 32:
+        back, head = a[-1 : -n - 1 : -1], tuple(map(neg, b[:n]))
+        hi = n
+        while j < hi:
+            mid = (j + hi + 1) // 2
+            if back[j:mid] == head[j:mid]:
+                j = mid
+            else:
+                hi = mid - 1
+    return a[: i - j] + b[j:]
 
 
 def swap_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Exchange the two generator families letterwise (an automorphism)."""
-    return tuple(_SWAP[a] for a in letters)
+    return tuple(map(_SWAP.__getitem__, letters))
 
 
 def invert_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-a for a in reversed(letters))
+    return tuple(map(neg, reversed(letters)))
 
 
 class ReducedWord:
@@ -95,7 +112,8 @@ class ReducedWord:
 
     def exponent_sum(self) -> int:
         """Total exponent sum: both generators count +1, inverses -1."""
-        return sum(1 if a > 0 else -1 for a in self.letters)
+        letters = self.letters
+        return len(letters) - 2 * (letters.count(-R) + letters.count(-U))
 
     def exponent_vector(self) -> tuple[int, int]:
         """Per-generator exponent sums (r-total, u-total)."""
@@ -115,12 +133,12 @@ class ReducedWord:
         return not self.letters
 
     def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(_ORDER[a] for a in self.letters))
+        return (len(self.letters), tuple(map(_ORDER.__getitem__, self.letters)))
 
     def text(self) -> str:
         if not self.letters:
             return "e"
-        return "".join(_CHAR[a] for a in self.letters)
+        return "".join(map(_CHAR.__getitem__, self.letters))
 
     def __repr__(self) -> str:
         return f"ReducedWord({self.text()!r})"

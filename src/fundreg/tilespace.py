@@ -233,23 +233,41 @@ class RoomPoint(FrozenRecord):
         set_field(self, "x", x)
         set_field(self, "y", y)
 
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.room, self.x, self.y) == (other.room, other.x, other.y)
+        return NotImplemented
+
+    __hash__ = FrozenRecord.__hash__
+
     def text(self) -> str:
         return f"({self.room.text()}, {self.x}, {self.y})"
 
 
+_ZERO = Fraction(0)
+
+
 def canonical_point(room: ReducedWord, x: Fraction | int, y: Fraction | int) -> RoomPoint:
-    """Build a canonical point, pushing wall points across the gluing."""
-    x = Fraction(x)
-    y = Fraction(y)
-    if not (0 <= x <= 1 and 0 <= y <= 1):
+    """Build a canonical point, pushing wall points across the gluing.
+
+    Coordinates that are not already a ``Fraction`` are made one; the
+    bounds, walls and corners are then read off each fraction's numerator
+    and denominator (the denominator is positive), in integer compares.
+    """
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    if y.__class__ is not Fraction:
+        y = Fraction(y)
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    if not (0 <= xn <= xd and 0 <= yn <= yd):
         raise ValueError(f"coordinates outside the unit box: ({x}, {y})")
-    if (x == 0 or x == 1) and (y == 0 or y == 1):
+    if (xn == 0 or xn == xd) and (yn == 0 or yn == yd):
         raise ValueError(f"excluded corner point ({x}, {y})")
-    while x == 1 or y == 1:
-        if x == 1:
-            room, x = room * _WORD_R, Fraction(0)
-        if y == 1:
-            room, y = room * _WORD_U, Fraction(0)
+    # a corner is excluded, so at most one coordinate is 1
+    if xn == xd:
+        room, x = room * _WORD_R, _ZERO
+    elif yn == yd:
+        room, y = room * _WORD_U, _ZERO
     return RoomPoint(room, x, y)
 
 

@@ -1,7 +1,9 @@
 """Test-only oracles and fixtures: defining formulas straight off the
 pictures, the per-shift scans that closed forms replaced, the
-``Fraction`` loops that integer comparisons replaced, and deliberately
-broken systems for refutation tests."""
+``Fraction`` loops that integer comparisons replaced, the object-level
+forms that tuple and packed-key code replaced, a Stallings fold for
+subgroup membership, and deliberately broken systems for refutation
+tests."""
 
 import argparse
 from fractions import Fraction
@@ -15,6 +17,7 @@ from fundreg.action import (
     _decode,
     _encode,
     _letters,
+    _spread,
     room_reflection,
 )
 from fundreg.checker import (
@@ -56,6 +59,8 @@ from fundreg.tilespace import (
     Cell,
     RoomPoint,
     RoomSet,
+    _WORD_R,
+    _WORD_U,
     apply_to_point,
     materialize_cell,
 )
@@ -177,6 +182,115 @@ def reference_min_depth(g):
             if tail is not None and tail <= 3:
                 return total
     return None
+
+
+def reference_room_reflection(root):
+    """The reflection at ``root`` as a product of words:
+    (root * swap(root^-1), 1)."""
+    return ActionElement(root * root.inverse().swapped(), 1)
+
+
+def reference_turn(ball, key):
+    """The turn that ``GroupBall._parts`` inlines, key by key: swap the
+    letters and the parity, then apply the symmetry that makes the
+    swapped last letter canonical."""
+    n = key.bit_length()
+    return key ^ (_spread(1 ^ ball._choose[key >> n - 3 & 3 ^ 1], n) | 1)
+
+
+def stallings_graph(generators):
+    """The folded Stallings graph of the subgroup of F(r, u) that the
+    letter tuples ``generators`` generate (Stallings, "Topology of finite
+    graphs", Invent. Math. 1983): a bouquet of one loop per generator at
+    vertex 0, folded until no vertex has two edges of one label.  Returns
+    {vertex: {letter: vertex}}, each edge stored both ways (label -a
+    reads an a edge backwards), with vertex 0 the base."""
+    edges, parent, todo = [{}], [0], []
+    for gen in generators:
+        v = 0
+        for i, a in enumerate(gen):
+            w = 0
+            if i < len(gen) - 1:
+                w = len(edges)
+                edges.append({})
+                parent.append(w)
+            todo.append((v, a, w))
+            v = w
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def attach(v, a, w):
+        old = edges[v].get(a)
+        if old is None:
+            edges[v][a] = w
+        elif find(old) != w:
+            # fold: identify the two ends, and re-attach the merged edges
+            x, y = sorted((find(old), w))
+            parent[y] = x
+            todo.extend((x, b, t) for b, t in edges[y].items())
+            edges[y] = {}
+
+    while todo:
+        v, a, w = todo.pop()
+        v, w = find(v), find(w)
+        attach(v, a, w)
+        attach(w, -a, find(v))
+    return {
+        v: {a: find(t) for a, t in out.items()}
+        for v, out in enumerate(edges)
+        if find(v) == v
+    }
+
+
+@lru_cache(maxsize=None)
+def root_subgroup_graph(k):
+    """The folded graph of the spines of H_k's even part, which
+    reflections at the roots of length <= k generate: (s, 1) and (s, 0)
+    lie in H_k together, since (e, 1) does, and the products of two
+    reflections (g_w * g_v^-1, 0) generate the even part, g_e = e."""
+    spines = [reference_room_reflection(w).spine.letters for w in enumerate_ball(k)]
+    return stallings_graph(spines)
+
+
+def fold_member(letters, k):
+    """Whether a spine lies in H_k, read along its folded graph."""
+    graph = root_subgroup_graph(k)
+    v = 0
+    for a in letters:
+        v = graph[v].get(a)
+        if v is None:
+            return False
+    return v == 0
+
+
+def reference_canonical_point(room, x, y):
+    """``canonical_point`` as it first ran: every coordinate made a
+    ``Fraction`` and compared as one, walls pushed in a loop."""
+    x = Fraction(x)
+    y = Fraction(y)
+    if not (0 <= x <= 1 and 0 <= y <= 1):
+        raise ValueError(f"coordinates outside the unit box: ({x}, {y})")
+    if (x == 0 or x == 1) and (y == 0 or y == 1):
+        raise ValueError(f"excluded corner point ({x}, {y})")
+    while x == 1 or y == 1:
+        if x == 1:
+            room, x = room * _WORD_R, Fraction(0)
+        if y == 1:
+            room, y = room * _WORD_U, Fraction(0)
+    return RoomPoint(room, x, y)
+
+
+def reference_meeting_candidates(center):
+    """``Free2HouseSystem.meeting_candidates`` as it first ran: each
+    spine v * back^-ε(v) a product of words, ε read off every v."""
+    cands = set()
+    for parity, step, back in ((0, u_power, r_power), (1, r_power, u_power)):
+        for v in (center, center * step(1), center * step(-1)):
+            cands.add(ActionElement(v * back(-v.exponent_sum()), parity))
+    return sorted(cands, key=ActionElement.sort_key)
 
 
 def room_pair_candidates(s):

@@ -12,7 +12,11 @@ from fundreg.action import (
     _decode,
     _encode,
     _image,
+    _letters,
+    _product,
+    _spread,
     group_ball,
+    in_root_subgroup,
     room_reflection,
     walk_to_spine,
 )
@@ -31,9 +35,13 @@ from oracles import (
     ball_depth,
     ball_keys,
     compose_all,
+    fold_member,
     junction_row,
     naive_reflection_image,
     reference_half_ball,
+    reference_room_reflection,
+    reference_turn,
+    root_subgroup_graph,
 )
 
 letters_st = st.lists(st.sampled_from(LETTERS), max_size=10)
@@ -50,6 +58,11 @@ def test_reflections_are_involutions():
         g = room_reflection(root)
         assert (g * g).is_identity()
         assert g.inverse() == g
+
+
+def test_reflections_match_the_word_product():
+    for root in enumerate_ball(5):
+        assert room_reflection(root) == reference_room_reflection(root)
 
 
 def test_compose_example():
@@ -229,15 +242,110 @@ def test_symmetries_are_automorphisms_of_the_action():
             assert mapped(pattern, g.inverse()) == mapped(pattern, g).inverse()
 
 
+# One root set for each group of letter symmetries: the turn in
+# ``GroupBall._parts`` is ``key ^ 1`` where swap is a symmetry, and the
+# swap itself where it is not.
+SYMMETRY_GROUPS = [
+    (["", "r", "u"], (0, 1)),
+    (["r", "U"], (0, 2)),
+    (["r", "R"], (0, 3)),
+    (["r", "ru"], (0,)),
+]
+
+
+@pytest.mark.parametrize(
+    "roots,depth",
+    [(enumerate_ball(2), 4), (enumerate_ball(3), 3)]
+    + [([word(t) for t in texts], 4) for texts, _ in SYMMETRY_GROUPS],
+    ids=["scan roots", "profile roots", "swap", "phi o swap", "phi", "none"],
+)
+def test_the_inlined_turn_matches_the_reference(roots, depth):
+    ball = group_ball(roots, depth)
+    assert ball._turn == (0 if 1 in ball.symmetries else 1)
+    # every key _parts turns: a canonical key with more letters than any
+    # spine, in every layer a deeper one is built from
+    long = ball._flag << 1
+    turned = [key for k in range(depth) for key in ball._reps[k] if key >= long]
+    assert turned
+    for key in turned:
+        flip = _spread(ball._turn, key.bit_length()) | 1
+        assert key ^ flip == reference_turn(ball, key)
+    if ball.symmetries != (0, 1, 2, 3):
+        # the counted layer turns the same keys, class by class (the
+        # default root sets' counted layers are checked against their held
+        # layers in test_counted_layer_matches_the_held_layer)
+        ref = ReferenceBall(roots, depth)
+        counted = group_ball(roots, depth, count_last=True)
+        assert counted.layer_sizes() == [len(layer) for layer in ref.layers]
+        assert set(counted._layer_keys(depth)) == set(ref.layers[depth])
+
+
 @pytest.mark.parametrize(
     "texts,symmetries",
-    [(["", "r", "u"], (0, 1)), (["r", "ru"], (0,))],
+    [SYMMETRY_GROUPS[0], SYMMETRY_GROUPS[3]],
     ids=["swap only", "none"],
 )
 def test_ball_over_asymmetric_roots_matches_the_reference_build(texts, symmetries):
     roots = [word(t) for t in texts]
     assert group_ball(roots, 0).symmetries == symmetries
     assert_matches_the_reference_build(roots, 4, len(texts))
+
+
+def test_packed_product_matches_the_element_product():
+    rng = random.Random(28)
+    sample = rng.sample(list(group_ball(enumerate_ball(2), 3)), 300)
+    sample += [
+        ActionElement(ReducedWord(rng.choices(LETTERS, k=rng.randint(0, 30))), p)
+        for p in (0, 1)
+        for _ in range(100)
+    ]
+
+    def key(g):
+        return _encode(g.spine.letters, g.parity)
+
+    for _ in range(3000):
+        g, h = rng.choice(sample), rng.choice(sample)
+        if rng.random() < 0.5:
+            # h starts with the inverse of g, up to its whole spine
+            h = g.inverse() * h
+        assert _product(key(g), key(h)) == key(g * h)
+
+
+# ------------------------------------------------ membership in closed form
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_root_subgroup_membership_matches_the_stallings_fold(k):
+    # the fold has the 2k + 1 vertices of the segment -k .. k
+    assert len(root_subgroup_graph(k)) == 2 * k + 1
+    rng = random.Random(k)
+    words = [w.letters for w in enumerate_ball(6)]
+    words += [
+        ReducedWord(rng.choices(LETTERS, k=rng.randint(7, 40))).letters
+        for _ in range(2000)
+    ]
+    # products of reflections rooted within k + 1: members and strangers
+    roots = enumerate_ball(k + 1)
+    for _ in range(1000):
+        factors = [room_reflection(rng.choice(roots)) for _ in range(rng.randint(1, 6))]
+        words.append(compose_all(factors).spine.letters)
+    got = [in_root_subgroup(w, k) for w in words]
+    assert got == [fold_member(w, k) for w in words]
+    assert 0 < sum(got) < len(got)
+
+
+def test_the_fold_holds_the_half_ball_and_every_generator_product():
+    half = group_ball(enumerate_ball(3), 2)
+    for k in range(3):
+        assert all(fold_member(_letters(key), 3) for key in half._layer_keys(k))
+    rng = random.Random(3)
+    roots = enumerate_ball(3)
+    for _ in range(1000):
+        factors = [room_reflection(rng.choice(roots)) for _ in range(rng.randint(1, 6))]
+        assert fold_member(compose_all(factors).spine.letters, 3)
+    # a reflection rooted at length 4 reaches exponent sum 4
+    assert not fold_member(room_reflection(word("rrrr")).spine.letters, 3)
+    assert fold_member(room_reflection(word("rrrr")).spine.letters, 4)
 
 
 # words need not be reduced to be packed; -2 (U) is letter code 0

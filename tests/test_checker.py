@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from fundreg.action import identity, room_reflection
+from fundreg.action import GroupBall, identity, room_reflection
 from fundreg import checker, regions
 from fundreg.checker import (
     BUDGET,
@@ -58,11 +58,13 @@ from oracles import (
     CorruptedLine,
     ball_depth,
     closed_atoms,
+    fold_member,
     in_closed_region,
     normalize_representative,
     orbit_representatives,
     plane2d_closure_membership,
     reference_half_ball,
+    reference_meeting_candidates,
     reference_min_depth,
     representative_class_count,
 )
@@ -141,6 +143,11 @@ def test_six_candidates_match_brute_force(f2, center_text):
     assert in_ball == expected
 
 
+def test_meeting_candidates_match_the_word_formula(f2):
+    for center in enumerate_ball(4) + (word("rurur"),):
+        assert f2.meeting_candidates(center) == reference_meeting_candidates(center)
+
+
 def test_candidates_identity_membership(f2):
     # the identity translate meets the neighbourhood exactly when a
     # closure room sits in the five-room patch: center, center*u, or
@@ -208,6 +215,21 @@ def test_min_depth_matches_the_reference_on_the_half_ball_and_at_rurur(f2):
     depths = [f2.candidate_min_depth(g, 6) for g in rurur]
     assert depths == [reference_min_depth(g) for g in rurur]
     assert depths.count(None) == 5
+
+
+def test_min_depth_rejects_a_non_member_before_any_lookup(monkeypatch):
+    # five of the six candidates at rurur lie outside H_3 (the fold says
+    # so, independently of the prefix test), and none builds or reads a
+    # half ball
+    system = Free2HouseSystem()
+    rurur = system.meeting_candidates(word("rurur"))
+    outside = [g for g in rurur if not fold_member(g.spine.letters, 3)]
+    assert len(outside) == 5
+    lookups = []
+    monkeypatch.setattr(GroupBall, "depth_of", lambda *args: lookups.append(args))
+    assert [system.candidate_min_depth(g, 6) for g in outside] == [None] * 5
+    assert lookups == []
+    assert not any(key[0] == "half ball" for key in system._memo)
 
 
 def test_the_default_candidates_have_depths_0_to_4(f2):

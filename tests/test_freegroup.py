@@ -14,6 +14,7 @@ from fundreg.freegroup import (
     enumerate_ball,
     leading_r_run,
     r_power,
+    reduce_letters,
     run_count,
     spine_exponent,
     u_power,
@@ -119,6 +120,70 @@ def test_concat_matches_naive(a, b):
     got = ReducedWord(a) * ReducedWord(b)
     assert got.letters == naive_reduce(tuple(a) + tuple(b))
     assert len(got) <= len(ReducedWord(a)) + len(ReducedWord(b))
+
+
+long_st = st.lists(st.sampled_from(LETTERS), max_size=100)
+
+
+@given(long_st, long_st, long_st)
+def test_long_junctions_cancel_as_the_stack_reduction(a, shared, b):
+    # a ends in the reduced word `shared` and b starts with its inverse,
+    # so the junction cancels at least len(shared) letters: past the 32
+    # compared one at a time, into the sliced bisection
+    mid = ReducedWord(shared)
+    left = ReducedWord(tuple(a) + mid.letters)
+    right = ReducedWord(mid.inverse().letters + tuple(b))
+    got = left * right
+    assert got.letters == reduce_letters(left.letters + right.letters)
+    assert got == ReducedWord(tuple(a) + tuple(b))
+
+
+def random_reduced(rng, n):
+    """A reduced word of exactly n letters."""
+    out = []
+    for _ in range(n):
+        out.append(rng.choice([a for a in LETTERS if not out or a != -out[-1]]))
+    return tuple(out)
+
+
+def inverse(letters):
+    return tuple(-a for a in reversed(letters))
+
+
+@pytest.mark.parametrize("cancel", [0, 1, 31, 32, 33, 47, 63, 64, 65, 100, 257])
+def test_junctions_of_every_length_cancel_exactly(cancel):
+    # left = p x m and right = m^-1 y p^-1 with x y not cancelling: the
+    # junction cancels exactly len(m) letters, and past the mismatch x y
+    # the letters cancel again, which a window test must not read past
+    rng = random.Random(cancel)
+    for tail in (0, 1, 40):
+        m = random_reduced(rng, cancel)
+        p = random_reduced(rng, tail)
+        for x in LETTERS:
+            for y in LETTERS:
+                left = p + (x,) + m
+                right = inverse(m) + (y,) + inverse(p)
+                if x == -y or reduce_letters(left) != left:
+                    continue
+                if reduce_letters(right) != right:
+                    continue
+                got = (ReducedWord(left) * ReducedWord(right)).letters
+                assert got == p + (x, y) + right[cancel + 1 :], (x, y)
+                assert got == reduce_letters(left + right)
+        # one side cancels whole
+        assert ReducedWord(m) * ReducedWord(inverse(m) + p) == ReducedWord(p)
+        assert ReducedWord(p + m) * ReducedWord(inverse(m)) == ReducedWord(p)
+
+
+@given(long_st)
+def test_letter_maps_match_their_definitions(letters):
+    w = ReducedWord(letters)
+    assert w.swapped().letters == naive_swap(w.letters)
+    assert w.inverse().letters == tuple(-a for a in reversed(w.letters))
+    assert w.text() == ("".join("_ruUR"[a] for a in w.letters) or "e")
+    assert w.exponent_sum() == sum(1 if a > 0 else -1 for a in w.letters)
+    ranks = {1: 0, 2: 1, -1: 2, -2: 3}
+    assert w.sort_key() == (len(w), tuple(ranks[a] for a in w.letters))
 
 
 @given(letters_st, letters_st, letters_st)

@@ -301,14 +301,14 @@ def test_default_profile_builds_no_depth_3_half_ball(monkeypatch):
             depths.append(depth)
         return group_ball(roots, depth)
 
-    representatives = GroupBall.representatives
+    splits = GroupBall.splits
 
-    def recorded_split(self, k):
+    def recorded_split(self, g, k):
         calls[self.depth, k] += 1
-        return representatives(self, k)
+        return splits(self, g, k)
 
     monkeypatch.setattr(checker, "group_ball", recorded_ball)
-    monkeypatch.setattr(GroupBall, "representatives", recorded_split)
+    monkeypatch.setattr(GroupBall, "splits", recorded_split)
     system = Free2HouseSystem()
     report, _ = checker.local_finiteness_profile(system, RunConfig())
     assert report.verdict == VERIFIED

@@ -27,6 +27,7 @@ import pytest
 from fundreg import checker
 from fundreg.action import (
     ActionElement,
+    GroupBall,
     _decode,
     group_ball,
     room_reflection,
@@ -57,6 +58,7 @@ from fundreg.tilespace import (
 from golden_cli import DATA, run
 from oracles import (
     ball_depth,
+    fold_member,
     orbit_representatives,
     reference_ball,
     room_pair_candidates,
@@ -282,6 +284,29 @@ def test_every_witness_is_listed_by_layer_then_sort_key(monkeypatch):
         got = check(system, cfg).to_dict()
         assert len(got["witnesses"]) == 49
         assert got == oracle(system, cfg, limit=None).to_dict()
+
+
+@pytest.mark.parametrize("system", [_TRUE, ClosureAsRegion(), Blob()], ids=type)
+def test_scans_look_up_only_members_of_h2(monkeypatch, system):
+    # the scan ball holds only elements of H_2, so an index key outside it
+    # (the fold decides, independently of the prefix test) is rejected
+    # before any layer lookup; the reports are the oracles' either way
+    looked = []
+    depth_of = GroupBall.depth_of
+
+    def recorded(self, letters, parity, past=False):
+        looked.append(letters)
+        return depth_of(self, letters, parity, past)
+
+    monkeypatch.setattr(GroupBall, "depth_of", recorded)
+    cfg = RunConfig(depth=3, radius=2 if isinstance(system, Blob) else 5)
+    assert check_disjointness(system, cfg) == oracle_disjointness(system, cfg)
+    assert boundary_containment(system, cfg) == oracle_boundary(system, cfg)
+    assert looked and all(fold_member(letters, 2) for letters in looked)
+    # the true closure's index holds the reflections at r^i, |i| <= 5,
+    # outside H_2 from |i| = 3
+    keys = [spine for spine, _ in _TRUE.meet_index(_TRUE.closure(5))]
+    assert sum(not fold_member(spine, 2) for spine in keys) == 6
 
 
 @pytest.mark.parametrize("radius", range(9))

@@ -1,5 +1,6 @@
 """Geometry of the glued room space: points, atoms, cells, neighbourhoods."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from fundreg.tilespace import (
     LOWER,
     UPPER,
     Cell,
+    RoomPoint,
     RoomSet,
     TruncationError,
     apply_to_point,
@@ -25,7 +27,12 @@ from fundreg.tilespace import (
     neighborhood_roomset,
     swap_atoms,
 )
-from oracles import covering_point, point_atom, reflect_across_diagonal
+from oracles import (
+    covering_point,
+    point_atom,
+    reference_canonical_point,
+    reflect_across_diagonal,
+)
 
 half = Fraction(1, 2)
 third = Fraction(1, 3)
@@ -55,6 +62,44 @@ def test_canonicalize_is_idempotent_on_canonical_points():
     p = canonical_point(word("u"), 0, half)
     q = canonical_point(p.room, p.x, p.y)
     assert p == q
+
+
+# inside, on the walls and corners, and outside the box, as int, Fraction
+# and float
+GRID = [
+    *(-1, 0, 1, 2),
+    *(Fraction(n, 4) for n in range(-2, 7)),
+    *(-0.5, 0.0, 0.25, 0.5, 1.0, 1.5),
+]
+
+
+def test_canonical_point_matches_the_fraction_reference():
+    outcomes = set()
+    for room in (IDENTITY_WORD, word("rU"), word("Ur")):
+        for x in GRID:
+            for y in GRID:
+                try:
+                    want = reference_canonical_point(room, x, y)
+                except ValueError as exc:
+                    outcomes.add(str(exc).split(" ")[0])
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        canonical_point(room, x, y)
+                    continue
+                got = canonical_point(room, x, y)
+                assert got == want and hash(got) == hash(want)
+                assert type(got.x) is type(got.y) is Fraction
+                assert got.text() == want.text()
+                outcomes.add("ok")
+    assert outcomes == {"ok", "coordinates", "excluded"}
+
+
+def test_room_points_compare_by_room_and_coordinates():
+    p = RoomPoint(word("r"), Fraction(1, 4), Fraction(1, 2))
+    assert p == RoomPoint(word("r"), Fraction(2, 8), Fraction(1, 2))
+    assert p != RoomPoint(word("r"), Fraction(1, 2), Fraction(1, 4))
+    assert p != RoomPoint(word("u"), Fraction(1, 4), Fraction(1, 2))
+    assert p != (word("r"), Fraction(1, 4), Fraction(1, 2))
+    assert len({p, RoomPoint(word("r"), Fraction(1, 4), Fraction(1, 2))}) == 1
 
 
 def test_atom_classification():
