@@ -157,10 +157,6 @@ def _product(x: int, y: int) -> int:
 
 _EMPTY_SPINE = frozenset({_encode((), 0), _encode((), 1)})
 
-# A counted layer is enumerated in classes of its keys' low bits: the
-# parity and the first two letters (12 classes at depth 5).
-_CLASS_BITS = 5
-
 
 def _spread(pattern: int, n: int) -> int:
     """The XOR that applies ``pattern`` to every letter of a key of bit
@@ -183,19 +179,11 @@ class GroupBall:
     stored as one canonical key per orbit: the member whose last letter
     has the least code.  A nonempty spine's orbit has exactly
     ``len(symmetries)`` keys; an empty spine's has one.
-
-    With ``count_last`` the deepest layer (depth >= 1) is counted and never
-    held: its keys are enumerated one low-bit class at a time
-    (``_parts``), and membership in it is decided from the layers below
-    (``_depth``).  Reading its keys builds it anew on every call.
     """
 
-    def __init__(
-        self, roots: Sequence[ReducedWord], depth: int, count_last: bool = False
-    ):
+    def __init__(self, roots: Sequence[ReducedWord], depth: int):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        self.roots = tuple(roots)
         self.depth = depth
         # the distinct generator spines, in root order, with their parity-0
         # keys; all generators have parity 1
@@ -207,8 +195,9 @@ class GroupBall:
         )
         # choose[c]: the symmetry that takes last-letter code c lowest
         self._choose = [min(self.symmetries, key=c.__xor__) for c in range(4)]
-        # the letter pattern of the turn in ``_parts``, the same for every
-        # canonical key: 0 when swap is a symmetry (the default root sets)
+        # the letter pattern of the turn in ``_next_layer``, the same for
+        # every canonical key: 0 when swap is a symmetry (the default root
+        # sets)
         self._turn = 1 ^ self._choose[1]
         # the cancellation in gen * elem depends only on the parity and the
         # first `width` letters of the swapped key, so the products come
@@ -216,7 +205,7 @@ class GroupBall:
         # is seen.  A key with fewer letters is its own lead; a longer one
         # is cut to `width` letters under a flag bit at the sentinel's
         # place, so a short lead and a cut one never alias.
-        width = self._width = max((len(s) for s, _ in self._spines), default=0)
+        width = max((len(s) for s, _ in self._spines), default=0)
         self._flag = 1 << 1 + 2 * width
         self._table: dict[int, list[tuple[int, int, int]]] = {}
         # A row holds each product as (head, drop, keep): its key is
@@ -234,87 +223,51 @@ class GroupBall:
         # and gen * elem for elem in layer k - 1 lies in layer k - 2 or
         # layer k.
         self._reps: list[set[int]] = [{_encode((), 0)}]
-        held = depth if count_last and depth else depth + 1
-        for k in range(1, held):
-            self._reps.append(next(self._parts(k, 0), set()))
+        for k in range(1, depth + 1):
+            self._reps.append(self._next_layer(k))
         order = len(self.symmetries)
+        self._sizes = [
+            order * len(layer) - (order - 1) * len(layer & _EMPTY_SPINE)
+            for layer in self._reps
+        ]
 
-        def size(layer: set[int]) -> int:
-            return order * len(layer) - (order - 1) * len(layer & _EMPTY_SPINE)
-
-        self._sizes = [size(layer) for layer in self._reps]
-        if held == depth:
-            self._sizes.append(sum(map(size, self._parts(depth, _CLASS_BITS))))
-
-    def _parts(self, k: int, bits: int) -> Iterator[set[int]]:
-        """Layer k's canonical keys, one set per value of their low
-        ``bits`` bits, built one set at a time from held layers k - 1 and
-        k - 2 (``bits`` 0 gives the whole layer as one set).
+    def _next_layer(self, k: int) -> set[int]:
+        """Layer k's canonical keys, from held layers k - 1 and k - 2.
 
         Every element of layer k is tau(gen * s) for a representative s of
         layer k - 1, so its orbit meets the products of s: layer k is the
-        canonical products less layer k - 2, class by class.  gen * elem =
-        (gen spine * swap(elem spine), 1 ^ parity), and the products of
-        the orbit of elem are the orbits of the products of any one
-        member.  A key with more letters than any spine keeps its last
-        letter in every product, so turning its swapped key by the
-        symmetry that makes that letter canonical makes every product
-        canonical.  A canonical last code c is least in its orbit: with
-        swap a symmetry, c ^ 1 is in that orbit and the turn undoes the
-        swap; without it ({0}, {0, 2}, {0, 3}) c ^ 1 is least in its own,
-        and the turn is the swap.  So every key turns by one XOR, ``key ^
-        1`` for the default root sets.  Such keys are bucketed by lead.
-        Within a bucket the bits a junction drops are the lead's own, so
-        each (lead, generator) entry is one shift plus a constant, and it
-        fixes the product's low ``keep + lead bits - drop`` bits: an entry
-        fixing at least ``bits`` of them is filed whole under its first
-        product's class, and the few that fix fewer (a spine that cancels
-        whole) are filed product by product, as are the products of the
-        short keys.
+        canonical products less layer k - 2.  gen * elem = (gen spine *
+        swap(elem spine), 1 ^ parity), and the products of the orbit of
+        elem are the orbits of the products of any one member.  A key with
+        more letters than any spine keeps its last letter in every
+        product, so turning its swapped key by the symmetry that makes
+        that letter canonical makes every product canonical.  A canonical
+        last code c is least in its orbit: with swap a symmetry, c ^ 1 is
+        in that orbit and the turn undoes the swap; without it ({0},
+        {0, 2}, {0, 3}) c ^ 1 is least in its own, and the turn is the
+        swap.  So every such key turns by one XOR, ``key ^ 1`` for the
+        default root sets, and is bucketed by lead: within a bucket every
+        product is one table row's shift.  The short keys take their
+        products one by one.
         """
-        below = self._reps[k - 1]
-        below2 = self._reps[k - 2] if k >= 2 else set()
-        mask = (1 << bits) - 1
-        flag = self._flag
-        lead_bits = 1 + 2 * self._width
-        # per class: the (bucket, shift, constant) entries shifting left,
-        # and those shifting right
-        jobs: dict[int, tuple[list, list]] = {}
-        loose: dict[int, list[int]] = {}
+        layer: set[int] = set()
         buckets: dict[int, list[int]] = {}
+        flag = self._flag
         long = flag << 1
         low = flag - 1
         turn = self._turn
-        for key in below:
+        for key in self._reps[k - 1]:
             if key >= long:
                 swapped = key ^ (_spread(turn, key.bit_length()) | 1 if turn else 1)
                 buckets.setdefault(swapped & low | flag, []).append(swapped)
             else:
-                for p in map(self._canonical, self._neighbours(key)):
-                    loose.setdefault(p & mask, []).append(p)
+                layer.update(map(self._canonical, self._neighbours(key)))
         for lead, bucket in buckets.items():
             for head, drop, keep in self._row(lead):
-                if keep + lead_bits - drop < bits:
-                    for s in bucket:
-                        p = s >> drop << keep | head
-                        loose.setdefault(p & mask, []).append(p)
-                    continue
-                # the dropped bits of every s in the bucket are the lead's
-                low = lead & (1 << drop) - 1
-                lefts, rights = jobs.setdefault(
-                    (bucket[0] >> drop << keep | head) & mask, ([], [])
-                )
-                if keep >= drop:
-                    lefts.append((bucket, keep - drop, head - (low << keep - drop)))
-                else:
-                    rights.append((bucket, drop - keep, head - (low >> drop - keep)))
-        for cls in jobs.keys() | loose.keys():
-            part = set(loose.get(cls, ()))
-            lefts, rights = jobs.get(cls, ((), ()))
-            part.update([(s << sh) + c for bucket, sh, c in lefts for s in bucket])
-            part.update([(s >> sh) + c for bucket, sh, c in rights for s in bucket])
-            part -= below2
-            yield part
+                layer.update([s >> drop << keep | head for s in bucket])
+        if k >= 2:
+            layer -= self._reps[k - 2]
+        return layer
 
     def _row(self, swapped: int) -> list[tuple[int, int, int]]:
         flag = self._flag
@@ -347,9 +300,8 @@ class GroupBall:
         return sum(self._sizes)
 
     def _depth(self, key: int, past: bool = False) -> Optional[int]:
-        """The layer holding ``key``, or None; with ``past``, a fully held
-        ball also decides the layer one past its depth.  A key of the
-        first layer d not held (the counted layer, or that one) has d's
+        """The layer holding ``key``, or None; with ``past``, also the
+        layer d = depth + 1 past the ball.  A key of layer d has d's
         parity, is not in layer d - 2, and has a generator product in
         layer d - 1: every generator is a parity-1 involution, and a
         product of a layer d - 1 element lies in layer d - 2 or d.  The
@@ -361,7 +313,7 @@ class GroupBall:
             if rep in reps[k]:
                 return k
         d = len(reps)
-        if d <= self.depth + past and (d ^ key) & 1 == 0:
+        if past and (d ^ key) & 1 == 0:
             products = map(self._canonical, self._neighbours(rep))
             if not reps[-1].isdisjoint(products):
                 return d
@@ -380,16 +332,8 @@ class GroupBall:
     def layer_sizes(self) -> list[int]:
         return list(self._sizes)
 
-    def _layer(self, k: int) -> set[int]:
-        """Layer k's canonical keys; the counted layer is built anew."""
-        if k < len(self._reps):
-            return self._reps[k]
-        if k > self.depth:
-            raise IndexError(f"layer {k} is past depth {self.depth}")
-        return next(self._parts(k, 0), set())
-
     def _layer_keys(self, k: int) -> Iterator[int]:
-        for rep in self._layer(k):
+        for rep in self._reps[k]:
             n = rep.bit_length()
             for p in self.symmetries if n > 2 else (0,):
                 yield rep ^ _spread(p, n)
@@ -408,7 +352,7 @@ class GroupBall:
         images = [key ^ _spread(p, n) for p in self.symmetries if n > 2 or not p]
         depth = self._depth
         return any(
-            depth(_product(h, a)) is not None for a in self._layer(k) for h in images
+            depth(_product(h, a)) is not None for a in self._reps[k] for h in images
         )
 
     def __iter__(self) -> Iterator[ActionElement]:
@@ -421,10 +365,180 @@ class GroupBall:
                 yield g
 
 
-def group_ball(
-    roots: Sequence[ReducedWord], depth: int, count_last: bool = False
-) -> GroupBall:
-    return GroupBall(roots, depth, count_last)
+def group_ball(roots: Sequence[ReducedWord], depth: int) -> GroupBall:
+    return GroupBall(roots, depth)
+
+
+# ------------------------------------------------------------ layer tries
+
+# A trie node is (terminal, child of code 0, 1, 2, 3), a set of words
+# whose letters are read as their 2-bit codes; hash-consing gives equal
+# subtries one id.  Id 0 is the empty set, and id 1 the empty word alone.
+_NO_WORD = (False, 0, 0, 0, 0)
+_EMPTY_WORD = (True, 0, 0, 0, 0)
+
+
+class _Tries:
+    """The hash-consed nodes of a family of tries, their word counts, and
+    the memos of union and difference on node pairs."""
+
+    def __init__(self) -> None:
+        self.nodes = [_NO_WORD, _EMPTY_WORD]
+        self.ids = {_NO_WORD: 0, _EMPTY_WORD: 1}
+        self.sizes = [0, 1]
+        self._unions: dict[tuple[int, int], int] = {}
+        self._differences: dict[tuple[int, int], int] = {}
+
+    def node(self, entry: tuple) -> int:
+        found = self.ids.get(entry)
+        if found is None:
+            found = self.ids[entry] = len(self.nodes)
+            self.nodes.append(entry)
+            sizes = self.sizes
+            sizes.append(entry[0] + sum(sizes[c] for c in entry[1:]))
+        return found
+
+    def times(self, g: tuple[int, ...], node: int) -> int:
+        """The words g * t, reduced, for the words t of ``node``; g is a
+        tuple of n letter codes.  A t that cancels exactly the last c
+        letters of g lies below the node reached along g^-1[:c] and does
+        not go on with g^-1[c], and its product is g[:n - c] followed by
+        the rest of t.  So the product's node after g[:m] is the node
+        reached along g^-1[:n - m], less its child g^-1[n - m], plus the
+        child g[m] built for m + 1: only the n + 1 nodes along g^-1 are
+        rewritten, from the deepest up."""
+        nodes = self.nodes
+        n = len(g)
+        path = [node]
+        for c in reversed(g):
+            node = nodes[node][1 + (c ^ 3)]
+            path.append(node)
+        made = 0
+        for m in range(n, -1, -1):
+            entry = list(nodes[path[n - m]])
+            if m:
+                entry[1 + (g[m - 1] ^ 3)] = 0
+            if m < n:
+                entry[1 + g[m]] = made
+            made = self.node(tuple(entry))
+        return made
+
+    def union(self, a: int, b: int) -> int:
+        if a == b or not b:
+            return a
+        if not a:
+            return b
+        pair = (a, b) if a < b else (b, a)
+        found = self._unions.get(pair)
+        if found is None:
+            x, y = self.nodes[a], self.nodes[b]
+            entry = (x[0] or y[0], *map(self.union, x[1:], y[1:]))
+            found = self._unions[pair] = self.node(entry)
+        return found
+
+    def difference(self, a: int, b: int) -> int:
+        if not a or not b:
+            return a
+        if a == b:
+            return 0
+        found = self._differences.get((a, b))
+        if found is None:
+            x, y = self.nodes[a], self.nodes[b]
+            entry = (x[0] and not y[0], *map(self.difference, x[1:], y[1:]))
+            found = self._differences[a, b] = self.node(entry)
+        return found
+
+
+class TrieBall:
+    """The layers of ``GroupBall``, each held as a trie of spines, so no
+    layer is enumerated to be built or counted.
+
+    Every generator has parity 1, so layer k holds parity k mod 2, and
+    the trie of layer k holds tau_k = swap^k of its spines.  gen * elem =
+    (gen spine * swap(elem spine), 1 ^ parity) turns into plain left
+    multiplication there: tau_k is the union over generators g of
+    swap^k(g) * tau_(k-1), less tau_(k-2) (a product of a layer k - 1
+    element lies in layer k - 2 or k).  The sets of ``_Tries`` do the
+    rest: a product rewrites the few nodes along g^-1, and a union or
+    difference stops at the first shared node.
+
+    The group the scan roots generate is a free product of five copies
+    of Z/2, so its words have finitely many cone types, and each layer
+    is a slice of one regular language: its trie stays small (180 nodes
+    for layer 5, 40 more each layer).  ``to_depth`` shares the nodes and
+    the layers it already has.
+    """
+
+    def __init__(self, roots: Sequence[ReducedWord], depth: int):
+        letters = dict.fromkeys(room_reflection(r).spine.letters for r in roots)
+        gens = [tuple(_ENC[a] for a in spine) for spine in letters]
+        # swap^k(g) for even and odd k: swap flips the low bit of a code
+        self._gens = (gens, [tuple(c ^ 1 for c in g) for g in gens])
+        self._tries = _Tries()
+        self._roots = [1]
+        self._grow(depth)
+
+    def _grow(self, depth: int) -> None:
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        tries, roots = self._tries, self._roots
+        while len(roots) <= depth:
+            k = len(roots)
+            layer = 0
+            for g in self._gens[k & 1]:
+                layer = tries.union(layer, tries.times(g, roots[k - 1]))
+            roots.append(tries.difference(layer, roots[k - 2]) if k >= 2 else layer)
+        del roots[depth + 1 :]
+        self.depth = depth
+
+    def to_depth(self, depth: int) -> "TrieBall":
+        """The ball of the same roots at ``depth``, sharing this one's
+        nodes and the layers both hold."""
+        ball = object.__new__(TrieBall)
+        ball._gens, ball._tries, ball._roots = self._gens, self._tries, self._roots[:]
+        ball._grow(depth)
+        return ball
+
+    def __len__(self) -> int:
+        return sum(self.layer_sizes())
+
+    def layer_sizes(self) -> list[int]:
+        sizes = self._tries.sizes
+        return [sizes[root] for root in self._roots]
+
+    def depth_of(self, letters: tuple[int, ...], parity: int) -> Optional[int]:
+        """The layer holding the element (``letters``, ``parity``), or None:
+        swap^k(letters) walked in each layer k of that parity."""
+        codes = [_ENC[a] ^ parity for a in letters]
+        nodes = self._tries.nodes
+        for k in range(parity, self.depth + 1, 2):
+            node = self._roots[k]
+            for c in codes:
+                node = nodes[node][1 + c]  # node 0, the empty set, stays
+            if nodes[node][0]:
+                return k
+        return None
+
+    def __contains__(self, g: ActionElement) -> bool:
+        return self.depth_of(g.spine.letters, g.parity) is not None
+
+    def _layer_keys(self, k: int) -> Iterator[int]:
+        """Layer k's packed keys, read off its trie depth first."""
+        nodes = self._tries.nodes
+        flip = k & 1
+        todo = [(self._roots[k], flip, 1)]
+        while todo:
+            node, key, shift = todo.pop()
+            entry = nodes[node]
+            if entry[0]:
+                yield key | 1 << shift
+            for c in range(4):
+                if entry[1 + c]:
+                    todo.append((entry[1 + c], key | (c ^ flip) << shift, shift + 2))
+
+    def __iter__(self) -> Iterator[ActionElement]:
+        for k in range(self.depth + 1):
+            yield from map(_decode, self._layer_keys(k))
 
 
 # ------------------------------------------------------------- spine walk

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .action import (
     ActionElement,
     GroupBall,
+    TrieBall,
     generator_text,
     group_ball,
     identity,
@@ -438,42 +439,46 @@ class Free2HouseSystem(System):
 
     # -- enumeration -------------------------------------------------
 
-    def scan_ball(self, depth: int) -> GroupBall:
+    def scan_ball(self, depth: int) -> TrieBall:
         """The scan ball, refused over budget by ``scan_ball_estimate``.
 
-        Its deepest layer is counted, not held (``GroupBall`` with
-        ``count_last``): the scans ask the ball for its size and for a few
-        keys, which the layers below decide.  The half balls hold every
-        layer: ``_min_depth`` decides layer 3 from the depth-2 ball's
-        layer 2, one lookup a candidate, and a midpoint split past depth 3
-        asks its ball for one product per left factor and image."""
+        A ``TrieBall``, grown from the depth-2 ball the estimate reads:
+        the scans ask it for its size, which its tries count without
+        enumerating a layer, and for the layer of a few keys.  The half
+        balls hold every layer as packed keys (``GroupBall``):
+        ``_min_depth`` decides layer 3 from the depth-2 ball's layer 2,
+        one lookup a candidate, and a midpoint split past depth 3 asks its
+        ball for one product per left factor and image."""
 
-        def build() -> GroupBall:
+        def build() -> TrieBall:
             need = self.scan_ball_estimate(depth)
             refuse_over_budget(need, f"the scan ball at depth {depth}")
-            roots = enumerate_ball(self.scan_root_len)
-            return group_ball(roots, depth, count_last=True)
+            return self._scan_start().to_depth(depth)
 
         return self._once(("scan ball", depth), build)
 
+    def _scan_start(self) -> TrieBall:
+        return self._once(
+            ("scan start",), lambda: TrieBall(enumerate_ball(self.scan_root_len), 2)
+        )
+
     def scan_ball_estimate(self, depth: int) -> int:
         """Upper estimate of the bytes building ``scan_ball(depth)`` holds
-        at its peak: 24 an element of the held layers (an orbit key and
-        its set slot, about 66 bytes, stand for four elements), 40 an
-        element of the counted layer's largest low-bit class (its key, list
-        and set slots, and the layer below turned for its products), which
-        is under an eighth of the layer, and 256 KiB for the product table.
-        Traced peaks at depths 4, 5 and 6: 0.38, 3.11 and 41.05 MiB.
+        at its peak, as derived for the packed-key build that held every
+        layer but the deepest and counted that one in low-bit classes: 24
+        an element of the held layers, 5 an element of the deepest, and
+        256 KiB for a product table.  The tries hold a few hundred nodes a
+        layer, so the bound is now loose (traced peaks at depths 4, 5 and
+        6: 0.11, 0.18 and 0.23 MiB).  It is kept, and with it the refusal
+        of depth 7, until the budget counts what a run holds (ROADMAP item
+        5).
 
-        The layer sizes are those of the depth-2 ball, read once per
+        The layer sizes are those of the depth-2 scan ball, read once per
         system; deeper layers grow by its layer-2/layer-1 ratio 232/17 =
         13.65, over the true 13.41 from layer 3 on."""
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        sizes = self._once(
-            ("scan layers",),
-            lambda: GroupBall(enumerate_ball(self.scan_root_len), 2).layer_sizes(),
-        )
+        sizes = self._scan_start().layer_sizes()
         layers = sizes[: depth + 1]
         while len(layers) <= depth:
             layers.append(-(-layers[-1] * sizes[2] // sizes[1]))  # rounded up
@@ -656,7 +661,7 @@ class Free2HouseSystem(System):
 
     def _ball_overlaps(
         self, s: RoomSet, depth: int
-    ) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
+    ) -> tuple[TrieBall, list[tuple[ActionElement, RoomSet]]]:
         """The scan ball, and each nonidentity ball member g among the keys
         of ``meet_index(s)`` with g.s ∩ s, in witness order: by the layer
         that holds g (``depth_of``: the fewest reflections that produce
@@ -678,9 +683,8 @@ class Free2HouseSystem(System):
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
         """Overlaps are read off the region's ``meet_index``, so no set is
         translated.  ``counts[0]`` is still the number of nonidentity ball
-        elements the scan covers, though the deepest layer is only
-        counted: an index key is tested for it from the layer below
-        (``GroupBall``)."""
+        elements the scan covers, though no layer is enumerated: the
+        ball's tries count them (``TrieBall``)."""
         ball, meets = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
         bad = [
             f"{g.text()} overlaps: {'; '.join(meet.describe())}" for g, meet in meets

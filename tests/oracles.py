@@ -14,6 +14,7 @@ from fundreg import checker, regions
 from fundreg.action import (
     IDENTITY,
     ActionElement,
+    TrieBall,
     _decode,
     _encode,
     _letters,
@@ -190,8 +191,36 @@ def reference_room_reflection(root):
     return ActionElement(root * root.inverse().swapped(), 1)
 
 
+def recording_tries(monkeypatch):
+    """What the scan balls build, in order: ``("start", roots, depth)`` for
+    each ``TrieBall`` that ``checker`` builds from roots, ``("to_depth",
+    depth)`` for each one grown or cut from another, and ``("enumerated",
+    k)`` for each layer read element by element."""
+    built = []
+    trie_ball, to_depth, layer_keys = (
+        checker.TrieBall, TrieBall.to_depth, TrieBall._layer_keys
+    )
+
+    def recorded_ball(roots, depth):
+        built.append(("start", tuple(roots), depth))
+        return trie_ball(roots, depth)
+
+    def recorded_to_depth(self, depth):
+        built.append(("to_depth", depth))
+        return to_depth(self, depth)
+
+    def recorded_keys(self, k):
+        built.append(("enumerated", k))
+        return layer_keys(self, k)
+
+    monkeypatch.setattr(checker, "TrieBall", recorded_ball)
+    monkeypatch.setattr(TrieBall, "to_depth", recorded_to_depth)
+    monkeypatch.setattr(TrieBall, "_layer_keys", recorded_keys)
+    return built
+
+
 def reference_turn(ball, key):
-    """The turn that ``GroupBall._parts`` inlines, key by key: swap the
+    """The turn that ``GroupBall._next_layer`` inlines, key by key: swap the
     letters and the parity, then apply the symmetry that makes the
     swapped last letter canonical."""
     n = key.bit_length()

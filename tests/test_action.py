@@ -1,6 +1,7 @@
 """Action normal-form tests against the defining reflection formula."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fundreg.action import (
     IDENTITY,
     ActionElement,
+    TrieBall,
     _decode,
     _encode,
     _image,
@@ -38,6 +40,7 @@ from oracles import (
     fold_member,
     junction_row,
     naive_reflection_image,
+    reference_ball,
     reference_half_ball,
     reference_room_reflection,
     reference_turn,
@@ -175,11 +178,14 @@ def test_scan_ball_matches_the_reference_build():
     assert len(ball) == 45_098
 
 
-def test_depth_5_scan_ball_layer_sizes():
-    # measured on the dict-per-layer build that orbit storage replaced
-    ball = group_ball(enumerate_ball(2), 5)
-    assert ball.layer_sizes() == [1, 17, 232, 3112, 41736, 559752]
-    assert len(ball) == 604_850
+def test_depth_6_scan_ball_layer_sizes():
+    # layers 0-5 measured on the dict-per-layer build that orbit storage
+    # replaced, layer 6 on the packed-key build that the tries replaced
+    ball = TrieBall(enumerate_ball(2), 6)
+    assert ball.layer_sizes() == [1, 17, 232, 3112, 41736, 559752, 7507240]
+    assert len(ball) == 8_112_090
+    assert len(ball.to_depth(5)) == 604_850
+    assert ball.to_depth(2).layer_sizes() == [1, 17, 232]
 
 
 @pytest.mark.parametrize("roots", [[], [IDENTITY_WORD]], ids=["none", "e"])
@@ -253,31 +259,48 @@ SYMMETRY_GROUPS = [
 ]
 
 
-@pytest.mark.parametrize(
+# The scan roots, the profile roots and one root set per symmetry group.
+ROOT_SETS = pytest.mark.parametrize(
     "roots,depth",
     [(enumerate_ball(2), 4), (enumerate_ball(3), 3)]
     + [([word(t) for t in texts], 4) for texts, _ in SYMMETRY_GROUPS],
     ids=["scan roots", "profile roots", "swap", "phi o swap", "phi", "none"],
 )
+
+
+@ROOT_SETS
 def test_the_inlined_turn_matches_the_reference(roots, depth):
     ball = group_ball(roots, depth)
     assert ball._turn == (0 if 1 in ball.symmetries else 1)
-    # every key _parts turns: a canonical key with more letters than any
-    # spine, in every layer a deeper one is built from
+    # every key _next_layer turns: a canonical key with more letters than
+    # any spine, in every layer a deeper one is built from
     long = ball._flag << 1
     turned = [key for k in range(depth) for key in ball._reps[k] if key >= long]
     assert turned
     for key in turned:
         flip = _spread(ball._turn, key.bit_length()) | 1
         assert key ^ flip == reference_turn(ball, key)
-    if ball.symmetries != (0, 1, 2, 3):
-        # the counted layer turns the same keys, class by class (the
-        # default root sets' counted layers are checked against their held
-        # layers in test_counted_layer_matches_the_held_layer)
-        ref = ReferenceBall(roots, depth)
-        counted = group_ball(roots, depth, count_last=True)
-        assert counted.layer_sizes() == [len(layer) for layer in ref.layers]
-        assert set(counted._layer_keys(depth)) == set(ref.layers[depth])
+
+
+def trie_keys(ball, k):
+    """Layer k of a ``TrieBall`` as a set of packed keys, each read once."""
+    keys = list(ball._layer_keys(k))
+    assert len(keys) == len(set(keys))
+    return set(keys)
+
+
+@ROOT_SETS
+def test_trie_ball_matches_the_reference_build(roots, depth):
+    # the breadth-first build, layer by layer, over root sets with every
+    # group of letter symmetries: the tries use none of them.  The builds
+    # over the scan and profile roots are the suite's cached ones.
+    cached = [n for n in (2, 3) if roots == enumerate_ball(n)]
+    ref = reference_ball(cached[0], depth) if cached else ReferenceBall(roots, depth)
+    ball = TrieBall(roots, depth)
+    assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
+    assert len(ball) == len(ref.depth_of)
+    for k, keys in enumerate(ball_keys(ref)):
+        assert trie_keys(ball, k) == keys
 
 
 @pytest.mark.parametrize(
@@ -400,13 +423,20 @@ def test_spine_longer_than_every_member_is_not_in_the_ball():
         assert ActionElement(extended * word("r" * 9), parity) not in ball
 
 
-# ------------------------------------------------------ the counted layer
+# ---------------------------------------------------------- the layer tries
 
 # (root length, depth): the scan roots, the profile roots and the
 # eight-letter spines, each up to the deepest ball the suite builds
-COUNTED = (
+HELD = (
     [(2, d) for d in range(6)] + [(3, d) for d in range(4)] + [(4, d) for d in range(3)]
 )
+
+
+@lru_cache(maxsize=None)
+def held_ball(root_len, depth):
+    """The ``GroupBall`` over the roots of length <= ``root_len``, built once
+    per test process."""
+    return group_ball(enumerate_ball(root_len), depth)
 
 
 def longer_than_every_member(keys):
@@ -418,53 +448,71 @@ def longer_than_every_member(keys):
     return [_encode(letters + tail, parity) for parity in (0, 1)]
 
 
-@pytest.mark.parametrize("root_len,depth", COUNTED)
-def test_counted_layer_matches_the_held_layer(root_len, depth):
-    roots = enumerate_ball(root_len)
-    held = group_ball(roots, depth)
-    counted = group_ball(roots, depth, count_last=True)
-    assert counted.layer_sizes() == held.layer_sizes()
-    assert len(counted) == len(held)
-    # the deepest layer is never held, and layer 1 is counted from layer 0
-    assert len(counted._reps) == max(depth, 1)
-    top = held._reps[depth]
-    # members: every key of the layer, or one per orbit in a layer of more
-    # than 20,000 elements: the other keys of an orbit only add the
-    # canonicalisation, which the smaller layers cover
-    size = held.layer_sizes()[depth]
-    members = top if size > 20_000 else set(held._layer_keys(depth))
-    assert all(counted._depth(key) == depth for key in members)
-    # non-members in both parities: layers d - 2 and d - 1, products of
-    # layer d that lie in layer d + 1, and a spine longer than any member's
-    below = [
-        key for k in (depth - 2, depth - 1) if k >= 0 for key in held._layer_keys(k)
-    ]
+def random_words(rng, n, longest):
+    """``n`` random reduced words of up to ``longest`` letters, as keys of
+    both parities."""
+    lengths = [rng.randint(0, longest) for _ in range(n)]
+    words = [ReducedWord(rng.choices(LETTERS, k=m)) for m in lengths]
+    return [_encode(w.letters, parity) for w in words for parity in (0, 1)]
+
+
+@pytest.mark.parametrize("root_len,depth", HELD)
+def test_trie_ball_matches_the_held_ball(root_len, depth):
+    held = held_ball(root_len, depth)
+    ball = TrieBall(enumerate_ball(root_len), depth)
+    assert ball.layer_sizes() == held.layer_sizes()
+    assert len(ball) == len(held)
+    for k in range(depth + 1):
+        assert trie_keys(ball, k) == set(held._layer_keys(k))
+
+    def agree(key):
+        letters, parity = _letters(key), key & 1
+        return ball.depth_of(letters, parity) == held.depth_of(letters, parity)
+
+    # members: every key of a layer of up to 20,000 elements, or every
+    # image of 3,000 of its orbit keys
     rng = random.Random(root_len * 10 + depth)
+    members = []
+    for k in range(depth + 1):
+        reps = sorted(held._reps[k])
+        if held.layer_sizes()[k] > 20_000:
+            reps = rng.sample(reps, 3000)
+        members += [
+            rep ^ _spread(p, rep.bit_length())
+            for rep in reps
+            for p in (held.symmetries if rep.bit_length() > 2 else (0,))
+        ]
+    assert all(agree(key) for key in members)
+    # non-members in both parities: products of layer d that lie in layer
+    # d + 1, a spine longer than any member's, and random words
+    top = held._reps[depth]
     sample = rng.sample(sorted(top), min(len(top), 200))
     up = {p for key in sample for p in held._neighbours(key) if held._depth(p) is None}
     assert up
     stranger = longer_than_every_member(top)
-    for key in below + sorted(up) + stranger:
-        assert counted._depth(key) == held._depth(key) != depth
-    # reading the counted layer builds it: the held layer, key for key
-    assert counted._layer(depth) == top
-    # witness rank: the layer of a few picks from layers d - 1 and d
-    near = sorted(top | held._reps[max(depth - 1, 0)])
-    picks = [_decode(key) for key in rng.sample(near, min(len(near), 50))]
-    for g in picks:
-        letters, parity = g.spine.letters, g.parity
-        assert counted.depth_of(letters, parity) == held.depth_of(letters, parity)
-    for ball in (held, counted):
-        with pytest.raises(IndexError):
-            next(ball.iter_layer(depth + 1))
+    noise = random_words(rng, 300, 4 * depth + 2)
+    # and keys outside H_2: reflections rooted at length-3 words and
+    # products of them (generators at root length 3 and 4)
+    far = [room_reflection(word(t)) for t in ("rrr", "UUU", "ruu")]
+    outside = [
+        _encode(g.spine.letters, g.parity)
+        for g in far + [far[0] * far[1], far[2] * far[0]]
+    ]
+    assert not any(in_root_subgroup(_letters(key), 2) for key in outside)
+    for key in sorted(up) + stranger + noise + outside:
+        assert agree(key)
+    with pytest.raises(IndexError):
+        next(held.iter_layer(depth + 1))
+    with pytest.raises(IndexError):
+        next(ball._layer_keys(depth + 1))
 
 
 @pytest.mark.parametrize("depth", [4, 5])
 def test_every_filled_row_matches_the_junction_walk(depth):
-    # the scan balls of the battery and the deep scan: rows start from the
-    # no-cancellation row, and only some spines walk the junction (the
-    # profile half ball's rows are checked with its layer-3 decisions)
-    ball = group_ball(enumerate_ball(2), depth, count_last=True)
+    # held balls over the scan roots: rows start from the no-cancellation
+    # row, and only some spines walk the junction (the profile half ball's
+    # rows are checked with its layer-3 decisions)
+    ball = held_ball(2, depth)
     assert ball._table
     for lead, row in ball._table.items():
         assert row == junction_row(ball._spines, lead), lead

@@ -65,6 +65,7 @@ from oracles import (
     plane2d_closure_membership,
     reference_half_ball,
     reference_meeting_candidates,
+    recording_tries,
     reference_min_depth,
     representative_class_count,
 )
@@ -385,27 +386,16 @@ def test_line_scan_over_budget_is_refused_before_building(monkeypatch):
     assert built == [8, 4]
 
 
-def _recording_group_ball(monkeypatch):
-    """Depths of the balls built through ``checker.group_ball``."""
-    built = []
-    group_ball = checker.group_ball
-
-    def recorded(roots, depth, **kwargs):
-        built.append(depth)
-        return group_ball(roots, depth, **kwargs)
-
-    monkeypatch.setattr(checker, "group_ball", recorded)
-    return built
-
-
 def test_scan_ball_over_budget_is_refused_before_building(monkeypatch):
-    built = _recording_group_ball(monkeypatch)
+    built = recording_tries(monkeypatch)
     system = Free2HouseSystem()
     with pytest.raises(BudgetExceeded, match="the scan ball at depth 7"):
         system.scan_ball(7)
-    assert built == [] and ("scan ball", 7) not in system._memo
+    assert ("scan ball", 7) not in system._memo
+    # only the depth-2 ball the estimate reads its layer sizes from
+    assert built == [("start", enumerate_ball(2), 2)]
     assert len(system.scan_ball(2)) == 250
-    assert built == [2]
+    assert built[1:] == [("to_depth", 2)]
 
 
 def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):

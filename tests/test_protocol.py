@@ -31,6 +31,7 @@ from fundreg.checker import (
 from fundreg.freegroup import enumerate_ball
 from fundreg.regions import IntervalSet, plane2d_membership
 from fundreg.tilespace import RoomSet
+from oracles import recording_tries
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fundreg"
@@ -189,9 +190,9 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     balls, closures, indexed, calls = Counter(), Counter(), Counter(), Counter()
     group_ball = checker.group_ball
 
-    def recorded_ball(roots, depth, **kwargs):
+    def recorded_ball(roots, depth):
         balls[tuple(roots), depth] += 1
-        return group_ball(roots, depth, **kwargs)
+        return group_ball(roots, depth)
 
     closure = RoomSet.closure
 
@@ -209,6 +210,7 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
 
         return once(self, key, recorded_make)
 
+    tries = recording_tries(monkeypatch)
     monkeypatch.setattr(checker, "group_ball", recorded_ball)
     monkeypatch.setattr(RoomSet, "closure", recorded_closure)
     monkeypatch.setattr(Free2HouseSystem, "_once", recorded_once)
@@ -219,12 +221,12 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     monkeypatch.setattr(Free2HouseSystem, "overlapping_generators", counted)
     system = make_system("free2house")
     run_battery(system, RunConfig(depth=2, radius=4))
-    # one scan ball, and one profile half ball, of depth 2: it decides
-    # the depths up to 3 and the split of the two candidates of depth 4
-    scan = [d for roots, d in balls if roots == enumerate_ball(2)]
-    half = [d for roots, d in balls if roots == enumerate_ball(3)]
-    assert scan == [2] and half == [2] and len(balls) == 2
-    assert set(balls.values()) == {1}
+    # one scan ball: the depth-2 trie ball the estimate reads, taken to
+    # depth 2, with no layer enumerated
+    assert tries == [("start", enumerate_ball(2), 2), ("to_depth", 2)]
+    # and one profile half ball, of depth 2: it decides the depths up to
+    # 3 and the split of the two candidates of depth 4
+    assert balls == Counter({(enumerate_ball(3), 2): 1})
     # the closures at radius 4 (scans) and 5 (coverage)
     assert len(closures) == 2 and set(closures.values()) == {1}
     # one meet index built for the region (disjointness) and one for the
@@ -234,31 +236,20 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     assert calls == Counter({"overlapping_generators": 1})
 
 
+def never(*args, **kwargs):
+    raise AssertionError("built a packed-key ball")
+
+
 def test_deep_disjointness_counts_its_deepest_layer(monkeypatch, capsys):
-    # the f2h-deep benchmark op: one scan ball, whose layer 5 is counted
-    # class by class and never built as one set
-    balls, parts = [], Counter()
-    group_ball = checker.group_ball
-
-    def recorded_ball(roots, depth, **kwargs):
-        balls.append(group_ball(roots, depth, **kwargs))
-        return balls[-1]
-
-    split = GroupBall._parts
-
-    def recorded_parts(self, k, bits):
-        parts[k, bits] += 1
-        return split(self, k, bits)
-
-    monkeypatch.setattr(checker, "group_ball", recorded_ball)
-    monkeypatch.setattr(GroupBall, "_parts", recorded_parts)
+    # the f2h-deep benchmark op: one scan ball, grown from the depth-2
+    # ball the estimate reads, whose 604,850 elements are counted on its
+    # tries and never enumerated; no packed-key ball is built
+    tries = recording_tries(monkeypatch)
+    monkeypatch.setattr(checker, "group_ball", never)
     argv = "verify free2house --property disjointness --depth 5 --radius 1"
     assert cli.main(argv.split()) == 0
     assert "counts: 604849, 0\n" in capsys.readouterr().out
-    [ball] = balls
-    assert ball.depth == 5 and len(ball._reps) == 5
-    # layers 1 and 2 also for the depth-2 ball the size estimate reads
-    assert parts == Counter({(1, 0): 2, (2, 0): 2, (3, 0): 1, (4, 0): 1, (5, 5): 1})
+    assert tries == [("start", enumerate_ball(2), 2), ("to_depth", 5)]
 
 
 def test_default_battery_holds_every_half_ball_layer():
@@ -267,19 +258,16 @@ def test_default_battery_holds_every_half_ball_layer():
     built = {key: ball for key, ball in system._memo.items() if "ball" in key[0]}
     half = [ball for (kind, _), ball in built.items() if kind == "half ball"]
     assert half and all(len(ball._reps) == ball.depth + 1 for ball in half)
-    scan = built["scan ball", 4]
-    assert len(scan._reps) == 4 and len(scan) == 45_098
+    # the scan ball holds its five layers as tries, grown from the
+    # estimate's depth-2 ball: it shares that ball's nodes and layers
+    scan, start = built["scan ball", 4], system._memo["scan start",]
+    assert scan._tries is start._tries and scan._roots[:3] == start._roots
+    assert scan.layer_sizes() == [1, 17, 232, 3112, 41736]
+    assert len(scan) == 45_098
 
 
 def test_depth_7_is_refused_before_any_layer_is_built(monkeypatch, capsys):
-    layers = []
-    split = GroupBall._parts
-
-    def recorded_parts(self, k, bits):
-        layers.append(k)
-        return split(self, k, bits)
-
-    monkeypatch.setattr(GroupBall, "_parts", recorded_parts)
+    tries = recording_tries(monkeypatch)
     argv = "verify free2house --property disjointness --depth 7 --radius 1"
     assert cli.main(argv.split()) == 64
     captured = capsys.readouterr()
@@ -289,7 +277,7 @@ def test_depth_7_is_refused_before_any_layer_is_built(monkeypatch, capsys):
         "the budget is 128 MiB\n"
     )
     # only the depth-2 ball the estimate extrapolates from
-    assert layers == [1, 2]
+    assert tries == [("start", enumerate_ball(2), 2)]
 
 
 def test_default_profile_builds_no_depth_3_half_ball(monkeypatch):

@@ -27,7 +27,7 @@ import pytest
 from fundreg import checker
 from fundreg.action import (
     ActionElement,
-    GroupBall,
+    TrieBall,
     _decode,
     group_ball,
     room_reflection,
@@ -292,13 +292,13 @@ def test_scans_look_up_only_members_of_h2(monkeypatch, system):
     # (the fold decides, independently of the prefix test) is rejected
     # before any layer lookup; the reports are the oracles' either way
     looked = []
-    depth_of = GroupBall.depth_of
+    depth_of = TrieBall.depth_of
 
-    def recorded(self, letters, parity, past=False):
+    def recorded(self, letters, parity):
         looked.append(letters)
-        return depth_of(self, letters, parity, past)
+        return depth_of(self, letters, parity)
 
-    monkeypatch.setattr(GroupBall, "depth_of", recorded)
+    monkeypatch.setattr(TrieBall, "depth_of", recorded)
     cfg = RunConfig(depth=3, radius=2 if isinstance(system, Blob) else 5)
     assert check_disjointness(system, cfg) == oracle_disjointness(system, cfg)
     assert boundary_containment(system, cfg) == oracle_boundary(system, cfg)
@@ -317,9 +317,9 @@ def test_overlapping_generators_match_per_root_scan(f2, radius):
         assert got[1:] == oracle_overlapping_generators(f2, horizon, radius)
 
 
-# The scan ball counts its deepest layer, and holds only the layers
-# below; the same scans on a ball that holds every layer must print the
-# same reports, with witnesses that sit in the counted layer in their order.
+# The scan ball holds its layers as tries; the same scans on a ball that
+# holds every layer as packed keys must print the same reports, with
+# witnesses that sit in the deepest layer in their order.
 HELD_GRID = [(d, r) for d in range(5) for r in range(6)] + [(5, 0), (5, 1), (5, 2)]
 
 
@@ -329,7 +329,7 @@ def held_scan_balls():
 
 
 def on_a_held_scan_ball(system, balls):
-    """``system`` with its scan ball built holding every layer."""
+    """``system`` with its scan ball a ``GroupBall``."""
 
     def scan_ball(depth):
         if depth not in balls:
@@ -344,22 +344,23 @@ def on_a_held_scan_ball(system, balls):
     "fixture", [Free2HouseSystem, ClosureAsRegion, Blob, ShrunkClosure]
 )
 @pytest.mark.parametrize("depth,radius", HELD_GRID)
-def test_scans_on_the_counted_ball_match_the_held_ball(
+def test_scans_on_the_trie_ball_match_the_held_ball(
     held_scan_balls, fixture, depth, radius
 ):
     cfg = RunConfig(depth=depth, radius=radius)
-    counted, held = fixture(), on_a_held_scan_ball(fixture(), held_scan_balls)
+    tries, held = fixture(), on_a_held_scan_ball(fixture(), held_scan_balls)
     for check in (check_disjointness, boundary_containment):
-        assert check(counted, cfg).to_dict() == check(held, cfg).to_dict()
+        assert check(tries, cfg).to_dict() == check(held, cfg).to_dict()
 
 
-def test_boundary_witnesses_sit_in_the_counted_layer():
-    # the grid above is not vacuous: at depth 1 the counted layer is all of
+def test_boundary_witnesses_sit_in_the_deepest_layer():
+    # the grid above is not vacuous: at depth 1 the deepest layer is all of
     # the scan, boundary containment at radius 2 meets 5 translates there,
     # and the refuting blob lists several witnesses from it
     system = Free2HouseSystem()
     report = boundary_containment(system, RunConfig(depth=1, radius=2))
-    assert report.counts[1] == 5 and len(system.scan_ball(1)._reps) == 1
+    assert report.counts[1] == 5
+    assert system.scan_ball(1).layer_sizes() == [1, 17]
     blob = check_disjointness(Blob(), RunConfig(depth=1, radius=2))
     assert blob.verdict == REFUTED and len(blob.witnesses) > 1
 
@@ -434,9 +435,11 @@ def test_every_enumerated_group_element_has_exponent_sum_zero(f2):
     # the invariant that lets the index pair only rooms of equal exponent
     # sum: the held layers of the scan and half balls, and the meeting
     # candidates of the default centres, all have spines of sum 0
-    for ball in (f2.scan_ball(4), f2.half_ball(2)):
-        keys = [key for layer in ball._reps for key in layer]
-        assert keys and all(_decode(key).spine.exponent_sum() == 0 for key in keys)
+    half = f2.half_ball(2)
+    keys = [key for layer in half._reps for key in layer]
+    keys += [key for k in range(5) for key in f2.scan_ball(4)._layer_keys(k)]
+    assert len(keys) > 45_098
+    assert all(_decode(key).spine.exponent_sum() == 0 for key in keys)
     centers = enumerate_ball(min(2, max(RunConfig().radius - 1, 0)))
     cands = [g for w in centers for g in f2.meeting_candidates(w)]
     assert len(cands) == 6 * len(centers)
