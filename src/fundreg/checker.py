@@ -57,7 +57,6 @@ from .regions import (
     format_fraction,
     pathological_1d,
     plane2d_box_shifts,
-    plane2d_membership,
     plane2d_point_above,
     # No check calls it.  perfbench's tracer counts calls through this
     # name, and its count of 0 shows that no battery scans plane shifts.
@@ -1211,7 +1210,8 @@ class PlanePathologicalSystem(LineSystem):
     (0, 1), which is this class's region: both run the line's shift
     sweep and window cover there.  The fiber over x = 0 is covered by the
     (-1, n) translates of the edge x = 1, [1, 2] + n, the unit fiber's
-    cover moved by 1.  Disjointness, local finiteness, self-adjacency,
+    cover moved by 1.  Disjointness reads the sampled points' meeting
+    shifts (0, n) off the unit fiber too.  Local finiteness, self-adjacency,
     the quotient and compactness keep their own code on the band itself;
     the audit and the orbit count have no certificate here.
     """
@@ -1229,34 +1229,41 @@ class PlanePathologicalSystem(LineSystem):
     orbit_boundary = System.orbit_boundary
 
     def sample_points(self) -> list[tuple[Fraction, Fraction]]:
-        points = []
-        for p in range(1, 12):
-            x = Fraction(p, 12)
-            for j in range(1, 5):
-                points.append((x, 1 / x + Fraction(j, 5)))
-        return points
+        """(p/12, 12/p + j/5) for 0 < p < 12 and 0 < j < 5."""
+        pairs = ((p, j) for p in range(1, 12) for j in range(1, 5))
+        return [(Fraction(p, 12), Fraction(60 + j * p, 5 * p)) for p, j in pairs]
 
     def lf_center(self) -> tuple[Fraction, Fraction]:
         return (Fraction(0), Fraction(1, 2))
 
     def disjointness(self, cfg: RunConfig) -> VerificationReport:
-        """Membership predicate only: sampled interior points against the
-        shifts (m, n) with |m|, |n| <= reach.  A region point has x in
-        (0, 1), so x - m leaves the chart strip for every m != 0; only
-        the shifts (0, n) need the predicate, and ``checked`` counts
-        them all."""
+        """Sampled points against the shifts (m, n), |m|, |n| <= reach, all
+        counted in ``checked``.  x - m leaves the chart strip (0, 1) for
+        m != 0, and (x, y) lies in the (0, n) translate exactly when t - n
+        lies in the unit fiber, t = y - 1/x: each fiber interval (a, b)
+        gives the n in (t - b, t - a).  Every point must meet (0, 0)."""
         points = self.sample_points()
+        fiber = self.region()
+        den, ends = fiber.den, fiber.ends
         reach = 10
         bad = []
         for x, y in points:
-            if not plane2d_membership(x, y):
+            # t = u / (v den), an endpoint e / den = e v / (v den); a higher
+            # fiber interval gives lower n, so they are walked from the top
+            p, q = x.numerator, x.denominator
+            u, v = (y.numerator * p - q * y.denominator) * den, y.denominator * p
+            shifts: list[int] = []
+            for a, b in (zip(ends[-2::-2], ends[::-2]) if 0 < p < q else ()):
+                first = max(-reach, (u - b * v) // (v * den) + 1)
+                shifts += range(first, min(reach, -((a * v - u) // (v * den)) - 1) + 1)
+            if 0 not in shifts:
                 raise AssertionError("sample point must lie in the region")
-            for n in range(-reach, reach + 1):
-                if n and plane2d_membership(x, y - n):
-                    bad.append(
-                        f"({format_fraction(x)}, {format_fraction(y)}) "
-                        f"also lies in the (0, {n}) translate"
-                    )
+            bad.extend(
+                f"({format_fraction(x)}, {format_fraction(y)}) "
+                f"also lies in the (0, {n}) translate"
+                for n in shifts
+                if n
+            )
         checked = len(points) * ((2 * reach + 1) ** 2 - 1)
         counts = [len(points), checked, len(bad)]
         return _scan_report(PROP_DISJOINTNESS, None, reach, counts, bad)

@@ -7,7 +7,7 @@ verification ops need:
 * ``line-pathological``: an infinite union of shrinking open intervals,
   one near each natural number, whose fractional parts tile [0, 1).
 * ``plane-pathological``: a hyperbola-hugging connected strip in the
-  punctured-lattice plane, held as a membership predicate.
+  punctured-lattice plane, held as its unit fiber (0, 1) over each x.
 * ``cylinder``: the band X x (0, c) shifted by a homeomorphism that adds
   c to the real coordinate.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import chain
-from math import ceil, floor, lcm
+from math import lcm
 from operator import le, lt
 from typing import Iterable, Optional, Union
 
@@ -113,8 +113,12 @@ class IntervalSet:
         return den, _rescaled(self.ends, den // self.den), step
 
     def translate(self, shift: Rational) -> "IntervalSet":
+        """The set moved by ``shift``: adding one constant to every endpoint
+        keeps a checked set checked, so ``_over``'s check is skipped."""
         den, ends, step = self._with(shift)
-        return IntervalSet._over(den, tuple(map(step.__add__, ends)))
+        out = IntervalSet.__new__(IntervalSet)
+        out.den, out.ends = den, tuple(map(step.__add__, ends))
+        return out
 
     def inflate(self, margin: Rational) -> "IntervalSet":
         """Every interval widened by ``margin`` on both sides."""
@@ -342,35 +346,21 @@ def standard_interval(step: Rational = 1) -> IntervalSet:
     return IntervalSet([(0, step)])
 
 
-def pathological_interval(n: int) -> tuple[Fraction, Fraction]:
-    """The n-th interval, (n + n/(n+1), n + (n+1)/(n+2)): width 1/((n+1)(n+2))."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return (Fraction(n * (n + 2), n + 1), Fraction(n * (n + 3) + 1, n + 2))
-
-
 def pathological_1d(count: int) -> IntervalSet:
+    """Tiles 0 .. count - 1 of the accumulating family.  Tile i is
+    (i + i/(i+1), i + (i+1)/(i+2)) = (i(i+2)/(i+1), (i^2+3i+1)/(i+2)), both
+    in lowest terms, so the set lies over den = lcm(1, ..., count + 1)."""
     if count < 1:
         raise ValueError("need at least one interval")
-    return IntervalSet(pathological_interval(n) for n in range(count))
+    den = lcm(*range(1, count + 2))
+    per = [den // k for k in range(1, count + 2)]
+    ends = []
+    for i in range(count):
+        ends += (i * (i + 2) * per[i], (i * (i + 3) + 1) * per[i + 1])
+    return IntervalSet._over(den, tuple(ends))
 
 
 # --------------------------------------------------------------- plane 2d
-
-
-def plane2d_membership(x: Rational, y: Rational) -> bool:
-    """Open membership in the hyperbola strip over x in (0, 1).
-
-    With x = p/q and y = a/b in lowest terms, 1/x < y < 1/x + 1 reads
-    q b < a p < (q + p) b once 0 < p < q: integer compares only.
-    """
-    p, q = x.numerator, x.denominator
-    if p == 0:
-        raise ValueError("outside chart")
-    if not 0 < p < q:
-        return False
-    a, b = y.numerator, y.denominator
-    return q * b < a * p < (q + p) * b
 
 
 def plane2d_point_above(height: Rational) -> tuple[Fraction, Fraction]:
@@ -395,14 +385,17 @@ def plane2d_box_shifts(
     strictly between cy - w - (1/x_lo + 1) and cy + w - 1/x_hi, so no n
     is tested one by one.
     """
-    w = _frac(half_width)
-    cx, cy = _frac(center[0]), _frac(center[1])
-    x_lo = max(cx - w - m, Fraction(0))
-    x_hi = min(cx + w - m, Fraction(1))
-    if x_lo >= x_hi:
+    # over d, the common denominator, x_lo = lo / d and x_hi = hi / d, so
+    # floor(cy - w - 1/x_lo - 1) and ceil(cy + w - 1/x_hi) divide by d lo, d hi
+    d = lcm(*(v.denominator for v in (half_width, *center)))
+    w, cx, cy = (v.numerator * (d // v.denominator) for v in (half_width, *center))
+    lo, hi = max(cx - w - m * d, 0), min(cx + w - m * d, d)
+    if lo >= hi:
         return range(0)
-    first = -reach if x_lo == 0 else max(-reach, floor(cy - w - 1 / x_lo - 1) + 1)
-    last = min(reach, ceil(cy + w - 1 / x_hi) - 1)
+    first = -reach
+    if lo:
+        first = max(first, ((cy - w - d) * lo - d * d) // (d * lo) + 1)
+    last = min(reach, -((d * d - (cy + w) * hi) // (d * hi)) - 1)
     return range(first, last + 1)
 
 

@@ -4,9 +4,11 @@
 kernel replaced: it keeps every endpoint as a ``Fraction`` and re-sorts and
 re-validates on every construction.  It also carries the methods the
 checker calls that it never had, written the obvious way, so the checks
-can run on it unchanged: ``inflate``, a many-way ``union``, and the shift
-scans ``shift_meetings`` and ``window_translates`` as one translate and one
-merge or window query per shift, the loops the kernel's sweeps replaced.
+can run on it unchanged: ``_over`` (a set from integer endpoints over one
+denominator, which ``pathological_1d`` builds), ``inflate``, a many-way
+``union``, and the shift scans ``shift_meetings`` and ``window_translates``
+as one translate and one merge or window query per shift, the loops the
+kernel's sweeps replaced.
 
 The point queries, the merged closure and ``serialize``, which only tests
 ask for, are functions of ``s.pairs`` and take a set of either class.
@@ -71,6 +73,13 @@ class IntervalSet:
             if lo < hi:
                 raise ValueError("intervals overlap")
         self.pairs: tuple[tuple[Fraction, Fraction], ...] = tuple(norm)
+
+    @classmethod
+    def _over(cls, den: int, ends: tuple[int, ...]) -> "IntervalSet":
+        """The set of intervals (ends[2i] / den, ends[2i + 1] / den), the
+        integer kernel's constructor, re-sorted and re-validated."""
+        pairs = zip(ends[::2], ends[1::2])
+        return cls((Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntervalSet) and self.pairs == other.pairs

@@ -8,7 +8,7 @@ tests."""
 import argparse
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import ceil, floor
 
 from fundreg import checker, regions
 from fundreg.action import (
@@ -65,6 +65,7 @@ from fundreg.tilespace import (
     apply_to_point,
     materialize_cell,
 )
+from interval_oracle import contains
 
 
 def naive_reflection_image(root, v):
@@ -172,10 +173,11 @@ def junction_row(spines, lead):
 def reference_min_depth(g):
     """The depth lookup that the midpoint split replaced: a direct lookup
     in the depth-3 ball, then for t = 4 .. 6 a (t - 3) + 3 split whose
-    left factor has minimal depth exactly t - 3."""
+    left factor has minimal depth exactly t - 3.  An element outside H_3,
+    by the fold, has no depth and skips the splits."""
     half = reference_half_ball()
     found = ball_depth(half, g)
-    if found is not None:
+    if found is not None or not fold_member(g.spine.letters, 3):
         return found
     for total in range(4, 7):
         for a in half.layer(total - 3):
@@ -428,6 +430,38 @@ class CorruptedLine(LineSystem):
         )
 
 
+def plane2d_membership(x, y):
+    """Open membership in the hyperbola strip over x in (0, 1), the
+    plane's band {0 < x < 1, 1/x < y < 1/x + 1} by its defining
+    inequalities.  With x = p/q and y = a/b in lowest terms they read
+    q b < a p < (q + p) b once 0 < p < q: integer compares only."""
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        raise ValueError("outside chart")
+    if not 0 < p < q:
+        return False
+    a, b = y.numerator, y.denominator
+    return q * b < a * p < (q + p) * b
+
+
+class FiberBand(PlanePathologicalSystem):
+    """The plane with the band {0 < x < 1, y - 1/x in the unit fiber},
+    the fiber being (0, height) or the open intervals ``pairs``: a short
+    band leaves gaps between its (0, n) translates, and a tall one
+    overlaps them."""
+
+    def __init__(self, height=1, pairs=None):
+        super().__init__()
+        self.pairs = pairs or [(0, Fraction(height))]
+
+    def region(self, n_intervals=1):
+        return regions.IntervalSet(self.pairs)
+
+    def member(self, x, y):
+        """Open membership in the band, read off the fiber's pairs."""
+        return 0 < x < 1 and contains(self.region(), y - 1 / x)
+
+
 def plane2d_meets_box_by_bands(m, n, half_width, center=(0, 0)):
     """Whether closure(region) + (m, n) meets the open box
     (cx - w, cx + w) x (cy - w, cy + w), one shift at a time: over the x
@@ -447,6 +481,21 @@ def plane2d_meets_box_by_bands(m, n, half_width, center=(0, 0)):
     if band_hi is not None and y_lo >= band_hi:
         return False
     return True
+
+
+def plane2d_box_shifts_by_fractions(m, reach, half_width, center=(0, 0)):
+    """``regions.plane2d_box_shifts`` in ``Fraction`` arithmetic, as it
+    first ran: the n strictly between cy - w - (1/x_lo + 1) and
+    cy + w - 1/x_hi, bounded below only by the reach when x_lo = 0."""
+    w = Fraction(half_width)
+    cx, cy = Fraction(center[0]), Fraction(center[1])
+    x_lo = max(cx - w - m, Fraction(0))
+    x_hi = min(cx + w - m, Fraction(1))
+    if x_lo >= x_hi:
+        return range(0)
+    first = -reach if x_lo == 0 else max(-reach, floor(cy - w - 1 / x_lo - 1) + 1)
+    last = min(reach, ceil(cy + w - 1 / x_hi) - 1)
+    return range(first, last + 1)
 
 
 def plane_pairs_by_scan(k, center):
@@ -624,6 +673,15 @@ def pairwise_line_quotient(system, cfg):
     return report, desc
 
 
+def pathological_interval(n):
+    """The n-th tile of the accumulating family as one ``Fraction`` pair,
+    (n + n/(n+1), n + (n+1)/(n+2)), of width 1/((n+1)(n+2)): the build
+    that ``regions.pathological_1d``'s integer endpoints replaced."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return (Fraction(n * (n + 2), n + 1), Fraction(n * (n + 3) + 1, n + 2))
+
+
 class GappedLine(PathologicalLineSystem):
     """The pathological family with tile ``gap`` left out: the tiles on
     either side of the hole do not glue, so the quotient must refute."""
@@ -634,9 +692,7 @@ class GappedLine(PathologicalLineSystem):
 
     def region(self, n_intervals):
         return regions.IntervalSet(
-            regions.pathological_interval(n)
-            for n in range(n_intervals)
-            if n != self.gap
+            pathological_interval(n) for n in range(n_intervals) if n != self.gap
         )
 
 

@@ -56,6 +56,7 @@ from fundreg.regions import IntervalSet, format_fraction, plane2d_translate_meet
 from fundreg.tilespace import canonical_point, neighborhood_roomset
 from oracles import (
     CorruptedLine,
+    FiberBand,
     ball_depth,
     closed_atoms,
     fold_member,
@@ -63,6 +64,7 @@ from oracles import (
     normalize_representative,
     orbit_representatives,
     plane2d_closure_membership,
+    plane2d_membership,
     reference_half_ball,
     reference_meeting_candidates,
     recording_tries,
@@ -173,10 +175,11 @@ def test_candidates_identity_membership(f2):
 
 def oracle_min_depth(g, bound=6):
     """A direct lookup in a depth-3 ball of its own, then the splits
-    (2,2), (2,3), (3,3) with the right factor looked up in that ball."""
+    (2,2), (2,3), (3,3) with the right factor looked up in that ball.  An
+    element outside H_3, by the fold, has no depth and skips the splits."""
     half = reference_half_ball()
     direct = ball_depth(half, g)
-    if direct is not None:
+    if direct is not None or not fold_member(g.spine.letters, 3):
         return direct
     for total in range(4, bound + 1):
         left = total // 2  # (2,2), (2,3), (3,3): both halves within reach
@@ -650,8 +653,9 @@ def test_plane_disjointness_and_boundary():
     assert boundary_containment(pp, cfg).verdict == VERIFIED
 
 
-def oracle_plane_disjointness(pp):
-    """The full scan of every shift (m, n) with |m|, |n| <= 10."""
+def oracle_plane_disjointness(pp, member=plane2d_membership):
+    """The full scan of every shift (m, n) with |m|, |n| <= 10, by the
+    membership predicate ``member`` of ``pp``'s band."""
     points = pp.sample_points()
     reach = 10
     checked = 0
@@ -662,7 +666,7 @@ def oracle_plane_disjointness(pp):
                 if m == 0 and n == 0:
                     continue
                 checked += 1
-                if checker.plane2d_membership(x - m, y - n):
+                if member(x - m, y - n):
                     bad.append(
                         f"({format_fraction(x)}, {format_fraction(y)}) "
                         f"also lies in the ({m}, {n}) translate"
@@ -676,22 +680,33 @@ def oracle_plane_disjointness(pp):
     )
 
 
-def test_plane_disjointness_matches_the_full_shift_scan(monkeypatch):
+def test_plane_disjointness_matches_the_full_shift_scan():
     pp = PlanePathologicalSystem()
     got = check_disjointness(pp, RunConfig()).to_dict()
     assert got["counts"] == [44, 19360, 0]
     assert got == oracle_plane_disjointness(pp).to_dict()
     # a band three units tall, with the same chart strip, meets its
     # (0, n) translates for |n| <= 2
-    band = checker.plane2d_membership
-
-    def tall(x, y):
-        return band(x, y) or band(x, y - 1) or band(x, y - 2)
-
-    monkeypatch.setattr(checker, "plane2d_membership", tall)
-    got = check_disjointness(pp, RunConfig()).to_dict()
+    tall = FiberBand(3)
+    got = check_disjointness(tall, RunConfig()).to_dict()
     assert got["verdict"] == REFUTED and got["witnesses"][-1] == "..."
-    assert got == oracle_plane_disjointness(pp).to_dict()
+    assert got["counts"] == [44, 19360, 88]
+    assert got == oracle_plane_disjointness(tall, tall.member).to_dict()
+
+
+def test_plane_disjointness_lists_the_shifts_of_every_fiber_interval_in_order():
+    # t = 1/5 meets the (0, n) translate of (-1, 1/2) for n in {0, 1}, and
+    # that of (1/2, 3) for n in {-2, -1}: the higher interval's shifts
+    # come first
+    split = FiberBand(pairs=[(-1, Fraction(1, 2)), (Fraction(1, 2), 3)])
+    got = check_disjointness(split, RunConfig()).to_dict()
+    assert got["witnesses"][:3] == [
+        f"(1/12, 61/5) also lies in the (0, {n}) translate" for n in (-2, -1, 1)
+    ]
+    assert got == oracle_plane_disjointness(split, split.member).to_dict()
+    # a band that misses a sample point is refused before any verdict
+    with pytest.raises(AssertionError, match="must lie in the region"):
+        check_disjointness(FiberBand(Fraction(1, 2)), RunConfig())
 
 
 def test_plane_lf_counts_have_witness_points():

@@ -2,8 +2,8 @@
 
 Finite self-adjacency tests the shifts of the last horizon once, and
 only those below the inflated region's span, and counts every horizon
-from them; the family's quotient compares integer endpoints;
-``pathological_interval`` builds each endpoint as one ``Fraction``.  Each
+from them; the family's quotient compares integer endpoints; ``pathological_1d``
+builds each endpoint as one integer product over lcm(1, ..., n + 1).  Each
 is compared with the straightforward version in ``tests/oracles.py``, or
 with the defining formula, report for report.
 """
@@ -22,11 +22,12 @@ from fundreg.checker import (
     RunConfig,
     make_system,
 )
-from fundreg.regions import IntervalSet, pathological_interval
+from fundreg.regions import IntervalSet, pathological_1d
 from oracles import (
     CorruptedLine,
     GappedLine,
     pairwise_line_quotient,
+    pathological_interval,
     per_horizon_self_adjacency,
 )
 
@@ -125,3 +126,16 @@ def test_pathological_interval_matches_the_defining_formula():
         lo, hi = pathological_interval(n)
         assert (lo, hi) == (n + Fraction(n, n + 1), n + Fraction(n + 1, n + 2))
         assert (type(lo), type(hi)) == (Fraction, Fraction)
+
+
+def test_pathological_1d_matches_the_fraction_pair_build():
+    # one growing Fraction-pair set: tile n - 1 joins it at step n
+    pairs = []
+    for n in range(1, 301):
+        pairs.append(pathological_interval(n - 1))
+        want = IntervalSet(pairs)
+        got = pathological_1d(n)
+        assert (got.den, got.ends) == (want.den, want.ends), n
+    for n in (0, -1, -7):
+        with pytest.raises(ValueError, match="^need at least one interval$"):
+            pathological_1d(n)

@@ -29,9 +29,9 @@ from fundreg.checker import (
     run_battery,
 )
 from fundreg.freegroup import enumerate_ball
-from fundreg.regions import IntervalSet, plane2d_membership
+from fundreg.regions import IntervalSet
 from fundreg.tilespace import RoomSet
-from oracles import recording_tries
+from oracles import plane2d_membership, recording_tries
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fundreg"

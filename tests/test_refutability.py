@@ -29,12 +29,11 @@ from fundreg.checker import (
     REFUTED,
     CylinderSystem,
     LineSystem,
-    PlanePathologicalSystem,
     RunConfig,
 )
 from fundreg.freegroup import r_power, u_power
 from fundreg.regions import IntervalSet
-from oracles import CorruptedLine, GappedLine
+from oracles import CorruptedLine, FiberBand, GappedLine
 from test_scan_oracles import Blob, ClosureAsRegion, ShrunkClosure
 
 
@@ -49,19 +48,6 @@ class Band(CylinderSystem):
 
     def region(self, n_intervals=1):
         return IntervalSet([(0, self.width * self.step)])
-
-
-class FiberBand(PlanePathologicalSystem):
-    """The plane with the band 1/x < y < 1/x + height, whose unit fiber
-    is (0, height): a short band leaves gaps between its (0, n)
-    translates, and a tall one overlaps them."""
-
-    def __init__(self, height):
-        super().__init__()
-        self.height = Fraction(height)
-
-    def region(self, n_intervals=1):
-        return IntervalSet([(0, self.height)])
 
 
 class ThinCertificate:
@@ -96,21 +82,10 @@ def _off_root_reflection(root):
     return room_reflection(root * u_power(1))
 
 
-def _tall_band(x, y):
-    """Membership in 1/x < y < 1/x + 2, a band twice the region's
-    height: its (0, +-1) translates overlap it."""
-    return 0 < x < 1 and 1 / x < y < 1 / x + 2
-
-
 def _f2h_quotient(monkeypatch):
     monkeypatch.setattr(checker, "room_reflection", _off_root_reflection)
     report, _ = checker.Free2HouseSystem().quotient(RunConfig(radius=1))
     return report
-
-
-def _plane_disjointness(monkeypatch):
-    monkeypatch.setattr(checker, "plane2d_membership", _tall_band)
-    return PlanePathologicalSystem().disjointness(RunConfig())
 
 
 SMALL = RunConfig(depth=1, radius=1)
@@ -139,7 +114,8 @@ SITES = {
         lambda mp: ThinLine().adjacency_audit(RunConfig())
     ),
     "line compactness-proxy": lambda mp: UnboundedLine().compactness(RunConfig()),
-    "plane disjointness": _plane_disjointness,
+    # a band twice the region's height: its (0, +-1) translates overlap it
+    "plane disjointness": lambda mp: FiberBand(2).disjointness(RunConfig()),
     "plane coverage": lambda mp: FiberBand(Fraction(1, 2)).coverage(RunConfig()),
     "plane boundary-containment": (
         lambda mp: FiberBand(Fraction(3, 2)).boundary_containment(RunConfig())

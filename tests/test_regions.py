@@ -11,8 +11,6 @@ from fundreg.regions import (
     IntervalSet,
     format_fraction,
     pathological_1d,
-    pathological_interval,
-    plane2d_membership,
     plane2d_point_above,
     plane2d_translate_meets_box,
     standard_interval,
@@ -23,7 +21,9 @@ from oracles import (
     CorruptedLine,
     cell_boundary,
     cell_closure,
+    pathological_interval,
     plane2d_closure_membership,
+    plane2d_membership,
     spine_cells,
 )
 

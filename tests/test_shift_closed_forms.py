@@ -9,8 +9,9 @@ step c: a shift sweep that stops below the inflated band's span, one
 window query per sampled tile, and the endpoints divided by c.
 ``oracles.ScanningCylinder`` tests every shift |m| <= m_range and every
 sample instead.  Agreement covers the pair lists in order, the counts,
-the witness caps and whole reports.  ``plane2d_membership`` compares
-integers; its oracle is the defining ``Fraction`` formula.
+the witness caps and whole reports.  ``plane2d_box_shifts``, and the
+band predicate ``oracles.plane2d_membership`` that the plane oracles
+read, compare integers; their oracles are the ``Fraction`` formulas.
 """
 
 from fractions import Fraction
@@ -24,15 +25,13 @@ from fundreg.checker import (
     RunConfig,
     local_finiteness_profile,
 )
-from fundreg.regions import (
-    plane2d_box_shifts,
-    plane2d_membership,
-    plane2d_translate_meets_box,
-)
+from fundreg.regions import plane2d_box_shifts, plane2d_translate_meets_box
 from oracles import (
     ScanningCylinder,
     ScanningPlane,
+    plane2d_box_shifts_by_fractions,
     plane2d_meets_box_by_bands,
+    plane2d_membership,
     plane_pairs_by_scan,
 )
 
@@ -70,6 +69,29 @@ def test_plane_box_shifts_at_both_ends_of_a_column():
     assert plane2d_box_shifts(2, 10, Fraction(1, 4)) == range(0)
     assert plane2d_box_shifts(0, 10, Fraction(1, 3)) == range(-10, -2)
     assert len(plane2d_box_shifts(0, 10**12, Fraction(1, 3))) == 10**12 - 2
+
+
+GRID_VALUES = [0, 1, -1, 2, *map(Fraction, ("1/2", "-1/3", "5/7", "7/4"))]
+HALF_WIDTHS = [Fraction(1, k) for k in (1, 2, 3, 5, 12, 1000)] + [2, Fraction(5, 3)]
+
+
+@pytest.mark.parametrize("half_width", HALF_WIDTHS, ids=str)
+def test_plane_box_shifts_match_the_fraction_formula(half_width):
+    slices = {"empty": 0, "from 0": 0, "inside": 0}
+    for m in range(-3, 4):
+        for reach in (0, 1, 4, 40):
+            for cx in GRID_VALUES:
+                for cy in GRID_VALUES:
+                    args = (m, reach, half_width, (cx, cy))
+                    want = plane2d_box_shifts_by_fractions(*args)
+                    assert list(plane2d_box_shifts(*args)) == list(want), args
+                    x_lo = max(cx - half_width - m, 0)
+                    if x_lo >= min(cx + half_width - m, 1):
+                        slices["empty"] += 1
+                    else:
+                        slices["from 0" if x_lo == 0 else "inside"] += 1
+    # the grid reaches empty slices, slices from x = 0, and inner ones
+    assert all(slices.values()), slices
 
 
 @pytest.mark.parametrize(
