@@ -376,26 +376,39 @@ def group_ball(roots: Sequence[ReducedWord], depth: int) -> GroupBall:
 # subtries one id.  Id 0 is the empty set, and id 1 the empty word alone.
 _NO_WORD = (False, 0, 0, 0, 0)
 _EMPTY_WORD = (True, 0, 0, 0, 0)
+# Node ids stay below 2 ** _ID_BITS, so a << _ID_BITS | b packs the pair.
+_ID_BITS = 32
 
 
 class _Tries:
     """The hash-consed nodes of a family of tries, their word counts, and
-    the memos of union and difference on node pairs."""
+    the memos of union and difference on node pairs.
+
+    A memo key is one int, a << _ID_BITS | b for the pair (a, b), the
+    smaller id first for the union: exact, and so collision-free, while
+    every id is below 2 ** _ID_BITS, and ``node`` refuses the id past
+    that bound.  The trivial pairs (equal ids, an empty side) are decided
+    inline for every child before any recursive call, so a shared
+    subtrie costs no call and no memo entry."""
 
     def __init__(self) -> None:
         self.nodes = [_NO_WORD, _EMPTY_WORD]
         self.ids = {_NO_WORD: 0, _EMPTY_WORD: 1}
         self.sizes = [0, 1]
-        self._unions: dict[tuple[int, int], int] = {}
-        self._differences: dict[tuple[int, int], int] = {}
+        self._unions: dict[int, int] = {}
+        self._differences: dict[int, int] = {}
 
-    def node(self, entry: tuple) -> int:
+    def node(self, terminal: bool, c0: int, c1: int, c2: int, c3: int) -> int:
+        entry = (terminal, c0, c1, c2, c3)
         found = self.ids.get(entry)
         if found is None:
-            found = self.ids[entry] = len(self.nodes)
+            found = len(self.nodes)
+            if found >> _ID_BITS:
+                raise OverflowError(f"a trie family holds at most 2**{_ID_BITS} nodes")
+            self.ids[entry] = found
             self.nodes.append(entry)
             sizes = self.sizes
-            sizes.append(entry[0] + sum(sizes[c] for c in entry[1:]))
+            sizes.append(terminal + sizes[c0] + sizes[c1] + sizes[c2] + sizes[c3])
         return found
 
     def times(self, g: tuple[int, ...], node: int) -> int:
@@ -415,12 +428,16 @@ class _Tries:
             path.append(node)
         made = 0
         for m in range(n, -1, -1):
-            entry = list(nodes[path[n - m]])
-            if m:
-                entry[1 + (g[m - 1] ^ 3)] = 0
-            if m < n:
-                entry[1 + g[m]] = made
-            made = self.node(tuple(entry))
+            terminal, c0, c1, c2, c3 = nodes[path[n - m]]
+            cut = g[m - 1] ^ 3 if m else -1  # g is reduced: never ``put``
+            put = g[m] if m < n else -1
+            made = self.node(
+                terminal,
+                made if put == 0 else 0 if cut == 0 else c0,
+                made if put == 1 else 0 if cut == 1 else c1,
+                made if put == 2 else 0 if cut == 2 else c2,
+                made if put == 3 else 0 if cut == 3 else c3,
+            )
         return made
 
     def union(self, a: int, b: int) -> int:
@@ -428,12 +445,19 @@ class _Tries:
             return a
         if not a:
             return b
-        pair = (a, b) if a < b else (b, a)
-        found = self._unions.get(pair)
+        key = a << _ID_BITS | b if a < b else b << _ID_BITS | a
+        found = self._unions.get(key)
         if found is None:
-            x, y = self.nodes[a], self.nodes[b]
-            entry = (x[0] or y[0], *map(self.union, x[1:], y[1:]))
-            found = self._unions[pair] = self.node(entry)
+            nodes, union = self.nodes, self.union
+            s, a0, a1, a2, a3 = nodes[a]
+            t, b0, b1, b2, b3 = nodes[b]
+            found = self._unions[key] = self.node(
+                s or t,
+                a0 if a0 == b0 or not b0 else b0 if not a0 else union(a0, b0),
+                a1 if a1 == b1 or not b1 else b1 if not a1 else union(a1, b1),
+                a2 if a2 == b2 or not b2 else b2 if not a2 else union(a2, b2),
+                a3 if a3 == b3 or not b3 else b3 if not a3 else union(a3, b3),
+            )
         return found
 
     def difference(self, a: int, b: int) -> int:
@@ -441,11 +465,19 @@ class _Tries:
             return a
         if a == b:
             return 0
-        found = self._differences.get((a, b))
+        key = a << _ID_BITS | b
+        found = self._differences.get(key)
         if found is None:
-            x, y = self.nodes[a], self.nodes[b]
-            entry = (x[0] and not y[0], *map(self.difference, x[1:], y[1:]))
-            found = self._differences[a, b] = self.node(entry)
+            nodes, difference = self.nodes, self.difference
+            s, a0, a1, a2, a3 = nodes[a]
+            t, b0, b1, b2, b3 = nodes[b]
+            found = self._differences[key] = self.node(
+                s and not t,
+                a0 if not (a0 and b0) else 0 if a0 == b0 else difference(a0, b0),
+                a1 if not (a1 and b1) else 0 if a1 == b1 else difference(a1, b1),
+                a2 if not (a2 and b2) else 0 if a2 == b2 else difference(a2, b2),
+                a3 if not (a3 and b3) else 0 if a3 == b3 else difference(a3, b3),
+            )
         return found
 
 
@@ -482,11 +514,12 @@ class TrieBall:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         tries, roots = self._tries, self._roots
+        union, times = tries.union, tries.times
         while len(roots) <= depth:
             k = len(roots)
             layer = 0
             for g in self._gens[k & 1]:
-                layer = tries.union(layer, tries.times(g, roots[k - 1]))
+                layer = union(layer, times(g, roots[k - 1]))
             roots.append(tries.difference(layer, roots[k - 2]) if k >= 2 else layer)
         del roots[depth + 1 :]
         self.depth = depth
@@ -503,18 +536,20 @@ class TrieBall:
         return sum(self.layer_sizes())
 
     def layer_sizes(self) -> list[int]:
+        """The layers' word counts.  Their sum is the ball's size, which
+        ``len`` refuses past 2 ** 63 - 1 (from depth 17 on)."""
         sizes = self._tries.sizes
         return [sizes[root] for root in self._roots]
 
     def depth_of(self, letters: tuple[int, ...], parity: int) -> Optional[int]:
         """The layer holding the element (``letters``, ``parity``), or None:
         swap^k(letters) walked in each layer k of that parity."""
-        codes = [_ENC[a] ^ parity for a in letters]
+        slots = [1 + (_ENC[a] ^ parity) for a in letters]
         nodes = self._tries.nodes
         for k in range(parity, self.depth + 1, 2):
             node = self._roots[k]
-            for c in codes:
-                node = nodes[node][1 + c]  # node 0, the empty set, stays
+            for slot in slots:
+                node = nodes[node][slot]  # node 0, the empty set, stays
             if nodes[node][0]:
                 return k
         return None

@@ -688,7 +688,7 @@ class Free2HouseSystem(System):
         bad = [
             f"{g.text()} overlaps: {'; '.join(meet.describe())}" for g, meet in meets
         ]
-        counts = [len(ball) - 1, len(bad)]
+        counts = [sum(ball.layer_sizes()) - 1, len(bad)]
         return _scan_report(PROP_DISJOINTNESS, cfg.depth, cfg.radius, counts, bad)
 
     def coverage(self, cfg: RunConfig) -> VerificationReport:
@@ -744,7 +744,7 @@ class Free2HouseSystem(System):
             for g, spill in spills
             if not spill.is_empty()
         ]
-        counts = [len(ball) - 1, len(meets), len(bad)]
+        counts = [sum(ball.layer_sizes()) - 1, len(meets), len(bad)]
         return _scan_report(PROP_BOUNDARY, cfg.depth, cfg.radius, counts, bad)
 
     def local_finiteness(

@@ -118,9 +118,14 @@ class ReferenceBall:
             frontier = nxt
         self.depth_of = depth_of
         self.layers = layers
+        self._decoded = {}
 
     def layer(self, k):
-        return [_decode(key) for key in self.layers[k]]
+        """Layer k's elements in insertion order, decoded on the first
+        call only."""
+        if k not in self._decoded:
+            self._decoded[k] = tuple(map(_decode, self.layers[k]))
+        return self._decoded[k]
 
     def elements(self):
         """Every element, layer by layer in insertion order."""

@@ -401,6 +401,30 @@ def test_scan_ball_over_budget_is_refused_before_building(monkeypatch):
     assert built[1:] == [("to_depth", 2)]
 
 
+def test_scan_counts_pass_a_machine_word_at_depth_17(monkeypatch):
+    # the scans count the ball by its layer sizes, so a count past
+    # 2 ** 63 - 1, which ``len`` refuses, still reaches the report once
+    # the depth-7 cap is lifted
+    system = Free2HouseSystem()
+    monkeypatch.setattr(system, "scan_ball_estimate", lambda depth: 0)
+    sizes = system.scan_ball(17).layer_sizes()
+    assert sizes[:7] == [1, 17, 232, 3112, 41736, 559752, 7507240]
+    # layers 2 to 7 fix s_n = 13 s_(n-1) + 5 s_(n-2) + 7 s_(n-3); the ten
+    # layers past them must keep to it
+    assert sizes[7] == 100_685_032
+    assert all(
+        sizes[n] == 13 * sizes[n - 1] + 5 * sizes[n - 2] + 7 * sizes[n - 3]
+        for n in range(5, 18)
+    )
+    total = sum(sizes)
+    assert total == 20_486_300_987_926_144_658 > 2**64
+    with pytest.raises(OverflowError):
+        len(system.scan_ball(17))
+    cfg = RunConfig(depth=17, radius=1)
+    assert check_disjointness(system, cfg).counts == [total - 1, 0]
+    assert boundary_containment(system, cfg).counts == [total - 1, 3, 0]
+
+
 def test_room_ball_over_budget_is_refused_before_enumerating(monkeypatch):
     # radius 12 would hold about 260 MiB of rooms
     radii = []
