@@ -105,23 +105,19 @@ def in_root_subgroup(letters: tuple[int, ...], k: int) -> bool:
     return level == 0
 
 
-# ----------------------------------------------------------- ball storage
+# ------------------------------------------------------------ layer tries
 
-# Ball keys pack (parity, spine letters) into one int: bit 0 holds the
-# parity, bits 1 + 2i and 2 + 2i hold letter i via the map -2,-1,1,2 ->
-# 0,1,2,3, and a sentinel bit sits just above the last letter, so a word
-# that ends in code-0 letters keeps its length.  Small ints keep
-# million-element balls affordable.
-
+# A trie node is (terminal, child of code 0, 1, 2, 3), a set of words
+# whose letters are read as 2-bit codes, -2,-1,1,2 -> 0,1,2,3: a letter
+# and its inverse have codes c and c ^ 3, and swap flips the low bit.
+# Hash-consing gives equal subtries one id.  Id 0 is the empty set, and
+# id 1 the empty word alone.
 _ENC = {-2: 0, -1: 1, 1: 2, 2: 3}
 _DEC = (-2, -1, 1, 2)
-
-
-def _encode(letters: tuple[int, ...], parity: int) -> int:
-    key = 1
-    for a in reversed(letters):
-        key = key << 2 | _ENC[a]
-    return key << 1 | parity
+_NO_WORD = (False, 0, 0, 0, 0)
+_EMPTY_WORD = (True, 0, 0, 0, 0)
+# Node ids stay below 2 ** _ID_BITS, so a << _ID_BITS | b packs the pair.
+_ID_BITS = 32
 
 
 def _letters(key: int) -> tuple[int, ...]:
@@ -129,267 +125,23 @@ def _letters(key: int) -> tuple[int, ...]:
 
 
 def _decode(key: int) -> ActionElement:
+    """The element of a packed key: bit 0 holds the parity, bits 1 + 2i
+    and 2 + 2i the code of letter i, and a sentinel bit sits just above
+    the last letter, so a word that ends in code-0 letters keeps its
+    length."""
     return ActionElement(ReducedWord._trusted(_letters(key)), key & 1)
-
-
-def _product(x: int, y: int) -> int:
-    """The key of the product of the elements keyed ``x`` and ``y``: x's
-    letters, then y's (swapped when x has parity 1), less the letters the
-    junction cancels (inverse letters have codes c and c ^ 3), under the
-    XOR of the parities."""
-    if x & 1:
-        y ^= _spread(1, y.bit_length())
-    n = x.bit_length()
-    while n > 2 and y > 3 and (x >> n - 3 ^ y >> 1) & 3 == 3:
-        n -= 2
-        x = x & (1 << n - 1) - 1 | 1 << n - 1
-        y = y >> 3 << 1 | y & 1
-    return (x & (1 << n - 1) - 1 ^ y & 1) | y >> 1 << n - 1
-
-
-# The letter maps that commute with swap act on a key letterwise, as one
-# XOR pattern on every 2-bit letter code: swap (r <-> u) flips the low bit
-# (codes 0 <-> 1, 2 <-> 3), phi (r <-> R, u <-> U) flips both bits, and
-# phi o swap flips the high bit; pattern 0 is the identity.  Each is an
-# automorphism of F(r, u) that commutes with swap, so (spine, p) ->
-# (map(spine), p) is an automorphism of the action, and it sends the
-# generator rooted at w to the generator rooted at map(w).
-
-_EMPTY_SPINE = frozenset({_encode((), 0), _encode((), 1)})
-
-
-def _spread(pattern: int, n: int) -> int:
-    """The XOR that applies ``pattern`` to every letter of a key of bit
-    length ``n``."""
-    return pattern * ((1 << n - 2) // 3) << 1
-
-
-def _image(key: int, pattern: int) -> int:
-    """The key of the image of ``key``'s element under a letter map."""
-    return key ^ _spread(pattern, key.bit_length())
-
-
-class GroupBall:
-    """Products of at most `depth` reflection generators, deduplicated.
-
-    Layer k holds the elements whose minimal generator-word length is
-    exactly k.  ``symmetries`` are the letter maps (as XOR patterns) that
-    send the set of generators onto itself.  Such a map preserves word
-    length, so every layer is a union of its orbits, and a layer is
-    stored as one canonical key per orbit: the member whose last letter
-    has the least code.  A nonempty spine's orbit has exactly
-    ``len(symmetries)`` keys; an empty spine's has one.
-    """
-
-    def __init__(self, roots: Sequence[ReducedWord], depth: int):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        self.depth = depth
-        # the distinct generator spines, in root order, with their parity-0
-        # keys; all generators have parity 1
-        letters = dict.fromkeys(room_reflection(r).spine.letters for r in roots)
-        self._spines = [(spine, _encode(spine, 0)) for spine in letters]
-        keys = {key for _, key in self._spines}
-        self.symmetries = tuple(
-            p for p in range(4) if {_image(key, p) for key in keys} == keys
-        )
-        # choose[c]: the symmetry that takes last-letter code c lowest
-        self._choose = [min(self.symmetries, key=c.__xor__) for c in range(4)]
-        # the letter pattern of the turn in ``_next_layer``, the same for
-        # every canonical key: 0 when swap is a symmetry (the default root
-        # sets)
-        self._turn = 1 ^ self._choose[1]
-        # the cancellation in gen * elem depends only on the parity and the
-        # first `width` letters of the swapped key, so the products come
-        # from one table row per such lead, filled the first time the lead
-        # is seen.  A key with fewer letters is its own lead; a longer one
-        # is cut to `width` letters under a flag bit at the sentinel's
-        # place, so a short lead and a cut one never alias.
-        width = max((len(s) for s, _ in self._spines), default=0)
-        self._flag = 1 << 1 + 2 * width
-        self._table: dict[int, list[tuple[int, int, int]]] = {}
-        # A row holds each product as (head, drop, keep): its key is
-        # ``swapped >> drop << keep | head``, the swapped key less what the
-        # junction cancels under the parity and the surviving spine head.
-        # Only a spine ending in the inverse of the lead's first letter
-        # can cancel; every other keeps its whole spine.
-        keeps = [(key, key.bit_length() - 1) for _, key in self._spines]
-        self._plain = [[(key - (1 << k) | p, 1, k) for key, k in keeps] for p in (0, 1)]
-        self._ending: dict[int, list] = {}
-        for n, (spine, key) in enumerate(self._spines):
-            if spine:
-                self._ending.setdefault(-spine[-1], []).append((n, spine, key))
-        # Every generator has parity 1, so layer k holds parity k mod 2,
-        # and gen * elem for elem in layer k - 1 lies in layer k - 2 or
-        # layer k.
-        self._reps: list[set[int]] = [{_encode((), 0)}]
-        for k in range(1, depth + 1):
-            self._reps.append(self._next_layer(k))
-        order = len(self.symmetries)
-        self._sizes = [
-            order * len(layer) - (order - 1) * len(layer & _EMPTY_SPINE)
-            for layer in self._reps
-        ]
-
-    def _next_layer(self, k: int) -> set[int]:
-        """Layer k's canonical keys, from held layers k - 1 and k - 2.
-
-        Every element of layer k is tau(gen * s) for a representative s of
-        layer k - 1, so its orbit meets the products of s: layer k is the
-        canonical products less layer k - 2.  gen * elem = (gen spine *
-        swap(elem spine), 1 ^ parity), and the products of the orbit of
-        elem are the orbits of the products of any one member.  A key with
-        more letters than any spine keeps its last letter in every
-        product, so turning its swapped key by the symmetry that makes
-        that letter canonical makes every product canonical.  A canonical
-        last code c is least in its orbit: with swap a symmetry, c ^ 1 is
-        in that orbit and the turn undoes the swap; without it ({0},
-        {0, 2}, {0, 3}) c ^ 1 is least in its own, and the turn is the
-        swap.  So every such key turns by one XOR, ``key ^ 1`` for the
-        default root sets, and is bucketed by lead: within a bucket every
-        product is one table row's shift.  The short keys take their
-        products one by one.
-        """
-        layer: set[int] = set()
-        buckets: dict[int, list[int]] = {}
-        flag = self._flag
-        long = flag << 1
-        low = flag - 1
-        turn = self._turn
-        for key in self._reps[k - 1]:
-            if key >= long:
-                swapped = key ^ (_spread(turn, key.bit_length()) | 1 if turn else 1)
-                buckets.setdefault(swapped & low | flag, []).append(swapped)
-            else:
-                layer.update(map(self._canonical, self._neighbours(key)))
-        for lead, bucket in buckets.items():
-            for head, drop, keep in self._row(lead):
-                layer.update([s >> drop << keep | head for s in bucket])
-        if k >= 2:
-            layer -= self._reps[k - 2]
-        return layer
-
-    def _row(self, swapped: int) -> list[tuple[int, int, int]]:
-        flag = self._flag
-        lead = swapped if swapped < flag else swapped & flag - 1 | flag
-        row = self._table.get(lead)
-        if row is None:
-            row = self._table[lead] = self._plain[lead & 1].copy()
-            body = _letters(lead)
-            for n, spine, key in self._ending.get(body[0], ()) if body else ():
-                i, j = len(spine), 0
-                while i and j < len(body) and spine[i - 1] == -body[j]:
-                    i -= 1
-                    j += 1
-                keep = 1 + 2 * i
-                row[n] = (key & (1 << keep) - 1 | lead & 1, 1 + 2 * j, keep)
-        return row
-
-    def _neighbours(self, key: int) -> list[int]:
-        """The keys of gen * elem for each generator, in generator order."""
-        # bit 0 and the low bit of every letter: swap codes 0 <-> 1, 2 <-> 3
-        swapped = key ^ (_spread(1, key.bit_length()) | 1)
-        row = self._row(swapped)
-        return [swapped >> drop << keep | head for head, drop, keep in row]
-
-    def _canonical(self, key: int) -> int:
-        n = key.bit_length()
-        return key ^ _spread(self._choose[key >> n - 3 & 3], n) if n > 2 else key
-
-    def __len__(self) -> int:
-        return sum(self._sizes)
-
-    def _depth(self, key: int, past: bool = False) -> Optional[int]:
-        """The layer holding ``key``, or None; with ``past``, also the
-        layer d = depth + 1 past the ball.  A key of layer d has d's
-        parity, is not in layer d - 2, and has a generator product in
-        layer d - 1: every generator is a parity-1 involution, and a
-        product of a layer d - 1 element lies in layer d - 2 or d.  The
-        parity test only spares the products of a key of the other parity,
-        which all have d's parity and so miss layer d - 1."""
-        rep = self._canonical(key)
-        reps = self._reps
-        for k in range(key & 1, len(reps), 2):
-            if rep in reps[k]:
-                return k
-        d = len(reps)
-        if past and (d ^ key) & 1 == 0:
-            products = map(self._canonical, self._neighbours(rep))
-            if not reps[-1].isdisjoint(products):
-                return d
-        return None
-
-    def depth_of(
-        self, letters: tuple[int, ...], parity: int, past: bool = False
-    ) -> Optional[int]:
-        """The layer holding the element (``letters``, ``parity``), or None;
-        ``past`` as for ``_depth``."""
-        return self._depth(_encode(letters, parity), past)
-
-    def __contains__(self, g: ActionElement) -> bool:
-        return self._depth(_encode(g.spine.letters, g.parity)) is not None
-
-    def layer_sizes(self) -> list[int]:
-        return list(self._sizes)
-
-    def _layer_keys(self, k: int) -> Iterator[int]:
-        for rep in self._reps[k]:
-            n = rep.bit_length()
-            for p in self.symmetries if n > 2 else (0,):
-                yield rep ^ _spread(p, n)
-
-    def iter_layer(self, k: int) -> Iterator[ActionElement]:
-        """Every element of layer k once, in no specified order."""
-        return map(_decode, self._layer_keys(k))
-
-    def splits(self, g: ActionElement, k: int) -> bool:
-        """Whether g = a * b for some a of layer k and b in the ball.
-        Generators are involutions, so layers are closed under inverses
-        and symmetries: one a per orbit is tried against every image of
-        g^-1, each product g^-1 a taken on packed keys."""
-        key = _encode(g.inverse().spine.letters, g.parity)
-        n = key.bit_length()
-        images = [key ^ _spread(p, n) for p in self.symmetries if n > 2 or not p]
-        depth = self._depth
-        return any(
-            depth(_product(h, a)) is not None for a in self._reps[k] for h in images
-        )
-
-    def __iter__(self) -> Iterator[ActionElement]:
-        for k in range(self.depth + 1):
-            yield from self.iter_layer(k)
-
-    def nonidentity(self) -> Iterator[ActionElement]:
-        for g in self:
-            if not g.is_identity():
-                yield g
-
-
-def group_ball(roots: Sequence[ReducedWord], depth: int) -> GroupBall:
-    return GroupBall(roots, depth)
-
-
-# ------------------------------------------------------------ layer tries
-
-# A trie node is (terminal, child of code 0, 1, 2, 3), a set of words
-# whose letters are read as their 2-bit codes; hash-consing gives equal
-# subtries one id.  Id 0 is the empty set, and id 1 the empty word alone.
-_NO_WORD = (False, 0, 0, 0, 0)
-_EMPTY_WORD = (True, 0, 0, 0, 0)
-# Node ids stay below 2 ** _ID_BITS, so a << _ID_BITS | b packs the pair.
-_ID_BITS = 32
 
 
 class _Tries:
     """The hash-consed nodes of a family of tries, their word counts, and
-    the memos of union and difference on node pairs.
+    the memos of union, difference and meets on node pairs.
 
     A memo key is one int, a << _ID_BITS | b for the pair (a, b), the
-    smaller id first for the union: exact, and so collision-free, while
-    every id is below 2 ** _ID_BITS, and ``node`` refuses the id past
-    that bound.  The trivial pairs (equal ids, an empty side) are decided
-    inline for every child before any recursive call, so a shared
-    subtrie costs no call and no memo entry."""
+    smaller id first for the symmetric union and meets: exact, and so
+    collision-free, while every id is below 2 ** _ID_BITS, and ``node``
+    refuses the id past that bound.  The trivial pairs (equal ids, an
+    empty side) are decided inline for every child before any recursive
+    call, so a shared subtrie costs no call and no memo entry."""
 
     def __init__(self) -> None:
         self.nodes = [_NO_WORD, _EMPTY_WORD]
@@ -397,6 +149,7 @@ class _Tries:
         self.sizes = [0, 1]
         self._unions: dict[int, int] = {}
         self._differences: dict[int, int] = {}
+        self._meets: dict[int, bool] = {}
 
     def node(self, terminal: bool, c0: int, c1: int, c2: int, c3: int) -> int:
         entry = (terminal, c0, c1, c2, c3)
@@ -480,16 +233,40 @@ class _Tries:
             )
         return found
 
+    def meets(self, a: int, b: int) -> bool:
+        """Whether the sets ``a`` and ``b`` share a word; every id but 0
+        holds one."""
+        if not a or not b:
+            return False
+        if a == b:
+            return True
+        key = a << _ID_BITS | b if a < b else b << _ID_BITS | a
+        found = self._meets.get(key)
+        if found is None:
+            nodes, meets = self.nodes, self.meets
+            s, a0, a1, a2, a3 = nodes[a]
+            t, b0, b1, b2, b3 = nodes[b]
+            found = self._meets[key] = bool(
+                s and t
+                or a0 and b0 and (a0 == b0 or meets(a0, b0))
+                or a1 and b1 and (a1 == b1 or meets(a1, b1))
+                or a2 and b2 and (a2 == b2 or meets(a2, b2))
+                or a3 and b3 and (a3 == b3 or meets(a3, b3))
+            )
+        return found
 
-class TrieBall:
-    """The layers of ``GroupBall``, each held as a trie of spines, so no
-    layer is enumerated to be built or counted.
 
-    Every generator has parity 1, so layer k holds parity k mod 2, and
-    the trie of layer k holds tau_k = swap^k of its spines.  gen * elem =
-    (gen spine * swap(elem spine), 1 ^ parity) turns into plain left
-    multiplication there: tau_k is the union over generators g of
-    swap^k(g) * tau_(k-1), less tau_(k-2) (a product of a layer k - 1
+class GroupBall:
+    """Products of at most `depth` reflection generators, deduplicated,
+    each layer held as a trie of spines, so no layer is enumerated to be
+    built, counted or searched.
+
+    Layer k holds the elements whose minimal generator-word length is
+    exactly k.  Every generator has parity 1, so layer k holds parity k
+    mod 2, and the trie of layer k holds tau_k = swap^k of its spines.
+    gen * elem = (gen spine * swap(elem spine), 1 ^ parity) turns into
+    plain left multiplication there: tau_k is the union over generators g
+    of swap^k(g) * tau_(k-1), less tau_(k-2) (a product of a layer k - 1
     element lies in layer k - 2 or k).  The sets of ``_Tries`` do the
     rest: a product rewrites the few nodes along g^-1, and a union or
     difference stops at the first shared node.
@@ -524,10 +301,10 @@ class TrieBall:
         del roots[depth + 1 :]
         self.depth = depth
 
-    def to_depth(self, depth: int) -> "TrieBall":
+    def to_depth(self, depth: int) -> "GroupBall":
         """The ball of the same roots at ``depth``, sharing this one's
         nodes and the layers both hold."""
-        ball = object.__new__(TrieBall)
+        ball = object.__new__(GroupBall)
         ball._gens, ball._tries, ball._roots = self._gens, self._tries, self._roots[:]
         ball._grow(depth)
         return ball
@@ -557,6 +334,21 @@ class TrieBall:
     def __contains__(self, g: ActionElement) -> bool:
         return self.depth_of(g.spine.letters, g.parity) is not None
 
+    def splits(self, g: ActionElement, k: int) -> bool:
+        """Whether g = a * b for some a of layer k and b in the ball.
+        Layers are closed under inverses (generators are involutions), so
+        this asks whether h * a lies in the ball for h = g^-1 and some a
+        of layer k.  h * a has parity p = h.parity + k mod 2, so only
+        the layers i of parity p can hold it, and in their coordinates
+        tau_i(h * a) = swap^p(h.spine) * tau_k(a): one left product of
+        layer k's trie, met with each of theirs."""
+        h = g.inverse()
+        p = (h.parity + k) & 1
+        tries = self._tries
+        spine = tuple(_ENC[a] ^ p for a in h.spine.letters)
+        moved = tries.times(spine, self._roots[k])
+        return any(tries.meets(moved, root) for root in self._roots[p::2])
+
     def _layer_keys(self, k: int) -> Iterator[int]:
         """Layer k's packed keys, read off its trie depth first."""
         nodes = self._tries.nodes
@@ -571,9 +363,22 @@ class TrieBall:
                 if entry[1 + c]:
                     todo.append((entry[1 + c], key | (c ^ flip) << shift, shift + 2))
 
+    def iter_layer(self, k: int) -> Iterator[ActionElement]:
+        """Every element of layer k once, in no specified order."""
+        return map(_decode, self._layer_keys(k))
+
     def __iter__(self) -> Iterator[ActionElement]:
         for k in range(self.depth + 1):
-            yield from map(_decode, self._layer_keys(k))
+            yield from self.iter_layer(k)
+
+    def nonidentity(self) -> Iterator[ActionElement]:
+        for g in self:
+            if not g.is_identity():
+                yield g
+
+
+def group_ball(roots: Sequence[ReducedWord], depth: int) -> GroupBall:
+    return GroupBall(roots, depth)
 
 
 # ------------------------------------------------------------- spine walk

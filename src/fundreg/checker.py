@@ -32,7 +32,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .action import (
     ActionElement,
     GroupBall,
-    TrieBall,
     generator_text,
     group_ball,
     identity,
@@ -421,7 +420,7 @@ class Free2HouseSystem(System):
     name = "free2house"
     scan_root_len = 2
     profile_root_len = 3
-    # the depth-2 half ball decides depths up to 3, and midpoint splits
+    # the depth-2 half ball decides depths up to 4, and midpoint splits
     # over half balls of depth at most 3 reach 6
     depth_cap = 6
     expected = {
@@ -438,39 +437,38 @@ class Free2HouseSystem(System):
 
     # -- enumeration -------------------------------------------------
 
-    def scan_ball(self, depth: int) -> TrieBall:
+    def scan_ball(self, depth: int) -> GroupBall:
         """The scan ball, refused over budget by ``scan_ball_estimate``.
 
-        A ``TrieBall``, grown from the depth-2 ball the estimate reads:
-        the scans ask it for its size, which its tries count without
-        enumerating a layer, and for the layer of a few keys.  The half
-        balls hold every layer as packed keys (``GroupBall``):
-        ``_min_depth`` decides layer 3 from the depth-2 ball's layer 2,
-        one lookup a candidate, and a midpoint split past depth 3 asks its
-        ball for one product per left factor and image."""
+        Grown from the depth-2 ball the estimate reads: the scans ask it
+        for its size, which its tries count without enumerating a layer,
+        and for the layer of a few keys.  The half balls are the same
+        layer tries over the profile roots: ``_min_depth`` looks a
+        candidate up in one, and a midpoint split takes one left product
+        of a layer's trie and meets it with the others (``splits``)."""
 
-        def build() -> TrieBall:
+        def build() -> GroupBall:
             need = self.scan_ball_estimate(depth)
             refuse_over_budget(need, f"the scan ball at depth {depth}")
             return self._scan_start().to_depth(depth)
 
         return self._once(("scan ball", depth), build)
 
-    def _scan_start(self) -> TrieBall:
+    def _scan_start(self) -> GroupBall:
         return self._once(
-            ("scan start",), lambda: TrieBall(enumerate_ball(self.scan_root_len), 2)
+            ("scan start",), lambda: GroupBall(enumerate_ball(self.scan_root_len), 2)
         )
 
     def scan_ball_estimate(self, depth: int) -> int:
         """Upper estimate of the bytes building ``scan_ball(depth)`` holds
-        at its peak, as derived for the packed-key build that held every
-        layer but the deepest and counted that one in low-bit classes: 24
-        an element of the held layers, 5 an element of the deepest, and
-        256 KiB for a product table.  The tries hold a few hundred nodes a
-        layer, so the bound is now loose (traced peaks at depths 4, 5 and
-        6: 0.11, 0.18 and 0.23 MiB).  It is kept, and with it the refusal
-        of depth 7, until the budget counts what a run holds (ROADMAP item
-        5).
+        at its peak, as derived for a packed-key build, since removed,
+        that held every layer but the deepest and counted that one in
+        low-bit classes: 24 an element of the held layers, 5 an element of
+        the deepest, and 256 KiB for a product table.  The tries hold a
+        few hundred nodes a layer, so the bound is now loose (traced peaks
+        at depths 4, 5 and 6: 0.11, 0.18 and 0.23 MiB).  This old pricing
+        is kept, and with it the refusal of depth 7, until one byte ledger
+        counts what a run holds (ROADMAP item 5).
 
         The layer sizes are those of the depth-2 scan ball, read once per
         system; deeper layers grow by its layer-2/layer-1 ratio 232/17 =
@@ -565,12 +563,14 @@ class Free2HouseSystem(System):
 
         Exact up to ``depth_cap``.  A g outside H_3, the group of the half
         balls' roots, is None at once (``in_root_subgroup``).  Depths up
-        to 3 are one lookup in the depth-2 half ball, which decides layer
-        3 from layer 2.  Past 3, only totals t of g's parity can be
-        minimal (generators have parity 1).  Scanning them upward, t is
-        found when some a of minimal depth floor(t/2) has a^-1 g within
-        ceil(t/2), in the half ball of depth ceil(t/2) (``splits``): a
-        minimal product splits so at its midpoint.  Past the cap: None.
+        to 2 are one lookup in the depth-2 half ball.  Past 2, only totals
+        t of g's parity can be minimal (generators have parity 1).
+        Scanning them upward, t is found when some a of minimal depth
+        floor(t/2) has a^-1 g within ceil(t/2), in the half ball of depth
+        ceil(t/2): a minimal product splits so at its midpoint.
+        ``splits`` asks it with one left product of layer floor(t/2)'s
+        trie, met with the trie of each layer of the right parity.  Past
+        the cap: None.
         """
         found = self._once(("min depth", g), lambda: self._min_depth(g))
         return found if found is not None and found <= bound else None
@@ -578,10 +578,10 @@ class Free2HouseSystem(System):
     def _min_depth(self, g: ActionElement) -> Optional[int]:
         if not in_root_subgroup(g.spine.letters, self.profile_root_len):
             return None
-        found = self.half_ball(2).depth_of(g.spine.letters, g.parity, past=True)
+        found = self.half_ball(2).depth_of(g.spine.letters, g.parity)
         if found is not None:
             return found
-        for total in range(4 + g.parity, self.depth_cap + 1, 2):
+        for total in range(4 - g.parity, self.depth_cap + 1, 2):
             if self.half_ball(total - total // 2).splits(g, total // 2):
                 return total
         return None
@@ -660,7 +660,7 @@ class Free2HouseSystem(System):
 
     def _ball_overlaps(
         self, s: RoomSet, depth: int
-    ) -> tuple[TrieBall, list[tuple[ActionElement, RoomSet]]]:
+    ) -> tuple[GroupBall, list[tuple[ActionElement, RoomSet]]]:
         """The scan ball, and each nonidentity ball member g among the keys
         of ``meet_index(s)`` with g.s ∩ s, in witness order: by the layer
         that holds g (``depth_of``: the fewest reflections that produce
@@ -683,7 +683,7 @@ class Free2HouseSystem(System):
         """Overlaps are read off the region's ``meet_index``, so no set is
         translated.  ``counts[0]`` is still the number of nonidentity ball
         elements the scan covers, though no layer is enumerated: the
-        ball's tries count them (``TrieBall``)."""
+        ball's tries count them (``GroupBall``)."""
         ball, meets = self._ball_overlaps(self.region(cfg.radius), cfg.depth)
         bad = [
             f"{g.text()} overlaps: {'; '.join(meet.describe())}" for g, meet in meets

@@ -12,13 +12,11 @@ from math import ceil, floor
 
 from fundreg import checker, regions
 from fundreg.action import (
+    _ENC,
     IDENTITY,
     ActionElement,
-    TrieBall,
+    GroupBall,
     _decode,
-    _encode,
-    _letters,
-    _spread,
     room_reflection,
 )
 from fundreg.checker import (
@@ -74,6 +72,16 @@ def naive_reflection_image(root, v):
     return root * (root.inverse() * v).swapped()
 
 
+def packed_key(letters, parity):
+    """The packed key of the element (``letters``, ``parity``), as
+    ``action._decode`` reads it: the parity in bit 0, then each letter's
+    2-bit code, then a sentinel bit."""
+    key = 1
+    for a in reversed(letters):
+        key = key << 2 | _ENC[a]
+    return key << 1 | parity
+
+
 def compose_all(elements):
     out = IDENTITY
     for g in elements:
@@ -86,19 +94,14 @@ class ReferenceBall:
     holds each new layer twice: as keys in insertion order, and as a
     frontier of ``(letters, parity)`` tuples that the next layer is built
     from.  ``depth_of`` maps each key to its layer: the scans list
-    witnesses by that layer, then by ``ActionElement.sort_key``."""
+    witnesses by that layer, then by ``ActionElement.sort_key``.
+    ``gens`` are the distinct generator spines, in root order."""
 
     def __init__(self, roots, depth):
-        gens = []
-        seen_gens = set()
-        for root in roots:
-            g = room_reflection(root)
-            key = _encode(g.spine.letters, g.parity)
-            if key not in seen_gens:
-                seen_gens.add(key)
-                gens.append(g.spine.letters)
-        depth_of = {_encode((), 0): 0}
-        layers = [[_encode((), 0)]]
+        gens = list(dict.fromkeys(room_reflection(r).spine.letters for r in roots))
+        self.gens = gens
+        depth_of = {packed_key((), 0): 0}
+        layers = [[packed_key((), 0)]]
         frontier = [((), 0)]
         for k in range(1, depth + 1):
             nxt_keys = []
@@ -109,7 +112,7 @@ class ReferenceBall:
                     # generators have parity 1: new = gen * elem
                     new_letters = concat_reduced(gen, swapped)
                     new_parity = 1 ^ parity
-                    key = _encode(new_letters, new_parity)
+                    key = packed_key(new_letters, new_parity)
                     if key not in depth_of:
                         depth_of[key] = k
                         nxt_keys.append(key)
@@ -139,7 +142,29 @@ def ball_keys(ref):
 
 def ball_depth(ref, g):
     """The layer of a ``ReferenceBall`` that holds g, or None."""
-    return ref.depth_of.get(_encode(g.spine.letters, g.parity))
+    return ref.depth_of.get(packed_key(g.spine.letters, g.parity))
+
+
+def generator_products(ref, key):
+    """The keys of gen * g for each generator of ``ref``, g keyed ``key``."""
+    g = _decode(key)
+    swapped = swap_letters(g.spine.letters)
+    return [packed_key(concat_reduced(gen, swapped), 1 ^ g.parity) for gen in ref.gens]
+
+
+def reference_depth(ref, key, depth):
+    """The layer of the ball of ``depth`` that holds ``key``, read off
+    the reference build ``ref`` of that depth or of the depth below.  The
+    layer d just past ``ref`` holds a key of d's parity that lies in no
+    layer of ``ref`` and has a generator product in layer d - 1: every
+    generator is a parity-1 involution, so a product of a layer d - 1
+    element lies in layer d - 2 or d."""
+    found = ref.depth_of.get(key)
+    d = len(ref.layers)
+    if found is not None or d > depth or (d ^ key) & 1:
+        return found
+    products = generator_products(ref, key)
+    return d if any(ref.depth_of.get(p) == d - 1 for p in products) else None
 
 
 @lru_cache(maxsize=None)
@@ -152,27 +177,6 @@ def reference_ball(root_len, depth):
 def reference_half_ball():
     """The depth-3 ball over the length-<=3 roots (about 0.6 s to build)."""
     return reference_ball(3, 3)
-
-
-def junction_row(spines, lead):
-    """The product-table row oracle: for a swapped key whose parity and
-    first letters are those of ``lead``, each generator's product as
-    ``(head, drop, keep)``, every spine walked through the junction.  The
-    product key ``swapped >> drop << keep | head`` is the swapped key less
-    its parity and the letters the junction cancels, under the parity and
-    the surviving spine head: the low ``keep`` bits of the spine's
-    parity-0 key.  ``spines`` are ``GroupBall._spines``."""
-    body = _letters(lead)
-    row = []
-    for spine, key in spines:
-        i = len(spine)
-        j = 0
-        while i and j < len(body) and spine[i - 1] == -body[j]:
-            i -= 1
-            j += 1
-        keep = 1 + 2 * i
-        row.append((key & (1 << keep) - 1 | lead & 1, 1 + 2 * j, keep))
-    return row
 
 
 def reference_min_depth(g):
@@ -200,17 +204,17 @@ def reference_room_reflection(root):
 
 def recording_tries(monkeypatch):
     """What the scan balls build, in order: ``("start", roots, depth)`` for
-    each ``TrieBall`` that ``checker`` builds from roots, ``("to_depth",
+    each ``GroupBall`` that ``checker`` builds from roots, ``("to_depth",
     depth)`` for each one grown or cut from another, and ``("enumerated",
     k)`` for each layer read element by element."""
     built = []
-    trie_ball, to_depth, layer_keys = (
-        checker.TrieBall, TrieBall.to_depth, TrieBall._layer_keys
+    group_ball, to_depth, layer_keys = (
+        checker.GroupBall, GroupBall.to_depth, GroupBall._layer_keys
     )
 
     def recorded_ball(roots, depth):
         built.append(("start", tuple(roots), depth))
-        return trie_ball(roots, depth)
+        return group_ball(roots, depth)
 
     def recorded_to_depth(self, depth):
         built.append(("to_depth", depth))
@@ -220,18 +224,10 @@ def recording_tries(monkeypatch):
         built.append(("enumerated", k))
         return layer_keys(self, k)
 
-    monkeypatch.setattr(checker, "TrieBall", recorded_ball)
-    monkeypatch.setattr(TrieBall, "to_depth", recorded_to_depth)
-    monkeypatch.setattr(TrieBall, "_layer_keys", recorded_keys)
+    monkeypatch.setattr(checker, "GroupBall", recorded_ball)
+    monkeypatch.setattr(GroupBall, "to_depth", recorded_to_depth)
+    monkeypatch.setattr(GroupBall, "_layer_keys", recorded_keys)
     return built
-
-
-def reference_turn(ball, key):
-    """The turn that ``GroupBall._next_layer`` inlines, key by key: swap the
-    letters and the parity, then apply the symmetry that makes the
-    swapped last letter canonical."""
-    n = key.bit_length()
-    return key ^ (_spread(1 ^ ball._choose[key >> n - 3 & 3 ^ 1], n) | 1)
 
 
 def stallings_graph(generators):

@@ -1,7 +1,6 @@
 """Action normal-form tests against the defining reflection formula."""
 
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -10,13 +9,9 @@ from hypothesis import strategies as st
 from fundreg.action import (
     IDENTITY,
     ActionElement,
-    TrieBall,
+    GroupBall,
     _decode,
-    _encode,
-    _image,
     _letters,
-    _product,
-    _spread,
     group_ball,
     in_root_subgroup,
     room_reflection,
@@ -38,12 +33,13 @@ from oracles import (
     ball_keys,
     compose_all,
     fold_member,
-    junction_row,
+    generator_products,
     naive_reflection_image,
+    packed_key,
     reference_ball,
+    reference_depth,
     reference_half_ball,
     reference_room_reflection,
-    reference_turn,
     root_subgroup_graph,
 )
 
@@ -151,7 +147,7 @@ def assert_matches_the_reference_build(roots, depth, seed):
     ref = ReferenceBall(roots, depth)
     assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
     for k, keys in enumerate(ball_keys(ref)):
-        got = [_encode(g.spine.letters, g.parity) for g in ball.iter_layer(k)]
+        got = [packed_key(g.spine.letters, g.parity) for g in ball.iter_layer(k)]
         assert len(got) == len(set(got))
         assert set(got) == keys
     assert len(ball) == len(ref.depth_of)
@@ -181,7 +177,7 @@ def test_scan_ball_matches_the_reference_build():
 def test_depth_6_scan_ball_layer_sizes():
     # layers 0-5 measured on the dict-per-layer build that orbit storage
     # replaced, layer 6 on the packed-key build that the tries replaced
-    ball = TrieBall(enumerate_ball(2), 6)
+    ball = GroupBall(enumerate_ball(2), 6)
     assert ball.layer_sizes() == [1, 17, 232, 3112, 41736, 559752, 7507240]
     assert len(ball) == 8_112_090
     assert len(ball.to_depth(5)) == 604_850
@@ -190,8 +186,8 @@ def test_depth_6_scan_ball_layer_sizes():
 
 @pytest.mark.parametrize("roots", [[], [IDENTITY_WORD]], ids=["none", "e"])
 def test_ball_without_spine_letters_matches_the_reference_build(roots):
-    # no generator spine has a letter, so the product table's prefix is
-    # the parity header alone
+    # no generator spine has a letter, so every product is a bare parity
+    # flip of the empty spine
     ball = assert_matches_the_reference_build(roots, 3, len(roots))
     assert ball.layer_sizes() == [1, len(roots), 0, 0]
 
@@ -210,53 +206,59 @@ def test_ball_over_random_roots_matches_the_reference_build(seed):
 # ------------------------------------------------------ letter symmetries
 
 # The three letter maps of F(r, u) that commute with swap, straight off
-# their definitions, keyed by the XOR pattern they apply to a letter code.
+# their definitions: swap (r <-> u), phi (r <-> R, u <-> U) and phi o swap.
 LETTER_MAPS = {
-    1: lambda a: {1: 2, 2: 1, -1: -2, -2: -1}[a],  # swap: r <-> u
-    3: lambda a: -a,  # phi: r <-> R, u <-> U
-    2: lambda a: -{1: 2, 2: 1, -1: -2, -2: -1}[a],  # phi o swap
+    "swap": lambda a: {1: 2, 2: 1, -1: -2, -2: -1}[a],
+    "phi": lambda a: -a,
+    "phi o swap": lambda a: -{1: 2, 2: 1, -1: -2, -2: -1}[a],
 }
 
 
-def mapped(pattern, g):
-    """The image of g under a letter map, computed on its key."""
-    return _decode(_image(_encode(g.spine.letters, g.parity), pattern))
+def mapped(name, g):
+    """The image of g under a letter map, applied letter by letter."""
+    letters = tuple(map(LETTER_MAPS[name], g.spine.letters))
+    return ActionElement(ReducedWord._trusted(letters), g.parity)
+
+
+def symmetries_of(roots):
+    """The letter maps that send the generators rooted at ``roots`` onto
+    themselves."""
+    gens = {room_reflection(root) for root in roots}
+    return {name for name in LETTER_MAPS if {mapped(name, g) for g in gens} == gens}
 
 
 @pytest.mark.parametrize("root_len", [2, 3])
 def test_symmetries_permute_the_generators(root_len):
     roots = enumerate_ball(root_len)
-    ball = group_ball(roots, 0)
-    assert ball.symmetries == (0, 1, 2, 3)
-    gens = {room_reflection(root) for root in roots}
-    for pattern, letter_map in LETTER_MAPS.items():
-        images = set()
-        for g in gens:
-            image = mapped(pattern, g)
+    assert symmetries_of(roots) == set(LETTER_MAPS)
+    for name, letter_map in LETTER_MAPS.items():
+        for g in map(room_reflection, roots):
+            image = mapped(name, g)
             assert image.spine.letters == tuple(map(letter_map, g.spine.letters))
             assert image.parity == g.parity == 1
-            images.add(image)
-        assert images == gens
+            # the map sends the reflection at w to the reflection at map(w)
+            root = ReducedWord(map(letter_map, g.spine.letters[: len(g.spine) // 2]))
+            assert image == room_reflection(root)
 
 
 def test_symmetries_are_automorphisms_of_the_action():
     rng = random.Random(20261018)
     sample = rng.sample(list(group_ball(enumerate_ball(2), 3)), 200)
-    for pattern in LETTER_MAPS:
+    for name in LETTER_MAPS:
         for g, h in zip(sample, reversed(sample)):
-            assert mapped(pattern, g * h) == mapped(pattern, g) * mapped(pattern, h)
-            assert mapped(pattern, g.inverse()) == mapped(pattern, g).inverse()
+            assert mapped(name, g * h) == mapped(name, g) * mapped(name, h)
+            assert mapped(name, g.inverse()) == mapped(name, g).inverse()
 
 
-# One root set for each group of letter symmetries: the turn in
-# ``GroupBall._parts`` is ``key ^ 1`` where swap is a symmetry, and the
-# swap itself where it is not.
+# One root list for each group of letter symmetries it keeps: the balls
+# are built without any, so each must match the reference build alike.
 SYMMETRY_GROUPS = [
-    (["", "r", "u"], (0, 1)),
-    (["r", "U"], (0, 2)),
-    (["r", "R"], (0, 3)),
-    (["r", "ru"], (0,)),
+    (["", "r", "u"], {"swap"}),
+    (["r", "U"], {"phi o swap"}),
+    (["r", "R"], {"phi"}),
+    (["r", "ru"], set()),
 ]
+SYMMETRY_IDS = ["swap", "phi o swap", "phi", "none"]
 
 
 # The scan roots, the profile roots and one root set per symmetry group.
@@ -264,26 +266,12 @@ ROOT_SETS = pytest.mark.parametrize(
     "roots,depth",
     [(enumerate_ball(2), 4), (enumerate_ball(3), 3)]
     + [([word(t) for t in texts], 4) for texts, _ in SYMMETRY_GROUPS],
-    ids=["scan roots", "profile roots", "swap", "phi o swap", "phi", "none"],
+    ids=["scan roots", "profile roots"] + SYMMETRY_IDS,
 )
 
 
-@ROOT_SETS
-def test_the_inlined_turn_matches_the_reference(roots, depth):
-    ball = group_ball(roots, depth)
-    assert ball._turn == (0 if 1 in ball.symmetries else 1)
-    # every key _next_layer turns: a canonical key with more letters than
-    # any spine, in every layer a deeper one is built from
-    long = ball._flag << 1
-    turned = [key for k in range(depth) for key in ball._reps[k] if key >= long]
-    assert turned
-    for key in turned:
-        flip = _spread(ball._turn, key.bit_length()) | 1
-        assert key ^ flip == reference_turn(ball, key)
-
-
 def trie_keys(ball, k):
-    """Layer k of a ``TrieBall`` as a set of packed keys, each read once."""
+    """Layer k of a ``GroupBall`` as a set of packed keys, each read once."""
     keys = list(ball._layer_keys(k))
     assert len(keys) == len(set(keys))
     return set(keys)
@@ -296,7 +284,7 @@ def test_trie_ball_matches_the_reference_build(roots, depth):
     # over the scan and profile roots are the suite's cached ones.
     cached = [n for n in (2, 3) if roots == enumerate_ball(n)]
     ref = reference_ball(cached[0], depth) if cached else ReferenceBall(roots, depth)
-    ball = TrieBall(roots, depth)
+    ball = GroupBall(roots, depth)
     assert ball.layer_sizes() == [len(layer) for layer in ref.layers]
     assert len(ball) == len(ref.depth_of)
     for k, keys in enumerate(ball_keys(ref)):
@@ -310,28 +298,43 @@ def test_trie_ball_matches_the_reference_build(roots, depth):
 )
 def test_ball_over_asymmetric_roots_matches_the_reference_build(texts, symmetries):
     roots = [word(t) for t in texts]
-    assert group_ball(roots, 0).symmetries == symmetries
+    assert symmetries_of(roots) == symmetries
     assert_matches_the_reference_build(roots, 4, len(texts))
 
 
-def test_packed_product_matches_the_element_product():
-    rng = random.Random(28)
-    sample = rng.sample(list(group_ball(enumerate_ball(2), 3)), 300)
-    sample += [
-        ActionElement(ReducedWord(rng.choices(LETTERS, k=rng.randint(0, 30))), p)
-        for p in (0, 1)
-        for _ in range(100)
-    ]
+# The scan and profile roots to depth 2, whose layers the brute force
+# below searches whole, and the root lists of each symmetry group.
+SPLIT_SETS = pytest.mark.parametrize(
+    "roots,depth",
+    [(enumerate_ball(2), 2), (enumerate_ball(3), 2)]
+    + [([word(t) for t in texts], 4) for texts, _ in SYMMETRY_GROUPS],
+    ids=["scan roots", "profile roots"] + SYMMETRY_IDS,
+)
 
-    def key(g):
-        return _encode(g.spine.letters, g.parity)
 
-    for _ in range(3000):
-        g, h = rng.choice(sample), rng.choice(sample)
-        if rng.random() < 0.5:
-            # h starts with the inverse of g, up to its whole spine
-            h = g.inverse() * h
-        assert _product(key(g), key(h)) == key(g * h)
+@SPLIT_SETS
+def test_splits_matches_the_brute_force_over_the_reference_layers(roots, depth):
+    # g splits at k when some a of layer k has a^-1 g in the ball: every a
+    # of the reference layer is tried, for products of up to 2 depth + 1
+    # generators, so each g lies within one layer of the split's reach
+    ball = GroupBall(roots, depth)
+    ref = ReferenceBall(roots, depth)
+    rng = random.Random(depth * 100 + len(roots))
+    gens = [room_reflection(root) for root in roots]
+    cases = [compose_all(rng.choices(gens, k=n)) for n in range(2 * depth + 2)]
+    for _ in range(40):
+        cases.append(compose_all(rng.choices(gens, k=rng.randint(0, 2 * depth + 1))))
+    # and two strangers outside the group: no split holds them
+    cases += [ActionElement(word("rrU"), 0), ActionElement(word("ru"), 1)]
+    got, want = [], []
+    for g in cases:
+        for k in range(depth + 1):
+            got.append(ball.splits(g, k))
+            want.append(
+                any(ball_depth(ref, a.inverse() * g) is not None for a in ref.layer(k))
+            )
+    assert got == want
+    assert any(want) and not all(want)
 
 
 # ------------------------------------------------ membership in closed form
@@ -379,7 +382,7 @@ code0_tail_st = st.integers(min_value=0, max_value=5)
 @given(long_letters_st, code0_tail_st, st.sampled_from([0, 1]))
 def test_packed_keys_round_trip(letters, tail, parity):
     w = tuple(letters) + (-2,) * tail
-    g = _decode(_encode(w, parity))
+    g = _decode(packed_key(w, parity))
     assert (g.spine.letters, g.parity) == (w, parity)
 
 
@@ -394,11 +397,11 @@ def test_packed_keys_round_trip(letters, tail, parity):
 def test_packed_keys_are_injective(a, a_tail, p, b, b_tail, q):
     v = (tuple(a) + (-2,) * a_tail, p)
     w = (tuple(b) + (-2,) * b_tail, q)
-    assert (_encode(*v) == _encode(*w)) == (v == w)
+    assert (packed_key(*v) == packed_key(*w)) == (v == w)
 
 
 def test_packed_keys_keep_trailing_code0_letters():
-    keys = {_encode((-2,) * n, p) for n in range(12) for p in (0, 1)}
+    keys = {packed_key((-2,) * n, p) for n in range(12) for p in (0, 1)}
     assert len(keys) == 24
 
 
@@ -423,7 +426,7 @@ def test_spine_longer_than_every_member_is_not_in_the_ball():
         assert ActionElement(extended * word("r" * 9), parity) not in ball
 
 
-# ---------------------------------------------------------- the layer tries
+# --------------------------------------------------- membership by the tries
 
 # (root length, depth): the scan roots, the profile roots and the
 # eight-letter spines, each up to the deepest ball the suite builds
@@ -432,20 +435,13 @@ HELD = (
 )
 
 
-@lru_cache(maxsize=None)
-def held_ball(root_len, depth):
-    """The ``GroupBall`` over the roots of length <= ``root_len``, built once
-    per test process."""
-    return group_ball(enumerate_ball(root_len), depth)
-
-
 def longer_than_every_member(keys):
     """Keys of both parities whose spine is the longest spine among
     ``keys`` followed by code-0 letters (U)."""
     # the largest key has the most letters
     letters = _decode(max(keys)).spine.letters
     tail = (-2,) * 5 if not letters or letters[-1] != 2 else (1,) + (-2,) * 5
-    return [_encode(letters + tail, parity) for parity in (0, 1)]
+    return [packed_key(letters + tail, parity) for parity in (0, 1)]
 
 
 def random_words(rng, n, longest):
@@ -453,110 +449,78 @@ def random_words(rng, n, longest):
     both parities."""
     lengths = [rng.randint(0, longest) for _ in range(n)]
     words = [ReducedWord(rng.choices(LETTERS, k=m)) for m in lengths]
-    return [_encode(w.letters, parity) for w in words for parity in (0, 1)]
+    return [packed_key(w.letters, parity) for w in words for parity in (0, 1)]
 
 
 @pytest.mark.parametrize("root_len,depth", HELD)
 def test_trie_ball_matches_the_held_ball(root_len, depth):
-    held = held_ball(root_len, depth)
-    ball = TrieBall(enumerate_ball(root_len), depth)
-    assert ball.layer_sizes() == held.layer_sizes()
-    assert len(ball) == len(held)
-    for k in range(depth + 1):
-        assert trie_keys(ball, k) == set(held._layer_keys(k))
+    # the reference build holds every layer up to depth 4; the depth-5
+    # scan ball's 559,752-element layer 5 (5 s and 200 MiB to build) is
+    # decided key by key past the depth-4 build instead
+    ref = reference_ball(root_len, min(depth, 4))
+    ball = GroupBall(enumerate_ball(root_len), depth)
+    held = len(ref.layers)
+    assert ball.layer_sizes()[:held] == [len(layer) for layer in ref.layers]
+    layers = [trie_keys(ball, k) for k in range(depth + 1)]
+    assert layers[:held] == ball_keys(ref)
+    assert [len(keys) for keys in layers] == ball.layer_sizes()
 
     def agree(key):
         letters, parity = _letters(key), key & 1
-        return ball.depth_of(letters, parity) == held.depth_of(letters, parity)
+        return ball.depth_of(letters, parity) == reference_depth(ref, key, depth)
 
-    # members: every key of a layer of up to 20,000 elements, or every
-    # image of 3,000 of its orbit keys
+    # members: every key of a layer of up to 20,000 elements, or 3,000 of
+    # its keys
     rng = random.Random(root_len * 10 + depth)
     members = []
-    for k in range(depth + 1):
-        reps = sorted(held._reps[k])
-        if held.layer_sizes()[k] > 20_000:
-            reps = rng.sample(reps, 3000)
-        members += [
-            rep ^ _spread(p, rep.bit_length())
-            for rep in reps
-            for p in (held.symmetries if rep.bit_length() > 2 else (0,))
-        ]
+    for keys in layers:
+        keys = sorted(keys)
+        members += rng.sample(keys, 3000) if len(keys) > 20_000 else keys
     assert all(agree(key) for key in members)
     # non-members in both parities: products of layer d that lie in layer
     # d + 1, a spine longer than any member's, and random words
-    top = held._reps[depth]
-    sample = rng.sample(sorted(top), min(len(top), 200))
-    up = {p for key in sample for p in held._neighbours(key) if held._depth(p) is None}
+    top = rng.sample(sorted(layers[depth]), min(len(layers[depth]), 200))
+    up = {p for key in top for p in generator_products(ref, key)}
+    up -= set().union(*layers)
     assert up
-    stranger = longer_than_every_member(top)
+    stranger = longer_than_every_member(layers[depth])
     noise = random_words(rng, 300, 4 * depth + 2)
     # and keys outside H_2: reflections rooted at length-3 words and
     # products of them (generators at root length 3 and 4)
     far = [room_reflection(word(t)) for t in ("rrr", "UUU", "ruu")]
     outside = [
-        _encode(g.spine.letters, g.parity)
+        packed_key(g.spine.letters, g.parity)
         for g in far + [far[0] * far[1], far[2] * far[0]]
     ]
     assert not any(in_root_subgroup(_letters(key), 2) for key in outside)
     for key in sorted(up) + stranger + noise + outside:
         assert agree(key)
     with pytest.raises(IndexError):
-        next(held.iter_layer(depth + 1))
-    with pytest.raises(IndexError):
-        next(ball._layer_keys(depth + 1))
-
-
-@pytest.mark.parametrize("depth", [4, 5])
-def test_every_filled_row_matches_the_junction_walk(depth):
-    # held balls over the scan roots: rows start from the no-cancellation
-    # row, and only some spines walk the junction (the profile half ball's
-    # rows are checked with its layer-3 decisions)
-    ball = held_ball(2, depth)
-    assert ball._table
-    for lead, row in ball._table.items():
-        assert row == junction_row(ball._spines, lead), lead
-
-
-def test_a_held_scan_ball_decides_the_layer_past_it():
-    roots = enumerate_ball(2)
-    held = group_ball(roots, 3)
-    deeper = group_ball(roots, 4)
-    for k in range(5):
-        keys = list(deeper._layer_keys(k))
-        assert keys and all(held._depth(key, past=True) == k for key in keys)
-    assert all(held._depth(key) is None for key in deeper._layer_keys(4))
-    # non-members of layers 5 and 6: products of 5 or 6 generators outside
-    # the depth-4 ball have exactly that depth
-    rng = random.Random(25)
-    gens = [room_reflection(root) for root in roots]
-    far = {5: [], 6: []}
-    for n, found in far.items():
-        while len(found) < 300:
-            g = compose_all(rng.choices(gens, k=n))
-            if g not in deeper:
-                found.append(g)
-    for g in far[5] + far[6]:
-        assert held.depth_of(g.spine.letters, g.parity, past=True) is None
+        next(ball.iter_layer(depth + 1))
 
 
 def test_the_profile_half_ball_decides_layer_3():
+    # the depth-2 half ball decides layers 3 and 4: an element of layer 3
+    # splits at 1 over it, and one of layer 4 splits at 2 but not at 1
     ref = reference_half_ball()
     half = group_ball(enumerate_ball(3), 2)
     rng = random.Random(3)
-    layer3 = rng.sample(ref.layers[3], 3000)
-    assert all(half._depth(key, past=True) == 3 for key in layer3)
+    layer3 = rng.sample(ref.layer(3), 3000)
+    for g in layer3:
+        assert g not in half and half.splits(g, 1)
     for k in range(3):
-        assert all(half._depth(key, past=True) == k for key in ref.layers[k])
+        assert all(half.depth_of(g.spine.letters, g.parity) == k for g in ref.layer(k))
     # products of the sample that the reference does not hold are in
     # layer 4, which has layer 2's parity and must not pass for layer 3
-    up = {p for key in layer3[:300] for p in half._neighbours(key)}
+    up = {
+        p
+        for g in layer3[:300]
+        for p in generator_products(ref, packed_key(g.spine.letters, g.parity))
+    }
     up -= ref.depth_of.keys()
-    assert up and all(half._depth(key, past=True) is None for key in up)
-    # and the rows those decisions filled
-    assert len(half._table) > 100
-    for lead, row in half._table.items():
-        assert row == junction_row(half._spines, lead), lead
+    assert up
+    for g in map(_decode, up):
+        assert g not in half and not half.splits(g, 1) and half.splits(g, 2)
 
 
 def test_walk_to_spine_examples():

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from fundreg.action import GroupBall, identity, room_reflection
+from fundreg.action import ActionElement, GroupBall, identity, room_reflection
 from fundreg import checker, regions
 from fundreg.checker import (
     BUDGET,
@@ -45,6 +45,7 @@ from fundreg.checker import (
     stabilized,
 )
 from fundreg.freegroup import (
+    ReducedWord,
     ball_size,
     enumerate_ball,
     r_power,
@@ -59,6 +60,7 @@ from oracles import (
     FiberBand,
     ball_depth,
     closed_atoms,
+    compose_all,
     fold_member,
     in_closed_region,
     normalize_representative,
@@ -258,6 +260,37 @@ def test_min_depth_parity_invariant(f2):
         assert found % 2 == g.parity
 
 
+# The letter maps of F(r, u) that commute with swap: each sends the
+# reflection at w to the one at its image, and maps the roots of length
+# <= 3 onto themselves, so it keeps every depth over them.  Swap is the
+# conjugation by (e, 1).
+DEPTH_MAPS = {
+    "swap": {1: 2, 2: 1, -1: -2, -2: -1},
+    "phi": {1: -1, -1: 1, 2: -2, -2: 2},
+    "phi o swap": {1: -2, -2: 1, 2: -1, -1: 2},
+}
+
+
+@pytest.mark.parametrize("name", DEPTH_MAPS)
+def test_min_depth_is_kept_by_the_letter_maps(f2, name):
+    # the meeting candidates of every centre of length <= 3, in and out
+    # of H_3, and products of 1 to 8 generators, past the depth cap
+    letter_map = DEPTH_MAPS[name]
+    cases = [g for w in enumerate_ball(3) for g in f2.meeting_candidates(w)]
+    rng = random.Random(len(name))
+    roots = enumerate_ball(3)
+    for n in range(1, 9):
+        for _ in range(25):
+            factors = rng.choices(roots, k=n)
+            cases.append(compose_all(room_reflection(r) for r in factors))
+    depths = []
+    for g in cases:
+        image = ReducedWord(map(letter_map.__getitem__, g.spine.letters))
+        depths.append(f2.candidate_min_depth(g, 6))
+        assert f2.candidate_min_depth(ActionElement(image, g.parity), 6) == depths[-1]
+    assert set(depths) == {None, 0, 1, 2, 3, 4, 5, 6}
+
+
 def test_min_depth_respects_bound(f2):
     g = room_reflection(word("r")) * room_reflection(word("u"))
     exact = f2.candidate_min_depth(g, 6)
@@ -316,6 +349,17 @@ def test_scan_ball_estimate_bounds_the_traced_peak(depth):
 def test_scan_ball_budget_admits_depth_6_only(f2):
     # estimates only: the depth-7 ball is never built
     assert f2.scan_ball_estimate(6) <= BUDGET < f2.scan_ball_estimate(7)
+
+
+def test_a_need_of_exactly_the_budget_is_admitted():
+    # the edge of the rule: BUDGET bytes pass, one byte more is refused and
+    # reads as just over the budget
+    checker.refuse_over_budget(BUDGET, "the edge")
+    with pytest.raises(BudgetExceeded) as refused:
+        checker.refuse_over_budget(BUDGET + 1, "the edge")
+    assert str(refused.value) == (
+        "the edge needs about 128.1 MiB; the budget is 128 MiB"
+    )
 
 
 def test_room_ball_estimate_bounds_the_traced_peak(monkeypatch):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fundreg import checker, cli, regions
-from fundreg.action import TrieBall
+from fundreg.action import GroupBall
 from fundreg.cli import INTERNAL_EXIT, USAGE_EXIT, main
 from fundreg.render import quotient_strip_svg
 from fundreg.checker import Free2HouseSystem, RunConfig, quotient_build
@@ -367,7 +367,7 @@ def test_over_budget_depth_exits_64_before_enumerating(capsys, monkeypatch):
 
     # the scan ball grows from the estimate's depth-2 ball; no ball past
     # depth 2 may be built
-    monkeypatch.setattr(TrieBall, "to_depth", never)
+    monkeypatch.setattr(GroupBall, "to_depth", never)
     monkeypatch.setattr(checker, "group_ball", never)
     code, out, err = run_cli(capsys, ["verify", "free2house", "--depth", "7"])
     assert (code, out) == (USAGE_EXIT, "")

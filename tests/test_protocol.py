@@ -225,7 +225,7 @@ def test_free2house_battery_builds_each_structure_once(monkeypatch):
     # depth 2, with no layer enumerated
     assert tries == [("start", enumerate_ball(2), 2), ("to_depth", 2)]
     # and one profile half ball, of depth 2: it decides the depths up to
-    # 3 and the split of the two candidates of depth 4
+    # 2 and the splits of the candidates of depths 3 and 4
     assert balls == Counter({(enumerate_ball(3), 2): 1})
     # the closures at radius 4 (scans) and 5 (coverage)
     assert len(closures) == 2 and set(closures.values()) == {1}
@@ -257,7 +257,7 @@ def test_default_battery_holds_every_half_ball_layer():
     run_battery(system, RunConfig())
     built = {key: ball for key, ball in system._memo.items() if "ball" in key[0]}
     half = [ball for (kind, _), ball in built.items() if kind == "half ball"]
-    assert half and all(len(ball._reps) == ball.depth + 1 for ball in half)
+    assert half and all(len(ball._roots) == ball.depth + 1 for ball in half)
     # the scan ball holds its five layers as tries, grown from the
     # estimate's depth-2 ball: it shares that ball's nodes and layers
     scan, start = built["scan ball", 4], system._memo["scan start",]
@@ -300,17 +300,21 @@ def test_default_profile_builds_no_depth_3_half_ball(monkeypatch):
     system = Free2HouseSystem()
     report, _ = checker.local_finiteness_profile(system, RunConfig())
     assert report.verdict == VERIFIED
-    # depths up to 3 take one lookup in the depth-2 half ball, which
-    # decides layer 3; only the two candidates of depth 4 split, each at
-    # total 4 over that same ball
+    # depths up to 2 take one lookup in the depth-2 half ball; the 14
+    # distinct candidates of depth 3 split at total 3 over that same ball,
+    # and only the two of depth 4 split at total 4, each once
     assert depths == [2]
+    found = Counter(
+        depth for key, depth in system._memo.items() if key[0] == "min depth"
+    )
+    assert found[3] == 14
     deep = {
         key[1].text(): depth
         for key, depth in system._memo.items()
         if key[0] == "min depth" and (depth is None or depth > 3)
     }
     assert deep == {"(uruRRR, 0)": 4, "(URUrrr, 0)": 4}
-    assert calls == Counter({(2, 2): 2})
+    assert calls == Counter({(2, 1): 14, (2, 2): 2})
 
 
 def test_free2house_coverage_decides_each_spine_power_once(monkeypatch):

@@ -27,9 +27,8 @@ import pytest
 from fundreg import checker
 from fundreg.action import (
     ActionElement,
-    TrieBall,
+    GroupBall,
     _decode,
-    group_ball,
     room_reflection,
     walk_to_spine,
 )
@@ -60,7 +59,9 @@ from oracles import (
     ball_depth,
     fold_member,
     orbit_representatives,
+    packed_key,
     reference_ball,
+    reference_depth,
     room_pair_candidates,
 )
 
@@ -292,13 +293,13 @@ def test_scans_look_up_only_members_of_h2(monkeypatch, system):
     # (the fold decides, independently of the prefix test) is rejected
     # before any layer lookup; the reports are the oracles' either way
     looked = []
-    depth_of = TrieBall.depth_of
+    depth_of = GroupBall.depth_of
 
     def recorded(self, letters, parity):
         looked.append(letters)
         return depth_of(self, letters, parity)
 
-    monkeypatch.setattr(TrieBall, "depth_of", recorded)
+    monkeypatch.setattr(GroupBall, "depth_of", recorded)
     cfg = RunConfig(depth=3, radius=2 if isinstance(system, Blob) else 5)
     assert check_disjointness(system, cfg) == oracle_disjointness(system, cfg)
     assert boundary_containment(system, cfg) == oracle_boundary(system, cfg)
@@ -317,10 +318,30 @@ def test_overlapping_generators_match_per_root_scan(f2, radius):
         assert got[1:] == oracle_overlapping_generators(f2, horizon, radius)
 
 
-# The scan ball holds its layers as tries; the same scans on a ball that
-# holds every layer as packed keys must print the same reports, with
-# witnesses that sit in the deepest layer in their order.
+# The scan ball holds its layers as tries; the same scans on the reference
+# build, which holds every layer as a dict of packed keys, must print the
+# same reports, with witnesses that sit in the deepest layer in their order.
 HELD_GRID = [(d, r) for d in range(5) for r in range(6)] + [(5, 0), (5, 1), (5, 2)]
+
+# The scan ball's layer sizes as the dict-per-layer build measured them.
+SCAN_LAYER_SIZES = [1, 17, 232, 3112, 41736, 559752]
+
+
+class HeldScanBall:
+    """The scan ball of ``depth`` as the reference build holds it.  The
+    depth-5 ball's layer 5 (5 s and 200 MiB to build) is decided key by
+    key past the depth-4 build instead, and counted as measured."""
+
+    def __init__(self, root_len, depth):
+        self.ref = reference_ball(root_len, min(depth, 4))
+        self.depth = depth
+
+    def depth_of(self, letters, parity):
+        return reference_depth(self.ref, packed_key(letters, parity), self.depth)
+
+    def layer_sizes(self):
+        held = [len(layer) for layer in self.ref.layers]
+        return held + SCAN_LAYER_SIZES[len(held) : self.depth + 1]
 
 
 @pytest.fixture(scope="module")
@@ -329,11 +350,11 @@ def held_scan_balls():
 
 
 def on_a_held_scan_ball(system, balls):
-    """``system`` with its scan ball a ``GroupBall``."""
+    """``system`` with its scan ball a ``HeldScanBall``."""
 
     def scan_ball(depth):
         if depth not in balls:
-            balls[depth] = group_ball(enumerate_ball(system.scan_root_len), depth)
+            balls[depth] = HeldScanBall(system.scan_root_len, depth)
         return balls[depth]
 
     system.scan_ball = scan_ball
@@ -436,7 +457,7 @@ def test_every_enumerated_group_element_has_exponent_sum_zero(f2):
     # sum: the held layers of the scan and half balls, and the meeting
     # candidates of the default centres, all have spines of sum 0
     half = f2.half_ball(2)
-    keys = [key for layer in half._reps for key in layer]
+    keys = [key for k in range(3) for key in half._layer_keys(k)]
     keys += [key for k in range(5) for key in f2.scan_ball(4)._layer_keys(k)]
     assert len(keys) > 45_098
     assert all(_decode(key).spine.exponent_sum() == 0 for key in keys)

@@ -1,8 +1,9 @@
 """The node algebra of the layer tries (``action._Tries``) against sets.
 
 Random small sets of reduced code words are built as tries.  Union,
-difference, the reduced left product ``times`` and the stored word counts
-are compared with the same operations on Python sets of tuples.  The
+difference, ``meets`` (a shared word), the reduced left product ``times``
+and the stored word counts are compared with the same operations on
+Python sets of tuples.  The
 memos key a node pair (a, b) on the one int a << _ID_BITS | b, which is
 exact while every id is below 2 ** _ID_BITS.  The bound is pinned with it
 lowered: every pair of ids up to its edge is packed and answered right,
@@ -64,6 +65,8 @@ def assert_algebra(tries, xs, ys, g):
     assert tries.union(b, a) == tries.union(a, b)
     assert_holds(tries, tries.difference(a, b), xs - ys)
     assert_holds(tries, tries.difference(b, a), ys - xs)
+    assert tries.meets(a, b) is tries.meets(b, a) is bool(xs & ys)
+    assert tries.meets(a, a) is bool(xs)
     assert_holds(tries, tries.times(g, a), {reduced(g + t) for t in xs})
 
 
@@ -76,7 +79,8 @@ def test_memo_keys_do_not_collide_at_the_edge_of_the_packing(monkeypatch):
     # the 32 subsets of five one-letter-or-empty words are 32 nodes whose
     # children are ids 0 and 1: with 5 id bits they take every id, and as
     # the family is closed under union and difference, every pair of ids
-    # is packed into a memo key and answered without a new node
+    # is packed into a memo key and answered without a new node, as is
+    # every meets
     monkeypatch.setattr(action, "_ID_BITS", 5)
     tries = _Tries()
     short = [(), (0,), (1,), (2,), (3,)]
@@ -87,6 +91,7 @@ def test_memo_keys_do_not_collide_at_the_edge_of_the_packing(monkeypatch):
         for ys, b in zip(sets, ids):
             assert words_of(tries, tries.union(a, b)) == xs | ys
             assert words_of(tries, tries.difference(a, b)) == xs - ys
+            assert tries.meets(a, b) is bool(xs & ys)
     assert len(tries.nodes) == 32
     with pytest.raises(OverflowError):
         tries.node(False, ids[3], 0, 0, 0)  # the words 0 and 00
