@@ -10,7 +10,16 @@ floating point.  numpy is needed by that module alone: ``build_partition``,
 the exact battery, ``render`` and ``quotient`` never load it.  Likewise
 ``render_roomsets`` loads the drawing code, ``fundreg.render``, on first
 access.
+
+The rescaling's one BLAS call is too small for a thread pool, and
+OpenBLAS's pool threads busy-wait on another core after numpy loads, so
+importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+set: this holds wherever numpy loads after fundreg.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .action import (
     ActionElement,

@@ -101,3 +101,31 @@ def test_verify_and_quotient_load_neither_drawing_nor_dataclasses_nor_argparse()
         [sys.executable, "-c", START_UP_PROBE], env=env, capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\nok\n"), proc.stderr
+
+
+THREADS_PROBE = """
+import os, sys
+
+import fundreg
+print(os.environ["OPENBLAS_NUM_THREADS"])
+if sys.platform == "linux":
+    import numpy
+    print(len(os.listdir("/proc/self/task")))
+else:
+    print(1)
+"""
+
+
+def test_import_sets_one_blas_thread_unless_set():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_PROBE], env=env, capture_output=True, text=True
+    )
+    # numpy loaded after fundreg starts no BLAS thread: one task, the main one
+    assert (proc.returncode, proc.stdout) == (0, "1\n1\n"), proc.stderr
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_PROBE], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout.split()[0]) == (0, "2"), proc.stderr
